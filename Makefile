@@ -66,17 +66,17 @@ bench-json:
 	$(GO) run ./cmd/benchjson -o BENCH_report.json BENCH_output.tmp
 	rm -f BENCH_output.tmp
 
-# Tally-first ingest micro-suite: re-baselines the durable ingest lanes
-# (report-level decode, zero-copy frame, partial-tally) plus the raw WAL
-# append at a real benchtime, folds the rows into BENCH_report.json in
-# place, and gates the run: the partial-tally lane must move at least 5x
-# the MB/s of the report lane, or the target (and CI) fails.
+# Tally-first ingest micro-suite: re-baselines the two durable ingest
+# lanes (zero-copy report frame, partial-tally) plus the raw WAL append
+# at a real benchtime, folds the rows into BENCH_report.json in place,
+# and gates the run: the partial-tally lane must move at least 5x the
+# MB/s of the zero-copy report lane, or the target (and CI) fails.
 bench-ingest:
 	$(GO) test -run '^$$' -bench 'BenchmarkDurableIngest|BenchmarkWALAppend' -benchtime 300ms . > BENCH_ingest.tmp
 	cat BENCH_ingest.tmp
 	$(GO) run ./cmd/benchjson -merge BENCH_report.json -o BENCH_report.json \
 		-gate-num 'BenchmarkDurableIngest/partial-tally' \
-		-gate-den 'BenchmarkDurableIngest/report-level' \
+		-gate-den 'BenchmarkDurableIngest/zero-copy' \
 		-gate-min 5 BENCH_ingest.tmp
 	rm -f BENCH_ingest.tmp
 

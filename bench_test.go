@@ -708,23 +708,21 @@ func BenchmarkWALAppend(b *testing.B) {
 
 // BenchmarkDurableIngest measures report-equivalent durable ingest
 // throughput — MB/s of report-level wire bytes made durable AND counted
-// — for the three ingest lanes at equal user volume (4096 users per
-// op, as sixteen 256-report OUE frames):
+// — for the two ingest lanes at equal user volume (4096 users per op,
+// as sixteen 256-report OUE frames):
 //
-//	report-level   decode each frame into []Report, then AppendBatch
-//	               (frame to the WAL, reports to the accumulator)
 //	zero-copy      AppendBatchFrame validates, logs and counts the wire
 //	               bytes in place; no []Report ever exists
 //	partial-tally  the same 4096 users pre-aggregated at an edge
 //	               Collector into ONE partial-tally frame (DESIGN.md §8)
 //
-// Every lane reports SetBytes of the report lanes' total frame bytes,
-// so the MB/s column answers "how fast does this lane move the same
-// users durably" — the partial lane's frame is ~250x smaller, which is
-// the point. The WAL syncs lazily (at epoch seals), so the comparison
-// is CPU + write volume, not sixteen fsyncs against one; `make
+// Both lanes report SetBytes of the report lane's total frame bytes, so
+// the MB/s column answers "how fast does this lane move the same users
+// durably" — the partial lane's frame is ~250x smaller, which is the
+// point. The WAL syncs lazily (at epoch seals), so the comparison is
+// CPU + write volume, not sixteen fsyncs against one; `make
 // bench-ingest` regenerates these rows in BENCH_report.json and CI
-// gates on partial-tally ≥ 5x report-level.
+// gates on partial-tally ≥ 5x zero-copy.
 func BenchmarkDurableIngest(b *testing.B) {
 	const d, eps = 128, 0.5
 	const perFrame, numFrames = 256, 16
@@ -738,7 +736,6 @@ func BenchmarkDurableIngest(b *testing.B) {
 		trueCounts[v] = perFrame / d
 	}
 	var frames [][]byte
-	var decoded [][]ldprecover.Report
 	var wireBytes int64
 	col, err := ldp.NewCollector("bench-edge", d)
 	if err != nil {
@@ -754,7 +751,6 @@ func BenchmarkDurableIngest(b *testing.B) {
 			b.Fatal(err)
 		}
 		frames = append(frames, frame)
-		decoded = append(decoded, reps)
 		wireBytes += int64(len(frame))
 		if err := col.AddBatch(reps); err != nil {
 			b.Fatal(err)
@@ -786,25 +782,6 @@ func BenchmarkDurableIngest(b *testing.B) {
 		return store
 	}
 
-	b.Run("report-level", func(b *testing.B) {
-		store := newStore(b)
-		b.SetBytes(wireBytes)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, frame := range frames {
-				// The lane includes the decode — that is what the
-				// pre-zero-copy serve path paid per request.
-				reps, err := ldprecover.UnmarshalReportBatch(frame)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := store.AppendBatch(frame, reps); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-
 	b.Run("zero-copy", func(b *testing.B) {
 		store := newStore(b)
 		b.SetBytes(wireBytes)
@@ -829,9 +806,9 @@ func BenchmarkDurableIngest(b *testing.B) {
 		}
 	})
 
-	// Sanity outside the timed regions: all three lanes must count the
-	// same users per op (the equivalence the tests pin bit-for-bit).
-	if got, want := partial.Users, int64(numFrames*len(decoded[0])); got != want {
+	// Sanity outside the timed regions: both lanes must count the same
+	// users per op (the equivalence the tests pin bit-for-bit).
+	if got, want := partial.Users, int64(numFrames*perFrame); got != want {
 		b.Fatalf("partial covers %d users, lanes move %d", got, want)
 	}
 }

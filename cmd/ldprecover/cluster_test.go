@@ -592,7 +592,7 @@ func TestServeRootRejectsReportWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.AppendBatch(frame, []ldprecover.Report{rep}); err != nil {
+	if err := store.AppendBatchFrame(frame); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Close(); err != nil {

@@ -488,26 +488,17 @@ type streamServerConfig struct {
 	StandbyPoll time.Duration
 }
 
-// ingestBatch is one queued POST /v1/reports body. The zero-copy lane
-// (the HTTP handlers) fills only frame: a validated wire frame held in
-// a pooled buffer, which the worker folds in place — durable mode
-// appends it to the WAL verbatim, counting never materializes a
-// []Report — and returns to the pool. reps is the decoded-report lane
-// kept for callers that already hold reports (tests, internal feeds);
-// when set it wins and frame is only the optional WAL image.
-type ingestBatch struct {
-	frame  []byte
-	reps   []ldprecover.Report
-	pooled bool // frame came from the server's buffer pool
-}
-
 // streamServer owns the manager, the bounded ingest queue and its
 // drain workers, and (in durable mode) the persistence store. All
 // handler methods are safe for concurrent use.
 type streamServer struct {
-	mgr     *ldprecover.EpochManager
-	store   *ldprecover.DurableStore // nil in memory-only mode
-	queue   chan ingestBatch
+	mgr   *ldprecover.EpochManager
+	store *ldprecover.DurableStore // nil in memory-only mode
+	// queue carries validated POST /v1/reports bodies, each a report
+	// batch frame held in a pooled buffer: the worker folds it in place
+	// — durable mode appends it to the WAL verbatim, counting never
+	// materializes a []Report — and returns it to the pool.
+	queue   chan []byte
 	wg      sync.WaitGroup
 	maxBody int64
 
@@ -536,6 +527,10 @@ type streamServer struct {
 	// seal in durable mode, the manager's otherwise. Tests substitute a
 	// failing one to drive the error paths.
 	sealFn func() (*ldprecover.WindowEstimate, error)
+
+	// foldFn is what an ingest worker runs on each dequeued frame:
+	// ingest. Tests wrap it to park the worker.
+	foldFn func(frame []byte) error
 
 	// fatalc carries a handler-observed fatal error (a failed seal) to
 	// serveLoop, so a durable server whose snapshots stop persisting
@@ -637,11 +632,12 @@ func newStreamServer(cfg streamServerConfig) (*streamServer, error) {
 	}
 	s := &streamServer{
 		mgr:         mgr,
-		queue:       make(chan ingestBatch, cfg.QueueLen),
+		queue:       make(chan []byte, cfg.QueueLen),
 		maxBody:     cfg.MaxBody,
 		fatalc:      make(chan error, 1),
 		sealOnDrain: cfg.Role != roleRoot && cfg.Role != roleMerger && cfg.Role != roleStandby,
 	}
+	s.foldFn = s.ingest
 	s.bufPool.New = func() any {
 		s.poolMisses.Add(1)
 		b := make([]byte, 0, 64<<10)
@@ -850,41 +846,33 @@ func newStreamServer(cfg streamServerConfig) (*streamServer, error) {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			for b := range s.queue {
+			for frame := range s.queue {
 				// The fold only fails on inputs the handler's validation
 				// cannot admit, and a WAL append fails only when the
 				// log can no longer be written — either way the server
 				// cannot keep its promises, so crash rather than drop
 				// reports silently.
-				if err := s.ingest(b); err != nil {
+				if err := s.foldFn(frame); err != nil {
 					panic(err)
 				}
-				if b.pooled {
-					// Neither the WAL nor the counting fold retains the
-					// frame, so the buffer can serve the next request.
-					s.putBuf(b.frame)
-				}
+				// Neither the WAL nor the counting fold retains the
+				// frame, so the buffer can serve the next request.
+				s.putBuf(frame)
 			}
 		}()
 	}
 	return s, nil
 }
 
-// ingest folds one dequeued batch — through the WAL first in durable
-// mode, so a batch is never aggregated without being logged. A
-// frame-only batch takes the zero-copy lane: the wire bytes are
-// appended verbatim and counted in place, no []Report ever exists.
-func (s *streamServer) ingest(b ingestBatch) error {
-	if b.reps != nil {
-		if s.store != nil {
-			return s.store.AppendBatch(b.frame, b.reps)
-		}
-		return s.mgr.AddBatch(b.reps)
-	}
+// ingest folds one dequeued report batch frame — through the WAL first
+// in durable mode, so a batch is never aggregated without being logged.
+// The wire bytes are appended verbatim and counted in place; no
+// []Report ever exists.
+func (s *streamServer) ingest(frame []byte) error {
 	if s.store != nil {
-		return s.store.AppendBatchFrame(b.frame)
+		return s.store.AppendBatchFrame(frame)
 	}
-	return s.mgr.AddBatchFrame(b.frame)
+	return s.mgr.AddBatchFrame(frame)
 }
 
 // handler routes the versioned API.
@@ -1057,7 +1045,7 @@ func (s *streamServer) handleReports(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	select {
-	case s.queue <- ingestBatch{frame: body, pooled: true}:
+	case s.queue <- body:
 		s.drainMu.RUnlock()
 		s.accepted.Add(1)
 		writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: count, QueueDepth: len(s.queue)})

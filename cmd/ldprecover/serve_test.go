@@ -347,12 +347,13 @@ func TestServeLoopSealFailureShutsDown(t *testing.T) {
 	// Park the single worker so a real batch is still queued when the
 	// seal fails; the drain on the error path must fold it anyway.
 	block := make(chan struct{})
-	srv.queue <- ingestBatch{reps: []ldprecover.Report{blockingReport{block}}}
+	parkFold(srv, block)
 	rep, err := proto.Perturb(ldprecover.NewRand(1), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.queue <- ingestBatch{reps: []ldprecover.Report{rep}}
+	srv.queue <- mustFrame(t, []ldprecover.Report{rep})
+	srv.queue <- mustFrame(t, []ldprecover.Report{rep})
 
 	sealErr := errors.New("synthetic seal failure")
 	srv.sealFn = func() (*ldprecover.WindowEstimate, error) { return nil, sealErr }
@@ -393,8 +394,8 @@ func TestServeLoopSealFailureShutsDown(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("ingest workers leaked after failed seal")
 	}
-	// ...and both queued batches (the blocker and the real report) were
-	// folded into the manager, not dropped.
+	// ...and both queued batches (the one the parked worker held and the
+	// one still queued) were folded into the manager, not dropped.
 	if got := srv.mgr.Stats().IngestedTotal; got != 2 {
 		t.Fatalf("drained %d reports, want 2", got)
 	}
@@ -454,14 +455,16 @@ func TestServeSealEndpointFailureShutsDown(t *testing.T) {
 	}
 }
 
-// blockingReport parks the ingest worker that aggregates it until the
-// release channel closes, so the bounded queue in front of the manager
-// fills deterministically.
-type blockingReport struct{ release <-chan struct{} }
-
-func (b blockingReport) Supports(int) bool { return false }
-
-func (b blockingReport) AddSupports([]int64) { <-b.release }
+// parkFold makes srv's ingest workers park before each fold until
+// release closes, so the bounded queue in front of the manager fills
+// deterministically. Call it before the first frame is queued.
+func parkFold(srv *streamServer, release <-chan struct{}) {
+	fold := srv.foldFn
+	srv.foldFn = func(frame []byte) error {
+		<-release
+		return fold(frame)
+	}
+}
 
 // TestServeBackpressure parks the single ingest worker, fills the
 // bounded queue over HTTP, and checks the 429 overload path.
@@ -481,17 +484,18 @@ func TestServeBackpressure(t *testing.T) {
 	}
 	block := make(chan struct{})
 	defer close(block)
-	// Enqueue directly (the wire codec cannot carry a test double); the
-	// worker dequeues it and parks inside AddBatch.
-	srv.queue <- ingestBatch{reps: []ldprecover.Report{blockingReport{block}}}
-	hs := httptest.NewServer(srv.handler())
-	defer hs.Close()
-
 	rep, err := proto.Perturb(ldprecover.NewRand(1), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	batch := []ldprecover.Report{rep}
+	// Enqueue directly; the worker dequeues the frame and parks before
+	// folding it.
+	parkFold(srv, block)
+	srv.queue <- mustFrame(t, batch)
+	hs := httptest.NewServer(srv.handler())
+	defer hs.Close()
+
 	// At most three posts can be absorbed (one dequeued by the parked
 	// worker, two queued); the fourth must bounce.
 	seen429 := false

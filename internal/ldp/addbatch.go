@@ -1,34 +1,40 @@
 package ldp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"ldprecover/internal/hashx"
 )
 
-// Batched ingest: AddBatch splits a report slice into runs of the same
-// concrete type and folds each run through a type-specialized, item-major
-// fast path. All scratch lives on the accumulator and is reused across
-// batches, so steady-state ingest allocates nothing per report:
+// Batched ingest. AddBatch (a decoded []Report) and AddBatchFrame (a
+// marshaled "LB" report batch, framecount.go) split their input into
+// runs of one report kind and fold each run through the same
+// type-specialized kernels below. The two walkers differ only in how
+// they pull words, indices, seeds and values out of a run. All scratch
+// lives on the accumulator and is reused across batches, so
+// steady-state ingest allocates nothing per report:
 //
 //   - dense unary runs aggregate via bit-plane ("positional popcount")
-//     counters: a Harley–Seal adder tree folds reports into planeLevels
-//     binary counter planes, which flush into the count vector at most
-//     once per ~64k reports — a handful of word-level ALU ops per
-//     report instead of one count increment per set bit;
-//   - sparse unary runs increment counts directly from the index lists;
+//     counters: a Harley–Seal adder tree (denseFold) folds reports into
+//     planeLevels binary counter planes, which flush into the count
+//     vector at most once per ~64k reports — a handful of word-level ALU
+//     ops per report instead of one count increment per set bit;
+//   - sparse unary runs bump counts directly from the index lists;
 //   - OLH runs premix every seed once, then sweep the domain in
 //     item-major blocks so the hot count window stays cache-resident at
 //     large d while each item costs only the cheap per-item hash stage;
-//   - GRR runs are single increments without the interface dispatch;
-//   - anything else falls back to Report.AddSupports.
+//   - GRR runs are single bumps without the interface dispatch;
+//   - any other report type falls back to Report.AddSupports.
 //
 // The result is bit-identical to folding the same reports one at a time
 // through Add (support counting is additive), which the equivalence tests
 // pin exactly.
 
-// batchScratch is the accumulator-owned reusable state for AddBatch.
+// batchScratch is the accumulator-owned reusable state of the batch
+// walkers.
 type batchScratch struct {
 	// planes holds planeLevels binary counter planes per report word
 	// (plane l bit b set ⇔ the pending count for bit b has 2^l in its
@@ -121,7 +127,7 @@ func (a *Accumulator) addBatch(reps []Report) {
 	i := 0
 	for i < len(reps) {
 		rep := reps[i]
-		if b, ok := asDense(rep); ok {
+		if b, ok := asDense(rep); ok && littleEndianHost {
 			i = a.addDenseRun(reps, i, len(b.words))
 			continue
 		}
@@ -168,111 +174,100 @@ func rippleInto(planes []uint64, wi int, w uint64, level int) {
 // counter capacity.
 const denseCSAGroups = 8000
 
-// addDenseRun consumes the run of dense unary reports with the given
-// word count starting at start and returns the index past the run.
+// denseFold is the Harley–Seal state of one dense-unary run, shared by
+// the report-slice and wire-frame walkers. It reads report words in the
+// wire layout (little-endian uint64s): the frame walker passes the
+// wire bytes themselves, the report walker each bitset's own memory
+// (wireWords).
 //
-// The core is a Harley–Seal carry-save adder tree: 8 reports at a time,
-// per word column, seven full adders fold the 8 input words into running
+// The core is a carry-save adder tree: 8 reports at a time, per word
+// column, seven full adders fold the 8 input words into running
 // ones/twos/fours planes and one weight-8 carry — about five ALU ops per
 // report word, with no per-bit work at all. Weight-8 carries ripple into
-// the shared binary counter planes, which expand into the count vector
-// only on flush (at most once per ~64k reports per bit).
-func (a *Accumulator) addDenseRun(reps []Report, start, words int) int {
-	// Scratch layout: planeLevels counter planes, then the
-	// ones/twos/fours carry-save planes, per word column. All zero
-	// between runs.
+// binary counter planes, which expand into the count vector only on
+// flush (at most once per ~64k reports per bit).
+type denseFold struct {
+	counts []int64
+	// planes holds planeLevels binary counter planes per word column,
+	// then the ones/twos/fours carry-save planes; all zero between runs.
+	planes, ones, twos, fours []uint64
+	groups                    int
+}
+
+// newDenseFold carves a run's planes over the given word count out of
+// the accumulator scratch.
+func (a *Accumulator) newDenseFold(words int) denseFold {
 	need := words * (planeLevels + 3)
 	if cap(a.scratch.planes) < need {
 		a.scratch.planes = make([]uint64, need)
 	}
 	buf := a.scratch.planes[:need]
-	planes := buf[:words*planeLevels]
-	ones := buf[words*planeLevels : words*(planeLevels+1)]
-	twos := buf[words*(planeLevels+1) : words*(planeLevels+2)]
-	fours := buf[words*(planeLevels+2) : words*(planeLevels+3)]
-
-	flush := func() {
-		for wi := 0; wi < words; wi++ {
-			if w := ones[wi]; w != 0 {
-				ones[wi] = 0
-				rippleInto(planes, wi, w, 0)
-			}
-			if w := twos[wi]; w != 0 {
-				twos[wi] = 0
-				rippleInto(planes, wi, w, 1)
-			}
-			if w := fours[wi]; w != 0 {
-				fours[wi] = 0
-				rippleInto(planes, wi, w, 2)
-			}
-		}
-		a.flushPlanes(planes, words)
+	return denseFold{
+		counts: a.counts,
+		planes: buf[:words*planeLevels],
+		ones:   buf[words*planeLevels : words*(planeLevels+1)],
+		twos:   buf[words*(planeLevels+1) : words*(planeLevels+2)],
+		fours:  buf[words*(planeLevels+2) : words*(planeLevels+3)],
 	}
-
-	i := start
-	groups := 0
-	var ws [8][]uint64
-	for i < len(reps) {
-		// Gather the next 8 matching dense reports for the CSA tree.
-		if i+8 <= len(reps) {
-			ok := true
-			for k := 0; k < 8; k++ {
-				b, isDense := asDense(reps[i+k])
-				if !isDense || len(b.words) != words {
-					ok = false
-					break
-				}
-				ws[k] = b.words
-			}
-			if ok {
-				for wi := 0; wi < words; wi++ {
-					o, tw, f := ones[wi], twos[wi], fours[wi]
-					var c1, c2, c3, c4, d1, d2, e uint64
-					o, c1 = csa(o, ws[0][wi], ws[1][wi])
-					o, c2 = csa(o, ws[2][wi], ws[3][wi])
-					tw, d1 = csa(tw, c1, c2)
-					o, c3 = csa(o, ws[4][wi], ws[5][wi])
-					o, c4 = csa(o, ws[6][wi], ws[7][wi])
-					tw, d2 = csa(tw, c3, c4)
-					f, e = csa(f, d1, d2)
-					ones[wi], twos[wi], fours[wi] = o, tw, f
-					if e != 0 {
-						rippleInto(planes, wi, e, 3)
-					}
-				}
-				i += 8
-				if groups++; groups == denseCSAGroups {
-					flush()
-					groups = 0
-				}
-				continue
-			}
-		}
-		// Tail: fewer than 8 matching reports left in the run — at most
-		// 7 singles ripple directly into the counter planes.
-		b, ok := asDense(reps[i])
-		if !ok || len(b.words) != words {
-			break
-		}
-		for wi, w := range b.words {
-			if w != 0 {
-				rippleInto(planes, wi, w, 0)
-			}
-		}
-		i++
-	}
-	flush()
-	a.total += int64(i - start)
-	return i
 }
 
-// flushPlanes expands the binary counter planes into the count vector
-// and zeroes them. Bits beyond the accumulator's domain are dropped,
-// matching AddSupports' contract for over-long reports.
-func (a *Accumulator) flushPlanes(planes []uint64, words int) {
-	counts := a.counts
-	full := len(counts) >= words*64
-	for wi := 0; wi < words; wi++ {
+// add8 folds one group of 8 reports through the carry-save tree.
+func (f *denseFold) add8(ws *[8][]byte) {
+	planes, ones := f.planes, f.ones
+	// Re-slicing everything to the run's width up front leaves one
+	// bounds check per word load in the column loop.
+	n := len(ones)
+	twos, fours := f.twos[:n], f.fours[:n]
+	w0, w1, w2, w3 := ws[0][:8*n], ws[1][:8*n], ws[2][:8*n], ws[3][:8*n]
+	w4, w5, w6, w7 := ws[4][:8*n], ws[5][:8*n], ws[6][:8*n], ws[7][:8*n]
+	for wi := range ones {
+		off := 8 * wi
+		o, tw, fo := ones[wi], twos[wi], fours[wi]
+		var c1, c2, c3, c4, d1, d2, e uint64
+		o, c1 = csa(o, binary.LittleEndian.Uint64(w0[off:off+8]), binary.LittleEndian.Uint64(w1[off:off+8]))
+		o, c2 = csa(o, binary.LittleEndian.Uint64(w2[off:off+8]), binary.LittleEndian.Uint64(w3[off:off+8]))
+		tw, d1 = csa(tw, c1, c2)
+		o, c3 = csa(o, binary.LittleEndian.Uint64(w4[off:off+8]), binary.LittleEndian.Uint64(w5[off:off+8]))
+		o, c4 = csa(o, binary.LittleEndian.Uint64(w6[off:off+8]), binary.LittleEndian.Uint64(w7[off:off+8]))
+		tw, d2 = csa(tw, c3, c4)
+		fo, e = csa(fo, d1, d2)
+		ones[wi], twos[wi], fours[wi] = o, tw, fo
+		if e != 0 {
+			rippleInto(planes, wi, e, 3)
+		}
+	}
+	if f.groups++; f.groups == denseCSAGroups {
+		f.flush()
+		f.groups = 0
+	}
+}
+
+// add1 ripples one report straight into the counter planes: the ≤7
+// reports at the tail of a run that do not fill a CSA group.
+func (f *denseFold) add1(w []byte) {
+	for wi := range f.ones {
+		if x := binary.LittleEndian.Uint64(w[8*wi:]); x != 0 {
+			rippleInto(f.planes, wi, x, 0)
+		}
+	}
+}
+
+// flush ripples the carry-save residue into the counter planes, expands
+// the planes into the count vector and zeroes everything. Bits beyond
+// the accumulator's domain are dropped, matching AddSupports' contract
+// for over-long reports.
+func (f *denseFold) flush() {
+	planes, counts := f.planes, f.counts
+	for wi := range f.ones {
+		rippleInto(planes, wi, f.ones[wi], 0)
+		rippleInto(planes, wi, f.twos[wi], 1)
+		rippleInto(planes, wi, f.fours[wi], 2)
+	}
+	clear(f.ones)
+	clear(f.twos)
+	clear(f.fours)
+	full := len(counts) >= len(f.ones)*64
+	for wi := range f.ones {
 		base := wi << 6
 		for l := 0; l < planeLevels; l++ {
 			w := planes[wi*planeLevels+l]
@@ -298,11 +293,62 @@ func (a *Accumulator) flushPlanes(planes []uint64, words int) {
 	}
 }
 
+// littleEndianHost reports whether a []uint64 is laid out in memory
+// exactly as the wire's little-endian words.
+var littleEndianHost = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// wireWords views a bitset's words as wire-layout bytes without copying.
+// Only valid on a little-endian host; elsewhere addBatch routes dense
+// reports through the generic AddSupports path instead.
+func wireWords(words []uint64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), 8*len(words))
+}
+
+// addDenseRun consumes the run of dense unary reports with the given
+// word count starting at start and returns the index past the run.
+func (a *Accumulator) addDenseRun(reps []Report, start, words int) int {
+	f := a.newDenseFold(words)
+	var ws [8][]byte
+	i := start
+	for ; i+8 <= len(reps) && dense8(&ws, reps[i:i+8], words); i += 8 {
+		f.add8(&ws)
+	}
+	for ; i < len(reps); i++ {
+		b, ok := asDense(reps[i])
+		if !ok || len(b.words) != words {
+			break
+		}
+		f.add1(wireWords(b.words))
+	}
+	f.flush()
+	a.total += int64(i - start)
+	return i
+}
+
+// dense8 points ws at the next 8 reports' words for one CSA group, or
+// reports false when the run ends inside the group.
+func dense8(ws *[8][]byte, reps []Report, words int) bool {
+	for k := range ws {
+		b, ok := asDense(reps[k])
+		if !ok || len(b.words) != words {
+			return false
+		}
+		ws[k] = wireWords(b.words)
+	}
+	return true
+}
+
+// bump increments item v's count when v is inside the domain; negative
+// item values wrap above it.
+func bump(counts []int64, v uint64) {
+	if v < uint64(len(counts)) {
+		counts[v]++
+	}
+}
+
 // addSparseRun consumes the run of sparse unary reports starting at
 // start: one bounds-checked increment per set position.
 func (a *Accumulator) addSparseRun(reps []Report, start int) int {
-	counts := a.counts
-	n := uint32(len(counts))
 	i := start
 	for ; i < len(reps); i++ {
 		sp, ok := asSparse(reps[i])
@@ -310,9 +356,7 @@ func (a *Accumulator) addSparseRun(reps []Report, start int) int {
 			break
 		}
 		for _, v := range sp.Items {
-			if uint32(v) < n { // negative wraps above n
-				counts[v]++
-			}
+			bump(a.counts, uint64(v))
 		}
 		a.total++
 	}
@@ -351,8 +395,7 @@ func (a *Accumulator) addOLHRun(reps []Report, start int) int {
 
 // sweepOLH folds a premixed OLH run into the count vector in item-major
 // blocks so large count vectors are walked block-by-block with all
-// reports instead of report-by-report over all items. Shared by the
-// report-slice and wire-frame ingest paths.
+// reports instead of report-by-report over all items.
 func (a *Accumulator) sweepOLH(run []premixedOLH) {
 	counts := a.counts
 	for lo := 0; lo < len(counts); lo += olhBlockItems {
@@ -403,17 +446,13 @@ func (a *Accumulator) sweepOLH(run []premixedOLH) {
 
 // addGRRRun consumes the run of GRR reports starting at start.
 func (a *Accumulator) addGRRRun(reps []Report, start int) int {
-	counts := a.counts
-	n := len(counts)
 	i := start
 	for ; i < len(reps); i++ {
 		v, ok := asGRR(reps[i])
 		if !ok {
 			break
 		}
-		if v >= 0 && v < n {
-			counts[v]++
-		}
+		bump(a.counts, uint64(v))
 		a.total++
 	}
 	return i

@@ -9,16 +9,16 @@ import (
 
 // Zero-copy batch ingest: AddBatchFrame folds a marshaled "LB" report
 // batch straight from the wire bytes — no []Report materialization, no
-// per-report boxing, no bitset allocation. The frame is structurally
-// validated first (the exact checks UnmarshalReportBatch/UnmarshalReport
-// perform, minus the allocations), then the same type-specialized run
-// machinery AddBatch uses walks the sub-frames in place: the Harley–Seal
-// CSA tree reads dense-unary words directly out of the wire buffer,
-// sparse/GRR increments come straight from the little-endian fields, and
-// OLH seeds premix into the shared scratch. The aggregate is
-// bit-identical to UnmarshalReportBatch + AddBatch, which the
-// equivalence tests pin; validation runs to completion before any count
-// moves, so a bad frame leaves the accumulator untouched.
+// per-report boxing, no bitset allocation. It is the one report lane of
+// the server: live ingest and WAL replay both fold frames through it.
+// The frame is structurally validated first (the exact checks
+// UnmarshalReportBatch/UnmarshalReport perform, minus the allocations),
+// then the run walkers below pull words, indices, seeds and values out
+// of the sub-frames in place and hand them to the kernels AddBatch uses
+// (addbatch.go). The aggregate is bit-identical to UnmarshalReportBatch
+// + AddBatch, which the equivalence tests pin; validation runs to
+// completion before any count moves, so a bad frame leaves the
+// accumulator untouched.
 
 // ValidateReportBatchFrame structurally validates a wire-format report
 // batch frame without decoding it, returning the report count. It
@@ -193,99 +193,43 @@ func denseFrameWords(f []byte) (words []byte, n int, ok bool) {
 	return f[6:], (bitLen + 63) / 64, true
 }
 
-// addDenseFrameRun is addDenseRun reading report words directly out of
-// the wire buffer: the same Harley–Seal CSA tree and binary counter
-// planes, with binary.LittleEndian.Uint64 loads (a single MOV on
-// little-endian hardware) in place of bitset word indexing.
+// addDenseFrameRun is addDenseRun over sub-frames: the dense kernel
+// reads each report's words straight out of the wire buffer.
 func (a *Accumulator) addDenseFrameRun(frames [][]byte, start, words int) int {
-	need := words * (planeLevels + 3)
-	if cap(a.scratch.planes) < need {
-		a.scratch.planes = make([]uint64, need)
-	}
-	buf := a.scratch.planes[:need]
-	planes := buf[:words*planeLevels]
-	ones := buf[words*planeLevels : words*(planeLevels+1)]
-	twos := buf[words*(planeLevels+1) : words*(planeLevels+2)]
-	fours := buf[words*(planeLevels+2) : words*(planeLevels+3)]
-
-	flush := func() {
-		for wi := 0; wi < words; wi++ {
-			if w := ones[wi]; w != 0 {
-				ones[wi] = 0
-				rippleInto(planes, wi, w, 0)
-			}
-			if w := twos[wi]; w != 0 {
-				twos[wi] = 0
-				rippleInto(planes, wi, w, 1)
-			}
-			if w := fours[wi]; w != 0 {
-				fours[wi] = 0
-				rippleInto(planes, wi, w, 2)
-			}
-		}
-		a.flushPlanes(planes, words)
-	}
-
-	i := start
-	groups := 0
+	f := a.newDenseFold(words)
 	var ws [8][]byte
-	for i < len(frames) {
-		if i+8 <= len(frames) {
-			ok := true
-			for k := 0; k < 8; k++ {
-				region, n, isDense := denseFrameWords(frames[i+k])
-				if !isDense || n != words {
-					ok = false
-					break
-				}
-				ws[k] = region
-			}
-			if ok {
-				for wi := 0; wi < words; wi++ {
-					off := 8 * wi
-					o, tw, f := ones[wi], twos[wi], fours[wi]
-					var c1, c2, c3, c4, d1, d2, e uint64
-					o, c1 = csa(o, binary.LittleEndian.Uint64(ws[0][off:]), binary.LittleEndian.Uint64(ws[1][off:]))
-					o, c2 = csa(o, binary.LittleEndian.Uint64(ws[2][off:]), binary.LittleEndian.Uint64(ws[3][off:]))
-					tw, d1 = csa(tw, c1, c2)
-					o, c3 = csa(o, binary.LittleEndian.Uint64(ws[4][off:]), binary.LittleEndian.Uint64(ws[5][off:]))
-					o, c4 = csa(o, binary.LittleEndian.Uint64(ws[6][off:]), binary.LittleEndian.Uint64(ws[7][off:]))
-					tw, d2 = csa(tw, c3, c4)
-					f, e = csa(f, d1, d2)
-					ones[wi], twos[wi], fours[wi] = o, tw, f
-					if e != 0 {
-						rippleInto(planes, wi, e, 3)
-					}
-				}
-				i += 8
-				if groups++; groups == denseCSAGroups {
-					flush()
-					groups = 0
-				}
-				continue
-			}
-		}
+	i := start
+	for ; i+8 <= len(frames) && denseFrames8(&ws, frames[i:i+8], words); i += 8 {
+		f.add8(&ws)
+	}
+	for ; i < len(frames); i++ {
 		region, n, ok := denseFrameWords(frames[i])
 		if !ok || n != words {
 			break
 		}
-		for wi := 0; wi < words; wi++ {
-			if w := binary.LittleEndian.Uint64(region[8*wi:]); w != 0 {
-				rippleInto(planes, wi, w, 0)
-			}
-		}
-		i++
+		f.add1(region)
 	}
-	flush()
+	f.flush()
 	a.total += int64(i - start)
 	return i
+}
+
+// denseFrames8 points ws at the next 8 sub-frames' word regions for one
+// CSA group, or reports false when the run ends inside the group.
+func denseFrames8(ws *[8][]byte, frames [][]byte, words int) bool {
+	for k := range ws {
+		region, n, ok := denseFrameWords(frames[k])
+		if !ok || n != words {
+			return false
+		}
+		ws[k] = region
+	}
+	return true
 }
 
 // addSparseFrameRun folds the run of sparse unary sub-frames starting at
 // start: one bounds-checked increment per encoded set position.
 func (a *Accumulator) addSparseFrameRun(frames [][]byte, start int) int {
-	counts := a.counts
-	n := uint32(len(counts))
 	i := start
 	for ; i < len(frames); i++ {
 		f := frames[i]
@@ -294,18 +238,16 @@ func (a *Accumulator) addSparseFrameRun(frames [][]byte, start int) int {
 		}
 		k := int(binary.LittleEndian.Uint32(f[6:]))
 		for j := 0; j < k; j++ {
-			if v := binary.LittleEndian.Uint32(f[10+4*j:]); v < n {
-				counts[v]++
-			}
+			bump(a.counts, uint64(binary.LittleEndian.Uint32(f[10+4*j:])))
 		}
 		a.total++
 	}
 	return i
 }
 
-// addOLHFrameRun folds the run of OLH sub-frames starting at start:
-// premix every wire seed once into the shared scratch, then the same
-// item-major block sweep as the report-slice path.
+// addOLHFrameRun folds the run of OLH sub-frames starting at start.
+// Validation admitted only value ∈ [0, g), so no report needs the
+// degenerate fallback of the report-slice walker.
 func (a *Accumulator) addOLHFrameRun(frames [][]byte, start int) int {
 	run := a.scratch.olh[:0]
 	i := start
@@ -327,17 +269,13 @@ func (a *Accumulator) addOLHFrameRun(frames [][]byte, start int) int {
 
 // addGRRFrameRun folds the run of GRR sub-frames starting at start.
 func (a *Accumulator) addGRRFrameRun(frames [][]byte, start int) int {
-	counts := a.counts
-	n := len(counts)
 	i := start
 	for ; i < len(frames); i++ {
 		f := frames[i]
 		if f[1] != tagGRR {
 			break
 		}
-		if v := int(binary.LittleEndian.Uint32(f[2:])); v < n {
-			counts[v]++
-		}
+		bump(a.counts, uint64(binary.LittleEndian.Uint32(f[2:])))
 		a.total++
 	}
 	return i

@@ -1,10 +1,7 @@
 package ldp
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"slices"
 )
 
@@ -42,29 +39,7 @@ type PartialTally struct {
 // id, a non-negative epoch hint and user count, and non-negative counts
 // over a plausible domain.
 func (p *PartialTally) Validate() error {
-	if p.NodeID == "" {
-		return fmt.Errorf("%w: partial tally without a node id", ErrCodec)
-	}
-	if len(p.NodeID) > maxTallyNodeID {
-		return fmt.Errorf("%w: partial tally node id of %d bytes exceeds cap %d",
-			ErrCodec, len(p.NodeID), maxTallyNodeID)
-	}
-	if p.EpochHint < 0 {
-		return fmt.Errorf("%w: negative partial tally epoch hint %d", ErrCodec, p.EpochHint)
-	}
-	if len(p.Counts) < 2 || len(p.Counts) > maxTallyDomain {
-		return fmt.Errorf("%w: partial tally domain %d outside [2, %d]",
-			ErrCodec, len(p.Counts), maxTallyDomain)
-	}
-	if p.Users < 0 {
-		return fmt.Errorf("%w: negative partial tally user count %d", ErrCodec, p.Users)
-	}
-	for v, c := range p.Counts {
-		if c < 0 {
-			return fmt.Errorf("%w: negative partial tally count %d for item %d", ErrCodec, c, v)
-		}
-	}
-	return nil
+	return validateCounts("partial tally", p.NodeID, p.EpochHint, p.Users, p.Counts)
 }
 
 // Clone returns a deep copy.
@@ -73,27 +48,11 @@ func (p *PartialTally) Clone() *PartialTally {
 		Counts: slices.Clone(p.Counts), Users: p.Users}
 }
 
-// Partial-tally wire format (little endian):
-//
-//	byte 0..1:  "LP" magic
-//	byte 2:     partial format version (currently 1)
-//	byte 3..4:  uint16 node id length, then that many id bytes
-//	then:       uint64 epoch hint, uint64 user count, uint32 domain d,
-//	            d uint64 per-item support counts
-//	trailer:    uint32 CRC-32C over every preceding byte
-//
-// The layout deliberately mirrors the sealed-tally ("LT") frame — same
-// CRC discipline, same bounds caps — differing only in magic and field
-// meaning: a partial carries an epoch *hint* and a user count rather
-// than a sealed epoch and report total. Like a tally, a partial crosses
-// a node boundary and is WAL-appended verbatim, so the frame carries
-// its own checksum.
-const (
-	partialVersion = 1
-
-	partialHeaderSize = 2 + 1 + 2
-)
-
+// A partial travels in the count frame it shares with sealed tallies
+// (tally.go) under its own "LP" magic: an epoch hint and a user count
+// where a tally carries a sealed epoch and a report total. Like a
+// tally, a partial crosses a node boundary and is WAL-appended
+// verbatim, so the frame carries its own checksum.
 var partialMagic = [2]byte{'L', 'P'}
 
 // MarshalPartial frames a partial tally for the wire.
@@ -104,73 +63,16 @@ func MarshalPartial(p *PartialTally) ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	size := partialHeaderSize + len(p.NodeID) + 8 + 8 + 4 + 8*len(p.Counts) + 4
-	b := make([]byte, 0, size)
-	b = append(b, partialMagic[0], partialMagic[1], partialVersion)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(p.NodeID)))
-	b = append(b, p.NodeID...)
-	b = binary.LittleEndian.AppendUint64(b, uint64(p.EpochHint))
-	b = binary.LittleEndian.AppendUint64(b, uint64(p.Users))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(p.Counts)))
-	for _, c := range p.Counts {
-		b = binary.LittleEndian.AppendUint64(b, uint64(c))
-	}
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, tallyCRCTable)), nil
+	return marshalCountFrame(partialMagic, p.NodeID, p.EpochHint, p.Users, p.Counts), nil
 }
 
-// UnmarshalPartial parses a wire-format partial tally. The CRC is
-// verified before any field is trusted; every declared length is
-// bounds-checked before it drives an allocation, so corrupt or hostile
-// frames error out without panicking or ballooning memory.
+// UnmarshalPartial parses a wire-format partial tally.
 func UnmarshalPartial(data []byte) (*PartialTally, error) {
-	if len(data) < partialHeaderSize+8+8+4+4 {
-		return nil, fmt.Errorf("%w: short partial tally frame (%d bytes)", ErrCodec, len(data))
-	}
-	if data[0] != partialMagic[0] || data[1] != partialMagic[1] {
-		return nil, fmt.Errorf("%w: bad partial tally magic %q", ErrCodec, string(data[:2]))
-	}
-	if data[2] != partialVersion {
-		return nil, fmt.Errorf("%w: unsupported partial tally version %d", ErrCodec, data[2])
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, tallyCRCTable) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("%w: partial tally checksum mismatch", ErrCodec)
-	}
-	idLen := int(binary.LittleEndian.Uint16(data[3:]))
-	if idLen == 0 || idLen > maxTallyNodeID {
-		return nil, fmt.Errorf("%w: partial tally node id length %d outside [1, %d]",
-			ErrCodec, idLen, maxTallyNodeID)
-	}
-	rest := body[partialHeaderSize:]
-	if len(rest) < idLen+8+8+4 {
-		return nil, fmt.Errorf("%w: partial tally frame truncated inside header", ErrCodec)
-	}
-	p := &PartialTally{NodeID: string(rest[:idLen])}
-	rest = rest[idLen:]
-	hint := binary.LittleEndian.Uint64(rest)
-	users := binary.LittleEndian.Uint64(rest[8:])
-	d := binary.LittleEndian.Uint32(rest[16:])
-	rest = rest[20:]
-	if hint > math.MaxInt64 || users > math.MaxInt64 {
-		return nil, fmt.Errorf("%w: partial tally epoch hint/user count out of int64 range", ErrCodec)
-	}
-	p.EpochHint = int(hint)
-	p.Users = int64(users)
-	if d < 2 || d > maxTallyDomain {
-		return nil, fmt.Errorf("%w: partial tally domain %d outside [2, %d]", ErrCodec, d, maxTallyDomain)
-	}
-	if len(rest) != 8*int(d) {
-		return nil, fmt.Errorf("%w: partial tally frame holds %d count bytes, domain %d needs %d",
-			ErrCodec, len(rest), d, 8*d)
-	}
-	p.Counts = make([]int64, d)
-	for v := range p.Counts {
-		p.Counts[v] = int64(binary.LittleEndian.Uint64(rest[8*v:]))
-	}
-	if err := p.Validate(); err != nil {
+	f, err := unmarshalCountFrame(data, partialMagic, "partial tally")
+	if err != nil {
 		return nil, err
 	}
-	return p, nil
+	return &PartialTally{NodeID: f.nodeID, EpochHint: f.epoch, Counts: f.counts, Users: f.total}, nil
 }
 
 // Collector is the edge pre-aggregation SDK: a frontend-adjacent client

@@ -252,7 +252,7 @@ func FuzzUnmarshalPartial(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	hintOff := partialHeaderSize + len("edge-2")
+	hintOff := countHeaderSize + len("edge-2")
 	binary.LittleEndian.PutUint64(over[hintOff:], math.MaxInt64+1)
 	body := over[:len(over)-4]
 	binary.LittleEndian.PutUint32(over[len(over)-4:], crc32.Checksum(body, tallyCRCTable))

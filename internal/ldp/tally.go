@@ -34,26 +34,33 @@ type Tally struct {
 // id, a non-negative epoch and total, and non-negative counts over a
 // plausible domain.
 func (t *Tally) Validate() error {
-	if t.NodeID == "" {
-		return fmt.Errorf("%w: tally without a node id", ErrCodec)
+	return validateCounts("tally", t.NodeID, t.Epoch, t.Total, t.Counts)
+}
+
+// validateCounts checks the invariants the two count frames share:
+// Tally's (NodeID, Epoch, Total, Counts) and PartialTally's (NodeID,
+// EpochHint, Users, Counts). kind names the frame in errors.
+func validateCounts(kind, nodeID string, epoch int, total int64, counts []int64) error {
+	if nodeID == "" {
+		return fmt.Errorf("%w: %s without a node id", ErrCodec, kind)
 	}
-	if len(t.NodeID) > maxTallyNodeID {
-		return fmt.Errorf("%w: tally node id of %d bytes exceeds cap %d",
-			ErrCodec, len(t.NodeID), maxTallyNodeID)
+	if len(nodeID) > maxTallyNodeID {
+		return fmt.Errorf("%w: %s node id of %d bytes exceeds cap %d",
+			ErrCodec, kind, len(nodeID), maxTallyNodeID)
 	}
-	if t.Epoch < 0 {
-		return fmt.Errorf("%w: negative tally epoch %d", ErrCodec, t.Epoch)
+	if epoch < 0 {
+		return fmt.Errorf("%w: negative %s epoch %d", ErrCodec, kind, epoch)
 	}
-	if len(t.Counts) < 2 || len(t.Counts) > maxTallyDomain {
-		return fmt.Errorf("%w: tally domain %d outside [2, %d]",
-			ErrCodec, len(t.Counts), maxTallyDomain)
+	if len(counts) < 2 || len(counts) > maxTallyDomain {
+		return fmt.Errorf("%w: %s domain %d outside [2, %d]",
+			ErrCodec, kind, len(counts), maxTallyDomain)
 	}
-	if t.Total < 0 {
-		return fmt.Errorf("%w: negative tally total %d", ErrCodec, t.Total)
+	if total < 0 {
+		return fmt.Errorf("%w: negative %s total %d", ErrCodec, kind, total)
 	}
-	for v, c := range t.Counts {
+	for v, c := range counts {
 		if c < 0 {
-			return fmt.Errorf("%w: negative tally count %d for item %d", ErrCodec, c, v)
+			return fmt.Errorf("%w: negative %s count %d for item %d", ErrCodec, kind, c, v)
 		}
 	}
 	return nil
@@ -100,22 +107,28 @@ func (t *Tally) Clone() *Tally {
 	return &Tally{NodeID: t.NodeID, Epoch: t.Epoch, Counts: slices.Clone(t.Counts), Total: t.Total}
 }
 
-// Sealed-tally wire format (little endian):
+// Count-frame wire format (little endian), shared by the sealed-tally
+// ("LT") and partial-tally ("LP", partial.go) frames:
 //
-//	byte 0..1:  "LT" magic
-//	byte 2:     tally format version (currently 1)
+//	byte 0..1:  magic, "LT" or "LP"
+//	byte 2:     format version (currently 1)
 //	byte 3..4:  uint16 node id length, then that many id bytes
-//	then:       uint64 epoch, uint64 report total, uint32 domain d,
+//	then:       uint64 epoch (a tally's sealed epoch, a partial's
+//	            epoch hint), uint64 total (a tally's report total, a
+//	            partial's user count), uint32 domain d,
 //	            d uint64 per-item support counts
 //	trailer:    uint32 CRC-32C over every preceding byte
 //
 // Unlike report frames (which travel inside HTTP bodies the server
-// already length-checks), a tally crosses a node boundary where a
-// partially written or bit-flipped frame would silently corrupt the
-// merged view for an entire epoch, so the frame carries its own
-// checksum like the WAL records it is derived from.
+// already length-checks), a count frame crosses a node boundary or sits
+// in a WAL, where a partially written or bit-flipped frame would
+// silently corrupt the merged view for an entire epoch, so the frame
+// carries its own checksum like the WAL records it is derived from.
+// The two kinds differ only in magic and field meaning; both magics
+// stay, since WALs hold "LP" records and the replay dispatch routes on
+// them.
 const (
-	tallyVersion = 1
+	countFrameVersion = 1
 
 	// maxTallyDomain caps the declared domain so a corrupt frame cannot
 	// drive a gigabyte allocation before the CRC check runs; it matches
@@ -125,7 +138,7 @@ const (
 	// configuration, not data.
 	maxTallyNodeID = 256
 
-	tallyHeaderSize = 2 + 1 + 2
+	countHeaderSize = 2 + 1 + 2
 )
 
 var tallyMagic = [2]byte{'L', 'T'}
@@ -141,71 +154,92 @@ func MarshalTally(t *Tally) ([]byte, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	size := tallyHeaderSize + len(t.NodeID) + 8 + 8 + 4 + 8*len(t.Counts) + 4
-	b := make([]byte, 0, size)
-	b = append(b, tallyMagic[0], tallyMagic[1], tallyVersion)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(t.NodeID)))
-	b = append(b, t.NodeID...)
-	b = binary.LittleEndian.AppendUint64(b, uint64(t.Epoch))
-	b = binary.LittleEndian.AppendUint64(b, uint64(t.Total))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(t.Counts)))
-	for _, c := range t.Counts {
-		b = binary.LittleEndian.AppendUint64(b, uint64(c))
-	}
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, tallyCRCTable)), nil
+	return marshalCountFrame(tallyMagic, t.NodeID, t.Epoch, t.Total, t.Counts), nil
 }
 
-// UnmarshalTally parses a wire-format sealed tally. The CRC is verified
-// before any field is trusted; every declared length is bounds-checked
-// before it drives an allocation, so corrupt or hostile frames error
-// out without panicking or ballooning memory.
+// UnmarshalTally parses a wire-format sealed tally.
 func UnmarshalTally(data []byte) (*Tally, error) {
-	if len(data) < tallyHeaderSize+8+8+4+4 {
-		return nil, fmt.Errorf("%w: short tally frame (%d bytes)", ErrCodec, len(data))
+	f, err := unmarshalCountFrame(data, tallyMagic, "tally")
+	if err != nil {
+		return nil, err
 	}
-	if data[0] != tallyMagic[0] || data[1] != tallyMagic[1] {
-		return nil, fmt.Errorf("%w: bad tally magic %q", ErrCodec, string(data[:2]))
+	return &Tally{NodeID: f.nodeID, Epoch: f.epoch, Counts: f.counts, Total: f.total}, nil
+}
+
+// countFrame is a decoded count frame's fields.
+type countFrame struct {
+	nodeID string
+	epoch  int
+	total  int64
+	counts []int64
+}
+
+// marshalCountFrame encodes already-validated count-frame fields.
+func marshalCountFrame(magic [2]byte, nodeID string, epoch int, total int64, counts []int64) []byte {
+	size := countHeaderSize + len(nodeID) + 8 + 8 + 4 + 8*len(counts) + 4
+	b := make([]byte, 0, size)
+	b = append(b, magic[0], magic[1], countFrameVersion)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(nodeID)))
+	b = append(b, nodeID...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(epoch))
+	b = binary.LittleEndian.AppendUint64(b, uint64(total))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(counts)))
+	for _, c := range counts {
+		b = binary.LittleEndian.AppendUint64(b, uint64(c))
 	}
-	if data[2] != tallyVersion {
-		return nil, fmt.Errorf("%w: unsupported tally version %d", ErrCodec, data[2])
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, tallyCRCTable))
+}
+
+// unmarshalCountFrame parses a count frame with the given magic; kind
+// names the frame in errors. The CRC is verified before any field is
+// trusted; every declared length is bounds-checked before it drives an
+// allocation, so corrupt or hostile frames error out without panicking
+// or ballooning memory. The decoded fields pass validateCounts.
+func unmarshalCountFrame(data []byte, magic [2]byte, kind string) (countFrame, error) {
+	var f countFrame
+	if len(data) < countHeaderSize+8+8+4+4 {
+		return f, fmt.Errorf("%w: short %s frame (%d bytes)", ErrCodec, kind, len(data))
+	}
+	if data[0] != magic[0] || data[1] != magic[1] {
+		return f, fmt.Errorf("%w: bad %s magic %q", ErrCodec, kind, string(data[:2]))
+	}
+	if data[2] != countFrameVersion {
+		return f, fmt.Errorf("%w: unsupported %s version %d", ErrCodec, kind, data[2])
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
 	if crc32.Checksum(body, tallyCRCTable) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("%w: tally checksum mismatch", ErrCodec)
+		return f, fmt.Errorf("%w: %s checksum mismatch", ErrCodec, kind)
 	}
 	idLen := int(binary.LittleEndian.Uint16(data[3:]))
 	if idLen == 0 || idLen > maxTallyNodeID {
-		return nil, fmt.Errorf("%w: tally node id length %d outside [1, %d]",
-			ErrCodec, idLen, maxTallyNodeID)
+		return f, fmt.Errorf("%w: %s node id length %d outside [1, %d]",
+			ErrCodec, kind, idLen, maxTallyNodeID)
 	}
-	rest := body[tallyHeaderSize:]
+	rest := body[countHeaderSize:]
 	if len(rest) < idLen+8+8+4 {
-		return nil, fmt.Errorf("%w: tally frame truncated inside header", ErrCodec)
+		return f, fmt.Errorf("%w: %s frame truncated inside header", ErrCodec, kind)
 	}
-	t := &Tally{NodeID: string(rest[:idLen])}
+	f.nodeID = string(rest[:idLen])
 	rest = rest[idLen:]
 	epoch := binary.LittleEndian.Uint64(rest)
 	total := binary.LittleEndian.Uint64(rest[8:])
 	d := binary.LittleEndian.Uint32(rest[16:])
 	rest = rest[20:]
 	if epoch > math.MaxInt64 || total > math.MaxInt64 {
-		return nil, fmt.Errorf("%w: tally epoch/total out of int64 range", ErrCodec)
+		return f, fmt.Errorf("%w: %s epoch/total out of int64 range", ErrCodec, kind)
 	}
-	t.Epoch = int(epoch)
-	t.Total = int64(total)
+	f.epoch = int(epoch)
+	f.total = int64(total)
 	if d < 2 || d > maxTallyDomain {
-		return nil, fmt.Errorf("%w: tally domain %d outside [2, %d]", ErrCodec, d, maxTallyDomain)
+		return f, fmt.Errorf("%w: %s domain %d outside [2, %d]", ErrCodec, kind, d, maxTallyDomain)
 	}
 	if len(rest) != 8*int(d) {
-		return nil, fmt.Errorf("%w: tally frame holds %d count bytes, domain %d needs %d",
-			ErrCodec, len(rest), d, 8*d)
+		return f, fmt.Errorf("%w: %s frame holds %d count bytes, domain %d needs %d",
+			ErrCodec, kind, len(rest), d, 8*d)
 	}
-	t.Counts = make([]int64, d)
-	for v := range t.Counts {
-		t.Counts[v] = int64(binary.LittleEndian.Uint64(rest[8*v:]))
+	f.counts = make([]int64, d)
+	for v := range f.counts {
+		f.counts[v] = int64(binary.LittleEndian.Uint64(rest[8*v:]))
 	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return f, validateCounts(kind, f.nodeID, f.epoch, f.total, f.counts)
 }

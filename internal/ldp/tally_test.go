@@ -2,6 +2,7 @@ package ldp
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
@@ -190,5 +191,51 @@ func BenchmarkTallyMarshal(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestCountFrameGolden pins the "LT" and "LP" wire bytes: both frame
+// kinds cross node boundaries and sit in WALs and snapshots written by
+// earlier builds, so an encoder change must never move a byte.
+func TestCountFrameGolden(t *testing.T) {
+	const (
+		tallyHex = "4c5401040066652d300700000000000000090000000000000004000000030000000000" +
+			"0000000000000000000005000000000000000200000000010000" + "5dcdc330"
+		partialHex = "4c50010600656467652d3104000000000000000d00000000000000030000000c0000" +
+			"0000000000010000000000000000000000000000009ea0dd80"
+	)
+	wantTally := &Tally{NodeID: "fe-0", Epoch: 7, Counts: []int64{3, 0, 5, 1<<40 + 2}, Total: 9}
+	wantPartial := &PartialTally{NodeID: "edge-1", EpochHint: 4, Counts: []int64{12, 1, 0}, Users: 13}
+
+	tf, err := MarshalTally(wantTally)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(tf); got != tallyHex {
+		t.Fatalf("tally frame\n got %s\nwant %s", got, tallyHex)
+	}
+	pf, err := MarshalPartial(wantPartial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(pf); got != partialHex {
+		t.Fatalf("partial frame\n got %s\nwant %s", got, partialHex)
+	}
+
+	raw, _ := hex.DecodeString(tallyHex)
+	gotTally, err := UnmarshalTally(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotTally, wantTally) {
+		t.Fatalf("decoded tally %+v, want %+v", gotTally, wantTally)
+	}
+	raw, _ = hex.DecodeString(partialHex)
+	gotPartial, err := UnmarshalPartial(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotPartial, wantPartial) {
+		t.Fatalf("decoded partial %+v, want %+v", gotPartial, wantPartial)
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // Codecbounds enforces the wire-codec decode discipline (DESIGN.md §10):
-// inside every Unmarshal*/Validate*Frame function, a length that was
+// inside every [Uu]nmarshal*/[Vv]alidate*Frame function, a length that was
 // read off the wire must be bounds-checked before it drives a make, and
 // the CRC-carrying frame families must verify their CRC-32C before any
 // wire-derived allocation. The convention dates to the PR 5 tally codec
@@ -25,15 +25,16 @@ var Codecbounds = &analysis.Analyzer{
 }
 
 // codecFuncRE scopes the analyzer: the codec family's decode entry
-// points, by naming convention.
-var codecFuncRE = regexp.MustCompile(`^Unmarshal|^Validate.*Frame$`)
+// points and the unexported decoders they share, by naming convention.
+var codecFuncRE = regexp.MustCompile(`^[Uu]nmarshal|^[Vv]alidate.*Frame$`)
 
 // crcRequiredRE names the decode functions whose frame format carries a
-// CRC-32C trailer (the "LT"/"LP"/"LA" family and WAL-derived frames);
-// these must call hash/crc32 at all. Every other scoped function is
-// only held to check-order: if it verifies a CRC, no wire-derived
-// allocation may precede the verification.
-var crcRequiredRE = regexp.MustCompile(`^Unmarshal(Tally|Partial|Announce)$`)
+// CRC-32C trailer (the "LT"/"LP"/"LA" family, including the count-frame
+// decoder "LT" and "LP" share, and WAL-derived frames); these must call
+// hash/crc32 at all. Every other scoped function is only held to
+// check-order: if it verifies a CRC, no wire-derived allocation may
+// precede the verification.
+var crcRequiredRE = regexp.MustCompile(`^(Unmarshal(Tally|Partial|Announce)|unmarshalCountFrame)$`)
 
 func runCodecbounds(pass *analysis.Pass) error {
 	for _, f := range pass.Files {

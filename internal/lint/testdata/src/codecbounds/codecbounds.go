@@ -96,3 +96,28 @@ func UnmarshalHeader(b []byte) []byte {
 	n := len(b) / 2
 	return make([]byte, n)
 }
+
+// unmarshalCountFrame is an unexported shared decoder: lower-case, but
+// in scope and held to both rules. It allocates before its CRC check.
+func unmarshalCountFrame(b []byte) ([]int64, error) {
+	if len(b) < 8 {
+		return nil, errFrame
+	}
+	d := int(binary.LittleEndian.Uint32(b[:4]))
+	if d < 0 || d > maxDomain {
+		return nil, errFrame
+	}
+	out := make([]int64, d) // want "before the CRC-32C check"
+	if crc32.Checksum(b[:len(b)-4], castagnoli) != binary.LittleEndian.Uint32(b[len(b)-4:]) {
+		return nil, errFrame
+	}
+	return out, nil
+}
+
+// validateWordsFrame is an unexported validator: in scope, so its
+// unchecked wire length is a finding.
+func validateWordsFrame(b []byte) error {
+	n := int(binary.LittleEndian.Uint32(b))
+	_ = make([]uint64, n) // want "without a prior bounds check"
+	return nil
+}

@@ -1,7 +1,7 @@
 // Fixture for the codecbounds missing-CRC rule: the Tally/Partial/
 // Announce frame family carries a CRC-32C trailer, so a decoder with
-// one of those names that never touches hash/crc32 cannot be
-// verifying it.
+// one of those names — or the count-frame decoder Tally and Partial
+// share — that never touches hash/crc32 cannot be verifying it.
 package nocrc
 
 import (
@@ -30,4 +30,23 @@ func UnmarshalTally(b []byte) ([]int64, error) { // want "never verifies a CRC-3
 // held to the invariant, so the wrapper inherits its verification.
 func UnmarshalPartial(b []byte) (*codecbounds.Tally, error) {
 	return codecbounds.UnmarshalTally(b)
+}
+
+// unmarshalCountFrame is the shared count-frame decoder: unexported,
+// still CRC-required.
+func unmarshalCountFrame(b []byte) ([]int64, error) { // want "never verifies a CRC-32C"
+	if len(b) < 8 {
+		return nil, errFrame
+	}
+	d := int(binary.LittleEndian.Uint32(b[:4]))
+	if d < 0 || d > maxDomain {
+		return nil, errFrame
+	}
+	return make([]int64, d), nil
+}
+
+// UnmarshalAnnounce delegates to the shared decoder and inherits its
+// verification, so only the callee is reported.
+func UnmarshalAnnounce(b []byte) ([]int64, error) {
+	return unmarshalCountFrame(b)
 }

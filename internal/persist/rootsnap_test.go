@@ -98,7 +98,7 @@ func TestSnapshotStoreRejectsReportWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := front.AppendBatch(frame, []ldp.Report{rep}); err != nil {
+	if err := front.AppendBatchFrame(frame); err != nil {
 		t.Fatal(err)
 	}
 	if err := front.Close(); err != nil {

@@ -46,7 +46,8 @@ type RestoreInfo struct {
 //	<dir>/wal/wal-<firstLSN>.seg   report-batch write-ahead log
 //	<dir>/snap/snap-<seq>.snap     per-seal state snapshots
 //
-// AppendBatch logs a report batch and folds it into the manager; Seal
+// AppendBatchFrame logs a report-batch frame and folds it into the
+// manager, AppendPartial does the same for a partial tally; Seal
 // closes the epoch, snapshots the manager's cross-epoch state with the
 // WAL position it reflects, and truncates the log up to the oldest
 // *retained* snapshot's position (so a fallback restore never misses
@@ -66,8 +67,8 @@ type Store struct {
 	dir  string
 	opts Options
 
-	// mu: AppendBatch holds it shared (the WAL serializes appends, the
-	// manager handles concurrent AddBatch), Seal holds it exclusive so
+	// mu: appends hold it shared (the WAL serializes appends, the
+	// manager handles concurrent folds), Seal holds it exclusive so
 	// the snapshot sees every appended record applied.
 	mu       sync.RWMutex
 	closed   bool
@@ -81,10 +82,12 @@ type Store struct {
 }
 
 // Open makes mgr durable under dir: it loads the newest valid snapshot
-// into the (freshly constructed) manager, replays the WAL tail through
-// AddBatch to rebuild the live epoch, and leaves the log open for
-// appending. The restored manager serves window estimates bit-identical
-// to the pre-crash process.
+// into the (freshly constructed) manager, replays the WAL tail to
+// rebuild the live epoch — report batches fold as wire frames through
+// AddBatchFrame, never decoded into reports — and leaves the log open
+// for appending. A WAL record that fails its check fails Open before
+// any record is folded. The restored manager serves window estimates
+// bit-identical to the pre-crash process.
 func Open(dir string, mgr *stream.EpochManager, opts Options) (*Store, error) {
 	if mgr == nil {
 		return nil, errors.New("persist: nil epoch manager")
@@ -136,40 +139,61 @@ func Open(dir string, mgr *stream.EpochManager, opts Options) (*Store, error) {
 	s.wal.AdvanceTo(walSeq)
 
 	// The WAL is payload-agnostic; records are dispatched on their
-	// 2-byte frame magic. "LP" partial tallies replay through AddCounts
-	// regardless of their epoch hint: the hint was checked against the
-	// sealed watermark when the record was accepted (append and fold are
-	// atomic with respect to seals), so on replay the fold is
-	// unconditional — exactly like report batches, every surviving
+	// 2-byte frame magic: "LP" partial tallies, every other record a
+	// report-batch frame. Replay runs twice over the log. The first pass
+	// checks every record and counts what it holds, so a record that
+	// fails fails Open, naming its LSN, before anything is folded. The
+	// second pass folds: report batches through AddBatchFrame, the same
+	// wire-byte lane live ingest takes, and partial tallies through
+	// AddCounts regardless of their epoch hint. The hint was checked
+	// against the sealed watermark when the record was accepted (append
+	// and fold are atomic with respect to seals), so on replay the fold
+	// is unconditional — exactly like report batches, every surviving
 	// record rebuilds the live epoch.
-	err = s.wal.Replay(walSeq, func(_ uint64, payload []byte) error {
-		if len(payload) >= 2 && payload[0] == 'L' && payload[1] == 'P' {
+	err = s.wal.Replay(walSeq, func(lsn uint64, payload []byte) error {
+		if isPartialRecord(payload) {
 			p, err := ldp.UnmarshalPartial(payload)
 			if err != nil {
-				return fmt.Errorf("persist: replaying WAL partial tally: %w", err)
+				return fmt.Errorf("persist: WAL record %d: partial tally: %w", lsn, err)
 			}
-			if err := s.mgr.AddCounts(p.Counts, p.Users); err != nil {
-				return err
+			if len(p.Counts) != s.mgr.Domain() {
+				return fmt.Errorf("persist: WAL record %d: partial tally over domain %d, manager domain %d",
+					lsn, len(p.Counts), s.mgr.Domain())
 			}
 			s.restored.ReplayedPartials++
 			s.restored.ReplayedPartialUsers += p.Users
 			return nil
 		}
-		reps, err := ldp.UnmarshalReportBatch(payload)
+		n, err := ldp.ValidateReportBatchFrame(payload)
 		if err != nil {
-			return fmt.Errorf("persist: replaying WAL batch: %w", err)
-		}
-		if err := s.mgr.AddBatch(reps); err != nil {
-			return err
+			return fmt.Errorf("persist: WAL record %d: report batch: %w", lsn, err)
 		}
 		s.restored.ReplayedBatches++
-		s.restored.ReplayedReports += int64(len(reps))
+		s.restored.ReplayedReports += int64(n)
 		return nil
 	})
+	if err == nil {
+		err = s.wal.Replay(walSeq, func(_ uint64, payload []byte) error {
+			if !isPartialRecord(payload) {
+				return s.mgr.AddBatchFrame(payload)
+			}
+			p, err := ldp.UnmarshalPartial(payload)
+			if err != nil {
+				return err
+			}
+			return s.mgr.AddCounts(p.Counts, p.Users)
+		})
+	}
 	if err != nil {
 		return nil, errors.Join(err, s.wal.Close())
 	}
 	return s, nil
+}
+
+// isPartialRecord reports whether a WAL payload is an "LP" partial-tally
+// frame rather than a report-batch frame.
+func isPartialRecord(payload []byte) bool {
+	return len(payload) >= 2 && payload[0] == 'L' && payload[1] == 'P'
 }
 
 // Restored reports what Open reconstructed.
@@ -178,30 +202,13 @@ func (s *Store) Restored() RestoreInfo { return s.restored }
 // Manager returns the manager this store persists.
 func (s *Store) Manager() *stream.EpochManager { return s.mgr }
 
-// AppendBatch durably logs a report batch and folds it into the live
-// epoch. frame must be the ldp batch codec encoding of reps — servers
-// pass the wire bytes they already hold alongside the decoded reports,
-// so nothing is re-marshaled on the hot path. The batch is durable (per
-// the fsync policy) before it is aggregated; a crash in between replays
-// it on boot, which yields the same counts.
-func (s *Store) AppendBatch(frame []byte, reps []ldp.Report) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return errors.New("persist: store is closed")
-	}
-	if _, err := s.wal.Append(frame); err != nil {
-		return err
-	}
-	return s.mgr.AddBatch(reps)
-}
-
 // AppendBatchFrame durably logs a report batch frame and folds it into
-// the live epoch without ever decoding it into reports — the zero-copy
-// ingest lane. The frame is structurally validated before it touches
+// the live epoch without ever decoding it into reports — the store's one
+// report lane. The frame is structurally validated before it touches
 // the log (an invalid frame must not poison replay), appended verbatim,
-// and counted in place; the result is bit-identical to AppendBatch with
-// the decoded reports.
+// and counted in place. The batch is durable (per the fsync policy)
+// before it is aggregated; a crash in between replays it on boot, which
+// yields the same counts.
 func (s *Store) AppendBatchFrame(frame []byte) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -291,7 +298,7 @@ func (s *Store) Seal() (*stream.WindowEstimate, error) {
 }
 
 // Close syncs and closes the WAL. The manager itself stays usable in
-// memory; further AppendBatch/Seal calls on the store fail.
+// memory; further append and Seal calls on the store fail.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

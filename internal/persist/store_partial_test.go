@@ -33,9 +33,9 @@ func partialFrame(t testing.TB, d int, hint int, reps []ldp.Report) ([]byte, *ld
 }
 
 // TestStoreMixedLaneCrashRestartEquivalence is the tally-first ingest
-// acceptance at the store level: a stream ingested over all three lanes
-// — decoded report batches, zero-copy batch frames, and edge-aggregated
-// partial tallies — with a crash and restart in the middle must produce
+// acceptance at the store level: a stream ingested over both lanes —
+// zero-copy batch frames and edge-aggregated partial tallies — with a
+// crash and restart in the middle must produce
 // estimates bit-identical to an uninterrupted in-memory manager fed
 // every report through the plain report-level path.
 func TestStoreMixedLaneCrashRestartEquivalence(t *testing.T) {
@@ -65,20 +65,16 @@ func TestStoreMixedLaneCrashRestartEquivalence(t *testing.T) {
 		want = append(want, est)
 	}
 
-	// Durable run: batch i of epoch e goes through lane (e+i)%3 —
-	// decoded, zero-copy frame, or Collector partial (with the current
-	// epoch as its hint). Crash after sealing epoch crashAt plus a
+	// Durable run: batch i of epoch e goes through lane (e+i)%3 — a
+	// zero-copy frame for 0 and 1, a Collector partial (with the current
+	// epoch as its hint) for 2. Crash after sealing epoch crashAt plus a
 	// partial and a zero-copy frame of the next epoch, so the WAL tail
 	// replay covers both new record kinds.
 	const crashAt = quiet
 	ingest := func(store *Store, e, i int, b []ldp.Report) {
 		t.Helper()
 		switch (e + i) % 3 {
-		case 0:
-			if err := store.AppendBatch(frame(t, b), b); err != nil {
-				t.Fatal(err)
-			}
-		case 1:
+		case 0, 1:
 			if err := store.AppendBatchFrame(frame(t, b)); err != nil {
 				t.Fatal(err)
 			}

@@ -217,7 +217,7 @@ func epochBatches(t testing.TB, proto ldp.Protocol, d, quiet, attacked int) [][]
 	return epochs
 }
 
-// frame encodes a batch for AppendBatch.
+// frame encodes a batch for AppendBatchFrame.
 func frame(t testing.TB, reps []ldp.Report) []byte {
 	t.Helper()
 	buf, err := ldp.MarshalReportBatch(reps)
@@ -280,7 +280,7 @@ func TestStoreCrashRestartEquivalence(t *testing.T) {
 	var got []*stream.WindowEstimate
 	for e := 0; e <= crashAt; e++ {
 		for _, b := range epochs[e] {
-			if err := store.AppendBatch(frame(t, b), b); err != nil {
+			if err := store.AppendBatchFrame(frame(t, b)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -290,7 +290,7 @@ func TestStoreCrashRestartEquivalence(t *testing.T) {
 		}
 		got = append(got, est)
 	}
-	if err := store.AppendBatch(frame(t, epochs[crashAt+1][0]), epochs[crashAt+1][0]); err != nil {
+	if err := store.AppendBatchFrame(frame(t, epochs[crashAt+1][0])); err != nil {
 		t.Fatal(err)
 	}
 	// Crash: no Close, no final seal. (The abandoned store's descriptor
@@ -316,7 +316,7 @@ func TestStoreCrashRestartEquivalence(t *testing.T) {
 	}
 	// Continue the stream: rest of the crashed epoch, then the remainder.
 	for _, b := range epochs[crashAt+1][1:] {
-		if err := store2.AppendBatch(frame(t, b), b); err != nil {
+		if err := store2.AppendBatchFrame(frame(t, b)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -327,7 +327,7 @@ func TestStoreCrashRestartEquivalence(t *testing.T) {
 	got = append(got, est)
 	for e := crashAt + 2; e < len(epochs); e++ {
 		for _, b := range epochs[e] {
-			if err := store2.AppendBatch(frame(t, b), b); err != nil {
+			if err := store2.AppendBatchFrame(frame(t, b)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -383,7 +383,7 @@ func TestStoreTornTailOnReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := store.AppendBatch(frame(t, reps), reps); err != nil {
+		if err := store.AppendBatchFrame(frame(t, reps)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -431,7 +431,7 @@ func TestStoreLostWALGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := store.AppendBatch(frame(t, reps), reps); err != nil {
+		if err := store.AppendBatchFrame(frame(t, reps)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -453,7 +453,7 @@ func TestStoreLostWALGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	// New batches get fresh LSNs above the snapshot point…
-	if err := store2.AppendBatch(frame(t, reps), reps); err != nil {
+	if err := store2.AppendBatchFrame(frame(t, reps)); err != nil {
 		t.Fatal(err)
 	}
 	store2.Close()
@@ -501,7 +501,7 @@ func TestStoreSnapshotFallbackConservesReports(t *testing.T) {
 	var total int64
 	for epoch := 0; epoch < 2; epoch++ {
 		for i := 0; i < 3; i++ {
-			if err := store.AppendBatch(buf, reps); err != nil {
+			if err := store.AppendBatchFrame(buf); err != nil {
 				t.Fatal(err)
 			}
 			total += int64(len(reps))
@@ -578,7 +578,7 @@ func TestStoreWALGapFailsLoudly(t *testing.T) {
 	buf := frame(t, reps)
 	// Enough seals that truncation has deleted the earliest records.
 	for epoch := 0; epoch < 4; epoch++ {
-		if err := store.AppendBatch(buf, reps); err != nil {
+		if err := store.AppendBatchFrame(buf); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := store.Seal(); err != nil {
@@ -648,7 +648,7 @@ func TestStoreConcurrentAppendAndSeal(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perAppender; i++ {
-				if err := store.AppendBatch(buf, reps); err != nil {
+				if err := store.AppendBatchFrame(buf); err != nil {
 					t.Error(err)
 					return
 				}
@@ -713,7 +713,7 @@ func TestStoreClosedAndInvalid(t *testing.T) {
 	if err := store.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if err := store.AppendBatch([]byte{1}, nil); err == nil {
+	if err := store.AppendBatchFrame([]byte{1}); err == nil {
 		t.Fatal("append on closed store succeeded")
 	}
 	if _, err := store.Seal(); err == nil {
