@@ -37,7 +37,8 @@ race:
 	$(GO) test -race ./internal/ldp/... ./internal/stream/... ./internal/persist/... ./internal/experiment/... ./cmd/ldprecover/...
 
 # Native Go fuzzing over every wire surface — report frames, batch
-# frames, sealed-tally frames, and WAL segment recovery. Each target
+# frames, sealed-tally frames, and WAL segment recovery — plus the OLH
+# sweep kernels against the one-at-a-time reference. Each target
 # gets a short FUZZTIME budget (go's fuzzer accepts one target per
 # invocation); corrupt input must error, never panic. Seed corpora are
 # committed under testdata/fuzz/ and also run in plain `make test`.
@@ -47,6 +48,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzUnmarshalTally$$'       -fuzztime $(FUZZTIME) ./internal/ldp
 	$(GO) test -run '^$$' -fuzz 'FuzzUnmarshalPartial$$'     -fuzztime $(FUZZTIME) ./internal/ldp
 	$(GO) test -run '^$$' -fuzz 'FuzzReportBatchFrame$$'     -fuzztime $(FUZZTIME) ./internal/ldp
+	$(GO) test -run '^$$' -fuzz 'FuzzSweepOLH$$'             -fuzztime $(FUZZTIME) ./internal/ldp
 	$(GO) test -run '^$$' -fuzz 'FuzzUnmarshalAnnounce$$'    -fuzztime $(FUZZTIME) ./internal/ldp
 	$(GO) test -run '^$$' -fuzz 'FuzzWALOpen$$'              -fuzztime $(FUZZTIME) ./internal/persist
 
@@ -122,12 +124,18 @@ audit:
 vet:
 	$(GO) vet ./...
 
-# The full static-analysis gate: go vet, the in-tree ldplint invariant
-# suite (DESIGN.md §10), and pinned staticcheck when the module proxy
-# is reachable. ldplint exits 2 on any finding, so a seeded violation
-# fails this target (and CI). The binary lands in .bin/ so it can also
-# be used as `go vet -vettool=.bin/ldplint`.
+# The full static-analysis gate: go vet, go vet of the kernel packages
+# for arm64 (so the portable !amd64 build of the OLH sweep keeps
+# compiling; on amd64 vet's asmdecl check covers the assembly frame),
+# gofmt over every tracked Go file, the in-tree ldplint invariant suite
+# (DESIGN.md §10), and pinned staticcheck when the module proxy is
+# reachable. ldplint exits 2 on any finding, so a seeded violation fails
+# this target (and CI). The binary lands in .bin/ so it can also be used
+# as `go vet -vettool=.bin/ldplint`.
 lint: vet
+	GOARCH=arm64 $(GO) vet ./internal/ldp ./internal/hashx
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	@mkdir -p .bin
 	$(GO) build -o .bin/ldplint ./cmd/ldplint
 	./.bin/ldplint ./...

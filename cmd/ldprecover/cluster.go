@@ -150,10 +150,10 @@ func newTallyPusher(nodeID string, urls []string, interval time.Duration, maxPen
 		flushTimeout: shutdownFlushTimeout,
 		//ldplint:allow nowallclock push-retry jitter seeded from the node-ID hash; never in the replay path
 		backoffRng: rand.New(rand.NewSource(int64(seed.Sum64()))),
-		runCtx:       ctx,
-		runCancel:    cancel,
-		kick:         make(chan struct{}, 1),
-		done:         make(chan struct{}),
+		runCtx:     ctx,
+		runCancel:  cancel,
+		kick:       make(chan struct{}, 1),
+		done:       make(chan struct{}),
 	}
 	p.wg.Add(1)
 	go p.loop()

@@ -189,8 +189,8 @@ func runServe(args []string) error {
 
 	switch *role {
 	case roleFrontend:
-		fmt.Printf("frontend %q serving %s (d=%d, epsilon=%g) on http://%s  epoch=%s, pushing sealed tallies to %s\n",
-			*nodeID, proto.Name(), *d, *eps, ln.Addr(), *epoch, *rootAddr)
+		fmt.Printf("frontend %q serving %s (d=%d, epsilon=%g) on http://%s  epoch=%s, pushing sealed tallies to %s, olh-kernel=%s\n",
+			*nodeID, proto.Name(), *d, *eps, ln.Addr(), *epoch, *rootAddr, ldprecover.OLHKernel())
 	case roleRoot:
 		fmt.Printf("root serving %s (d=%d, epsilon=%g) on http://%s  merging %d frontends %v, straggler timeout %s\n",
 			proto.Name(), *d, *eps, ln.Addr(), len(nodes), nodes, *tallyTO)
@@ -201,8 +201,8 @@ func runServe(args []string) error {
 		fmt.Printf("standby on http://%s  tailing %s, watching root %s, promoting after %s unreachable\n",
 			ln.Addr(), *dataDir, *rootAddr, *promoteA)
 	default:
-		fmt.Printf("serving %s (d=%d, epsilon=%g) on http://%s  epoch=%s window=%d\n",
-			proto.Name(), *d, *eps, ln.Addr(), *epoch, *window)
+		fmt.Printf("serving %s (d=%d, epsilon=%g) on http://%s  epoch=%s window=%d olh-kernel=%s\n",
+			proto.Name(), *d, *eps, ln.Addr(), *epoch, *window, ldprecover.OLHKernel())
 	}
 
 	return serveLoop(hs, srv, tick, sigc, errc)
@@ -639,8 +639,13 @@ func newStreamServer(cfg streamServerConfig) (*streamServer, error) {
 	}
 	s.foldFn = s.ingest
 	s.bufPool.New = func() any {
+		// An empty buffer: readAllInto grows it to the body it carries,
+		// and it returns to the pool at that size. A fixed up-front size
+		// overshoots small frames many times over, and every GC empties
+		// the pool, so the heap would churn through those oversized
+		// buffers at the rate the server collects garbage.
 		s.poolMisses.Add(1)
-		b := make([]byte, 0, 64<<10)
+		var b []byte
 		return &b
 	}
 	switch {
@@ -1225,6 +1230,10 @@ type statsResponse struct {
 	// Request-body buffer pool effectiveness for the report lane.
 	BufPoolHits   int64 `json:"buf_pool_hits"`
 	BufPoolMisses int64 `json:"buf_pool_misses"`
+	// OLHKernel names the kernel OLH reports fold on, "avx512" or
+	// "generic", so a throughput number can be read against the code
+	// that produced it.
+	OLHKernel string `json:"olh_kernel"`
 	// Cluster is the role-specific section: the frontend's push state
 	// or the root's barrier/merge accounting. Omitted on a single node.
 	Cluster *clusterStatsResponse `json:"cluster,omitempty"`
@@ -1250,6 +1259,7 @@ func (s *streamServer) handleStats(w http.ResponseWriter, r *http.Request) {
 		PartialsStale:    s.partialsStale.Load(),
 		BufPoolHits:      s.poolGets.Load() - s.poolMisses.Load(),
 		BufPoolMisses:    s.poolMisses.Load(),
+		OLHKernel:        ldprecover.OLHKernel(),
 		Cluster:          s.clusterStats(),
 	})
 }

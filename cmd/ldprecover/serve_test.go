@@ -183,6 +183,15 @@ func TestServeEndToEnd(t *testing.T) {
 	if st.BatchesRejected != 0 {
 		t.Fatalf("%d batches rejected", st.BatchesRejected)
 	}
+	// The stats name the OLH kernel this process folds on.
+	resp, err = http.Get(hs.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := decodeJSON[map[string]any](t, resp)
+	if k := raw["olh_kernel"]; k != ldprecover.OLHKernel() || (k != "avx512" && k != "generic") {
+		t.Fatalf("stats olh_kernel %v, process folds on %q", k, ldprecover.OLHKernel())
+	}
 
 	// Drain seals the remainder (empty here) and refuses further ingest.
 	if _, err := srv.drain(); err != nil {

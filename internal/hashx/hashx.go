@@ -79,3 +79,34 @@ func (p Premixed) ToRange(x uint64, g int) int {
 	hi, _ := bits.Mul64(p.Hash64(x), uint64(g))
 	return int(hi)
 }
+
+// BucketInterval returns the hash interval that ToRange maps to value:
+// for 0 ≤ value < g and g ≥ 2,
+//
+//	p.ToRange(x, g) == value  ⇔  p.Hash64(x) - lo < width
+//
+// with uint64 arithmetic that wraps. ToRange(x, g) == value holds exactly
+// when value·2^64 ≤ Hash64(x)·g < (value+1)·2^64, that is when Hash64(x)
+// lies in [lo, hi) with lo = ⌈value·2^64/g⌉ and hi = ⌈(value+1)·2^64/g⌉;
+// width = hi - lo. For value = g-1, hi is 2^64 and wraps to 0, and the
+// wrapped width still counts every z ≥ lo. A batch fold computes the
+// interval once per report and then tests each item with a subtract and
+// a compare instead of a 64×64→128-bit multiply. Like ToRange, g is read
+// as a uint64.
+func BucketInterval(value, g int) (lo, width uint64) {
+	lo = ceilDiv128(uint64(value), uint64(g))
+	var hi uint64 // 2^64 wraps to 0 when value+1 == g
+	if uint64(value)+1 < uint64(g) {
+		hi = ceilDiv128(uint64(value)+1, uint64(g))
+	}
+	return lo, hi - lo
+}
+
+// ceilDiv128 returns ⌈n·2^64/g⌉ for n < g.
+func ceilDiv128(n, g uint64) uint64 {
+	q, r := bits.Div64(n, 0, g)
+	if r != 0 {
+		q++
+	}
+	return q
+}

@@ -23,9 +23,13 @@ import (
 //     vector at most once per ~64k reports — a handful of word-level ALU
 //     ops per report instead of one count increment per set bit;
 //   - sparse unary runs bump counts directly from the index lists;
-//   - OLH runs premix every seed once, then sweep the domain in
-//     item-major blocks so the hot count window stays cache-resident at
-//     large d while each item costs only the cheap per-item hash stage;
+//   - OLH runs premix every seed once and turn its value into the hash
+//     interval it supports (hashx.BucketInterval), then sweep the domain
+//     in item-major blocks so the hot count window stays cache-resident
+//     at large d while each item costs the cheap per-item hash stage
+//     plus one interval compare — 8 items per step in the AVX-512
+//     kernel (olh_amd64.s) when CPUID reports AVX512F+DQ with OS-saved
+//     ZMM state, one at a time in Go otherwise;
 //   - GRR runs are single bumps without the interface dispatch;
 //   - any other report type falls back to Report.AddSupports.
 //
@@ -49,11 +53,17 @@ type batchScratch struct {
 	frames [][]byte
 }
 
-// premixedOLH is one OLH report with its seed premix hoisted.
+// premixedOLH is one OLH report with its seed premix hoisted and its
+// value turned into the hash interval it supports (hashx.BucketInterval).
 type premixedOLH struct {
-	pre   hashx.Premixed
-	value int
-	g     int
+	pre       hashx.Premixed
+	lo, width uint64
+}
+
+// newPremixedOLH premixes one OLH report; 0 ≤ value < g and g ≥ 2.
+func newPremixedOLH(seed uint64, value, g int) premixedOLH {
+	lo, width := hashx.BucketInterval(value, g)
+	return premixedOLH{pre: hashx.Premix(seed), lo: lo, width: width}
 }
 
 // planeLevels is the binary counter depth of the dense-unary planes:
@@ -376,7 +386,7 @@ func (a *Accumulator) addOLHRun(reps []Report, start int) int {
 			break
 		}
 		if ol.G < 2 || ol.Value < 0 || ol.Value >= ol.G {
-			// Degenerate hand-built report: the branchless compare below
+			// Degenerate hand-built report: the bucket interval
 			// assumes value ∈ [0, g), so route it through the generic
 			// AddSupports (bit-identical to the one-at-a-time path).
 			if i == start {
@@ -386,7 +396,7 @@ func (a *Accumulator) addOLHRun(reps []Report, start int) int {
 			}
 			break
 		}
-		run = append(run, premixedOLH{pre: hashx.Premix(ol.Seed), value: ol.Value, g: ol.G})
+		run = append(run, newPremixedOLH(ol.Seed, ol.Value, ol.G))
 	}
 	a.scratch.olh = run
 	a.sweepOLH(run)
@@ -395,27 +405,36 @@ func (a *Accumulator) addOLHRun(reps []Report, start int) int {
 
 // sweepOLH folds a premixed OLH run into the count vector in item-major
 // blocks so large count vectors are walked block-by-block with all
-// reports instead of report-by-report over all items.
+// reports instead of report-by-report over all items. Within a block,
+// each report's whole 8-item chunks go to the AVX-512 kernel when the
+// CPU has it (olhAVX512); the Go loop below takes the rest.
 func (a *Accumulator) sweepOLH(run []premixedOLH) {
 	counts := a.counts
-	for lo := 0; lo < len(counts); lo += olhBlockItems {
-		hi := lo + olhBlockItems
-		if hi > len(counts) {
-			hi = len(counts)
+	for start := 0; start < len(counts); start += olhBlockItems {
+		end := min(start+olhBlockItems, len(counts))
+		vecEnd := start
+		if olhAVX512 {
+			vecEnd = start + (end-start)&^7
 		}
 		for ei := range run {
 			e := &run[ei]
-			value, g := uint64(e.value), uint64(e.g)
 			// Inlined hashx.Premixed stage two with the item multiply
 			// strength-reduced: consecutive items advance x·φ by one
-			// addition. Bit-equal to pre.ToRange(v, g) — the batch-vs-
-			// sequential equivalence tests pin this against hashx.
-			zx := uint64(e.pre) + uint64(lo)*0x9e3779b97f4a7c15
-			v := lo
+			// addition. A match is the bucket-interval test of
+			// hashx.BucketInterval, bit-equal to pre.ToRange(v, g) ==
+			// value — the batch-vs-sequential equivalence tests pin this
+			// against hashx.
+			zx := uint64(e.pre) + uint64(start)*0x9e3779b97f4a7c15
+			if vecEnd > start {
+				olhCountAVX512(counts[start:vecEnd], zx, e.lo, e.width)
+				zx += uint64(vecEnd-start) * 0x9e3779b97f4a7c15
+			}
+			lo, width := e.lo, e.width
+			v := vecEnd
 			// Two independent hash chains per step keep the multiplier
 			// busy; branchless matches (a ~1/g-taken branch would
 			// mispredict constantly and stall both chains).
-			for ; v+2 <= hi; v += 2 {
+			for ; v+2 <= end; v += 2 {
 				z0 := zx
 				z1 := zx + 0x9e3779b97f4a7c15
 				zx = z1 + 0x9e3779b97f4a7c15
@@ -425,23 +444,32 @@ func (a *Accumulator) sweepOLH(run []premixedOLH) {
 				z1 = (z1 ^ (z1 >> 33)) * 0xc4ceb9fe1a85ec53
 				z0 ^= z0 >> 33
 				z1 ^= z1 >> 33
-				b0, _ := bits.Mul64(z0, g)
-				b1, _ := bits.Mul64(z1, g)
-				counts[v] += int64(((b0 ^ value) - 1) >> 63)
-				counts[v+1] += int64(((b1 ^ value) - 1) >> 63)
+				_, in0 := bits.Sub64(z0-lo, width, 0)
+				_, in1 := bits.Sub64(z1-lo, width, 0)
+				counts[v] += int64(in0)
+				counts[v+1] += int64(in1)
 			}
-			for ; v < hi; v++ {
+			for ; v < end; v++ {
 				z := zx
 				zx += 0x9e3779b97f4a7c15
 				z = (z ^ (z >> 33)) * 0xff51afd7ed558ccd
 				z = (z ^ (z >> 33)) * 0xc4ceb9fe1a85ec53
 				z ^= z >> 33
-				bucket, _ := bits.Mul64(z, g)
-				counts[v] += int64(((bucket ^ value) - 1) >> 63)
+				_, in := bits.Sub64(z-lo, width, 0)
+				counts[v] += int64(in)
 			}
 		}
 	}
 	a.total += int64(len(run))
+}
+
+// OLHKernel names the kernel OLH folds run on in this process: "avx512"
+// when the CPU and OS support the AVX-512 sweep, else "generic".
+func OLHKernel() string {
+	if olhAVX512 {
+		return "avx512"
+	}
+	return "generic"
 }
 
 // addGRRRun consumes the run of GRR reports starting at start.

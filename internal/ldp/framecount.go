@@ -3,8 +3,6 @@ package ldp
 import (
 	"encoding/binary"
 	"fmt"
-
-	"ldprecover/internal/hashx"
 )
 
 // Zero-copy batch ingest: AddBatchFrame folds a marshaled "LB" report
@@ -256,11 +254,8 @@ func (a *Accumulator) addOLHFrameRun(frames [][]byte, start int) int {
 		if f[1] != tagOLH {
 			break
 		}
-		run = append(run, premixedOLH{
-			pre:   hashx.Premix(binary.LittleEndian.Uint64(f[2:])),
-			value: int(binary.LittleEndian.Uint32(f[10:])),
-			g:     int(binary.LittleEndian.Uint32(f[14:])),
-		})
+		run = append(run, newPremixedOLH(binary.LittleEndian.Uint64(f[2:]),
+			int(binary.LittleEndian.Uint32(f[10:])), int(binary.LittleEndian.Uint32(f[14:]))))
 	}
 	a.scratch.olh = run
 	a.sweepOLH(run)

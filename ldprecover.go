@@ -298,6 +298,11 @@ func ValidateReportBatchFrame(frame []byte) (int, error) {
 	return ldp.ValidateReportBatchFrame(frame)
 }
 
+// OLHKernel names the kernel OLH reports fold on in this process:
+// "avx512" when the CPU and OS support the AVX-512 sweep, else
+// "generic". Both count bit-identically.
+func OLHKernel() string { return ldp.OLHKernel() }
+
 // Scale-out collection tier (DESIGN.md §7): frontend nodes ingest
 // disjoint user populations, seal epochs on a shared epoch clock, and
 // push CRC-framed sealed tallies to a root, whose SealedMerger runs an
