@@ -11,7 +11,7 @@ FUZZTIME ?= 10s
 STATICCHECK_VERSION := $(shell sed -n 's/.*StaticcheckVersion = "\(.*\)".*/\1/p' tools/tools.go)
 GOVULNCHECK_VERSION := $(shell sed -n 's/.*GovulncheckVersion = "\(.*\)".*/\1/p' tools/tools.go)
 
-.PHONY: all build test race bench-smoke bench-json bench-ingest bench-merge vet lint vulncheck fuzz audit ci
+.PHONY: all build test race check-ci-tests bench-smoke bench-json bench-ingest bench-merge vet lint vulncheck fuzz audit ci
 
 all: build test
 
@@ -35,6 +35,19 @@ test-full: build
 # cmd/ldprecover).
 race:
 	$(GO) test -race ./internal/ldp/... ./internal/stream/... ./internal/persist/... ./internal/experiment/... ./cmd/ldprecover/...
+
+# Every name in a focused CI step's -run list must still match a test in
+# that step's packages: `go test -run` silently matches nothing once a
+# test is deleted or renamed, which would turn the step into a no-op.
+check-ci-tests:
+	@grep -oE "go test -count=1 -run '[^']+'[^|&]*" .github/workflows/ci.yml | while read -r line; do \
+		names=$$(echo "$$line" | sed -E "s/.*-run '([^']+)'.*/\1/" | tr '|' ' '); \
+		pkgs=$$(echo "$$line" | sed -E "s/.*-run '[^']+'//"); \
+		listed=$$($(GO) test -list . $$pkgs) || exit 1; \
+		for name in $$names; do \
+			echo "$$listed" | grep -qE -- "^$$name" || { echo "ci.yml: -run name $$name matches no test in$$pkgs"; exit 1; }; \
+		done; \
+	done
 
 # Native Go fuzzing over every wire surface — report frames, batch
 # frames, sealed-tally frames, and WAL segment recovery — plus the OLH

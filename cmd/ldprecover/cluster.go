@@ -17,41 +17,38 @@ import (
 	"ldprecover"
 )
 
-// Cluster mode (DESIGN.md §7) splits `ldprecover serve` into two tiers:
+// The cluster parts (DESIGN.md §7, §9) a server composes around its
+// ingest part, each opened by one constructor:
 //
-//   - frontend nodes run the existing ingest pipeline (bounded queue,
-//     ShardedAccumulator, optional report-level WAL) over their slice of
-//     the user population, seal epochs on the shared epoch clock, and
-//     push each sealed epoch's tally to the root over the CRC-framed
-//     sealed-tally codec — retrying with backoff until the root's
-//     durably sealed watermark passes the tally's epoch;
-//   - the root accepts tallies on POST /v1/tally, dedupes them by
-//     (node, epoch), holds an epoch barrier until every expected
-//     frontend has delivered (or the straggler timeout forces a partial
-//     seal), and seals the merged counts into its EpochManager — so the
-//     served window estimates, recovered history, and LDPRecover*
-//     hysteresis run on exactly the union of reports.
+//   - the uplink (openUplink) pushes each sealed epoch's tally to the
+//     parent over the CRC-framed sealed-tally codec, retrying with
+//     backoff until the parent's durably sealed watermark passes the
+//     tally's epoch;
+//   - the barrier (openBarrier) accepts tallies on POST /v1/tally,
+//     dedupes them by (node, epoch), holds an epoch barrier until every
+//     expected child has delivered (or the straggler timeout forces a
+//     partial seal), and seals the merged counts into its EpochManager —
+//     so the served window estimates, recovered history, and LDPRecover*
+//     hysteresis run on exactly the union of reports;
+//   - the standby (openStandby) tails a root's snapshots and seal-log,
+//     and when the root's lease goes stale opens a barrier over the warm
+//     state in place.
 //
 // Because tally merging is exact integer addition and epochs seal in
-// clock order, the root's estimates are bit-identical to a single-node
-// server fed every report; TestClusterEquivalenceE2E pins that.
+// clock order, a root's estimates are bit-identical to a single-node
+// server fed every report; TestClusterEquivalenceE2E pins that. A
+// barrier with an uplink (-role=merger) pushes each epoch it seals
+// upward as a single merged tally under its own node id, persisted
+// (when durable) before the push, so the at-least-once/dedupe contract
+// holds level by level and the top root's estimates stay bit-identical
+// at any depth (TestTreeEquivalenceE2E).
 //
-// The two tiers compose into an N-level tree (DESIGN.md §9): a
-// -role=merger node runs the root's barrier machinery over its own
-// children and a frontend's delivery queue toward its parent — each
-// epoch it seals is re-pushed upward as a single merged tally under the
-// merger's node id, persisted (when durable) before the push, so the
-// at-least-once/dedupe contract holds level by level and the top root's
-// estimates stay bit-identical at any depth (TestTreeEquivalenceE2E).
-//
-// Membership is elastic: a frontend started with -join announces itself
-// on POST /v1/membership and begins contributing at the epoch boundary
-// the root assigns; one stopped with -leave-on-shutdown retires the
-// same way, so the barrier stops waiting for it without a straggler
-// timeout. And the root is replaceable: a -role=standby node tails the
-// root's snapshots and seal-log, and when the root's lease goes stale
-// it promotes in place — frontends started with -standby-addr fail
-// over, and their ring re-send makes the switch lose nothing
+// Membership is elastic: a leaf started with -join announces itself on
+// POST /v1/membership and begins contributing at the epoch boundary the
+// root assigns; one stopped with -leave-on-shutdown retires the same
+// way, so the barrier stops waiting for it without a straggler timeout.
+// Uplinks started with -standby-addr fail over to a promoted standby,
+// and their ring re-send makes the switch lose nothing
 // (TestClusterElasticFailoverE2E pins all three transitions).
 
 // tallyResponse is the root's answer to a pushed tally.
@@ -186,6 +183,11 @@ func (p *tallyPusher) enqueue(t *ldprecover.Tally) {
 	case p.kick <- struct{}{}:
 	default:
 	}
+}
+
+// enqueueEpoch queues one sealed epoch as this node's tally.
+func (p *tallyPusher) enqueueEpoch(ep ldprecover.Epoch) {
+	p.enqueue(&ldprecover.Tally{NodeID: p.nodeID, Epoch: ep.Seq, Counts: ep.Counts, Total: ep.Total})
 }
 
 // pendingCount returns how many tallies await the root's watermark.
@@ -419,6 +421,145 @@ func (p *tallyPusher) close() error {
 			"a durable frontend re-sends them on next boot", n, err)
 	}
 	return nil
+}
+
+// openUplink opens the uplink part: a pusher toward the parent (then its
+// standby), bounded by the sealed-epoch ring's retention — a tally older
+// than the ring would not survive a restart either. Every sealed epoch
+// is enqueued: under a barrier after the seal is persisted, so the
+// parent never acks an epoch this node could forget; otherwise after
+// the clock resync below.
+func (s *streamServer) openUplink(cfg streamServerConfig) error {
+	urls := []string{cfg.RootAddr}
+	if cfg.StandbyAddr != "" {
+		urls = append(urls, cfg.StandbyAddr)
+	}
+	s.pusher = newTallyPusher(cfg.NodeID, urls, cfg.PushInterval, s.mgr.Config().History)
+	// At-least-once across restarts: re-send every retained sealed epoch
+	// (the restored ring, on a durable node); the parent dedupes what it
+	// has already merged.
+	for _, ep := range s.mgr.Epochs() {
+		s.pusher.enqueueEpoch(ep)
+	}
+	if s.root != nil {
+		// The barrier's clock is driven by its children, never resynced
+		// to the parent — skipping ahead would discard child tallies
+		// still en route.
+		s.root.onSealed = s.pushSealed
+		return nil
+	}
+	// The clock resync first: if the parent has sealed past this node's
+	// counter — it was down past the straggler timeout, or restarted
+	// without durable state — the next epoch rejoins the shared clock at
+	// the parent's watermark instead of issuing stale indices the parent
+	// would dedupe forever (the skipped indices have no epoch from this
+	// node, which is the truth).
+	base := s.sealFn
+	s.sealFn = func() (*ldprecover.WindowEstimate, error) {
+		s.mgr.AdvanceEpochTo(s.pusher.rootWatermark())
+		est, err := base()
+		if err == nil {
+			s.pushSealed(est.Seq)
+		}
+		return est, err
+	}
+	if cfg.Join {
+		if err := s.join(cfg); err != nil {
+			return err
+		}
+	}
+	s.leaveOnShutdown = cfg.LeaveOnShutdown
+	return nil
+}
+
+// join announces the node at boot, synchronously: it must know its
+// assigned epoch boundary before its first seal, or its early tallies
+// would be rejected as from a non-member. The root answers its sealed
+// watermark in the same round trip, so the joiner's clock aligns to the
+// boundary it was given. Join is idempotent on the root — a
+// re-announcing member just gets its standing boundary back.
+func (s *streamServer) join(cfg streamServerConfig) error {
+	jt := cfg.JoinTimeout
+	if jt <= 0 {
+		jt = 30 * time.Second
+	}
+	//ldplint:allow nowallclock join deadline bounds startup, not any deterministic path
+	deadline := time.Now().Add(jt)
+	for {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		ar, err := s.pusher.announce(ctx, ldprecover.AnnounceJoin, 0)
+		cancel()
+		if err == nil {
+			s.mgr.AdvanceEpochTo(ar.Effective)
+			fmt.Printf("frontend %q joined: contributing from epoch %d\n", cfg.NodeID, ar.Effective)
+			return nil
+		}
+		//ldplint:allow nowallclock join deadline bounds startup, not any deterministic path
+		if time.Now().After(deadline) {
+			return fmt.Errorf("joining the cluster via %s: %w", s.pusher.url(), err)
+		}
+		//ldplint:allow nowallclock join retry backoff during startup
+		time.Sleep(200 * time.Millisecond)
+	}
+}
+
+// pushSealed enqueues sealed epoch seq for the parent, if the ring still
+// holds it as its newest.
+func (s *streamServer) pushSealed(seq int) {
+	if eps := s.mgr.Epochs(); len(eps) > 0 && eps[len(eps)-1].Seq == seq {
+		s.pusher.enqueueEpoch(eps[len(eps)-1])
+	}
+}
+
+// openBarrier opens the barrier part. In memory it is a merger over mgr
+// expecting the -nodes set. With a data directory a root boots the way a
+// standby promotes: the lease first — a directory another root (or a
+// promoted standby) is heartbeating must not be opened, two writers
+// would fork the snapshot history — then the merger from the newest
+// snapshot and the seal-log's membership (-nodes only while the log is
+// empty: joins and leaves acked before a restart must survive it), then
+// the snapshot store and seal-log every merged seal persists through.
+// tailer is a standby's warm one; nil restores into mgr.
+func openBarrier(cfg streamServerConfig, owner string, mgr *ldprecover.EpochManager,
+	tailer *ldprecover.StandbyTailer, fatal func(error)) (*rootMerge, error) {
+	if cfg.DataDir == "" {
+		merger, err := ldprecover.NewSealedMerger(mgr, cfg.Nodes)
+		if err != nil {
+			return nil, err
+		}
+		return newRootMerge(merger, nil, nil, cfg.TallyTimeout, fatal), nil
+	}
+	dataErr := func(err error) error {
+		return fmt.Errorf("-role=%s with -data-dir %s: %w", cfg.Role, cfg.DataDir, err)
+	}
+	if tailer == nil {
+		var err error
+		tailer, err = ldprecover.NewStandbyTailer(cfg.DataDir, func() (*ldprecover.EpochManager, error) { return mgr, nil })
+		if err != nil {
+			return nil, dataErr(err)
+		}
+	}
+	lease, err := ldprecover.AcquireLease(cfg.DataDir, owner, cfg.PromoteAfter)
+	if err != nil {
+		return nil, dataErr(err)
+	}
+	merger, err := tailer.Promote(cfg.Nodes)
+	var (
+		snaps *ldprecover.SnapshotStore
+		slog  *ldprecover.SealLog
+	)
+	if err == nil {
+		snaps, err = ldprecover.AttachSnapshotStore(cfg.DataDir, merger.Manager(), 0)
+	}
+	if err == nil {
+		slog, err = ldprecover.OpenSealLog(cfg.DataDir)
+	}
+	if err != nil {
+		return nil, dataErr(errors.Join(err, lease.Release()))
+	}
+	rm := newRootMerge(merger, snaps, slog, cfg.TallyTimeout, fatal)
+	rm.startLease(lease, leaseHeartbeat(cfg.PromoteAfter))
+	return rm, nil
 }
 
 // rootMerge is the root's barrier driver around a SealedMerger: it
@@ -711,29 +852,38 @@ func (r *rootMerge) stop() error {
 // has not taken over yet — the root is still the cluster's merge front.
 var errStandbyNotPromoted = errors.New("this standby has not been promoted; the root is still serving")
 
-// standbyControl is the -role=standby machinery: it tails the root's
-// data directory to keep a warm manager, health-checks the root, and
-// when the root has been unreachable past -promote-after AND its lease
-// has gone stale, promotes — acquiring the lease, wrapping the warm
-// state in a rootMerge, and swapping it into the server, which from
-// then on behaves exactly like a -role=root node.
+// standbyControl is the standby part: it tails the root's data
+// directory to keep a warm manager, health-checks the root, and when the
+// root has been unreachable past -promote-after AND its lease has gone
+// stale, promotes — opening a barrier over the warm state and swapping
+// it into the server, which from then on merges tallies like a root.
 type standbyControl struct {
-	tailer       *ldprecover.StandbyTailer
-	dataDir      string
-	rootAddr     string
-	owner        string
-	fallback     []string // -nodes, used only when the seal-log is empty
-	promoteAfter time.Duration
-	pollEvery    time.Duration
-	tallyTimeout time.Duration
-	client       *http.Client
-	srv          *streamServer
+	cfg    streamServerConfig // DataDir, RootAddr, Nodes (fallback), PromoteAfter, StandbyPoll, TallyTimeout
+	owner  string
+	tailer *ldprecover.StandbyTailer
+	client *http.Client
+	srv    *streamServer
 
-	root       atomic.Pointer[rootMerge] // non-nil once promoted
-	promotedAt atomic.Int64              // snapshot seq at promotion, for stats
+	root atomic.Pointer[rootMerge] // non-nil once promoted
 
 	stopc chan struct{}
 	wg    sync.WaitGroup
+}
+
+// openStandby opens the standby part. Its data directory is the root's —
+// tailed read-only until promotion, never a report WAL — and it seals
+// nothing until it has been promoted.
+func (s *streamServer) openStandby(cfg streamServerConfig, owner string) error {
+	tailer, err := ldprecover.NewStandbyTailer(cfg.DataDir, func() (*ldprecover.EpochManager, error) {
+		return ldprecover.NewEpochManager(cfg.Stream)
+	})
+	if err != nil {
+		return err
+	}
+	s.standby = &standbyControl{cfg: cfg, owner: owner, tailer: tailer, client: &http.Client{}, srv: s}
+	s.sealFn = func() (*ldprecover.WindowEstimate, error) { return nil, errStandbyNotPromoted }
+	s.standby.start()
+	return nil
 }
 
 // start launches the tail/health/promotion loop.
@@ -750,7 +900,7 @@ func (c *standbyControl) loop() {
 	//ldplint:allow nowallclock standby health watch is wall-clock liveness by design
 	lastHealthy := time.Now()
 	//ldplint:allow nowallclock standby poll ticker is wall-clock liveness by design
-	t := time.NewTicker(c.pollEvery)
+	t := time.NewTicker(c.cfg.StandbyPoll)
 	defer t.Stop()
 	for {
 		select {
@@ -767,7 +917,7 @@ func (c *standbyControl) loop() {
 			continue
 		}
 		//ldplint:allow nowallclock promotion delay is a wall-clock liveness bound
-		if time.Since(lastHealthy) < c.promoteAfter {
+		if time.Since(lastHealthy) < c.cfg.PromoteAfter {
 			continue
 		}
 		if err := c.promote(); err != nil {
@@ -782,9 +932,9 @@ func (c *standbyControl) loop() {
 
 // rootHealthy probes the root's stats endpoint.
 func (c *standbyControl) rootHealthy() bool {
-	ctx, cancel := context.WithTimeout(context.Background(), c.pollEvery)
+	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.StandbyPoll)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.rootAddr+"/v1/stats", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.cfg.RootAddr+"/v1/stats", nil)
 	if err != nil {
 		return false
 	}
@@ -796,38 +946,22 @@ func (c *standbyControl) rootHealthy() bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// promote performs the takeover: lease first (refusing while the old
-// root's heartbeat is fresh — the split-brain guard), then the warm
-// merger from the last snapshot + seal-log membership, then the
-// rootMerge swap that turns this server into the root. Frontends find
-// it via -standby-addr; their ring re-send replays anything the old
-// root accepted but never durably sealed.
+// promote performs the takeover: openBarrier over the warm state — the
+// lease first, refusing while the old root's heartbeat is fresh (the
+// split-brain guard) — then the swap that turns this server into the
+// root. Uplinks find it via -standby-addr; their ring re-send replays
+// anything the old root accepted but never durably sealed.
 func (c *standbyControl) promote() error {
-	lease, err := ldprecover.AcquireLease(c.dataDir, c.owner, c.promoteAfter)
+	rm, err := openBarrier(c.cfg, c.owner, nil, c.tailer, c.srv.reportFatal)
 	if err != nil {
 		return err
 	}
-	merger, err := c.tailer.Promote(c.fallback)
-	if err != nil {
-		return errors.Join(err, lease.Release())
-	}
-	snaps, err := ldprecover.AttachSnapshotStore(c.dataDir, merger.Manager(), 0)
-	if err != nil {
-		return errors.Join(err, lease.Release())
-	}
-	slog, err := ldprecover.OpenSealLog(c.dataDir)
-	if err != nil {
-		return errors.Join(err, lease.Release())
-	}
-	rm := newRootMerge(merger, snaps, slog, c.tallyTimeout, c.srv.reportFatal)
-	rm.startLease(lease, leaseHeartbeat(c.promoteAfter))
-	c.promotedAt.Store(int64(merger.SealedThrough()))
 	c.root.Store(rm)
 	c.srv.sealMu.Lock()
 	c.srv.sealFn = rm.forceSeal
 	c.srv.sealMu.Unlock()
 	fmt.Printf("standby %q PROMOTED: serving as root at watermark %d, members %v\n",
-		c.owner, merger.SealedThrough(), merger.Nodes())
+		c.owner, rm.merger.SealedThrough(), rm.merger.Nodes())
 	return nil
 }
 
@@ -851,8 +985,8 @@ func leaseHeartbeat(staleAfter time.Duration) time.Duration {
 }
 
 // currentRoot returns the barrier driver this server is merging with:
-// the configured one on -role=root, the promoted one on a standby that
-// took over, nil otherwise.
+// the barrier part's, the promoted one on a standby that took over, nil
+// otherwise.
 func (s *streamServer) currentRoot() *rootMerge {
 	if s.root != nil {
 		return s.root
@@ -863,30 +997,34 @@ func (s *streamServer) currentRoot() *rootMerge {
 	return nil
 }
 
-// handleTally is the root's ingest endpoint: one CRC-framed sealed
+// barrierFor returns the barrier a POST /v1/tally or /v1/membership
+// merges into; without one it answers 503 on an unpromoted standby (the
+// root is still the merge front) and 404 elsewhere.
+func (s *streamServer) barrierFor(w http.ResponseWriter) *rootMerge {
+	root := s.currentRoot()
+	switch {
+	case root != nil:
+	case s.standby != nil:
+		httpError(w, http.StatusServiceUnavailable, "%v", errStandbyNotPromoted)
+	default:
+		httpError(w, http.StatusNotFound, "this node has no epoch barrier; tallies and membership changes go to a -role=root or -role=merger server")
+	}
+	return root
+}
+
+// handleTally is the barrier's ingest endpoint: one CRC-framed sealed
 // tally per POST.
 func (s *streamServer) handleTally(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST a sealed tally frame")
 		return
 	}
-	root := s.currentRoot()
+	root := s.barrierFor(w)
 	if root == nil {
-		if s.standby != nil {
-			httpError(w, http.StatusServiceUnavailable, "this standby has not been promoted; the root is still serving")
-			return
-		}
-		httpError(w, http.StatusNotFound, "this node is not a root; tallies go to the -role=root server")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, "reading tally: %v", err)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "reading tally: %v", err)
+	body, ok := s.readBody(w, r, "tally")
+	if !ok {
 		return
 	}
 	tally, err := ldprecover.UnmarshalTally(body)
@@ -909,30 +1047,19 @@ func (s *streamServer) handleTally(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleMembership is the root's join/leave endpoint: one CRC-framed
+// handleMembership is the barrier's join/leave endpoint: one CRC-framed
 // announcement per POST, answered with the effective epoch boundary.
 func (s *streamServer) handleMembership(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST a membership announce frame")
 		return
 	}
-	root := s.currentRoot()
+	root := s.barrierFor(w)
 	if root == nil {
-		if s.standby != nil {
-			httpError(w, http.StatusServiceUnavailable, "this standby has not been promoted; announce to the root")
-			return
-		}
-		httpError(w, http.StatusNotFound, "this node is not a root; membership changes go to the -role=root server")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, "reading announce: %v", err)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "reading announce: %v", err)
+	body, ok := s.readBody(w, r, "announce")
+	if !ok {
 		return
 	}
 	a, err := ldprecover.UnmarshalAnnounce(body)
@@ -955,16 +1082,16 @@ func (s *streamServer) handleMembership(w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// clusterStatsResponse is the role-specific stats section.
+// clusterStatsResponse is the cluster parts' stats section.
 type clusterStatsResponse struct {
 	Role string `json:"role"`
-	// Frontend fields.
+	// Uplink fields.
 	NodeID         string `json:"node_id,omitempty"`
 	RootAddr       string `json:"root_addr,omitempty"`
 	PendingTallies int    `json:"pending_tallies,omitempty"`
 	DroppedTallies int64  `json:"dropped_tallies,omitempty"`
 	Failovers      int64  `json:"failovers,omitempty"`
-	// Root fields (also set on a promoted standby).
+	// Barrier fields (also set on a promoted standby).
 	Nodes         []string              `json:"nodes,omitempty"`
 	SealedThrough int                   `json:"sealed_through,omitempty"`
 	Duplicates    int64                 `json:"duplicates,omitempty"`
@@ -984,47 +1111,31 @@ type mergedEpochResponse struct {
 	Duplicates int              `json:"duplicates,omitempty"`
 }
 
-// clusterStats builds the role section of /v1/stats, nil in single-node
-// mode. A merger carries both halves: the barrier it runs over its
-// children and the delivery queue toward its parent.
+// clusterStats builds the parts' section of /v1/stats, nil on a single
+// node: the uplink's delivery queue, the barrier's merge accounting (a
+// promoted standby's included), and an unpromoted standby's tail.
 func (s *streamServer) clusterStats() *clusterStatsResponse {
-	root := s.currentRoot()
-	if s.pusher != nil && root == nil {
-		return &clusterStatsResponse{
-			Role:           "frontend",
-			NodeID:         s.pusher.nodeID,
-			RootAddr:       s.pusher.url(),
-			PendingTallies: s.pusher.pendingCount(),
-			DroppedTallies: s.pusher.droppedCount(),
-			Failovers:      s.pusher.failoverCount(),
-		}
-	}
-	if root == nil && s.standby == nil {
+	if s.parts == (serverParts{}) {
 		return nil
 	}
-	if root == nil {
-		// An unpromoted standby: report what it has tailed so far.
-		seq, _ := s.standby.tailer.SnapshotSeq()
-		return &clusterStatsResponse{Role: "standby", SnapshotSeq: seq}
+	cs := &clusterStatsResponse{Role: s.parts.name()}
+	if p := s.pusher; p != nil {
+		cs.NodeID, cs.RootAddr = p.nodeID, p.url()
+		cs.PendingTallies, cs.DroppedTallies, cs.Failovers = p.pendingCount(), p.droppedCount(), p.failoverCount()
 	}
-	cs := &clusterStatsResponse{
-		Role:          "root",
-		Nodes:         root.merger.Nodes(),
-		SealedThrough: root.watermark(),
-		Duplicates:    root.merger.Duplicates(),
-	}
+	root := s.currentRoot()
 	if s.standby != nil {
-		cs.Role = "standby"
-		cs.Promoted = true
+		cs.Promoted = root != nil
+		if root == nil {
+			cs.SnapshotSeq, _ = s.standby.tailer.SnapshotSeq()
+		}
 	}
-	if s.pusher != nil {
-		cs.Role = "merger"
-		cs.NodeID = s.pusher.nodeID
-		cs.RootAddr = s.pusher.url()
-		cs.PendingTallies = s.pusher.pendingCount()
-		cs.DroppedTallies = s.pusher.droppedCount()
-		cs.Failovers = s.pusher.failoverCount()
+	if root == nil {
+		return cs
 	}
+	cs.Nodes = root.merger.Nodes()
+	cs.SealedThrough = root.watermark()
+	cs.Duplicates = root.merger.Duplicates()
 	for _, m := range root.merger.Merged() {
 		cs.Merged = append(cs.Merged, mergedEpochResponse{
 			Epoch: m.Epoch, Nodes: m.Nodes, Missing: m.Missing,

@@ -197,16 +197,19 @@ func TestMembershipEndpointHTTP(t *testing.T) {
 	sealResp.Body.Close()
 }
 
-// waitForEpochs blocks until mgr() reports n sealed epochs.
-func waitForEpochs(t *testing.T, what string, mgr func() *ldprecover.EpochManager, n int) {
+// waitForEpochs blocks until watermark() reports n sealed epochs. It
+// reads the barrier's durable watermark, not its manager's epoch count:
+// the manager seals before the snapshot lands, and a root killed in
+// between comes back at the snapshot's watermark.
+func waitForEpochs(t *testing.T, what string, watermark func() int, n int) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		if mgr().Stats().Epochs >= n {
+		if watermark() >= n {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s stalled at %d/%d merged epochs", what, mgr().Stats().Epochs, n)
+			t.Fatalf("%s stalled at %d/%d persisted merged epochs", what, watermark(), n)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -305,7 +308,7 @@ func TestClusterElasticFailoverE2E(t *testing.T) {
 
 	members := []string{"fe-0", "fe-1"}
 	activeURL := func() string { return rootHS.URL }
-	rootEpochs := func() *ldprecover.EpochManager { return rootSrv.mgr }
+	rootWatermark := rootSrv.root.watermark
 	engagedRef, engagedCluster := -1, -1
 	for e := 0; e < epochs; e++ {
 		switch e {
@@ -386,7 +389,7 @@ func TestClusterElasticFailoverE2E(t *testing.T) {
 				t.Fatalf("post-promotion re-sends changed the estimate\ngot  %+v\nwant %+v", got, want)
 			}
 			activeURL = func() string { return sbHS.URL }
-			rootEpochs = func() *ldprecover.EpochManager { return sbSrv.manager() }
+			rootWatermark = promoted.watermark
 		}
 
 		genuine, err := ldprecover.PerturbAll(proto, r, trueCounts)
@@ -419,7 +422,7 @@ func TestClusterElasticFailoverE2E(t *testing.T) {
 		for _, node := range members {
 			sealFrontend(t, feHS[node].URL)
 		}
-		waitForEpochs(t, "cluster", rootEpochs, e+1)
+		waitForEpochs(t, "cluster", rootWatermark, e+1)
 
 		// Reference pipeline over the union.
 		if err := ref.AddBatch(union); err != nil {

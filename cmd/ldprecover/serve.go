@@ -7,11 +7,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/url"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -42,10 +44,11 @@ import (
 //	GET  /v1/stats     ingest/queue/epoch counters for monitoring.
 //
 // Ingest is decoupled from request handling by a bounded queue draining
-// into EpochManager.AddBatch from -ingesters goroutines, so a slow
-// aggregation moment backpressures clients with 429 instead of
-// accumulating unbounded memory. Shutdown (SIGINT/SIGTERM) stops the
-// listener, drains the queue, seals the final epoch, and prints it.
+// into EpochManager.AddBatchFrame (DurableStore.AppendBatchFrame with
+// -data-dir) from -ingesters goroutines, so a slow aggregation moment
+// backpressures clients with 429 instead of accumulating unbounded
+// memory. Shutdown (SIGINT/SIGTERM) stops the listener, drains the
+// queue, seals the final epoch, and prints it.
 //
 // With -data-dir the service is durable (DESIGN.md §6): batches are
 // written to a CRC-framed WAL before they are aggregated, every seal
@@ -55,16 +58,13 @@ import (
 // recovered-baseline history and target-tracker hysteresis that drive
 // the LDPRecover* upgrade, which an in-memory server forgets.
 //
-// With -role the server joins a cluster (DESIGN.md §7):
-// -role=frontend ingests reports as above but pushes every sealed
-// epoch's tally to -root-addr instead of identifying targets itself;
-// -role=root accepts those tallies on POST /v1/tally, merges them
-// behind an epoch barrier over the -nodes set (with a -tally-timeout
-// straggler policy), and serves estimates bit-identical to a single
-// node that saw every report. -role=merger is both at once (DESIGN.md
-// §9): it runs the root's barrier over its -nodes children and pushes
-// each epoch it seals upward to -root-addr as one merged tally under
-// its -node-id, composing into an aggregation tree of any depth.
+// With -role the server joins a cluster (DESIGN.md §7, §9). A role is a
+// preset (rolePresets) naming which optional parts the server composes
+// around its ingest part: a barrier that merges children's sealed
+// tallies (POST /v1/tally) into estimates bit-identical to a single node
+// that saw every report, an uplink that pushes every sealed epoch to
+// -root-addr, and a standby that tails a root's data directory and
+// takes over when the root dies.
 func runServe(args []string) error {
 	fs := newFlagSet("serve")
 	var (
@@ -159,8 +159,8 @@ func runServe(args []string) error {
 			ri.ReplayedPartials, ri.ReplayedPartialUsers)
 	}
 	if srv.root != nil && srv.root.snaps != nil {
-		fmt.Printf("root state in %s: restored %d merged epochs\n",
-			*dataDir, srv.root.snaps.Restored().SnapshotSeq)
+		fmt.Printf("%s state in %s: restored %d merged epochs, members %v\n",
+			srv.parts.name(), *dataDir, srv.root.merger.SealedThrough(), srv.root.merger.Nodes())
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -172,41 +172,52 @@ func runServe(args []string) error {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
-	var ticker *time.Ticker
-	var tick <-chan time.Time
-	if *epoch > 0 && srv.root == nil && srv.standby == nil {
-		// Roots and standbys have no epoch ticker: their epochs close on
-		// the frontends' shared clock, via tally barriers and the
-		// straggler timeout.
-		//ldplint:allow nowallclock the epoch ticker IS the cluster's shared epoch clock
-		ticker = time.NewTicker(*epoch)
-		tick = ticker.C
-		defer ticker.Stop()
+	// The startup line: who (for a cluster node), then one clause per
+	// part. cmd/ldpload reads the address after " on ".
+	who := srv.parts.name()
+	if *nodeID != "" {
+		who += " " + strconv.Quote(*nodeID)
 	}
+	var clauses []string
+	var tick <-chan time.Time
+	if !srv.parts.closesOnChildren() {
+		clauses = append(clauses, fmt.Sprintf("epoch=%s window=%d", *epoch, *window))
+		if *epoch > 0 {
+			//ldplint:allow nowallclock the epoch ticker IS the cluster's shared epoch clock
+			ticker := time.NewTicker(*epoch)
+			defer ticker.Stop()
+			tick = ticker.C
+		}
+	}
+	if srv.parts.barrier {
+		clauses = append(clauses, fmt.Sprintf("merging %d children %v (straggler timeout %s)", len(nodes), nodes, *tallyTO))
+	}
+	if srv.parts.uplink {
+		clauses = append(clauses, "pushing sealed tallies to "+*rootAddr)
+	}
+	if srv.parts.standby {
+		clauses = append(clauses, fmt.Sprintf("tailing %s, watching %s, promoting after %s", *dataDir, *rootAddr, *promoteA))
+	}
+	clauses = append(clauses, "olh-kernel="+ldprecover.OLHKernel())
+	fmt.Println(strings.TrimSpace(fmt.Sprintf("%s serving %s (d=%d, epsilon=%g) on http://%s  %s",
+		who, proto.Name(), *d, *eps, ln.Addr(), strings.Join(clauses, ", "))))
+
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigc)
-
-	switch *role {
-	case roleFrontend:
-		fmt.Printf("frontend %q serving %s (d=%d, epsilon=%g) on http://%s  epoch=%s, pushing sealed tallies to %s, olh-kernel=%s\n",
-			*nodeID, proto.Name(), *d, *eps, ln.Addr(), *epoch, *rootAddr, ldprecover.OLHKernel())
-	case roleRoot:
-		fmt.Printf("root serving %s (d=%d, epsilon=%g) on http://%s  merging %d frontends %v, straggler timeout %s\n",
-			proto.Name(), *d, *eps, ln.Addr(), len(nodes), nodes, *tallyTO)
-	case roleMerger:
-		fmt.Printf("merger %q on http://%s  merging %d children %v (straggler timeout %s), pushing merged tallies to %s\n",
-			*nodeID, ln.Addr(), len(nodes), nodes, *tallyTO, *rootAddr)
-	case roleStandby:
-		fmt.Printf("standby on http://%s  tailing %s, watching root %s, promoting after %s unreachable\n",
-			ln.Addr(), *dataDir, *rootAddr, *promoteA)
-	default:
-		fmt.Printf("serving %s (d=%d, epsilon=%g) on http://%s  epoch=%s window=%d olh-kernel=%s\n",
-			proto.Name(), *d, *eps, ln.Addr(), *epoch, *window, ldprecover.OLHKernel())
-	}
-
 	return serveLoop(hs, srv, tick, sigc, errc)
 }
+
+// A server is an ingest part — the manager, the bounded report queue
+// and, with -data-dir, the report WAL — plus up to three optional parts:
+//
+//   - barrier: merges children's sealed tallies behind an epoch barrier
+//     (rootMerge: lease, snapshot store, seal-log, straggler timer);
+//   - uplink: pushes every sealed epoch to the parent (tallyPusher, its
+//     ring re-send, and the per-seal enqueue);
+//   - standby: tails a root's data directory and, on promotion, opens a
+//     barrier of its own (standbyControl).
+type serverParts struct{ barrier, uplink, standby bool }
 
 // Cluster role names for -role.
 const (
@@ -216,17 +227,92 @@ const (
 	roleStandby  = "standby"
 )
 
+// rolePresets is all a -role name means: the parts the server gets.
+var rolePresets = map[string]serverParts{
+	"":           {},
+	roleFrontend: {uplink: true},
+	roleRoot:     {barrier: true},
+	roleMerger:   {barrier: true, uplink: true},
+	roleStandby:  {standby: true},
+}
+
+// name is the preset these parts make, as /v1/stats reports it; empty
+// on a single node.
+func (p serverParts) name() string {
+	for role, parts := range rolePresets {
+		if parts == p {
+			return role
+		}
+	}
+	return ""
+}
+
+// closesOnChildren reports whether the node's epochs close on its
+// children's tallies — it has a barrier, or is a standby that opens one
+// on promotion — rather than on the shared clock. Such a node runs no
+// epoch ticker, skips the drain seal (sealing there would advance the
+// barrier past tallies still en route), and takes no report batches or
+// partials, so it keeps no report WAL either.
+func (p serverParts) closesOnChildren() bool { return p.barrier || p.standby }
+
+// clusterFlagScopes is the flag→parts scope table: a cluster flag set
+// explicitly on a server none of whose parts it configures fails
+// startup, naming the roles that take it.
+var clusterFlagScopes = []struct {
+	flags []string
+	what  string
+	takes func(serverParts) bool
+}{
+	{[]string{"root-addr"}, "is the parent's base URL (an uplink pushes tallies there, a standby health-checks it)",
+		func(p serverParts) bool { return p.uplink || p.standby }},
+	{[]string{"node-id"}, "names this node to its parent, which dedupes tallies by it (on a standby: the lease owner)",
+		func(p serverParts) bool { return p.uplink || p.standby }},
+	{[]string{"nodes", "tally-timeout"}, "configures the epoch barrier (on a standby: after promotion)", serverParts.closesOnChildren},
+	{[]string{"standby-addr"}, "is the upward failover target", func(p serverParts) bool { return p.uplink }},
+	// A merger's id is a fixed entry in its parent's -nodes.
+	{[]string{"join", "leave-on-shutdown"}, "changes this node's membership in its parent's barrier",
+		func(p serverParts) bool { return p.uplink && !p.barrier }},
+	{[]string{"promote-after"}, "is the standby's failover threshold", func(p serverParts) bool { return p.standby }},
+	// An uplink sees only its subtree; a subtree-local z-score would drift
+	// from the merged view.
+	{[]string{"targets", "minz", "stable"}, "configures target identification, which runs at the tree's root",
+		func(p serverParts) bool { return !p.uplink }},
+	{[]string{"epoch"}, "is the frontends' shared clock; a barrier's epochs close on its children's tallies and -tally-timeout",
+		func(p serverParts) bool { return !p.closesOnChildren() }},
+}
+
+// rolesTaking lists the presets whose parts satisfy takes, for errors.
+func rolesTaking(takes func(serverParts) bool) string {
+	var roles []string
+	for _, role := range slices.Sorted(maps.Keys(rolePresets)) {
+		switch {
+		case !takes(rolePresets[role]):
+		case role == "":
+			roles = append(roles, "a single node")
+		default:
+			roles = append(roles, "-role="+role)
+		}
+	}
+	return strings.Join(roles, " or ")
+}
+
 // validateClusterFlags rejects inconsistent cluster configurations up
 // front, naming the flags (the PR 4 validation style): every error a
 // misconfigured node would otherwise hit mid-flight — a frontend with
-// no root, a root with no barrier set, role-specific flags on the wrong
-// role — fails at startup instead. It returns the parsed -nodes set.
+// no root, a root with no barrier set, a flag none of the node's parts
+// uses — fails at startup instead. It returns the parsed -nodes set.
 func validateClusterFlags(role, rootAddr, nodeID, nodesF, standbyAddr, dataDir string,
 	tallyTO, promoteAfter time.Duration, explicit map[string]bool) ([]string, error) {
-	switch role {
-	case "", roleFrontend, roleRoot, roleMerger, roleStandby:
-	default:
+	parts, ok := rolePresets[role]
+	if !ok {
 		return nil, fmt.Errorf("-role %q is not one of frontend, root, merger, standby (or empty for single-node)", role)
+	}
+	for _, sc := range clusterFlagScopes {
+		for _, f := range sc.flags {
+			if explicit[f] && !sc.takes(parts) {
+				return nil, fmt.Errorf("-%s %s; it needs %s", f, sc.what, rolesTaking(sc.takes))
+			}
+		}
 	}
 	checkURL := func(flagName, v string) error {
 		if u, err := url.Parse(v); err != nil || u.Host == "" || (u.Scheme != "http" && u.Scheme != "https") {
@@ -234,152 +320,61 @@ func validateClusterFlags(role, rootAddr, nodeID, nodesF, standbyAddr, dataDir s
 		}
 		return nil
 	}
-	if role != roleFrontend && role != roleMerger && role != roleStandby {
-		if explicit["root-addr"] {
-			return nil, fmt.Errorf("-root-addr is for nodes that talk to a parent (-role=frontend and -role=merger push tallies there, -role=standby health-checks it); not for -role=%q", role)
-		}
-		if explicit["node-id"] {
-			return nil, fmt.Errorf("-node-id names a frontend or merger (the parent dedupes by it) or a standby's lease owner; not for -role=%q", role)
-		}
-	}
-	if role != roleRoot && role != roleMerger && role != roleStandby {
-		if explicit["nodes"] {
-			return nil, fmt.Errorf("-nodes is the epoch barrier set; it needs -role=root or -role=merger (or -role=standby as promotion fallback)")
-		}
-		if explicit["tally-timeout"] {
-			return nil, fmt.Errorf("-tally-timeout is the straggler policy; it needs -role=root or -role=merger (or -role=standby for after promotion)")
-		}
-	}
-	if role != roleFrontend && role != roleMerger && explicit["standby-addr"] {
-		return nil, fmt.Errorf("-standby-addr is the upward failover target; it needs -role=frontend or -role=merger")
-	}
-	if role != roleFrontend {
-		for _, f := range []string{"join", "leave-on-shutdown"} {
-			if explicit[f] {
-				// A merger cannot join/leave its parent elastically: its
-				// node id is a fixed entry in the parent's -nodes barrier.
-				return nil, fmt.Errorf("-%s is a frontend flag; it needs -role=frontend", f)
-			}
-		}
-	}
-	if role != roleStandby && explicit["promote-after"] {
-		return nil, fmt.Errorf("-promote-after is the standby's failover threshold; it needs -role=standby")
-	}
-	parseNodes := func() ([]string, error) {
-		var nodes []string
-		seen := make(map[string]bool)
-		for _, n := range strings.Split(nodesF, ",") {
-			n = strings.TrimSpace(n)
-			if n == "" {
-				return nil, fmt.Errorf("-nodes %q lists an empty node id", nodesF)
-			}
-			if seen[n] {
-				return nil, fmt.Errorf("-nodes lists %q twice; node ids must be unique", n)
-			}
-			seen[n] = true
-			nodes = append(nodes, n)
-		}
-		return nodes, nil
-	}
-	switch role {
-	case roleFrontend:
-		// Target identification runs on the root, over the merged view; a
-		// partition-local z-score would silently drift from it. Reject the
-		// flags rather than silently overriding them.
-		for _, f := range []string{"targets", "minz", "stable"} {
-			if explicit[f] {
-				return nil, fmt.Errorf("-%s configures target identification, which -role=frontend delegates to the root; set it there", f)
-			}
-		}
+	if parts.uplink || parts.standby {
 		if rootAddr == "" {
-			return nil, fmt.Errorf("-role=frontend requires -root-addr (the root node's base URL)")
+			return nil, fmt.Errorf("-role=%s requires -root-addr (the parent node's base URL)", role)
 		}
 		if err := checkURL("root-addr", rootAddr); err != nil {
 			return nil, err
 		}
+	}
+	if parts.uplink {
 		if standbyAddr != "" {
 			if err := checkURL("standby-addr", standbyAddr); err != nil {
 				return nil, err
 			}
 		}
 		if nodeID == "" {
-			return nil, fmt.Errorf("-role=frontend requires -node-id (unique per frontend; the root dedupes tallies by it)")
+			return nil, fmt.Errorf("-role=%s requires -node-id (unique per node; the parent dedupes tallies by it)", role)
 		}
 		if len(nodeID) > 256 {
 			return nil, fmt.Errorf("-node-id of %d bytes exceeds the tally codec's 256-byte cap", len(nodeID))
 		}
-		return nil, nil
-	case roleRoot:
-		if explicit["epoch"] {
-			return nil, fmt.Errorf("-epoch is the frontends' shared clock; a root's epochs close on tally barriers and -tally-timeout")
-		}
-		if nodesF == "" {
-			return nil, fmt.Errorf("-role=root requires -nodes (comma-separated frontend node ids forming the epoch barrier)")
-		}
-		if tallyTO < 0 {
-			return nil, fmt.Errorf("-tally-timeout %s is negative; use 0 to wait for stragglers forever", tallyTO)
-		}
-		return parseNodes()
-	case roleMerger:
-		// Like a frontend toward its parent: target identification runs
-		// at the tree's true root, over the full union.
-		for _, f := range []string{"targets", "minz", "stable"} {
-			if explicit[f] {
-				return nil, fmt.Errorf("-%s configures target identification, which -role=merger delegates to the tree's root; set it there", f)
-			}
-		}
-		if explicit["epoch"] {
-			return nil, fmt.Errorf("-epoch is the frontends' shared clock; a merger's epochs close on its children's tally barriers and -tally-timeout")
-		}
-		if rootAddr == "" {
-			return nil, fmt.Errorf("-role=merger requires -root-addr (the parent node's base URL)")
-		}
-		if err := checkURL("root-addr", rootAddr); err != nil {
-			return nil, err
-		}
-		if standbyAddr != "" {
-			if err := checkURL("standby-addr", standbyAddr); err != nil {
-				return nil, err
-			}
-		}
-		if nodeID == "" {
-			return nil, fmt.Errorf("-role=merger requires -node-id (unique per merger; the parent dedupes tallies by it)")
-		}
-		if len(nodeID) > 256 {
-			return nil, fmt.Errorf("-node-id of %d bytes exceeds the tally codec's 256-byte cap", len(nodeID))
-		}
-		if nodesF == "" {
-			return nil, fmt.Errorf("-role=merger requires -nodes (comma-separated child node ids forming the epoch barrier)")
-		}
-		if tallyTO < 0 {
-			return nil, fmt.Errorf("-tally-timeout %s is negative; use 0 to wait for stragglers forever", tallyTO)
-		}
-		return parseNodes()
-	case roleStandby:
-		if explicit["epoch"] {
-			return nil, fmt.Errorf("-epoch is the frontends' shared clock; a standby's epochs close on tally barriers after promotion")
-		}
+	}
+	if parts.standby {
 		if dataDir == "" {
-			return nil, fmt.Errorf("-role=standby requires -data-dir (the root's data directory, shared or replicated, to tail snapshots and the seal-log from)")
-		}
-		if rootAddr == "" {
-			return nil, fmt.Errorf("-role=standby requires -root-addr (the root to health-check for failover)")
-		}
-		if err := checkURL("root-addr", rootAddr); err != nil {
-			return nil, err
-		}
-		if tallyTO < 0 {
-			return nil, fmt.Errorf("-tally-timeout %s is negative; use 0 to wait for stragglers forever", tallyTO)
+			return nil, fmt.Errorf("-role=%s requires -data-dir (the root's data directory, shared or replicated, to tail snapshots and the seal-log from)", role)
 		}
 		if promoteAfter <= 0 {
 			return nil, fmt.Errorf("-promote-after %s must be positive: it is both the failover threshold and the lease staleness bound", promoteAfter)
 		}
-		if nodesF == "" {
-			return nil, nil
-		}
-		return parseNodes()
 	}
-	return nil, nil
+	if !parts.closesOnChildren() {
+		return nil, nil
+	}
+	if tallyTO < 0 {
+		return nil, fmt.Errorf("-tally-timeout %s is negative; use 0 to wait for stragglers forever", tallyTO)
+	}
+	if nodesF == "" {
+		if parts.barrier {
+			return nil, fmt.Errorf("-role=%s requires -nodes (comma-separated child node ids forming the epoch barrier)", role)
+		}
+		return nil, nil
+	}
+	var nodes []string
+	seen := make(map[string]bool)
+	for _, n := range strings.Split(nodesF, ",") {
+		n = strings.TrimSpace(n)
+		if n == "" {
+			return nil, fmt.Errorf("-nodes %q lists an empty node id", nodesF)
+		}
+		if seen[n] {
+			return nil, fmt.Errorf("-nodes lists %q twice; node ids must be unique", n)
+		}
+		seen[n] = true
+		nodes = append(nodes, n)
+	}
+	return nodes, nil
 }
 
 // serveLoop runs the epoch ticker / shutdown select around a listening
@@ -448,19 +443,17 @@ type streamServerConfig struct {
 	Ingesters int
 	MaxBody   int64
 	// DataDir enables durable mode; empty keeps all state in memory.
-	// Frontends and single nodes keep a report-level WAL + per-seal
-	// snapshots; a root keeps per-seal snapshots of the merged state
-	// only (its inputs are re-sent tallies, not report batches).
+	// The ingest part keeps a report-level WAL + per-seal snapshots; a
+	// barrier keeps per-seal snapshots of the merged state only (its
+	// inputs are re-sent tallies, not report batches).
 	DataDir      string
 	SyncEvery    int
 	SegmentBytes int64
-	// Role selects cluster mode: "" (single node), "frontend" (push
-	// sealed tallies to RootAddr as NodeID), "root" (merge tallies
-	// from the Nodes barrier set, forcing partial seals after
-	// TallyTimeout), "merger" (both: merge the Nodes children, push
-	// each merged epoch upward to RootAddr as NodeID), or "standby"
-	// (tail the root's DataDir, promote when the root goes dark past
-	// PromoteAfter).
+	// Role names a rolePresets entry: the parts the server composes.
+	// The barrier merges tallies from the Nodes barrier set, forcing
+	// partial seals after TallyTimeout; the uplink pushes every sealed
+	// epoch to RootAddr as NodeID; the standby tails the root's DataDir
+	// and promotes when the root goes dark past PromoteAfter.
 	Role         string
 	NodeID       string
 	RootAddr     string
@@ -502,23 +495,19 @@ type streamServer struct {
 	wg      sync.WaitGroup
 	maxBody int64
 
-	// pusher is set on frontends and mergers: sealed epochs enqueue here
-	// and are delivered to the parent at-least-once. root is set on
-	// roots and mergers: the barrier driver behind POST /v1/tally.
-	// standby is set on standbys: the tail/health/promotion machinery,
-	// which installs a rootMerge of its own when it takes over. All nil
-	// on a single node.
+	// parts says which optional parts the server composes; each is set
+	// exactly when its part is present. pusher is the uplink: sealed
+	// epochs enqueue here and are delivered to the parent at-least-once.
+	// root is the barrier driver behind POST /v1/tally. standby is the
+	// tail/health/promotion machinery, which opens a barrier of its own
+	// when it takes over.
+	parts   serverParts
 	pusher  *tallyPusher
 	root    *rootMerge
 	standby *standbyControl
-	// leaveOnShutdown: the frontend announces its departure after the
-	// final flush, so the root's barrier stops expecting it.
+	// leaveOnShutdown: the leaf announces its departure after the final
+	// flush, so the parent's barrier stops expecting it.
 	leaveOnShutdown bool
-	// sealOnDrain: a shutdown drain seals the final epoch — except on a
-	// root or standby, whose epochs close on the frontends' clock;
-	// sealing there would advance the barrier past tallies still en
-	// route.
-	sealOnDrain bool
 
 	// sealMu serializes seals so ticker, /v1/seal and drain cannot
 	// interleave epoch boundaries.
@@ -602,28 +591,19 @@ func newStreamServer(cfg streamServerConfig) (*streamServer, error) {
 	if cfg.MaxBody < 64 {
 		return nil, fmt.Errorf("max body %d bytes is below a single report frame", cfg.MaxBody)
 	}
-	switch cfg.Role {
-	case "", roleFrontend, roleRoot, roleMerger, roleStandby:
-	default:
+	parts, ok := rolePresets[cfg.Role]
+	if !ok {
 		return nil, fmt.Errorf("unknown cluster role %q", cfg.Role)
 	}
 	if cfg.PromoteAfter <= 0 {
 		cfg.PromoteAfter = 10 * time.Second
 	}
 	if cfg.StandbyPoll <= 0 {
-		cfg.StandbyPoll = cfg.PromoteAfter / 4
-		if cfg.StandbyPoll > 500*time.Millisecond {
-			cfg.StandbyPoll = 500 * time.Millisecond
-		}
-		if cfg.StandbyPoll < 10*time.Millisecond {
-			cfg.StandbyPoll = 10 * time.Millisecond
-		}
+		cfg.StandbyPoll = min(max(cfg.PromoteAfter/4, 10*time.Millisecond), 500*time.Millisecond)
 	}
-	if cfg.Role == roleFrontend || cfg.Role == roleMerger {
-		// Frontends and interior mergers never identify targets: each
-		// sees only its subtree's slice of the population, and a
-		// partition-local z-score would drift from the merged view.
-		// Detection runs at the tree's root, over the full union.
+	if parts.uplink {
+		// Detection runs at the tree's root, over the full union: a node
+		// with an uplink sees only its subtree's slice of the population.
 		cfg.Stream.TargetK = -1
 	}
 	mgr, err := ldprecover.NewEpochManager(cfg.Stream)
@@ -631,11 +611,11 @@ func newStreamServer(cfg streamServerConfig) (*streamServer, error) {
 		return nil, err
 	}
 	s := &streamServer{
-		mgr:         mgr,
-		queue:       make(chan []byte, cfg.QueueLen),
-		maxBody:     cfg.MaxBody,
-		fatalc:      make(chan error, 1),
-		sealOnDrain: cfg.Role != roleRoot && cfg.Role != roleMerger && cfg.Role != roleStandby,
+		mgr:     mgr,
+		queue:   make(chan []byte, cfg.QueueLen),
+		maxBody: cfg.MaxBody,
+		fatalc:  make(chan error, 1),
+		parts:   parts,
 	}
 	s.foldFn = s.ingest
 	s.bufPool.New = func() any {
@@ -648,117 +628,24 @@ func newStreamServer(cfg streamServerConfig) (*streamServer, error) {
 		var b []byte
 		return &b
 	}
+	// The lease owner: the node id, or the preset's name for a root and
+	// an unnamed standby. One data directory per tree node.
+	owner := cfg.NodeID
+	if owner == "" {
+		owner = parts.name()
+	}
+	// A barrier or standby seals on its children's tallies; otherwise the
+	// ingest part seals, through its WAL when durable.
 	switch {
-	case cfg.Role == roleRoot, cfg.Role == roleMerger:
-		var (
-			snaps *ldprecover.SnapshotStore
-			slog  *ldprecover.SealLog
-			lease *ldprecover.Lease
-		)
-		if cfg.DataDir != "" {
-			// The lease first: a directory whose lease another root (or a
-			// promoted standby) is heartbeating must not be opened — two
-			// writers would fork the snapshot history. A merger owns its
-			// lease under its node id: one data directory per tree node.
-			owner := "root"
-			if cfg.Role == roleMerger {
-				owner = cfg.NodeID
-			}
-			lease, err = ldprecover.AcquireLease(cfg.DataDir, owner, cfg.PromoteAfter)
-			if err != nil {
-				return nil, fmt.Errorf("-role=%s with -data-dir %s: %w", cfg.Role, cfg.DataDir, err)
-			}
-			// Restore before the merger exists: the barrier resumes at
-			// the restored sealed-epoch watermark.
-			snaps, err = ldprecover.OpenSnapshotStore(cfg.DataDir, mgr, 0)
-			if err != nil {
-				return nil, errors.Join(fmt.Errorf("-role=%s with -data-dir %s: %w", cfg.Role, cfg.DataDir, err), lease.Release())
-			}
-			if slog, err = ldprecover.OpenSealLog(cfg.DataDir); err != nil {
-				return nil, errors.Join(err, lease.Release())
-			}
-		}
-		merger, err := ldprecover.NewSealedMerger(mgr, cfg.Nodes)
-		if err != nil {
+	case parts.barrier:
+		if s.root, err = openBarrier(cfg, owner, mgr, nil, s.reportFatal); err != nil {
 			return nil, err
-		}
-		if slog != nil {
-			// The journaled membership supersedes -nodes: joins and leaves
-			// acked before the restart must survive it.
-			if members, sched, ok := slog.Membership(); ok {
-				if err := merger.SetMembership(members, sched); err != nil {
-					return nil, errors.Join(fmt.Errorf("restoring seal-log membership: %w", err), lease.Release())
-				}
-				fmt.Printf("%s membership restored from seal-log: %v\n", cfg.Role, members)
-			}
-		}
-		s.root = newRootMerge(merger, snaps, slog, cfg.TallyTimeout, s.reportFatal)
-		if lease != nil {
-			s.root.startLease(lease, leaseHeartbeat(cfg.PromoteAfter))
 		}
 		s.sealFn = s.root.forceSeal
-		if cfg.Role == roleMerger {
-			// The upward half: every epoch this barrier seals is delivered
-			// to the parent as one merged tally under this merger's node
-			// id, at-least-once, after it has been persisted (the onSealed
-			// hook runs past the snapshot/seal-log writes) — so the parent
-			// never acks an epoch this node could forget. The queue bound
-			// is the ring's retention, as on a frontend.
-			urls := []string{cfg.RootAddr}
-			if cfg.StandbyAddr != "" {
-				urls = append(urls, cfg.StandbyAddr)
-			}
-			s.pusher = newTallyPusher(cfg.NodeID, urls, cfg.PushInterval, mgr.Config().History)
-			nodeID := cfg.NodeID
-			s.root.onSealed = func(epoch int) {
-				if eps := mgr.Epochs(); len(eps) > 0 {
-					last := eps[len(eps)-1]
-					if last.Seq == epoch {
-						s.pusher.enqueue(&ldprecover.Tally{
-							NodeID: nodeID, Epoch: last.Seq, Counts: last.Counts, Total: last.Total,
-						})
-					}
-				}
-			}
-			// At-least-once across restarts: re-send every retained merged
-			// epoch (the restored ring, on a durable merger); the parent
-			// dedupes what it has already merged. The merger's epoch clock
-			// is driven by its children, never resynced to the parent —
-			// skipping ahead would discard child tallies still en route.
-			for _, ep := range mgr.Epochs() {
-				s.pusher.enqueue(&ldprecover.Tally{
-					NodeID: nodeID, Epoch: ep.Seq, Counts: ep.Counts, Total: ep.Total,
-				})
-			}
-		}
-	case cfg.Role == roleStandby:
-		// Before cfg.DataDir: the standby's data dir is the *root's* —
-		// tailed read-only until promotion, never a report WAL.
-		streamCfg := cfg.Stream
-		tailer, err := ldprecover.NewStandbyTailer(cfg.DataDir, func() (*ldprecover.EpochManager, error) {
-			return ldprecover.NewEpochManager(streamCfg)
-		})
-		if err != nil {
+	case parts.standby:
+		if err := s.openStandby(cfg, owner); err != nil {
 			return nil, err
 		}
-		owner := cfg.NodeID
-		if owner == "" {
-			owner = "standby"
-		}
-		s.standby = &standbyControl{
-			tailer:       tailer,
-			dataDir:      cfg.DataDir,
-			rootAddr:     cfg.RootAddr,
-			owner:        owner,
-			fallback:     cfg.Nodes,
-			promoteAfter: cfg.PromoteAfter,
-			pollEvery:    cfg.StandbyPoll,
-			tallyTimeout: cfg.TallyTimeout,
-			client:       &http.Client{},
-			srv:          s,
-		}
-		s.sealFn = func() (*ldprecover.WindowEstimate, error) { return nil, errStandbyNotPromoted }
-		s.standby.start()
 	case cfg.DataDir != "":
 		s.store, err = ldprecover.OpenDurableStore(cfg.DataDir, mgr, ldprecover.DurableOptions{
 			SegmentBytes: cfg.SegmentBytes,
@@ -771,80 +658,9 @@ func newStreamServer(cfg streamServerConfig) (*streamServer, error) {
 	default:
 		s.sealFn = mgr.Seal
 	}
-	if cfg.Role == roleFrontend {
-		// The delivery queue's bound is the sealed-epoch ring's retention:
-		// a tally older than the ring would not survive a restart either.
-		urls := []string{cfg.RootAddr}
-		if cfg.StandbyAddr != "" {
-			urls = append(urls, cfg.StandbyAddr)
-		}
-		s.leaveOnShutdown = cfg.LeaveOnShutdown
-		s.pusher = newTallyPusher(cfg.NodeID, urls, cfg.PushInterval, mgr.Config().History)
-		// Every seal also enqueues the sealed epoch's tally for delivery.
-		// The clock resync first: if the root has sealed past this node's
-		// counter — it was down past the straggler timeout, or restarted
-		// without durable state — the next epoch rejoins the shared clock
-		// at the root's watermark instead of issuing stale indices the
-		// root would dedupe forever (the skipped indices have no epoch
-		// from this node, which is the truth).
-		base := s.sealFn
-		nodeID := cfg.NodeID
-		s.sealFn = func() (*ldprecover.WindowEstimate, error) {
-			s.mgr.AdvanceEpochTo(s.pusher.rootWatermark())
-			est, err := base()
-			if err != nil {
-				return est, err
-			}
-			if eps := mgr.Epochs(); len(eps) > 0 {
-				last := eps[len(eps)-1]
-				s.pusher.enqueue(&ldprecover.Tally{
-					NodeID: nodeID, Epoch: last.Seq, Counts: last.Counts, Total: last.Total,
-				})
-			}
-			return est, nil
-		}
-		// At-least-once across restarts: re-send every retained sealed
-		// epoch (the restored ring, on a durable frontend); the root
-		// dedupes what it has already merged.
-		for _, ep := range mgr.Epochs() {
-			s.pusher.enqueue(&ldprecover.Tally{
-				NodeID: nodeID, Epoch: ep.Seq, Counts: ep.Counts, Total: ep.Total,
-			})
-		}
-		if cfg.Join {
-			// Announce at boot, synchronously: the node must know its
-			// assigned epoch boundary before its first seal, or its early
-			// tallies would be rejected as from a non-member. The root
-			// answers its sealed watermark in the same round trip, so the
-			// joiner's clock aligns to the boundary it was given. Join is
-			// idempotent on the root — a re-announcing member just gets
-			// its standing boundary back.
-			jt := cfg.JoinTimeout
-			if jt <= 0 {
-				jt = 30 * time.Second
-			}
-			//ldplint:allow nowallclock join deadline bounds startup, not any deterministic path
-			deadline := time.Now().Add(jt)
-			for {
-				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				ar, err := s.pusher.announce(ctx, ldprecover.AnnounceJoin, 0)
-				cancel()
-				if err == nil {
-					mgr.AdvanceEpochTo(ar.Effective)
-					fmt.Printf("frontend %q joined: contributing from epoch %d\n", nodeID, ar.Effective)
-					break
-				}
-				//ldplint:allow nowallclock join deadline bounds startup, not any deterministic path
-				if time.Now().After(deadline) {
-					errs := errors.Join(fmt.Errorf("joining the cluster via %s: %w", s.pusher.url(), err), s.pusher.close())
-					if s.store != nil {
-						errs = errors.Join(errs, s.store.Close())
-					}
-					return nil, errs
-				}
-				//ldplint:allow nowallclock join retry backoff during startup
-				time.Sleep(200 * time.Millisecond)
-			}
+	if parts.uplink {
+		if err := s.openUplink(cfg); err != nil {
+			return nil, errors.Join(err, s.close())
 		}
 	}
 	for i := 0; i < cfg.Ingesters; i++ {
@@ -896,12 +712,12 @@ func (s *streamServer) handler() http.Handler {
 // manager returns the EpochManager reads should serve from: a standby
 // serves the promoted root's manager once it took over, the warm tailed
 // one before that (so /v1/estimate answers from the last snapshot even
-// pre-promotion), and every other role its own.
+// pre-promotion), and every other node its own.
 func (s *streamServer) manager() *ldprecover.EpochManager {
+	if root := s.currentRoot(); root != nil {
+		return root.merger.Manager()
+	}
 	if s.standby != nil {
-		if rm := s.standby.root.Load(); rm != nil {
-			return rm.merger.Manager()
-		}
 		if m := s.standby.tailer.Manager(); m != nil {
 			return m
 		}
@@ -927,10 +743,10 @@ func (s *streamServer) seal() (*ldprecover.WindowEstimate, error) {
 }
 
 // drain closes the ingest queue, waits for the workers to fold every
-// queued batch, and seals the final epoch. A root skips the seal (nil
-// estimate): its epochs close on the frontends' shared clock, and
-// sealing at shutdown would advance the barrier past tallies still en
-// route, turning their re-sends into stale duplicates.
+// queued batch, and seals the final epoch. A node whose epochs close on
+// its children's tallies skips the seal (nil estimate): sealing at
+// shutdown would advance the barrier past tallies still en route,
+// turning their re-sends into stale duplicates.
 func (s *streamServer) drain() (*ldprecover.WindowEstimate, error) {
 	s.drainMu.Lock()
 	if s.draining {
@@ -941,16 +757,16 @@ func (s *streamServer) drain() (*ldprecover.WindowEstimate, error) {
 	s.drainMu.Unlock()
 	close(s.queue)
 	s.wg.Wait()
-	if !s.sealOnDrain {
+	if s.parts.closesOnChildren() {
 		return nil, nil
 	}
 	return s.seal()
 }
 
-// close releases the role-specific machinery: the frontend's pusher
-// (after a bounded final flush, then the leave announcement if
-// configured), the root's lease, seal-log and snapshot store, the
-// standby's watch loop, the durable store.
+// close releases the parts: the uplink's pusher (after a bounded final
+// flush, then the leave announcement if configured), the standby's
+// watch loop, the barrier's lease, seal-log and snapshot store, and the
+// durable store.
 func (s *streamServer) close() error {
 	var errs []error
 	if s.pusher != nil {
@@ -971,14 +787,11 @@ func (s *streamServer) close() error {
 			cancel()
 		}
 	}
-	if s.root != nil {
-		errs = append(errs, s.root.stop())
-	}
 	if s.standby != nil {
 		s.standby.stop()
-		if rm := s.standby.root.Load(); rm != nil {
-			errs = append(errs, rm.stop())
-		}
+	}
+	if root := s.currentRoot(); root != nil {
+		errs = append(errs, root.stop())
 	}
 	if s.store != nil {
 		errs = append(errs, s.store.Close())
@@ -1010,7 +823,7 @@ func (s *streamServer) handleReports(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST a report batch")
 		return
 	}
-	if s.root != nil || s.standby != nil {
+	if s.parts.closesOnChildren() {
 		httpError(w, http.StatusConflict,
 			"this node merges sealed tallies (/v1/tally), it does not ingest report batches; POST them to a frontend")
 		return
@@ -1063,6 +876,22 @@ func (s *streamServer) handleReports(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// readBody reads a request body of at most -max-body bytes. On a read
+// error it answers 413 (over the cap) or 400 and reports false.
+func (s *streamServer) readBody(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, "reading %s: %v", what, err)
+		return nil, false
+	}
+	return body, true
+}
+
 // partialResponse acknowledges an accepted partial tally.
 type partialResponse struct {
 	// Users is how many users' reports the partial pre-aggregated.
@@ -1078,19 +907,13 @@ func (s *streamServer) handlePartial(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST a partial tally")
 		return
 	}
-	if s.root != nil || s.standby != nil {
+	if s.parts.closesOnChildren() {
 		httpError(w, http.StatusConflict,
 			"this node merges sealed tallies (/v1/tally), it does not ingest partial tallies; POST them to a frontend")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, "reading body: %v", err)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "reading body: %v", err)
+	body, ok := s.readBody(w, r, "body")
+	if !ok {
 		return
 	}
 	p, err := ldprecover.UnmarshalPartial(body)
@@ -1234,8 +1057,9 @@ type statsResponse struct {
 	// "generic", so a throughput number can be read against the code
 	// that produced it.
 	OLHKernel string `json:"olh_kernel"`
-	// Cluster is the role-specific section: the frontend's push state
-	// or the root's barrier/merge accounting. Omitted on a single node.
+	// Cluster is the parts' section: the uplink's push state, the
+	// barrier's merge accounting, the standby's tail or promotion.
+	// Omitted on a single node.
 	Cluster *clusterStatsResponse `json:"cluster,omitempty"`
 }
 

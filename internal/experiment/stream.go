@@ -3,8 +3,6 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"slices"
-	"sort"
 
 	"ldprecover/internal/attack"
 	"ldprecover/internal/dataset"
@@ -51,55 +49,8 @@ type StreamScenario struct {
 	MinHistory  int
 	// Eta is LDPRecover's assumed malicious/genuine ratio.
 	Eta float64
-	// Frontends splits each epoch's population across this many
-	// frontend ingest nodes whose sealed tallies merge at a root
-	// through the epoch barrier (the scale-out collection tier,
-	// DESIGN.md §7); <= 1 runs the single-node pipeline. The per-epoch
-	// metrics are bit-identical either way — tally merging is exact —
-	// which TestRunStreamClusterEquivalence pins.
-	Frontends int
-	// Churn schedules membership changes for the cluster tier: each
-	// event joins or retires one frontend at its epoch boundary, and
-	// the epoch's population is partitioned across whichever nodes are
-	// members when it is collected. Because the union aggregate is
-	// simulated before partitioning, churn cannot change the merged
-	// bits — TestRunStreamChurnEquivalence pins that a churning
-	// cluster matches the single-node run exactly. Requires
-	// Frontends > 1.
-	Churn []ChurnEvent
-	// Tree arranges the cluster as a two-level aggregation tree
-	// (DESIGN.md §9): entry i is the number of frontends under interior
-	// merger m-i, and the root merges the mergers' merged tallies
-	// instead of the frontends' directly. Each merger runs its own
-	// epoch manager (detection disabled — it sees only its subtree) and
-	// propagates every sealed epoch upward as one tally, so the root's
-	// per-epoch metrics stay bit-identical to the flat and single-node
-	// runs — TestRunStreamTreeEquivalence pins it. Empty runs flat;
-	// mutually exclusive with Frontends, Churn, and Presum.
-	Tree []int
-	// Presum splits each epoch's population across this many edge
-	// collectors (the tally-first ingest SDK, DESIGN.md §8): every
-	// partition folds locally through a Collector, flushes a wire-coded
-	// partial tally hinted at the current epoch, and the manager ingests
-	// the decoded partials instead of the union aggregate. Counts are
-	// additive, so the per-epoch metrics are bit-identical to the
-	// count-level run — TestRunStreamPresumEquivalence pins it. <= 1
-	// ingests the union directly; requires Frontends <= 1 (partials
-	// target a collecting node, not the tally-merging root).
-	Presum int
 	// Seed drives the whole stream deterministically.
 	Seed uint64
-}
-
-// ChurnEvent is one scheduled membership change: at the start of epoch
-// Epoch the named frontend joins the cluster (or, with Leave set,
-// stops contributing from that epoch on). Joins of standing members
-// and repeated leaves are idempotent, mirroring the announcement
-// semantics of the serving tier.
-type ChurnEvent struct {
-	Epoch int
-	Node  string
-	Leave bool
 }
 
 // withDefaults fills zero fields with the paper's defaults and a
@@ -152,40 +103,6 @@ func (s StreamScenario) validate() error {
 	}
 	if s.RampEpochs < 1 {
 		return fmt.Errorf("experiment: ramp of %d epochs", s.RampEpochs)
-	}
-	if s.Frontends < 0 || s.Frontends > 1<<10 {
-		return fmt.Errorf("experiment: %d frontends outside [0, %d]", s.Frontends, 1<<10)
-	}
-	if len(s.Churn) > 0 && s.Frontends <= 1 {
-		return fmt.Errorf("experiment: churn schedule needs a cluster (Frontends > 1)")
-	}
-	if s.Presum < 0 || s.Presum > 1<<10 {
-		return fmt.Errorf("experiment: %d edge collectors outside [0, %d]", s.Presum, 1<<10)
-	}
-	if s.Presum > 1 && s.Frontends > 1 {
-		return fmt.Errorf("experiment: Presum partials feed a collecting node, not the cluster root; use one or the other")
-	}
-	if len(s.Tree) > 0 {
-		if s.Frontends > 1 || len(s.Churn) > 0 || s.Presum > 1 {
-			return fmt.Errorf("experiment: Tree replaces the flat cluster; it excludes Frontends, Churn, and Presum")
-		}
-		if len(s.Tree) > 1<<10 {
-			return fmt.Errorf("experiment: %d tree mergers outside [1, %d]", len(s.Tree), 1<<10)
-		}
-		for i, k := range s.Tree {
-			if k < 1 || k > 1<<10 {
-				return fmt.Errorf("experiment: tree merger %d has %d frontends outside [1, %d]", i, k, 1<<10)
-			}
-		}
-	}
-	for _, ev := range s.Churn {
-		if ev.Node == "" {
-			return fmt.Errorf("experiment: churn event at epoch %d has no node id", ev.Epoch)
-		}
-		if ev.Epoch < 0 || ev.Epoch >= s.Epochs {
-			return fmt.Errorf("experiment: churn event for %q at epoch %d outside the %d-epoch stream",
-				ev.Node, ev.Epoch, s.Epochs)
-		}
 	}
 	return nil
 }
@@ -260,103 +177,9 @@ func RunStream(s StreamScenario) (*StreamMetrics, error) {
 		return nil, err
 	}
 
-	// Cluster mode: a merger in front of the manager, fed one tally per
-	// frontend per epoch. The epoch's aggregate is simulated once and
-	// partitioned afterwards, exactly as disjoint user populations would
-	// partition it, so single-node and cluster runs consume the same
-	// randomness and must produce the same bits.
-	var merger *stream.SealedMerger
-	var feNodes []string
-	if s.Frontends > 1 {
-		feNodes = make([]string, s.Frontends)
-		for i := range feNodes {
-			feNodes[i] = fmt.Sprintf("fe-%d", i)
-		}
-		if merger, err = stream.NewSealedMerger(mgr, feNodes); err != nil {
-			return nil, err
-		}
-	}
-
-	// Tree mode: each interior merger folds its subtree's tallies into
-	// its own manager (detection disabled, as on a -role=merger server —
-	// a subtree-local z-score would drift from the merged view) and the
-	// sealed result propagates upward as one tally, mirroring the
-	// serving tier's onSealed push.
-	type treeMerger struct {
-		id     string
-		mgr    *stream.EpochManager
-		sm     *stream.SealedMerger
-		leaves []string
-	}
-	var tree []treeMerger
-	if len(s.Tree) > 0 {
-		mergerIDs := make([]string, len(s.Tree))
-		tree = make([]treeMerger, len(s.Tree))
-		leaf := 0
-		for i, k := range s.Tree {
-			mergerIDs[i] = fmt.Sprintf("m-%d", i)
-			subMgr, err := stream.NewEpochManager(stream.Config{
-				Params:  proto.Params(),
-				Window:  1,
-				History: 1,
-				Eta:     s.Eta,
-				TargetK: -1,
-			})
-			if err != nil {
-				return nil, err
-			}
-			leaves := make([]string, k)
-			for j := range leaves {
-				leaves[j] = fmt.Sprintf("fe-%d", leaf)
-				leaf++
-			}
-			subSM, err := stream.NewSealedMerger(subMgr, leaves)
-			if err != nil {
-				return nil, err
-			}
-			tree[i] = treeMerger{id: mergerIDs[i], mgr: subMgr, sm: subSM, leaves: leaves}
-		}
-		if merger, err = stream.NewSealedMerger(mgr, mergerIDs); err != nil {
-			return nil, err
-		}
-	}
-
-	// The churn schedule drains in epoch order; events sharing an epoch
-	// apply in the order given.
-	churn := append([]ChurnEvent(nil), s.Churn...)
-	sort.SliceStable(churn, func(i, j int) bool { return churn[i].Epoch < churn[j].Epoch })
-
 	out := &StreamMetrics{TrueTargets: targets, StarEngagedAt: -1}
 	var cleanEst []float64
 	for e := 0; e < s.Epochs; e++ {
-		// Membership changes take effect at the boundary, before the
-		// epoch's population is partitioned: a joiner contributes from
-		// its effective epoch, a leaver contributes nothing from its.
-		for len(churn) > 0 && churn[0].Epoch == e {
-			ev := churn[0]
-			churn = churn[1:]
-			if ev.Leave {
-				if _, _, err := merger.Leave(ev.Node, e); err != nil {
-					return nil, err
-				}
-				feNodes = slices.DeleteFunc(feNodes, func(n string) bool { return n == ev.Node })
-			} else {
-				effective, err := merger.Join(ev.Node)
-				if err != nil {
-					return nil, err
-				}
-				if effective != e {
-					// Between epochs the barrier is empty, so a boundary
-					// join is always immediate; anything else means the
-					// simulation lost sync with the merger.
-					return nil, fmt.Errorf("experiment: join of %q at epoch %d became effective at %d",
-						ev.Node, e, effective)
-				}
-				if !slices.Contains(feNodes, ev.Node) {
-					feNodes = append(feNodes, ev.Node)
-				}
-			}
-		}
 		union, err := ldp.BatchSimulate(proto, r, s.Dataset.Counts, 1)
 		if err != nil {
 			return nil, err
@@ -373,99 +196,13 @@ func RunStream(s StreamScenario) (*StreamMetrics, error) {
 			}
 			total += m
 		}
-		var est *stream.WindowEstimate
-		if merger == nil {
-			if s.Presum > 1 {
-				// Tally-first ingest: each partition pre-aggregates at an
-				// edge Collector and travels as a wire-coded partial tally
-				// hinted at the current epoch — the full SDK → codec →
-				// AddPartial path, not a shortcut around it.
-				parts, totals := splitCounts(union, total, s.Presum)
-				for j := range parts {
-					col, err := ldp.NewCollector(fmt.Sprintf("edge-%d", j), d)
-					if err != nil {
-						return nil, err
-					}
-					if err := col.AddCounts(parts[j], totals[j]); err != nil {
-						return nil, err
-					}
-					frame, err := col.Flush(e)
-					if err != nil {
-						return nil, err
-					}
-					p, err := ldp.UnmarshalPartial(frame)
-					if err != nil {
-						return nil, err
-					}
-					if err := mgr.AddPartial(p); err != nil {
-						return nil, err
-					}
-				}
-			} else if err := mgr.AddCounts(union, total); err != nil {
-				return nil, err
-			}
-			if est, err = mgr.Seal(); err != nil {
-				return nil, err
-			}
-		} else if len(tree) > 0 {
-			// Two-level tree: the leaves' tallies fold at their merger,
-			// each merger's sealed epoch propagates upward as one tally,
-			// and the root's barrier completes over the mergers.
-			nLeaf := 0
-			for _, tm := range tree {
-				nLeaf += len(tm.leaves)
-			}
-			parts, totals := splitCounts(union, total, nLeaf)
-			leaf := 0
-			for _, tm := range tree {
-				for _, node := range tm.leaves {
-					if _, err := tm.sm.MergeSealed(&ldp.Tally{
-						NodeID: node, Epoch: e, Counts: parts[leaf], Total: totals[leaf],
-					}); err != nil {
-						return nil, err
-					}
-					leaf++
-				}
-				subEst, subInfo, err := tm.sm.TrySeal()
-				if err != nil {
-					return nil, err
-				}
-				if subEst == nil || len(subInfo.Missing) != 0 {
-					return nil, fmt.Errorf("experiment: epoch %d merger %s barrier incomplete (%+v)", e, tm.id, subInfo)
-				}
-				ring := tm.mgr.Epochs()
-				sealed := ring[len(ring)-1]
-				if _, err := merger.MergeSealed(&ldp.Tally{
-					NodeID: tm.id, Epoch: e, Counts: sealed.Counts, Total: sealed.Total,
-				}); err != nil {
-					return nil, err
-				}
-			}
-			var info *stream.MergedEpoch
-			if est, info, err = merger.TrySeal(); err != nil {
-				return nil, err
-			}
-			if est == nil || len(info.Missing) != 0 {
-				return nil, fmt.Errorf("experiment: epoch %d root barrier incomplete (%+v)", e, info)
-			}
-		} else {
-			parts, totals := splitCounts(union, total, len(feNodes))
-			for j, node := range feNodes {
-				if _, err := merger.MergeSealed(&ldp.Tally{
-					NodeID: node, Epoch: e, Counts: parts[j], Total: totals[j],
-				}); err != nil {
-					return nil, err
-				}
-			}
-			var info *stream.MergedEpoch
-			if est, info, err = merger.TrySeal(); err != nil {
-				return nil, err
-			}
-			if est == nil || len(info.Missing) != 0 {
-				return nil, fmt.Errorf("experiment: epoch %d barrier incomplete (%+v)", e, info)
-			}
+		if err := mgr.AddCounts(union, total); err != nil {
+			return nil, err
 		}
-
+		est, err := mgr.Seal()
+		if err != nil {
+			return nil, err
+		}
 		pt := StreamPoint{
 			Epoch:            est.Seq,
 			Beta:             float64(m) / float64(n+m),
@@ -497,36 +234,6 @@ func RunStream(s StreamScenario) (*StreamMetrics, error) {
 		out.Points = append(out.Points, pt)
 	}
 	return out, nil
-}
-
-// splitCounts deterministically partitions a union aggregate across k
-// frontends, as if the reporting users were dealt round-robin: part j
-// takes count/k per item plus one of the first count%k remainders, and
-// the report total splits the same way. The parts sum back to the
-// union exactly — the additivity the scale-out tier is built on.
-func splitCounts(counts []int64, total int64, k int) (parts [][]int64, totals []int64) {
-	parts = make([][]int64, k)
-	for j := range parts {
-		parts[j] = make([]int64, len(counts))
-	}
-	totals = make([]int64, k)
-	for v, c := range counts {
-		base, rem := c/int64(k), c%int64(k)
-		for j := range parts {
-			parts[j][v] = base
-			if int64(j) < rem {
-				parts[j][v]++
-			}
-		}
-	}
-	base, rem := total/int64(k), total%int64(k)
-	for j := range totals {
-		totals[j] = base
-		if int64(j) < rem {
-			totals[j]++
-		}
-	}
-	return parts, totals
 }
 
 // rampBeta is the malicious fraction scheduled for epoch e: zero before

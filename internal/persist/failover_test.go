@@ -373,3 +373,55 @@ func TestStandbyPromoteEmptyDirFallsBack(t *testing.T) {
 		t.Fatal("promotion with no membership source accepted")
 	}
 }
+
+// TestStandbyPollLeavesRootTempFiles: a standby tailing the root's
+// directory only reads. A poll that lands while the root is between
+// writing a snapshot's temp file and renaming it must leave that file
+// alone — deleting it made the root's rename fail, which fail-stopped
+// the root with its persisted watermark one epoch behind.
+func TestStandbyPollLeavesRootTempFiles(t *testing.T) {
+	const d = 8
+	dir := t.TempDir()
+	rootMgr, err := stream.NewEpochManager(failoverStreamConfig(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := OpenSnapshotStore(dir, rootMgr, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snaps.Close()
+	if _, err := rootMgr.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := snaps.Persist(); err != nil {
+		t.Fatal(err)
+	}
+	// The root's next snapshot, written but not yet renamed.
+	inFlight := filepath.Join(dir, "snap", snapPrefix+"00000000000000000009"+snapSuffix+".tmp")
+	if err := os.WriteFile(inFlight, []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tailer, err := NewStandbyTailer(dir, func() (*stream.EpochManager, error) {
+		return stream.NewEpochManager(failoverStreamConfig(d))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adv, err := tailer.Poll(); err != nil || !adv {
+		t.Fatalf("poll: adv=%v err=%v", adv, err)
+	}
+	if _, err := os.Stat(inFlight); err != nil {
+		t.Fatalf("the standby's poll removed the root's in-flight snapshot: %v", err)
+	}
+	// The writer's own prune is what sweeps a temp file left behind.
+	if _, err := rootMgr.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := snaps.Persist(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(inFlight); !os.IsNotExist(err) {
+		t.Fatalf("the root's prune left a stale temp file: %v", err)
+	}
+}

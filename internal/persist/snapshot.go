@@ -270,8 +270,10 @@ type snapFile struct {
 	path string
 }
 
-// listSnapshots returns the snapshot files in dir, newest first, and
-// removes leftover temp files from interrupted writes.
+// listSnapshots returns the snapshot files in dir, newest first. It
+// only reads: a standby tails a directory whose root may be between
+// writing a snapshot's temp file and renaming it, so sweeping temp files
+// is left to the writer (pruneSnapshots).
 func listSnapshots(dir string) ([]snapFile, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -280,14 +282,7 @@ func listSnapshots(dir string) ([]snapFile, error) {
 	var snaps []snapFile
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, snapPrefix) {
-			continue
-		}
-		if strings.HasSuffix(name, ".tmp") {
-			os.Remove(filepath.Join(dir, name))
-			continue
-		}
-		if !strings.HasSuffix(name, snapSuffix) {
+		if e.IsDir() || !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, snapSuffix) {
 			continue
 		}
 		seq, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, snapPrefix), snapSuffix), 10, 64)
@@ -355,8 +350,17 @@ func validSnapshots(dir string) ([]snapMeta, error) {
 	return metas, nil
 }
 
-// pruneSnapshots deletes all but the newest keep snapshot files.
+// pruneSnapshots deletes all but the newest keep snapshot files, and
+// the temp files of interrupted writes. Only the directory's one writer
+// calls it, after its own write has been renamed into place.
 func pruneSnapshots(dir string, keep int) error {
+	tmps, err := filepath.Glob(filepath.Join(dir, snapPrefix+"*"+snapSuffix+".tmp"))
+	if err != nil {
+		return err
+	}
+	for _, tmp := range tmps {
+		os.Remove(tmp)
+	}
 	snaps, err := listSnapshots(dir)
 	if err != nil {
 		return err

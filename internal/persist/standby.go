@@ -62,7 +62,7 @@ func (t *StandbyTailer) Poll() (advanced bool, err error) {
 		return false, err
 	}
 	if err := mgr.RestoreState(state); err != nil {
-		return false, fmt.Errorf("persist: standby restoring snapshot seq %d: %w", state.Seq, err)
+		return false, fmt.Errorf("persist: restoring snapshot seq %d: %w", state.Seq, err)
 	}
 	t.mgr, t.snapSeq, t.hasState = mgr, state.Seq, true
 	return true, nil
@@ -103,7 +103,8 @@ func (t *StandbyTailer) Membership(fallback []string) (members []string, sched [
 // Promote builds the promoted root's merger: the warm manager (or a
 // fresh empty one when the dead root never sealed) wrapped in a
 // SealedMerger resuming at the snapshot's watermark, expecting the
-// seal-log's membership. The caller acquires the lease first.
+// seal-log's membership. A root booting over its own directory restores
+// the same way. The caller acquires the lease first.
 func (t *StandbyTailer) Promote(fallback []string) (*stream.SealedMerger, error) {
 	if _, err := t.Poll(); err != nil {
 		return nil, err

@@ -191,30 +191,9 @@ func BenchmarkRootSealLatency(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// Deal the union round-robin: part j gets count/nodes per item
-			// plus one of the first count%nodes remainders, like the
-			// experiment harness's splitCounts — the parts sum back to the
-			// union exactly, whatever the fan-in.
-			tallies := make([]*ldp.Tally, nodes)
-			for i, n := range ids {
-				tallies[i] = &ldp.Tally{NodeID: n, Epoch: 0, Counts: make([]int64, d)}
-			}
-			for v, c := range union.Counts {
-				base, rem := c/int64(nodes), c%int64(nodes)
-				for j := range tallies {
-					tallies[j].Counts[v] = base
-					if int64(j) < rem {
-						tallies[j].Counts[v]++
-					}
-				}
-			}
-			base, rem := union.Total/int64(nodes), union.Total%int64(nodes)
-			for j := range tallies {
-				tallies[j].Total = base
-				if int64(j) < rem {
-					tallies[j].Total++
-				}
-			}
+			// The parts sum back to the union exactly, whatever the
+			// fan-in.
+			tallies := dealTallies(union.Counts, union.Total, 0, ids)
 			b.SetBytes(int64(8 * d))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"ldprecover/internal/attack"
 	"ldprecover/internal/ldp"
 	"ldprecover/internal/rng"
 )
@@ -116,6 +117,163 @@ func TestSealedMergerBitIdenticalToSingleNode(t *testing.T) {
 	}
 	if st := merger.SealedThrough(); st != epochs {
 		t.Fatalf("sealed through %d epochs, want %d", st, epochs)
+	}
+}
+
+// dealTallies partitions a union aggregate across the nodes ids as if
+// the reporting users were dealt round-robin: node j takes count/k per
+// item plus one of the first count%k remainders, and the report total
+// splits the same way. The tallies sum back to the union exactly.
+func dealTallies(counts []int64, total int64, epoch int, ids []string) []*ldp.Tally {
+	k := int64(len(ids))
+	tallies := make([]*ldp.Tally, len(ids))
+	for j, id := range ids {
+		tallies[j] = &ldp.Tally{NodeID: id, Epoch: epoch, Counts: make([]int64, len(counts)), Total: total / k}
+		if int64(j) < total%k {
+			tallies[j].Total++
+		}
+	}
+	for v, c := range counts {
+		for j, tl := range tallies {
+			tl.Counts[v] = c / k
+			if int64(j) < c%k {
+				tl.Counts[v]++
+			}
+		}
+	}
+	return tallies
+}
+
+// TestSealedMergerTreeBitIdenticalToSingleNode: a root SealedMerger fed
+// the sealed epochs of interior SealedMergers — balanced, skewed and
+// single-child two-level trees — produces, epoch for epoch, exactly the
+// estimates of one manager fed the union, over a stream whose MGA
+// attack ramps up mid-way and engages LDPRecover*. Each interior merger
+// runs its own manager with detection off, as a -role=merger server
+// does, and pushes every sealed epoch upward as one tally.
+func TestSealedMergerTreeBitIdenticalToSingleNode(t *testing.T) {
+	const d, epochs, attackAt = 48, 10, 5
+	proto, err := ldp.NewOUE(d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Params: proto.Params(), Window: 1, History: epochs, TargetK: 2, StableAfter: 2, MinHistory: 2}
+	mga, err := attack.NewMGA([]int{7, 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trueCounts := make([]int64, d)
+	var n int64
+	for v := range trueCounts {
+		trueCounts[v] = int64(300 + 40*(v%7))
+		n += trueCounts[v]
+	}
+	// The union stream, simulated once: every shape and the single
+	// manager consume the same aggregates.
+	r := rng.New(99)
+	unions := make([][]int64, epochs)
+	totals := make([]int64, epochs)
+	for e := range unions {
+		if unions[e], err = ldp.BatchSimulate(proto, r, trueCounts, 1); err != nil {
+			t.Fatal(err)
+		}
+		totals[e] = n
+		if e >= attackAt {
+			m := n * int64(min(e-attackAt+1, 3)) / 30 // ramp to 10% over three epochs
+			mal, err := mga.CraftCounts(r, proto, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v, c := range mal {
+				unions[e][v] += c
+			}
+			totals[e] += m
+		}
+	}
+	single, err := NewEpochManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []*WindowEstimate
+	for e := range unions {
+		if err := single.AddCounts(unions[e], totals[e]); err != nil {
+			t.Fatal(err)
+		}
+		est, err := single.Seal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, est)
+	}
+	if !single.Latest().PartialKnowledge {
+		t.Fatal("scenario never engaged LDPRecover*; the equivalence check is vacuous")
+	}
+
+	for _, shape := range [][]int{{3, 3}, {1, 4, 2}, {1}} {
+		t.Run(fmt.Sprint(shape), func(t *testing.T) {
+			type interior struct {
+				sm     *SealedMerger
+				leaves []string
+			}
+			var (
+				mids   []interior
+				midIDs []string
+				leaves []string
+			)
+			for i, k := range shape {
+				sub, err := NewEpochManager(Config{Params: proto.Params(), Window: 1, History: 1, TargetK: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ids []string
+				for range k {
+					ids = append(ids, fmt.Sprintf("fe-%d", len(leaves)))
+					leaves = append(leaves, ids[len(ids)-1])
+				}
+				sm, err := NewSealedMerger(sub, ids)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mids = append(mids, interior{sm, ids})
+				midIDs = append(midIDs, fmt.Sprintf("m-%d", i))
+			}
+			rootMgr, err := NewEpochManager(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root, err := NewSealedMerger(rootMgr, midIDs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for e := range unions {
+				parts := dealTallies(unions[e], totals[e], e, leaves)
+				for i, mid := range mids {
+					for range mid.leaves {
+						if _, err := mid.sm.MergeSealed(parts[0]); err != nil {
+							t.Fatal(err)
+						}
+						parts = parts[1:]
+					}
+					if est, info, err := mid.sm.TrySeal(); err != nil || est == nil || len(info.Missing) != 0 {
+						t.Fatalf("epoch %d: merger %s barrier incomplete: est=%v info=%+v err=%v", e, midIDs[i], est, info, err)
+					}
+					ring := mid.sm.Manager().Epochs()
+					sealed := ring[len(ring)-1]
+					if _, err := root.MergeSealed(&ldp.Tally{
+						NodeID: midIDs[i], Epoch: sealed.Seq, Counts: sealed.Counts, Total: sealed.Total,
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got, info, err := root.TrySeal()
+				if err != nil || got == nil || len(info.Missing) != 0 {
+					t.Fatalf("epoch %d: root barrier incomplete: est=%v info=%+v err=%v", e, got, info, err)
+				}
+				if !reflect.DeepEqual(got, want[e]) {
+					t.Fatalf("epoch %d: tree estimate diverged from single node\ngot  %+v\nwant %+v", e, got, want[e])
+				}
+			}
+		})
 	}
 }
 
