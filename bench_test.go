@@ -1,7 +1,6 @@
 package ldprecover_test
 
 import (
-	"fmt"
 	"math"
 	"path/filepath"
 	"runtime"
@@ -424,7 +423,7 @@ func ingestWorkload(b *testing.B) (ldprecover.Protocol, []int64, []ldprecover.Re
 //     report-level speedup the batched ingest contributes on its own);
 //   - sharded-reports: concurrent chunked ingest through
 //     ShardedAccumulator.AddBatch from GOMAXPROCS goroutines;
-//   - batch-counts: the batch perturbation fast path, which never
+//   - batch-counts: the count-level path (SimulateGenuineCounts), which never
 //     materializes reports at all (population -> aggregate counts).
 func BenchmarkShardedIngest(b *testing.B) {
 	proto, trueCounts, reports := ingestWorkload(b)
@@ -510,7 +509,7 @@ func BenchmarkShardedIngest(b *testing.B) {
 		}
 		for i := 0; i < b.N; i++ {
 			r := ldprecover.NewRand(uint64(i) + 1)
-			counts, err := ldprecover.BatchSimulate(proto, r, trueCounts, 0)
+			counts, err := proto.SimulateGenuineCounts(r, trueCounts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -526,21 +525,6 @@ func BenchmarkShardedIngest(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkBatchSimulateWorkers measures the batch perturbation fast
-// path's scaling across worker counts on the ingest population.
-func BenchmarkBatchSimulateWorkers(b *testing.B) {
-	proto, trueCounts, _ := ingestWorkload(b)
-	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ldprecover.BatchSimulate(proto, ldprecover.NewRand(uint64(i)+1), trueCounts, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkWireRoundTrip measures report serialization.
@@ -564,60 +548,6 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkShardedReadPath pins the cached merged-snapshot read path:
-//
-//   - cached: repeated Estimate calls on a quiet accumulator — only the
-//     first read after an ingest merges the shards, the rest hit the
-//     cache (the fix for the old full-merge-per-read cost);
-//   - invalidated: an ingest lands between reads, so every Counts call
-//     pays the O(shards·d) re-merge — the old behaviour's cost on every
-//     read, quiet or not.
-//
-// The shard count is fixed at a serving-box 32 rather than this machine's
-// GOMAXPROCS so the merge the cache elides is the one a loaded server
-// actually pays.
-func BenchmarkShardedReadPath(b *testing.B) {
-	const d, shards = 4096, 32
-	counts := make([]int64, d)
-	for v := range counts {
-		counts[v] = int64(50 + v%97)
-	}
-	newLoaded := func(b *testing.B) *ldprecover.ShardedAccumulator {
-		b.Helper()
-		sa, err := ldprecover.NewShardedAccumulator(d, shards)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sa.AddCounts(counts, 1<<20); err != nil {
-			b.Fatal(err)
-		}
-		return sa
-	}
-
-	b.Run("cached", func(b *testing.B) {
-		sa := newLoaded(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if got := sa.Counts(); len(got) != d {
-				b.Fatal("short counts")
-			}
-		}
-	})
-
-	b.Run("invalidated", func(b *testing.B) {
-		sa := newLoaded(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := sa.Add(ldp.GRRReport(i % d)); err != nil {
-				b.Fatal(err)
-			}
-			if got := sa.Counts(); len(got) != d {
-				b.Fatal("short counts")
-			}
-		}
-	})
 }
 
 // BenchmarkSealEpoch measures the epoch-boundary primitive on a loaded

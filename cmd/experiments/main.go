@@ -10,47 +10,60 @@
 // At -scale 1 the datasets match the paper's sizes (389,894 and 667,574
 // users); figures that need report-level simulation (fig3, fig4) take a
 // few minutes there. Smaller scales preserve the qualitative shapes.
+// Grid cells and the trials within a cell run in parallel; the output at
+// a fixed seed is the same at any core count.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
 	"ldprecover/internal/experiment"
 )
 
-func main() {
+// defaultSeed is experiment.Config's zero-value seed.
+const defaultSeed = 20240403
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run regenerates the experiments args select onto stdout and returns
+// the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
 	var (
-		exps    = flag.String("exp", "all", "comma-separated experiment ids (see -list), 'all', or 'ablation:<id>'")
-		scale   = flag.Float64("scale", 1.0, "dataset scale factor (1 = paper scale)")
-		trials  = flag.Int("trials", experiment.DefaultTrials, "trials per experimental cell")
-		seed    = flag.Uint64("seed", 20240403, "random seed")
-		workers = flag.Int("workers", 1, "per-trial batch-simulation goroutines (1 = sequential, 0 = GOMAXPROCS)")
-		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		list    = flag.Bool("list", false, "list available experiment ids and exit")
+		exps   = fs.String("exp", "all", "comma-separated experiment ids (see -list), 'all', or 'ablation:<id>'")
+		scale  = fs.Float64("scale", 1.0, "dataset scale factor (1 = paper scale)")
+		trials = fs.Int("trials", experiment.DefaultTrials, "trials per experimental cell (0 = paper default)")
+		seed   = fs.Uint64("seed", defaultSeed, "random seed (0 = default)")
+		csv    = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		list   = fs.Bool("list", false, "list available experiment ids and exit")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag exits here, like flag.Parse
 
 	if *list {
-		fmt.Println("experiments (paper tables/figures):")
+		fmt.Fprintln(stdout, "experiments (paper tables/figures):")
 		for _, id := range experiment.RegistryOrder {
-			fmt.Printf("  %s\n", id)
+			fmt.Fprintf(stdout, "  %s\n", id)
 		}
-		fmt.Println("ablations (prefix with 'ablation:'):")
+		fmt.Fprintln(stdout, "ablations (prefix with 'ablation:'):")
 		for _, id := range experiment.AblationOrder {
-			fmt.Printf("  ablation:%s\n", id)
+			fmt.Fprintf(stdout, "  ablation:%s\n", id)
 		}
-		return
+		return 0
 	}
 
-	if *workers <= 0 {
-		*workers = runtime.GOMAXPROCS(0)
+	// Zero flags select the generators' defaults; resolve them here so the
+	// run footer names the values the tables were computed with.
+	cfg := experiment.Config{
+		Scale:  cmp.Or(*scale, 1),
+		Trials: cmp.Or(*trials, experiment.DefaultTrials),
+		Seed:   cmp.Or(*seed, defaultSeed),
 	}
-	cfg := experiment.Config{Scale: *scale, Trials: *trials, Seed: *seed, Workers: *workers}
 
 	var ids []string
 	if *exps == "all" {
@@ -64,8 +77,8 @@ func main() {
 		}
 	}
 	if len(ids) == 0 {
-		fmt.Fprintln(os.Stderr, "experiments: nothing to run (see -list)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "experiments: nothing to run (see -list)")
+		return 2
 	}
 
 	for _, id := range ids {
@@ -74,26 +87,27 @@ func main() {
 			gen = experiment.AblationRegistry[strings.TrimPrefix(id, "ablation:")]
 		}
 		if gen == nil {
-			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (see -list)\n", id)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "experiments: unknown experiment %q (see -list)\n", id)
+			return 2
 		}
 		//ldplint:allow nowallclock wall-time measurement for the run report only
 		start := time.Now()
 		tables, err := gen(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", id, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "experiments: %s: %v\n", id, err)
+			return 1
 		}
 		for _, t := range tables {
 			if *csv {
-				fmt.Printf("# %s\n%s\n", t.Title, t.CSV())
+				fmt.Fprintf(stdout, "# %s\n%s\n", t.Title, t.CSV())
 			} else {
-				fmt.Println(t.Render())
+				fmt.Fprintln(stdout, t.Render())
 			}
 		}
 		//ldplint:allow nowallclock wall-time measurement for the run report only
 		elapsed := time.Since(start).Round(time.Millisecond)
-		fmt.Printf("[%s completed in %v: scale=%g trials=%d seed=%d]\n\n",
-			id, elapsed, *scale, *trials, *seed)
+		fmt.Fprintf(stdout, "[%s completed in %v: scale=%g trials=%d seed=%d]\n\n",
+			id, elapsed, cfg.Scale, cfg.Trials, cfg.Seed)
 	}
+	return 0
 }

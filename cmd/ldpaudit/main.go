@@ -2,7 +2,7 @@
 // recovery claims (internal/audit; DESIGN.md §11).
 //
 // Privacy mode drives each protocol's real client paths — itemwise
-// Perturb, the PerturbAllInto bulk arena, and the BatchPerturb
+// Perturb, the PerturbAllInto bulk arena, and the SimulateGenuineCounts
 // count-level path — over neighboring inputs and certifies an empirical
 // privacy budget eps_emp with exact Clopper-Pearson bounds. Recovery
 // mode replays the streamed MGA scenario across an attacker-strength

@@ -1,8 +1,8 @@
 // Package audit empirically certifies the privacy and robustness claims
 // the rest of the repository makes analytically. The privacy auditor
 // replays a protocol's real client paths — itemwise Perturb, the
-// PerturbAllInto bulk arena path, and the BatchPerturb count-level
-// path — over a pair of neighboring inputs and measures how well an
+// PerturbAllInto bulk arena path, and the SimulateGenuineCounts
+// count-level path — over a pair of neighboring inputs and measures how well an
 // adversary can distinguish them, reporting an empirical privacy budget
 // eps_emp with exact Clopper-Pearson confidence bounds. The recovery
 // auditor (recovery.go) replays the streamed MGA scenario across an
@@ -34,7 +34,7 @@ const (
 	PathItemwise Path = iota
 	// PathBulk calls ldp.PerturbAllInto over a population arena.
 	PathBulk
-	// PathCount calls BatchPerturber.BatchPerturb for a single user and
+	// PathCount calls Protocol.SimulateGenuineCounts for a single user and
 	// observes the support-count vector — the aggregation-side view.
 	PathCount
 )
@@ -350,14 +350,10 @@ func observe(proto ldp.Protocol, path Path, r *rng.Rand, v int, cfg Config) ([4]
 			}
 		}
 	case PathCount:
-		bp, ok := proto.(ldp.BatchPerturber)
-		if !ok {
-			return counts, fmt.Errorf("audit: %s does not implement the count path", proto.Name())
-		}
 		trueCounts := make([]int64, cfg.Domain)
 		trueCounts[v] = 1
 		for t := int64(0); t < cfg.Trials; t++ {
-			out, err := bp.BatchPerturb(r, trueCounts)
+			out, err := proto.SimulateGenuineCounts(r, trueCounts)
 			if err != nil {
 				return counts, err
 			}

@@ -42,7 +42,7 @@ func AblationRefiner(cfg Config) ([]*Table, error) {
 		var mseKKT, mseProj, maxDiff float64
 		for trial := 0; trial < cfg.Trials; trial++ {
 			r := rng.New(cfg.Seed + uint64(trial)*7919)
-			poisoned, err := poisonedAA(r, ds, p, cfg.Workers)
+			poisoned, err := poisonedAA(r, ds, p)
 			if err != nil {
 				return nil, err
 			}
@@ -100,7 +100,6 @@ func AblationSimFidelity(cfg Config) ([]*Table, error) {
 				Attack:      MGAAttack,
 				Trials:      cfg.Trials,
 				Seed:        cfg.Seed,
-				Workers:     cfg.Workers,
 				ReportLevel: reportLevel,
 			})
 			if err != nil {
@@ -168,14 +167,14 @@ func AblationDetectionRule(cfg Config) ([]*Table, error) {
 
 // poisonedAA simulates one AA-poisoned estimate at default parameters
 // (count level).
-func poisonedAA(r *rng.Rand, ds *dataset.Dataset, p ldp.Protocol, workers int) ([]float64, error) {
+func poisonedAA(r *rng.Rand, ds *dataset.Dataset, p ldp.Protocol) ([]float64, error) {
 	n := ds.N()
 	m := maliciousCount(n, DefaultBeta)
 	atk, err := attack.NewRandomAdaptive(r, ds.Domain())
 	if err != nil {
 		return nil, err
 	}
-	counts, err := ldp.BatchSimulate(p, r, ds.Counts, workers)
+	counts, err := p.SimulateGenuineCounts(r, ds.Counts)
 	if err != nil {
 		return nil, err
 	}

@@ -126,12 +126,6 @@ type Scenario struct {
 	// Trials and Seed control replication.
 	Trials int
 	Seed   uint64
-	// Workers is the number of goroutines the batch perturbation fast
-	// path (ldp.BatchSimulate) uses inside one trial. The default 1 keeps
-	// results bit-identical to the sequential sampler; raise it when
-	// running few trials over paper-scale populations. Trials themselves
-	// always run in parallel.
-	Workers int
 	// ReportLevel materializes per-user reports (exact simulation), which
 	// the Detection baseline requires. Count-level simulation is used
 	// otherwise.
@@ -173,9 +167,6 @@ func (s Scenario) withDefaults() Scenario {
 	}
 	if s.Trials == 0 {
 		s.Trials = DefaultTrials
-	}
-	if s.Workers == 0 {
-		s.Workers = 1
 	}
 	if s.Xi == 0 {
 		s.Xi = DefaultXi

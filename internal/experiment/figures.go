@@ -14,9 +14,6 @@ type Config struct {
 	Trials int
 	// Seed fixes the run's randomness.
 	Seed uint64
-	// Workers sets the per-trial batch-simulation parallelism
-	// (ldp.BatchSimulate); 0 or 1 keeps the sequential sampler.
-	Workers int
 }
 
 func (c Config) withDefaults() Config {
@@ -28,9 +25,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 20240403 // arbitrary fixed default
-	}
-	if c.Workers == 0 {
-		c.Workers = 1 // sequential sampler: seeded runs reproduce across machines
 	}
 	return c
 }
@@ -83,7 +77,6 @@ func Figure3(cfg Config) ([]*Table, error) {
 					Attack:       combo.Attack,
 					Trials:       cfg.Trials,
 					Seed:         cfg.Seed,
-					Workers:      cfg.Workers,
 					RunDetection: true,
 				},
 			})
@@ -149,7 +142,6 @@ func Figure4(cfg Config) ([]*Table, error) {
 					Attack:       MGAAttack,
 					Trials:       cfg.Trials,
 					Seed:         cfg.Seed,
-					Workers:      cfg.Workers,
 					RunDetection: true,
 				},
 			})
@@ -206,7 +198,6 @@ func parameterSweep(cfg Config, ds *dataset.Dataset, dsName, param string, value
 				Attack:   AAAttack,
 				Trials:   cfg.Trials,
 				Seed:     cfg.Seed,
-				Workers:  cfg.Workers,
 			}
 			switch param {
 			case "beta":
@@ -303,7 +294,6 @@ func Figure7(cfg Config) ([]*Table, error) {
 					Beta:     beta,
 					Trials:   cfg.Trials,
 					Seed:     cfg.Seed,
-					Workers:  cfg.Workers,
 				},
 			})
 		}
@@ -355,7 +345,6 @@ func TableI(cfg Config) ([]*Table, error) {
 					Beta:     0,
 					Trials:   cfg.Trials,
 					Seed:     cfg.Seed,
-					Workers:  cfg.Workers,
 				},
 			})
 		}
@@ -405,7 +394,6 @@ func Figure8(cfg Config) ([]*Table, error) {
 						Beta:         beta,
 						Trials:       cfg.Trials,
 						Seed:         cfg.Seed,
-						Workers:      cfg.Workers,
 						SkipRecovery: true,
 					},
 				})
@@ -456,7 +444,6 @@ func Figure9(cfg Config) ([]*Table, error) {
 					Attack:       MGAIPAAttack,
 					Trials:       cfg.Trials,
 					Seed:         cfg.Seed,
-					Workers:      cfg.Workers,
 					RunKMeans:    true,
 					Xi:           xi,
 					SkipRecovery: true,
@@ -507,7 +494,6 @@ func Figure10(cfg Config) ([]*Table, error) {
 					Beta:     beta,
 					Trials:   cfg.Trials,
 					Seed:     cfg.Seed,
-					Workers:  cfg.Workers,
 				},
 			})
 		}

@@ -21,9 +21,10 @@ type gridCell struct {
 // parallelism; cell-level fan-out keeps all cores busy regardless of the
 // per-cell trial count.
 //
-// The cell worker count shares the CPU budget with the per-cell
-// concurrency — Run's trial workers times the trial's BatchSimulate
-// workers — so total goroutine count (and, at report-level paper scale,
+// Cells and trials are the harness's only two levels of parallelism:
+// each trial samples its counts sequentially (SimulateGenuineCounts),
+// and the cell worker count shares the CPU budget with Run's trial
+// workers, so total goroutine count (and, at report-level paper scale,
 // total resident report arenas) stays ~GOMAXPROCS-bounded instead of
 // multiplying the pools.
 //
@@ -38,9 +39,6 @@ func runGrid(cells []*gridCell) error {
 	if len(cells) > 0 {
 		if t := cells[0].scn.Trials; t > 0 {
 			perCell = t
-		}
-		if w := cells[0].scn.Workers; w > 1 {
-			perCell *= w
 		}
 	}
 	workers := (procs + perCell - 1) / perCell

@@ -174,7 +174,7 @@ func (s Scenario) runTrial(trial int) (*Metrics, error) {
 			allReports = append(allReports, malReports...)
 		}
 	} else {
-		genCounts, err = ldp.BatchSimulate(proto, r, s.Dataset.Counts, s.Workers)
+		genCounts, err = proto.SimulateGenuineCounts(r, s.Dataset.Counts)
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,6 @@ import (
 
 	"ldprecover/internal/attack"
 	"ldprecover/internal/dataset"
-	"ldprecover/internal/ldp"
 	"ldprecover/internal/metrics"
 	"ldprecover/internal/rng"
 	"ldprecover/internal/stream"
@@ -180,7 +179,7 @@ func RunStream(s StreamScenario) (*StreamMetrics, error) {
 	out := &StreamMetrics{TrueTargets: targets, StarEngagedAt: -1}
 	var cleanEst []float64
 	for e := 0; e < s.Epochs; e++ {
-		union, err := ldp.BatchSimulate(proto, r, s.Dataset.Counts, 1)
+		union, err := proto.SimulateGenuineCounts(r, s.Dataset.Counts)
 		if err != nil {
 			return nil, err
 		}

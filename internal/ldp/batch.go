@@ -1,35 +1,6 @@
 package ldp
 
-import (
-	"runtime"
-	"sync"
-
-	"ldprecover/internal/rng"
-)
-
-// BatchPerturber is the batch perturbation fast path: it produces the
-// aggregated support counts of a whole population directly from the
-// per-item true counts, drawing from the binomial/multinomial samplers in
-// internal/rng instead of materializing one Report per user. All built-in
-// protocols (GRR, OUE, OLH/BLH, SUE) implement it; Protocol's
-// SimulateGenuineCounts is the same path under its paper-facing name.
-//
-// Use the batch path whenever only aggregate counts are needed (the
-// experiment harness, count-level attacks, capacity planning); use
-// Perturb/PerturbAll when individual reports matter (wire formats,
-// report-granular defenses like Detection and k-means).
-type BatchPerturber interface {
-	// BatchPerturb samples the aggregated per-item support counts C(v)
-	// for a population whose true item counts are trueCounts.
-	BatchPerturb(r *rng.Rand, trueCounts []int64) ([]int64, error)
-}
-
-// itemIndependent is implemented by protocols whose per-item support
-// counts are (marginally) independent binomials C(v) = Bin(n_v, p) +
-// Bin(n-n_v, q); BatchSimulate parallelizes those across the item range.
-type itemIndependent interface {
-	batchPQ() (p, q float64)
-}
+import "ldprecover/internal/rng"
 
 // validateTrueCounts checks the count vector and returns the population
 // size n.
@@ -47,8 +18,10 @@ func validateTrueCounts(trueCounts []int64, d int) (int64, error) {
 	return n, nil
 }
 
-// independentBinomialCounts is the sequential batch sampler shared by the
-// unary-encoding and local-hashing protocols.
+// independentBinomialCounts is the count-level sampler shared by the
+// unary-encoding and local-hashing protocols, whose per-item support
+// counts are (marginally) independent binomials
+// C(v) = Bin(n_v, p) + Bin(n-n_v, q).
 func independentBinomialCounts(r *rng.Rand, trueCounts []int64, d int, p, q float64) ([]int64, error) {
 	if r == nil {
 		return nil, ErrNilRand
@@ -62,117 +35,4 @@ func independentBinomialCounts(r *rng.Rand, trueCounts []int64, d int, p, q floa
 		counts[v] = r.Binomial(nv, p) + r.Binomial(n-nv, q)
 	}
 	return counts, nil
-}
-
-// BatchSimulate runs the batch perturbation fast path across workers
-// goroutines, each drawing from an independent substream split off r.
-// workers <= 0 selects GOMAXPROCS. With workers == 1 the output is
-// bit-identical to p.SimulateGenuineCounts(r, trueCounts); with more
-// workers the substream layout changes, so counts differ draw-for-draw
-// but are identically distributed (the property tests assert both).
-//
-// Item-independent protocols (OUE, SUE, OLH) parallelize over disjoint
-// chunks of the item range; GRR parallelizes over source items with
-// per-worker partial count vectors merged at the end. Protocols outside
-// this package fall back to their own sequential batch path.
-func BatchSimulate(p Protocol, r *rng.Rand, trueCounts []int64, workers int) ([]int64, error) {
-	if r == nil {
-		return nil, ErrNilRand
-	}
-	d := p.Params().Domain
-	n, err := validateTrueCounts(trueCounts, d)
-	if err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > d {
-		workers = d
-	}
-	if workers == 1 {
-		if bp, ok := p.(BatchPerturber); ok {
-			return bp.BatchPerturb(r, trueCounts)
-		}
-		return p.SimulateGenuineCounts(r, trueCounts)
-	}
-
-	switch proto := p.(type) {
-	case itemIndependent:
-		return parallelItemCounts(proto, r, trueCounts, d, n, workers), nil
-	case *GRR:
-		return parallelGRRCounts(proto, r, trueCounts, d, workers), nil
-	default:
-		if bp, ok := p.(BatchPerturber); ok {
-			return bp.BatchPerturb(r, trueCounts)
-		}
-		return p.SimulateGenuineCounts(r, trueCounts)
-	}
-}
-
-// chunkBounds returns the w-th of workers chunks over [0, d).
-func chunkBounds(d, workers, w int) (lo, hi int) {
-	chunk := (d + workers - 1) / workers
-	lo = w * chunk
-	hi = lo + chunk
-	if hi > d {
-		hi = d
-	}
-	return lo, hi
-}
-
-// parallelItemCounts samples item-independent binomial counts over
-// disjoint item chunks; workers write to non-overlapping slices of
-// counts, so no locking is needed.
-func parallelItemCounts(proto itemIndependent, r *rng.Rand, trueCounts []int64, d int, n int64, workers int) []int64 {
-	p, q := proto.batchPQ()
-	counts := make([]int64, d)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := chunkBounds(d, workers, w)
-		if lo >= hi {
-			break
-		}
-		sub := r.Split()
-		wg.Add(1)
-		go func(rr *rng.Rand, lo, hi int) {
-			defer wg.Done()
-			for v := lo; v < hi; v++ {
-				nv := trueCounts[v]
-				counts[v] = rr.Binomial(nv, p) + rr.Binomial(n-nv, q)
-			}
-		}(sub, lo, hi)
-	}
-	wg.Wait()
-	return counts
-}
-
-// parallelGRRCounts samples GRR counts source-item-parallel: each worker
-// simulates the users holding its chunk of source items into a private
-// full-domain partial vector (kept mass plus the uniform flip spread of
-// grrChunk); the partials sum into the aggregate.
-func parallelGRRCounts(g *GRR, r *rng.Rand, trueCounts []int64, d, workers int) []int64 {
-	partials := make([][]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := chunkBounds(d, workers, w)
-		if lo >= hi {
-			break
-		}
-		sub := r.Split()
-		partials[w] = make([]int64, d)
-		wg.Add(1)
-		go func(rr *rng.Rand, lo, hi int, partial []int64) {
-			defer wg.Done()
-			g.grrChunk(rr, trueCounts, lo, hi, partial)
-		}(sub, lo, hi, partials[w])
-	}
-	wg.Wait()
-	counts := make([]int64, d)
-	for _, partial := range partials {
-		for v, c := range partial {
-			counts[v] += c
-		}
-	}
-	return counts
 }

@@ -7,128 +7,86 @@ import (
 	"ldprecover/internal/rng"
 )
 
-// TestBatchPerturbMatchesSimulateGenuineCounts: BatchPerturb is the same
-// sampler as Protocol.SimulateGenuineCounts — identical seeds must give
-// identical counts, for every protocol.
-func TestBatchPerturbMatchesSimulateGenuineCounts(t *testing.T) {
-	const d, eps = 14, 0.7
-	trueCounts := make([]int64, d)
-	for v := range trueCounts {
-		trueCounts[v] = int64(30 * (v + 1))
-	}
-	for _, p := range shardedTestProtocols(t, d, eps) {
-		bp, ok := p.(BatchPerturber)
-		if !ok {
-			t.Fatalf("%s does not implement BatchPerturber", p.Name())
-		}
-		got, err := bp.BatchPerturb(rng.New(5), trueCounts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := p.SimulateGenuineCounts(rng.New(5), trueCounts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("%s: BatchPerturb diverges at %d: %d vs %d", p.Name(), v, got[v], want[v])
-			}
-		}
-	}
-}
-
-// TestBatchSimulateSingleWorkerIsSequential: with workers=1 the parallel
-// driver must be bit-identical to the sequential batch path.
-func TestBatchSimulateSingleWorkerIsSequential(t *testing.T) {
-	const d, eps = 14, 0.7
-	trueCounts := make([]int64, d)
-	for v := range trueCounts {
-		trueCounts[v] = int64(25 * (v + 2))
-	}
-	for _, p := range shardedTestProtocols(t, d, eps) {
-		got, err := BatchSimulate(p, rng.New(9), trueCounts, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := p.SimulateGenuineCounts(rng.New(9), trueCounts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("%s: workers=1 diverges at %d: %d vs %d", p.Name(), v, got[v], want[v])
-			}
-		}
-	}
-}
-
+// TestBatchSimulateValidation: every protocol (SUE included) rejects a nil
+// rng, wrong-length counts and a negative count before drawing anything,
+// and maps an all-zero population to all-zero support counts.
 func TestBatchSimulateValidation(t *testing.T) {
-	for _, p := range testProtocols(t, 10, 0.5) {
-		if _, err := BatchSimulate(p, nil, make([]int64, 10), 2); err == nil {
+	const d = 10
+	for _, p := range shardedTestProtocols(t, d, 0.5) {
+		r := rng.New(1)
+		if _, err := p.SimulateGenuineCounts(nil, make([]int64, d)); err == nil {
 			t.Fatalf("%s accepted nil rng", p.Name())
 		}
-		if _, err := BatchSimulate(p, rng.New(1), make([]int64, 4), 2); err == nil {
+		if _, err := p.SimulateGenuineCounts(r, make([]int64, 4)); err == nil {
 			t.Fatalf("%s accepted wrong-length counts", p.Name())
 		}
-		bad := make([]int64, 10)
+		bad := make([]int64, d)
 		bad[7] = -3
-		if _, err := BatchSimulate(p, rng.New(1), bad, 2); err == nil {
+		if _, err := p.SimulateGenuineCounts(r, bad); err == nil {
 			t.Fatalf("%s accepted negative count", p.Name())
 		}
-	}
-}
-
-// TestBatchSimulateDeterministicPerWorkerCount: fixed seed and worker
-// count give reproducible output even though sampling runs on multiple
-// goroutines (each chunk owns a substream split off deterministically).
-func TestBatchSimulateDeterministicPerWorkerCount(t *testing.T) {
-	const d, eps = 64, 0.5
-	trueCounts := make([]int64, d)
-	for v := range trueCounts {
-		trueCounts[v] = int64(100 + 3*v)
-	}
-	for _, p := range shardedTestProtocols(t, d, eps) {
-		for _, workers := range []int{2, 4, 7} {
-			a, err := BatchSimulate(p, rng.New(77), trueCounts, workers)
-			if err != nil {
-				t.Fatal(err)
+		zero, err := p.SimulateGenuineCounts(r, make([]int64, d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, c := range zero {
+			if c != 0 {
+				t.Fatalf("%s: empty population gives count %d at item %d", p.Name(), c, v)
 			}
-			b, err := BatchSimulate(p, rng.New(77), trueCounts, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for v := range a {
-				if a[v] != b[v] {
-					t.Fatalf("%s workers=%d not deterministic at item %d", p.Name(), workers, v)
-				}
+		}
+		// The rejected calls must not have advanced the stream.
+		trueCounts := make([]int64, d)
+		for v := range trueCounts {
+			trueCounts[v] = int64(40 + 9*v)
+		}
+		got, err := p.SimulateGenuineCounts(r, trueCounts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := p.SimulateGenuineCounts(rng.New(1), trueCounts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("%s: rejected calls consumed randomness (item %d: %d vs %d)", p.Name(), v, got[v], want[v])
 			}
 		}
 	}
 }
 
-// TestParallelGRRConservation: GRR support counts sum to exactly n on the
-// parallel path too (each simulated report supports exactly one item).
+// TestParallelGRRConservation: GRR support counts sum to exactly n when
+// the population is sparse — zero-count items (first, last and interior)
+// are skipped, yet the flipped reports still land on every item in range.
 func TestParallelGRRConservation(t *testing.T) {
-	grr, err := NewGRR(40, 0.5)
+	const d = 40
+	grr, err := NewGRR(d, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trueCounts := make([]int64, 40)
+	trueCounts := make([]int64, d)
 	var n int64
 	for v := range trueCounts {
+		if v == 0 || v == d-1 || v%3 == 0 {
+			continue
+		}
 		trueCounts[v] = int64(50 + 7*v)
 		n += trueCounts[v]
 	}
 	r := rng.New(31)
+	reached := make([]bool, d)
 	for trial := 0; trial < 30; trial++ {
-		sim, err := BatchSimulate(grr, r, trueCounts, 4)
+		sim, err := grr.SimulateGenuineCounts(r, trueCounts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var total int64
-		for _, c := range sim {
+		for v, c := range sim {
 			if c < 0 {
 				t.Fatal("negative support count")
+			}
+			if c > 0 {
+				reached[v] = true
 			}
 			total += c
 		}
@@ -136,10 +94,15 @@ func TestParallelGRRConservation(t *testing.T) {
 			t.Fatalf("trial %d: counts sum %d want %d", trial, total, n)
 		}
 	}
+	for v, ok := range reached {
+		if !ok {
+			t.Fatalf("item %d never received a flipped report", v)
+		}
+	}
 }
 
-// TestBatchMatchesReportLevelDistribution is the batch-vs-report-level
-// property: over repeated trials, the parallel batch path and the exact
+// TestBatchMatchesReportLevelDistribution is the count-vs-report-level
+// property: over repeated trials, SimulateGenuineCounts and the exact
 // PerturbAll+CountSupports pipeline must agree on every item's mean
 // support count within CLT confidence bounds, and on its variance within
 // an F-test-style ratio bound.
@@ -160,7 +123,7 @@ func TestBatchMatchesReportLevelDistribution(t *testing.T) {
 		exactSum := make([]float64, d)
 		exactSq := make([]float64, d)
 		for trial := 0; trial < trials; trial++ {
-			batch, err := BatchSimulate(p, r, trueCounts, 4)
+			batch, err := p.SimulateGenuineCounts(r, trueCounts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,10 +171,10 @@ func TestBatchMatchesReportLevelDistribution(t *testing.T) {
 	}
 }
 
-// TestBatchSimulateFeedsShardedAccumulator: the intended pairing — batch
-// partials from population shards folded through AddCounts — yields
-// unbiased estimates of the true frequencies.
-func TestBatchSimulateFeedsShardedAccumulator(t *testing.T) {
+// TestSimulatedCountsFeedShardedAccumulator: the intended pairing —
+// simulated counts folded through AddCounts — yields unbiased estimates
+// of the true frequencies.
+func TestSimulatedCountsFeedShardedAccumulator(t *testing.T) {
 	const d, eps = 8, 1.0
 	oue, err := NewOUE(d, eps)
 	if err != nil {
@@ -231,7 +194,7 @@ func TestBatchSimulateFeedsShardedAccumulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rng.New(404)
-	counts, err := BatchSimulate(oue, r, trueCounts, 4)
+	counts, err := oue.SimulateGenuineCounts(r, trueCounts)
 	if err != nil {
 		t.Fatal(err)
 	}

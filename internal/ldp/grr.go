@@ -93,11 +93,11 @@ func (g *GRR) CraftSupport(_ *rng.Rand, v int) (Report, error) {
 	return GRRReport(v), nil
 }
 
-// BatchPerturb implements BatchPerturber. For GRR the support count of
-// item v is (kept reports of v) + (flips from other items landing on v):
-// the kept part is Binomial(n_v, p) and each item's flipped mass spreads
-// uniformly over the d-1 other items (exact multinomial).
-func (g *GRR) BatchPerturb(r *rng.Rand, trueCounts []int64) ([]int64, error) {
+// SimulateGenuineCounts implements Protocol. For GRR the support count
+// of item v is (kept reports of v) + (flips from other items landing on
+// v): the kept part is Binomial(n_v, p) and each item's flipped mass
+// spreads uniformly over the d-1 other items (exact multinomial).
+func (g *GRR) SimulateGenuineCounts(r *rng.Rand, trueCounts []int64) ([]int64, error) {
 	if r == nil {
 		return nil, ErrNilRand
 	}
@@ -106,21 +106,12 @@ func (g *GRR) BatchPerturb(r *rng.Rand, trueCounts []int64) ([]int64, error) {
 		return nil, err
 	}
 	counts := make([]int64, d)
-	g.grrChunk(r, trueCounts, 0, d, counts)
-	return counts, nil
-}
-
-// grrChunk simulates the users holding source items [lo, hi) into counts,
-// which must span the full domain (flips land anywhere). Inputs are
-// assumed validated.
-func (g *GRR) grrChunk(r *rng.Rand, trueCounts []int64, lo, hi int, counts []int64) {
 	// Uniform distribution over d-1 cells, reused across items.
-	uniform := make([]float64, g.params.Domain-1)
+	uniform := make([]float64, d-1)
 	for i := range uniform {
 		uniform[i] = 1
 	}
-	for u := lo; u < hi; u++ {
-		nu := trueCounts[u]
+	for u, nu := range trueCounts {
 		if nu == 0 {
 			continue
 		}
@@ -143,11 +134,7 @@ func (g *GRR) grrChunk(r *rng.Rand, trueCounts []int64, lo, hi int, counts []int
 			counts[t] += c
 		}
 	}
-}
-
-// SimulateGenuineCounts implements Protocol via the batch fast path.
-func (g *GRR) SimulateGenuineCounts(r *rng.Rand, trueCounts []int64) ([]int64, error) {
-	return g.BatchPerturb(r, trueCounts)
+	return counts, nil
 }
 
 // Variance implements Protocol (Eq. 4).
@@ -158,7 +145,4 @@ func (g *GRR) Variance(f float64, n int64) float64 {
 	return nn*(d-2+expE)/((expE-1)*(expE-1)) + nn*f*(d-2)/(expE-1)
 }
 
-var (
-	_ Protocol       = (*GRR)(nil)
-	_ BatchPerturber = (*GRR)(nil)
-)
+var _ Protocol = (*GRR)(nil)

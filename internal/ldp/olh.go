@@ -190,24 +190,15 @@ func (o *OLH) CraftSupport(r *rng.Rand, v int) (Report, error) {
 	return OLHReport{Seed: seed, Value: o.Hash(seed, v), G: o.params.G}, nil
 }
 
-// BatchPerturb implements BatchPerturber. Marginally, item v is
+// SimulateGenuineCounts implements Protocol. Marginally, item v is
 // supported by its own users' reports with probability
 // p' = e^ε/(e^ε+g-1) and by any other user's report with probability 1/g
 // (fresh uniform hash), so C(v) = Binomial(n_v, p') + Binomial(n-n_v, 1/g).
 // Cross-item correlations (two items colliding under the same user's
 // hash) are O(1/g²) and ignored; the report-level path is exact.
-func (o *OLH) BatchPerturb(r *rng.Rand, trueCounts []int64) ([]int64, error) {
+func (o *OLH) SimulateGenuineCounts(r *rng.Rand, trueCounts []int64) ([]int64, error) {
 	return independentBinomialCounts(r, trueCounts, o.params.Domain, o.params.P, o.params.Q)
 }
-
-// SimulateGenuineCounts implements Protocol via the batch fast path.
-func (o *OLH) SimulateGenuineCounts(r *rng.Rand, trueCounts []int64) ([]int64, error) {
-	return o.BatchPerturb(r, trueCounts)
-}
-
-// batchPQ marks OLH's per-item marginal counts as independent binomials
-// so BatchSimulate can parallelize over the item range.
-func (o *OLH) batchPQ() (float64, float64) { return o.params.P, o.params.Q }
 
 // Variance implements Protocol (Eq. 10).
 func (o *OLH) Variance(_ float64, n int64) float64 {
@@ -215,7 +206,4 @@ func (o *OLH) Variance(_ float64, n int64) float64 {
 	return float64(n) * 4 * expE / ((expE - 1) * (expE - 1))
 }
 
-var (
-	_ Protocol       = (*OLH)(nil)
-	_ BatchPerturber = (*OLH)(nil)
-)
+var _ Protocol = (*OLH)(nil)

@@ -99,21 +99,12 @@ func (o *OUE) CraftSupport(_ *rng.Rand, v int) (Report, error) {
 	return OUEReport{Bits: bits}, nil
 }
 
-// BatchPerturb implements BatchPerturber. OUE perturbs every bit
+// SimulateGenuineCounts implements Protocol. OUE perturbs every bit
 // independently, so the support counts are exactly independent across
 // items: C(v) = Binomial(n_v, p) + Binomial(n-n_v, q).
-func (o *OUE) BatchPerturb(r *rng.Rand, trueCounts []int64) ([]int64, error) {
+func (o *OUE) SimulateGenuineCounts(r *rng.Rand, trueCounts []int64) ([]int64, error) {
 	return independentBinomialCounts(r, trueCounts, o.params.Domain, o.params.P, o.params.Q)
 }
-
-// SimulateGenuineCounts implements Protocol via the batch fast path.
-func (o *OUE) SimulateGenuineCounts(r *rng.Rand, trueCounts []int64) ([]int64, error) {
-	return o.BatchPerturb(r, trueCounts)
-}
-
-// batchPQ marks OUE's per-item counts as independent binomials so
-// BatchSimulate can parallelize over the item range.
-func (o *OUE) batchPQ() (float64, float64) { return o.params.P, o.params.Q }
 
 // Variance implements Protocol (Eq. 7).
 func (o *OUE) Variance(_ float64, n int64) float64 {
@@ -121,7 +112,4 @@ func (o *OUE) Variance(_ float64, n int64) float64 {
 	return float64(n) * 4 * expE / ((expE - 1) * (expE - 1))
 }
 
-var (
-	_ Protocol       = (*OUE)(nil)
-	_ BatchPerturber = (*OUE)(nil)
-)
+var _ Protocol = (*OUE)(nil)

@@ -9,7 +9,8 @@ import (
 )
 
 // Statistical acceptance tests for the three client perturbation paths:
-// itemwise Perturb, PerturbAllInto bulk, and BatchPerturb count-level.
+// itemwise Perturb, PerturbAllInto bulk, and SimulateGenuineCounts
+// count-level.
 // Every report (or count vector) from a user holding v0 is projected onto
 // the four events (Supports(v0), Supports(v1)) for a fixed v1 != v0, and
 // the observed event frequencies must bracket the analytical
@@ -178,18 +179,14 @@ func TestBulkEventFrequencies(t *testing.T) {
 	}
 }
 
-// TestCountEventFrequencies drives BatchPerturb with a single user
-// holding v0 per trial; the event is which of the two support counts is
+// TestCountEventFrequencies drives SimulateGenuineCounts with a single
+// user holding v0 per trial; the event is which of the two support counts is
 // positive. GRR's count path is an exact single-report GRR (mutually
 // exclusive supports); the unary and hashing protocols expose their
 // aggregation-side marginals P and Q as independent binomials.
 func TestCountEventFrequencies(t *testing.T) {
 	for _, eps := range []float64{1, 4} {
 		for _, tc := range pathfreqProtocols(t, eps) {
-			bp, ok := tc.proto.(BatchPerturber)
-			if !ok {
-				t.Fatalf("%s: not a BatchPerturber", tc.proto.Name())
-			}
 			pr := tc.proto.Params()
 			want := independentEvents(pr.P, pr.Q)
 			if tc.proto.Name() == "GRR" {
@@ -201,7 +198,7 @@ func TestCountEventFrequencies(t *testing.T) {
 			trueCounts[pathfreqV0] = 1
 			var counts [4]int64
 			for i := 0; i < pathfreqTrials; i++ {
-				out, err := bp.BatchPerturb(r, trueCounts)
+				out, err := tc.proto.SimulateGenuineCounts(r, trueCounts)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}

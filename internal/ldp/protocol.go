@@ -9,10 +9,11 @@
 // defenses), and SimulateGenuineCounts samples the aggregated support
 // counts of a whole population directly from their marginal distributions
 // (fast, used by the paper-scale experiment harness; see DESIGN.md §2 for
-// the fidelity discussion). The count path is formalized by the
-// BatchPerturber interface; BatchSimulate parallelizes it across worker
-// goroutines, and ShardedAccumulator provides the matching
-// concurrency-safe ingest for report streams.
+// the fidelity discussion). SimulateGenuineCounts is the only count-level
+// path: it is sequential in one generator, and callers that want
+// parallelism run independent populations (trials, grid cells) on their
+// own substreams. ShardedAccumulator provides the concurrency-safe ingest
+// for report streams.
 package ldp
 
 import (

@@ -151,10 +151,9 @@ func TestSealEpochConservation(t *testing.T) {
 	}
 }
 
-// TestShardedReadCaching pins the cached read path: reads reflect every
-// completed mutation, Snapshot hands out caller-owned state, and a seal
-// invalidates the cache like any other mutation.
-func TestShardedReadCaching(t *testing.T) {
+// TestShardedReadsAfterMutation: reads reflect every completed mutation
+// (ingest, seal, reset), and Snapshot hands out caller-owned state.
+func TestShardedReadsAfterMutation(t *testing.T) {
 	const d = 8
 	sa, err := NewShardedAccumulator(d, 3)
 	if err != nil {
@@ -171,22 +170,22 @@ func TestShardedReadCaching(t *testing.T) {
 	if sa.Total() != 10 {
 		t.Fatalf("total %d", sa.Total())
 	}
-	// A repeated read returns equal data from the cache.
+	// A repeated read returns equal data.
 	again := sa.Counts()
 	for v := range first {
 		if first[v] != again[v] || first[v] != counts[v] {
 			t.Fatalf("item %d: reads %d/%d, want %d", v, first[v], again[v], counts[v])
 		}
 	}
-	// Mutating a returned snapshot must not poison the cache.
+	// Mutating a returned snapshot must not reach the accumulator.
 	snap := sa.Snapshot()
 	snap.counts[0] += 1000
 	snap.total += 1000
 	if got := sa.Counts()[0]; got != counts[0] {
-		t.Fatalf("cache poisoned through Snapshot: item 0 = %d", got)
+		t.Fatalf("accumulator changed through Snapshot: item 0 = %d", got)
 	}
 	if got := sa.Total(); got != 10 {
-		t.Fatalf("cache poisoned through Snapshot: total = %d", got)
+		t.Fatalf("accumulator changed through Snapshot: total = %d", got)
 	}
 	// Each further mutation is visible to the next read.
 	if err := sa.Add(GRRReport(2)); err != nil {
@@ -198,8 +197,8 @@ func TestShardedReadCaching(t *testing.T) {
 	if sa.Total() != 11 {
 		t.Fatalf("total after Add: %d", sa.Total())
 	}
-	// Sealing empties the live tally and invalidates the cache; the
-	// sealed epoch carries the pre-seal aggregate.
+	// Sealing empties the live tally; the sealed epoch carries the
+	// pre-seal aggregate.
 	ep := sa.SealEpoch()
 	if ep.Total() != 11 {
 		t.Fatalf("sealed total %d", ep.Total())
@@ -207,11 +206,20 @@ func TestShardedReadCaching(t *testing.T) {
 	if sa.Total() != 0 {
 		t.Fatalf("live total after seal: %d", sa.Total())
 	}
+	if got := sa.Counts()[2]; got != 0 {
+		t.Fatalf("item 2 after seal: %d", got)
+	}
 	if err := sa.AddCounts(counts, 10); err != nil {
 		t.Fatal(err)
+	}
+	if got := sa.Counts()[2]; got != counts[2] {
+		t.Fatalf("item 2 after re-ingest: %d, want %d", got, counts[2])
 	}
 	sa.Reset()
 	if sa.Total() != 0 {
 		t.Fatalf("total after reset: %d", sa.Total())
+	}
+	if got := sa.Counts()[2]; got != 0 {
+		t.Fatalf("item 2 after reset: %d", got)
 	}
 }

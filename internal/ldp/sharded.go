@@ -17,21 +17,20 @@ import (
 //
 // Ingest paths, fastest first:
 //
-//   - AddCounts folds a pre-aggregated partial (e.g. a BatchPerturber's
+//   - AddCounts folds a pre-aggregated partial (e.g. SimulateGenuineCounts
 //     output or a remote collector's sub-total) in one lock acquisition;
 //   - AddBatch folds a slice of reports under one lock;
 //   - Add folds a single report, choosing a shard round-robin.
 //
 // All methods are safe for concurrent use.
 //
-// Reads (Counts, Estimate, Snapshot) are served from a merged snapshot
-// cached against a mutation generation: only the first read after an
-// ingest pays the O(shards·d) merge; repeated reads of a quiet
-// accumulator are O(d) copies. Total stays a direct O(shards) sum so
-// monitors can poll it during continuous ingest. SealEpoch closes the
-// current epoch — it atomically swaps every shard's tally out from under
-// concurrent ingest and returns the sealed aggregate, the primitive the
-// stream layer builds epochs from.
+// Reads (Counts, Estimate, Snapshot) merge the shards, O(shards·d) each.
+// Total stays a direct O(shards) sum so monitors can poll it during
+// continuous ingest. SealEpoch closes the current epoch — it atomically
+// swaps every shard's tally out from under concurrent ingest and returns
+// the sealed aggregate, the primitive the stream layer builds epochs
+// from; the stream layer reads the live epoch only through SealEpoch,
+// Total and Mutations.
 type ShardedAccumulator struct {
 	domain int
 	shards []accShard
@@ -41,13 +40,6 @@ type ShardedAccumulator struct {
 	// the shard lock is released, so a reader that observes a bump also
 	// observes the mutation itself when it locks the shards.
 	gen atomic.Uint64
-
-	// snapMu guards the merged-snapshot cache. snap is immutable once
-	// stored: recomputation replaces the pointer, never the contents, so
-	// references handed out earlier stay valid.
-	snapMu  sync.Mutex
-	snap    *Accumulator
-	snapGen uint64
 }
 
 // accShard pads each shard to its own cache lines so mutexes and totals
@@ -122,7 +114,7 @@ func (sa *ShardedAccumulator) AddBatch(reps []Report) error {
 }
 
 // AddCounts folds pre-aggregated support counts from total reports, the
-// ingest path for BatchPerturber output and for partial aggregates
+// ingest path for SimulateGenuineCounts output and for partial aggregates
 // computed elsewhere (another process, a remote collector).
 func (sa *ShardedAccumulator) AddCounts(counts []int64, total int64) error {
 	if len(counts) != sa.domain {
@@ -172,8 +164,8 @@ func (sa *ShardedAccumulator) Mutations() uint64 { return sa.gen.Load() }
 
 // Total returns the number of reports folded in so far. It sums the
 // per-shard totals directly — O(shards), no count merge — so monitoring
-// loops can poll it during continuous ingest without paying merged()'s
-// O(shards·d) recompute on every call.
+// loops can poll it during continuous ingest without paying Snapshot's
+// O(shards·d) merge on every call.
 func (sa *ShardedAccumulator) Total() int64 {
 	var total int64
 	for i := range sa.shards {
@@ -185,20 +177,11 @@ func (sa *ShardedAccumulator) Total() int64 {
 	return total
 }
 
-// merged returns the up-to-date merged aggregate, re-merging the shards
-// only when ingest has advanced since the last read. The returned
-// accumulator is immutable — recomputation replaces it rather than
-// mutating it — so callers may read it lock-free but must never write.
-func (sa *ShardedAccumulator) merged() *Accumulator {
-	sa.snapMu.Lock()
-	defer sa.snapMu.Unlock()
-	// Load gen before touching the shards: a mutation bumps gen only
-	// after unlocking its shard, so any ingest missing from the merge
-	// below has a bump we haven't seen — the next read re-merges.
-	gen := sa.gen.Load()
-	if sa.snap != nil && sa.snapGen == gen {
-		return sa.snap
-	}
+// Snapshot merges all shards into a fresh sequential Accumulator owned by
+// the caller. The sharded accumulator itself is unchanged and may keep
+// ingesting; concurrent Adds may or may not be included, but every
+// snapshot is a consistent prefix-sum of completed ingest calls per shard.
+func (sa *ShardedAccumulator) Snapshot() *Accumulator {
 	out := &Accumulator{counts: make([]int64, sa.domain)}
 	for i := range sa.shards {
 		sh := &sa.shards[i]
@@ -209,18 +192,7 @@ func (sa *ShardedAccumulator) merged() *Accumulator {
 		out.total += sh.acc.total
 		sh.mu.Unlock()
 	}
-	sa.snap = out
-	sa.snapGen = gen
 	return out
-}
-
-// Snapshot merges all shards into a fresh sequential Accumulator owned by
-// the caller. The sharded accumulator itself is unchanged and may keep
-// ingesting; concurrent Adds may or may not be included, but every
-// snapshot is a consistent prefix-sum of completed ingest calls per shard.
-func (sa *ShardedAccumulator) Snapshot() *Accumulator {
-	m := sa.merged()
-	return &Accumulator{counts: append([]int64(nil), m.counts...), total: m.total}
 }
 
 // SealEpoch closes the current epoch: every shard's tally is swapped out
@@ -275,10 +247,10 @@ func (sa *ShardedAccumulator) Reset() {
 }
 
 // Counts returns a copy of the merged raw support counts.
-func (sa *ShardedAccumulator) Counts() []int64 { return sa.merged().Counts() }
+func (sa *ShardedAccumulator) Counts() []int64 { return sa.Snapshot().counts }
 
 // Estimate produces unbiased frequency estimates for the current merged
 // aggregate under the protocol parameters pr.
 func (sa *ShardedAccumulator) Estimate(pr Params) ([]float64, error) {
-	return sa.merged().Estimate(pr)
+	return sa.Snapshot().Estimate(pr)
 }

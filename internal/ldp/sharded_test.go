@@ -161,7 +161,7 @@ func TestShardedAddCountsAndMerge(t *testing.T) {
 		n += trueCounts[v]
 	}
 	r := rng.New(21)
-	counts, err := oue.BatchPerturb(r, trueCounts)
+	counts, err := oue.SimulateGenuineCounts(r, trueCounts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestShardedAddCountsAndMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	other, _ := NewShardedAccumulator(d, 2)
-	counts2, err := oue.BatchPerturb(r, trueCounts)
+	counts2, err := oue.SimulateGenuineCounts(r, trueCounts)
 	if err != nil {
 		t.Fatal(err)
 	}

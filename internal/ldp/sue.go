@@ -73,20 +73,11 @@ func (s *SUE) CraftSupport(_ *rng.Rand, v int) (Report, error) {
 	return OUEReport{Bits: bits}, nil
 }
 
-// BatchPerturb implements BatchPerturber: like OUE, bits are perturbed
+// SimulateGenuineCounts implements Protocol: like OUE, bits are perturbed
 // independently, so per-item counts are exactly independent binomials.
-func (s *SUE) BatchPerturb(r *rng.Rand, trueCounts []int64) ([]int64, error) {
+func (s *SUE) SimulateGenuineCounts(r *rng.Rand, trueCounts []int64) ([]int64, error) {
 	return independentBinomialCounts(r, trueCounts, s.params.Domain, s.params.P, s.params.Q)
 }
-
-// SimulateGenuineCounts implements Protocol via the batch fast path.
-func (s *SUE) SimulateGenuineCounts(r *rng.Rand, trueCounts []int64) ([]int64, error) {
-	return s.BatchPerturb(r, trueCounts)
-}
-
-// batchPQ marks SUE's per-item counts as independent binomials so
-// BatchSimulate can parallelize over the item range.
-func (s *SUE) batchPQ() (float64, float64) { return s.params.P, s.params.Q }
 
 // Variance implements Protocol: Wang et al.'s SUE count variance at f=0,
 // n·q(1-q)/(p-q)², plus the frequency-dependent term n·f·(1-p-q)/(p-q).
@@ -96,7 +87,4 @@ func (s *SUE) Variance(f float64, n int64) float64 {
 	return nn*s.params.Q*(1-s.params.Q)/(pq*pq) + nn*f*(1-s.params.P-s.params.Q)/pq
 }
 
-var (
-	_ Protocol       = (*SUE)(nil)
-	_ BatchPerturber = (*SUE)(nil)
-)
+var _ Protocol = (*SUE)(nil)

@@ -41,7 +41,7 @@ func testManagerState(t testing.TB) stream.ManagerState {
 		if e >= 3 {
 			counts[7] += 800 // a spike the z-score should notice
 		}
-		sim, err := ldp.BatchSimulate(proto, r, counts, 1)
+		sim, err := proto.SimulateGenuineCounts(r, counts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,7 @@ func benchManager(b *testing.B, users int64) (*EpochManager, []int64, int64) {
 	for v := range trueCounts {
 		trueCounts[v] = per
 	}
-	counts, err := ldp.BatchSimulate(proto, rng.New(21), trueCounts, 1)
+	counts, err := proto.SimulateGenuineCounts(rng.New(21), trueCounts)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -174,7 +174,7 @@ func TestSealedMergerTreeBitIdenticalToSingleNode(t *testing.T) {
 	unions := make([][]int64, epochs)
 	totals := make([]int64, epochs)
 	for e := range unions {
-		if unions[e], err = ldp.BatchSimulate(proto, r, trueCounts, 1); err != nil {
+		if unions[e], err = proto.SimulateGenuineCounts(r, trueCounts); err != nil {
 			t.Fatal(err)
 		}
 		totals[e] = n

@@ -36,7 +36,7 @@ func sealEpoch(t *testing.T, m *EpochManager, proto ldp.Protocol, r *rng.Rand, s
 	if spike >= 0 {
 		trueCounts[spike] += 2500
 	}
-	counts, err := ldp.BatchSimulate(proto, r, trueCounts, 1)
+	counts, err := proto.SimulateGenuineCounts(r, trueCounts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		if spike >= 0 {
 			trueCounts[spike] += 2500
 		}
-		if _, err := ldp.BatchSimulate(proto, rb, trueCounts, 1); err != nil {
+		if _, err := proto.SimulateGenuineCounts(rb, trueCounts); err != nil {
 			t.Fatal(err)
 		}
 	}

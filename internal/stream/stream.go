@@ -34,9 +34,6 @@ type Config struct {
 	// Params are the protocol's aggregation parameters (p, q, d); every
 	// ingested report must come from this protocol.
 	Params ldp.Params
-	// Shards is the live accumulator's shard count; <= 0 selects
-	// GOMAXPROCS.
-	Shards int
 	// Window is the number of sealed epochs merged into each serving
 	// estimate. Zero means 1 (estimate each epoch alone).
 	Window int
@@ -229,7 +226,7 @@ func NewEpochManager(cfg Config) (*EpochManager, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	live, err := ldp.NewShardedAccumulator(cfg.Params.Domain, cfg.Shards)
+	live, err := ldp.NewShardedAccumulator(cfg.Params.Domain, 0)
 	if err != nil {
 		return nil, err
 	}

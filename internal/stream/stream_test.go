@@ -262,7 +262,7 @@ func TestStreamUpgradesToPartialKnowledge(t *testing.T) {
 	const quiet, attacked = 6, 6
 	engaged := -1
 	for e := 0; e < quiet+attacked; e++ {
-		counts, err := ldp.BatchSimulate(proto, r, trueCounts, 1)
+		counts, err := proto.SimulateGenuineCounts(r, trueCounts)
 		if err != nil {
 			t.Fatal(err)
 		}

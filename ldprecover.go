@@ -20,8 +20,9 @@
 // variant, which is strictly more accurate against targeted attacks.
 //
 // For high-throughput serving, ShardedAccumulator ingests reports from
-// many goroutines concurrently, and BatchSimulate produces whole-population
-// aggregate counts without materializing per-user reports. EpochManager
+// many goroutines concurrently, and Protocol.SimulateGenuineCounts produces
+// whole-population aggregate counts without materializing per-user
+// reports. EpochManager
 // (DESIGN.md §5) turns the same flow into a continuously-serving epoch
 // stream — sealed epochs, sliding-window estimates, and an automatic
 // upgrade to LDPRecover* once attacked items stabilize — which the
@@ -154,28 +155,13 @@ func NewAccumulator(d int) (*Accumulator, error) { return ldp.NewAccumulator(d) 
 // ShardedAccumulator is the concurrency-safe ingest engine: reports from
 // many goroutines fan out across independently locked shards and merge on
 // Snapshot, with AddCounts as the fast lane for pre-aggregated partials
-// (e.g. BatchSimulate output or remote collectors' sub-totals).
+// (e.g. SimulateGenuineCounts output or remote collectors' sub-totals).
 type ShardedAccumulator = ldp.ShardedAccumulator
 
 // NewShardedAccumulator returns an empty concurrent aggregator over a
 // domain of size d with the given shard count (<= 0 selects GOMAXPROCS).
 func NewShardedAccumulator(d, shards int) (*ShardedAccumulator, error) {
 	return ldp.NewShardedAccumulator(d, shards)
-}
-
-// BatchPerturber is the batch perturbation fast path implemented by all
-// built-in protocols: aggregate support counts for a whole population,
-// drawn directly from their sampling distributions with no per-user
-// Report allocation.
-type BatchPerturber = ldp.BatchPerturber
-
-// BatchSimulate runs the batch perturbation fast path across workers
-// goroutines (<= 0 selects GOMAXPROCS) and returns the aggregated
-// support counts for a population with the given per-item true counts.
-// With workers == 1 the output is bit-identical to the protocol's
-// sequential SimulateGenuineCounts stream.
-func BatchSimulate(p Protocol, r *Rand, trueCounts []int64, workers int) ([]int64, error) {
-	return ldp.BatchSimulate(p, r, trueCounts, workers)
 }
 
 // MarshalReport serializes a report to the library's wire format, so

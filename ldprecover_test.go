@@ -94,8 +94,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 }
 
 // TestFacadeShardedBatchPipeline exercises the concurrent ingest engine
-// and the batch perturbation fast path through the public API: a genuine
-// population simulated in batch, a poisoning attack's counts folded in,
+// and the count-level simulation path through the public API: a genuine
+// population simulated at count level, a poisoning attack's counts folded in,
 // and recovery run on the sharded aggregate's estimate.
 func TestFacadeShardedBatchPipeline(t *testing.T) {
 	const d, eps = 24, 0.8
@@ -109,9 +109,7 @@ func TestFacadeShardedBatchPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var _ ldprecover.BatchPerturber = proto // fast path is part of the API
-
-	genCounts, err := ldprecover.BatchSimulate(proto, r, ds.Counts, 0)
+	genCounts, err := proto.SimulateGenuineCounts(r, ds.Counts)
 	if err != nil {
 		t.Fatal(err)
 	}
