@@ -509,6 +509,11 @@ type streamServer struct {
 	// flush, so the parent's barrier stops expecting it.
 	leaveOnShutdown bool
 
+	// encoded is the serving estimate with its JSON body, so the seal's
+	// encode is the only one every read of that window pays for (see
+	// writeEstimate).
+	encoded atomic.Pointer[encodedEstimate]
+
 	// sealMu serializes seals so ticker, /v1/seal and drain cannot
 	// interleave epoch boundaries.
 	sealMu sync.Mutex
@@ -959,29 +964,6 @@ func (s *streamServer) handlePartial(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// estimateResponse is the JSON shape of a window estimate.
-type estimateResponse struct {
-	Seq              int       `json:"seq"`
-	Epochs           int       `json:"epochs"`
-	Total            int64     `json:"total"`
-	Poisoned         []float64 `json:"poisoned,omitempty"`
-	Recovered        []float64 `json:"recovered,omitempty"`
-	Targets          []int     `json:"targets,omitempty"`
-	PartialKnowledge bool      `json:"partial_knowledge"`
-}
-
-func toEstimateResponse(est *ldprecover.WindowEstimate) estimateResponse {
-	return estimateResponse{
-		Seq:              est.Seq,
-		Epochs:           est.Epochs,
-		Total:            est.Total,
-		Poisoned:         est.Poisoned,
-		Recovered:        est.Recovered,
-		Targets:          est.Targets,
-		PartialKnowledge: est.PartialKnowledge,
-	}
-}
-
 func (s *streamServer) handleSeal(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST to seal the current epoch")
@@ -1006,7 +988,7 @@ func (s *streamServer) handleSeal(w http.ResponseWriter, r *http.Request) {
 		s.reportFatal(err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toEstimateResponse(est))
+	s.writeEstimate(w, est)
 }
 
 func (s *streamServer) handleEstimate(w http.ResponseWriter, r *http.Request) {
@@ -1025,7 +1007,7 @@ func (s *streamServer) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusConflict, "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, toEstimateResponse(est))
+		s.writeEstimate(w, est)
 		return
 	}
 	est := s.manager().Latest()
@@ -1033,7 +1015,7 @@ func (s *streamServer) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "no epoch sealed yet")
 		return
 	}
-	writeJSON(w, http.StatusOK, toEstimateResponse(est))
+	s.writeEstimate(w, est)
 }
 
 // statsResponse is the monitoring summary.

@@ -149,10 +149,16 @@ func (m *EpochManager) RestoreState(st ManagerState) error {
 	// Rebuild the serving estimate for the restored window. advance=false
 	// recomputes exactly what the pre-restart Seal published: the tracker
 	// already holds its post-observation state, so Stable() is the target
-	// set that seal used, and Unbias/Recover are deterministic.
+	// set that seal used, and Unbias/Recover are deterministic. The
+	// window ends at the ring's newest epoch, which is seq-1 unless the
+	// clock was advanced past it (AdvanceEpochTo) before the snapshot.
 	m.latest = nil
 	if m.seq > 0 {
-		est, err := m.estimateLocked(m.winCounts, m.winTotal, m.seq-1, m.winEpochs, false)
+		newest := m.seq - 1
+		if len(m.ring) > 0 {
+			newest = m.ring[len(m.ring)-1].Seq
+		}
+		est, err := m.estimateLocked(m.winCounts, m.winTotal, newest, m.winEpochs, false)
 		if err != nil {
 			return err
 		}

@@ -478,6 +478,12 @@ func (m *EpochManager) Latest() *WindowEstimate {
 // It answers ad-hoc window queries (e.g. "the last 2 epochs" while the
 // serving window is 6) without advancing detection state. k is clamped to
 // the epochs actually retained; zero epochs sealed is an error.
+//
+// A k that covers exactly the serving window returns the estimate the
+// last seal computed — the same pointer Latest() returns, since the
+// on-demand compute would reproduce it float for float. The result may
+// therefore be shared with Latest() and other callers and must not be
+// mutated.
 func (m *EpochManager) EstimateWindow(k int) (*WindowEstimate, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("stream: window of %d epochs", k)
@@ -487,9 +493,17 @@ func (m *EpochManager) EstimateWindow(k int) (*WindowEstimate, error) {
 	if len(m.ring) == 0 {
 		return nil, errors.New("stream: no sealed epochs yet")
 	}
-	if k > len(m.ring) {
-		k = len(m.ring)
+	k = min(k, len(m.ring))
+	if l := m.latest; l != nil && k == m.winEpochs && l.Seq == m.ring[len(m.ring)-1].Seq {
+		return l, nil
 	}
+	return m.computeWindowLocked(k)
+}
+
+// computeWindowLocked merges the newest k (1 <= k <= len(ring)) sealed
+// epochs and estimates them from scratch, leaving detection state
+// untouched. Callers hold m.mu.
+func (m *EpochManager) computeWindowLocked(k int) (*WindowEstimate, error) {
 	counts := make([]int64, m.cfg.Params.Domain)
 	var total int64
 	for _, ep := range m.ring[len(m.ring)-k:] {
