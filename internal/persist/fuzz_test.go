@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -23,8 +24,9 @@ func walRecord(lsn uint64, payload []byte) []byte {
 // FuzzWALOpen: a segment holding arbitrary bytes — torn tails, flipped
 // bits, hostile length fields — must never panic OpenWAL or Replay,
 // only error or truncate cleanly. When the log does open, the surviving
-// prefix must replay with monotone LSNs and the log must accept new
-// appends that land after everything replayed.
+// prefix must replay with each worker's LSNs monotone and none twice,
+// and the log must accept new appends that land after everything
+// replayed.
 func FuzzWALOpen(f *testing.F) {
 	r1 := walRecord(1, []byte("batch-one"))
 	r2 := walRecord(2, []byte("batch-two"))
@@ -51,14 +53,23 @@ func FuzzWALOpen(f *testing.F) {
 			return // refusing a mangled log is fine; panicking is not
 		}
 		defer w.Close()
+		// Each worker's records arrive in strictly ascending LSN order,
+		// and every LSN is replayed once; last is the highest replayed.
+		var mu sync.Mutex
+		perWorker := make(map[int]uint64)
+		seen := make(map[uint64]bool)
 		var last uint64
-		var replayed int
-		err = w.Replay(0, func(lsn uint64, payload []byte) error {
-			if lsn <= last {
-				t.Fatalf("replay LSNs not monotone: %d after %d", lsn, last)
+		err = w.Replay(0, func(worker int, lsn uint64, payload []byte) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if prev, ok := perWorker[worker]; ok && lsn <= prev {
+				t.Errorf("worker %d replay LSNs not monotone: %d after %d", worker, lsn, prev)
 			}
-			last = lsn
-			replayed++
+			if seen[lsn] {
+				t.Errorf("LSN %d replayed twice", lsn)
+			}
+			perWorker[worker], seen[lsn] = lsn, true
+			last = max(last, lsn)
 			return nil
 		})
 		if err != nil {

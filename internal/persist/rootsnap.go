@@ -21,11 +21,12 @@ import (
 // exactly what the snapshot carries.
 //
 // The report-level WAL is a different contract: its records are report
-// batch frames replayed through AddBatch. A directory holding one
-// belongs to a frontend or single-node server; opening it as a root
-// store is refused, because replaying report frames into a
-// tally-merging root (or logging tally frames into a report WAL) would
-// silently corrupt the merged state.
+// batch frames and partial tallies, replayed in one pass that folds them
+// into the live epoch (batches as wire frames through AddBatchFrame). A
+// directory holding one belongs to a frontend or single-node server;
+// opening it as a root store is refused, because replaying report frames
+// into a tally-merging root (or logging tally frames into a report WAL)
+// would silently corrupt the merged state.
 type SnapshotStore struct {
 	mgr  *stream.EpochManager
 	dir  string

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 
 	"ldprecover/internal/ldp"
@@ -83,10 +84,13 @@ type Store struct {
 
 // Open makes mgr durable under dir: it loads the newest valid snapshot
 // into the (freshly constructed) manager, replays the WAL tail to
-// rebuild the live epoch — report batches fold as wire frames through
-// AddBatchFrame, never decoded into reports — and leaves the log open
-// for appending. A WAL record that fails its check fails Open before
-// any record is folded. The restored manager serves window estimates
+// rebuild the live epoch — one pass over the log, spread over
+// GOMAXPROCS workers, each folding report batches as wire frames through
+// AddBatchFrame (never decoded into reports) into its own accumulator —
+// and leaves the log open for appending. A WAL record that fails its
+// check fails Open, naming the lowest failing LSN, and the manager is
+// left untouched: worker totals reach it only once the whole log has
+// checked out. The restored manager serves window estimates
 // bit-identical to the pre-crash process.
 func Open(dir string, mgr *stream.EpochManager, opts Options) (*Store, error) {
 	if mgr == nil {
@@ -138,56 +142,92 @@ func Open(dir string, mgr *stream.EpochManager, opts Options) (*Store, error) {
 	// appends must not reuse LSNs the snapshot already covers.
 	s.wal.AdvanceTo(walSeq)
 
-	// The WAL is payload-agnostic; records are dispatched on their
-	// 2-byte frame magic: "LP" partial tallies, every other record a
-	// report-batch frame. Replay runs twice over the log. The first pass
-	// checks every record and counts what it holds, so a record that
-	// fails fails Open, naming its LSN, before anything is folded. The
-	// second pass folds: report batches through AddBatchFrame, the same
-	// wire-byte lane live ingest takes, and partial tallies through
-	// AddCounts regardless of their epoch hint. The hint was checked
-	// against the sealed watermark when the record was accepted (append
-	// and fold are atomic with respect to seals), so on replay the fold
-	// is unconditional — exactly like report batches, every surviving
-	// record rebuilds the live epoch.
-	err = s.wal.Replay(walSeq, func(lsn uint64, payload []byte) error {
-		if isPartialRecord(payload) {
-			p, err := ldp.UnmarshalPartial(payload)
-			if err != nil {
-				return fmt.Errorf("persist: WAL record %d: partial tally: %w", lsn, err)
-			}
-			if len(p.Counts) != s.mgr.Domain() {
-				return fmt.Errorf("persist: WAL record %d: partial tally over domain %d, manager domain %d",
-					lsn, len(p.Counts), s.mgr.Domain())
-			}
-			s.restored.ReplayedPartials++
-			s.restored.ReplayedPartialUsers += p.Users
-			return nil
-		}
-		n, err := ldp.ValidateReportBatchFrame(payload)
-		if err != nil {
-			return fmt.Errorf("persist: WAL record %d: report batch: %w", lsn, err)
-		}
-		s.restored.ReplayedBatches++
-		s.restored.ReplayedReports += int64(n)
-		return nil
-	})
-	if err == nil {
-		err = s.wal.Replay(walSeq, func(_ uint64, payload []byte) error {
-			if !isPartialRecord(payload) {
-				return s.mgr.AddBatchFrame(payload)
-			}
-			p, err := ldp.UnmarshalPartial(payload)
+	// One pass over the log, a worker per core: each record is read,
+	// CRC-checked and validated once, and folded into its worker's
+	// private accumulator. Only when every record has passed do the
+	// worker totals reach the manager, so a record that fails fails
+	// Open, naming its LSN, with the manager untouched.
+	folds := make([]*replayFold, runtime.GOMAXPROCS(0))
+	err = s.wal.replay(walSeq, len(folds), func(worker int, lsn uint64, payload []byte) error {
+		if folds[worker] == nil {
+			acc, err := ldp.NewShardedAccumulator(mgr.Domain(), 1)
 			if err != nil {
 				return err
 			}
-			return s.mgr.AddCounts(p.Counts, p.Users)
-		})
+			folds[worker] = &replayFold{acc: acc}
+		}
+		return folds[worker].apply(lsn, payload)
+	})
+	if err == nil {
+		err = s.commitReplay(folds)
 	}
 	if err != nil {
 		return nil, errors.Join(err, s.wal.Close())
 	}
 	return s, nil
+}
+
+// replayFold is one replay worker's share of the WAL tail: its records
+// folded into a private accumulator, and what they held.
+type replayFold struct {
+	acc          *ldp.ShardedAccumulator
+	batches      int
+	partials     int
+	partialUsers int64
+}
+
+// apply validates one WAL record and folds it. The WAL is
+// payload-agnostic; records are dispatched on their 2-byte frame magic:
+// "LP" partial tallies fold through AddCounts regardless of their epoch
+// hint, every other record is a report-batch frame folded as wire bytes
+// through AddBatchFrame, the lane live ingest takes. The hint was
+// checked against the sealed watermark when the record was accepted
+// (append and fold are atomic with respect to seals), so on replay the
+// fold is unconditional — exactly like report batches, every surviving
+// record rebuilds the live epoch.
+func (f *replayFold) apply(lsn uint64, payload []byte) error {
+	if !isPartialRecord(payload) {
+		if err := f.acc.AddBatchFrame(payload); err != nil {
+			return fmt.Errorf("persist: WAL record %d: report batch: %w", lsn, err)
+		}
+		f.batches++
+		return nil
+	}
+	p, err := ldp.UnmarshalPartial(payload)
+	if err == nil {
+		err = f.acc.AddCounts(p.Counts, p.Users)
+	}
+	if err != nil {
+		return fmt.Errorf("persist: WAL record %d: partial tally: %w", lsn, err)
+	}
+	f.partials++
+	f.partialUsers += p.Users
+	return nil
+}
+
+// commitReplay sums the replay workers' folds into the manager's live
+// epoch in one AddCounts — exact, since support counting is additive —
+// and records what was replayed.
+func (s *Store) commitReplay(folds []*replayFold) error {
+	var sum *ldp.ShardedAccumulator
+	for _, f := range folds {
+		if f == nil {
+			continue
+		}
+		s.restored.ReplayedBatches += f.batches
+		s.restored.ReplayedReports += f.acc.Total() - f.partialUsers
+		s.restored.ReplayedPartials += f.partials
+		s.restored.ReplayedPartialUsers += f.partialUsers
+		if sum == nil {
+			sum = f.acc
+		} else if err := sum.Merge(f.acc); err != nil {
+			return err
+		}
+	}
+	if sum == nil {
+		return nil
+	}
+	return s.mgr.AddCounts(sum.Counts(), sum.Total())
 }
 
 // isPartialRecord reports whether a WAL payload is an "LP" partial-tally

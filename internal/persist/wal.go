@@ -12,11 +12,15 @@
 //     each seal, after which the WAL is truncated up to the snapshot
 //     point.
 //
-// On boot a Store loads the newest valid snapshot, replays the WAL tail
-// through AddBatch, and the manager serves window estimates bit-identical
-// to an uninterrupted run: support counting is additive, so re-applying
-// the live epoch's batches in any order reproduces the same counts, and
-// recovery itself is deterministic.
+// On boot a Store loads the newest valid snapshot and replays the WAL
+// tail in one pass, its segments spread over GOMAXPROCS workers that
+// each check every record once and fold it (report batches as wire
+// frames through AddBatchFrame) into a private accumulator; the worker
+// totals reach the manager only once the whole log checks out. The
+// manager then serves window estimates bit-identical to an
+// uninterrupted run: support counting is additive, so re-applying the
+// live epoch's records in any order and grouping reproduces the same
+// counts, and recovery itself is deterministic.
 //
 // The merging tiers reuse the same blocks without the WAL: roots and
 // interior mergers (-role=merger, DESIGN.md §9) persist per-seal
@@ -34,10 +38,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // WAL record frame (little endian):
@@ -142,7 +148,8 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	// verified lazily by Replay (corruption there is a hard error, not a
 	// torn tail).
 	last := segs[len(segs)-1]
-	end, lastLSN, _, err := scanSegment(last.path, last.first, nil)
+	var r segmentReader
+	end, lastLSN, _, err := r.scan(last, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -300,30 +307,82 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// Replay streams every record with LSN > after, oldest first, to fn. A
-// torn tail — a final record the crash cut short — ends replay cleanly;
-// corruption anywhere else (or in a non-final segment) is an error, since
-// valid records are known to follow it and silently dropping them would
-// diverge the restored state. Replay is a boot-time operation: run it
-// before appending resumes.
-func (w *WAL) Replay(after uint64, fn func(lsn uint64, payload []byte) error) error {
+// Replay streams every record with LSN > after to fn, spread over
+// runtime.GOMAXPROCS(0) workers (never more than there are segments).
+// Each worker claims whole segments in
+// ascending order and hands their records to fn with its own worker
+// index, so one worker's records arrive in ascending LSN order while
+// different workers run concurrently; fn must be safe for that, and the
+// payload it is given is only valid for the duration of the call.
+//
+// A torn tail — a final record the crash cut short — ends replay
+// cleanly; corruption anywhere else (or in a non-final segment) is an
+// error, since valid records are known to follow it and silently
+// dropping them would diverge the restored state. When several segments
+// fail (corruption, an I/O error, or an error from fn), the error of the
+// lowest one is returned, so the failure reported is always the one
+// nearest the start of the log; records of later segments may still
+// have reached fn. Replay is a boot-time operation: run it before
+// appending resumes.
+func (w *WAL) Replay(after uint64, fn func(worker int, lsn uint64, payload []byte) error) error {
+	return w.replay(after, runtime.GOMAXPROCS(0), fn)
+}
+
+// replay is Replay over a fixed worker count; worker indices passed to
+// fn are below workers.
+func (w *WAL) replay(after uint64, workers int, fn func(worker int, lsn uint64, payload []byte) error) error {
 	w.mu.Lock()
 	segs := append([]walSegment(nil), w.segments...)
 	w.mu.Unlock()
-	for i, seg := range segs {
-		final := i == len(segs)-1
-		_, _, torn, err := scanSegment(seg.path, seg.first, func(lsn uint64, payload []byte) error {
-			if lsn <= after {
-				return nil
+	workers = max(1, min(workers, len(segs)))
+	errs := make([]error, len(segs))
+	var next atomic.Int64 // next unclaimed segment index
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for worker := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var r segmentReader
+			emit := func(lsn uint64, payload []byte) error {
+				if lsn <= after {
+					return nil
+				}
+				return fn(worker, lsn, payload)
 			}
-			return fn(lsn, payload)
-		})
+			// Segments are claimed in ascending order, so once any
+			// segment has failed, every unclaimed one lies above it and
+			// cannot hold the lowest failure: stop claiming. Segments
+			// already claimed still finish, and errs keeps them all.
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= len(segs) {
+					return
+				}
+				if errs[i] = r.replaySegment(segs[i], i == len(segs)-1, emit); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}
-		if torn && !final {
-			return fmt.Errorf("persist: WAL segment %s is corrupt mid-log", filepath.Base(seg.path))
-		}
+	}
+	return nil
+}
+
+// replaySegment streams one segment's valid records to fn. A torn end is
+// tolerated only in the final segment.
+func (r *segmentReader) replaySegment(seg walSegment, final bool, fn func(lsn uint64, payload []byte) error) error {
+	_, _, torn, err := r.scan(seg, fn)
+	if err != nil {
+		return err
+	}
+	if torn && !final {
+		return fmt.Errorf("persist: WAL segment %s is corrupt mid-log", filepath.Base(seg.path))
 	}
 	return nil
 }
@@ -384,19 +443,48 @@ func listSegments(dir string) ([]walSegment, error) {
 	return segs, nil
 }
 
-// scanSegment parses one segment, calling fn (when non-nil) per valid
-// record. It returns the byte offset past the last valid record, the
-// last valid LSN (0 if none), and whether the segment ends in a torn or
-// invalid record. I/O failures are returned as errors; parse failures
-// are "torn" — the caller decides whether that is tolerable (final
-// segment) or corruption (mid-log).
-func scanSegment(path string, first uint64, fn func(lsn uint64, payload []byte) error) (validEnd int64, lastLSN uint64, torn bool, err error) {
-	data, err := os.ReadFile(path)
+// segmentReader reads whole segment files into one buffer it reuses, so
+// a boot that scans many segments allocates a buffer per reader, not one
+// per segment. Every read of a segment goes through it.
+type segmentReader struct {
+	buf []byte
+}
+
+// read returns the contents of the file at path, valid until the next
+// read.
+func (r *segmentReader) read(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if int64(cap(r.buf)) < st.Size() {
+		r.buf = make([]byte, st.Size())
+	}
+	data := r.buf[:st.Size()]
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
+// scan parses one segment, calling fn (when non-nil) per valid record.
+// It returns the byte offset past the last valid record, the last valid
+// LSN (0 if none), and whether the segment ends in a torn or invalid
+// record. I/O failures are returned as errors; parse failures are
+// "torn" — the caller decides whether that is tolerable (final segment)
+// or corruption (mid-log).
+func (r *segmentReader) scan(seg walSegment, fn func(lsn uint64, payload []byte) error) (validEnd int64, lastLSN uint64, torn bool, err error) {
+	data, err := r.read(seg.path)
 	if err != nil {
 		return 0, 0, false, err
 	}
 	var off int64
-	want := first
+	want := seg.first
 	for {
 		rest := data[off:]
 		if len(rest) == 0 {

@@ -5,19 +5,51 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sort"
+	"sync"
 	"testing"
 )
 
-// collect replays everything after `after` into memory.
+// collect replays everything after `after` into memory, in LSN order.
+// It checks Replay's ordering contract on the way: worker indices stay
+// below GOMAXPROCS, each worker's records arrive in strictly ascending
+// LSN order, and no LSN reaches fn twice.
 func collect(t *testing.T, w *WAL, after uint64) (lsns []uint64, payloads [][]byte) {
 	t.Helper()
-	err := w.Replay(after, func(lsn uint64, payload []byte) error {
-		lsns = append(lsns, lsn)
-		payloads = append(payloads, append([]byte(nil), payload...))
+	type record struct {
+		lsn     uint64
+		payload []byte
+	}
+	workers := runtime.GOMAXPROCS(0)
+	var mu sync.Mutex
+	perWorker := make(map[int][]record)
+	err := w.Replay(after, func(worker int, lsn uint64, payload []byte) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if worker < 0 || worker >= workers {
+			return fmt.Errorf("worker index %d outside [0, %d)", worker, workers)
+		}
+		if prev := perWorker[worker]; len(prev) > 0 && lsn <= prev[len(prev)-1].lsn {
+			return fmt.Errorf("worker %d: LSN %d after %d", worker, lsn, prev[len(prev)-1].lsn)
+		}
+		perWorker[worker] = append(perWorker[worker], record{lsn, append([]byte(nil), payload...)})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var all []record
+	for _, recs := range perWorker {
+		all = append(all, recs...)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].lsn < all[j].lsn })
+	for i, rec := range all {
+		if i > 0 && rec.lsn == all[i-1].lsn {
+			t.Fatalf("LSN %d replayed twice", rec.lsn)
+		}
+		lsns = append(lsns, rec.lsn)
+		payloads = append(payloads, rec.payload)
 	}
 	return lsns, payloads
 }
@@ -211,7 +243,7 @@ func TestWALMidLogCorruption(t *testing.T) {
 	if err := os.WriteFile(segs[0].path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Replay(0, func(uint64, []byte) error { return nil }); err == nil {
+	if err := w.Replay(0, func(int, uint64, []byte) error { return nil }); err == nil {
 		t.Fatal("mid-log corruption replayed silently")
 	}
 	w.Close()

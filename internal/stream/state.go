@@ -16,8 +16,10 @@ import (
 // estimates) instead of silently downgrading to LDPRecover.
 //
 // The live (unsealed) accumulator is deliberately not part of the state:
-// its reports are reconstructed by replaying the write-ahead log tail
-// through AddBatch, which is exact because support counting is additive.
+// its reports are reconstructed by replaying the write-ahead log tail in
+// one pass — each record folded as a wire frame into a per-worker
+// accumulator, the totals then added with AddCounts — which is exact
+// because support counting is additive.
 // Configuration (window, thresholds, protocol parameters) is not state
 // either — it comes from NewEpochManager on both sides of a restart.
 type ManagerState struct {

@@ -231,8 +231,10 @@ type (
 )
 
 // OpenDurableStore makes a freshly constructed EpochManager durable
-// under dir: it loads the newest valid snapshot, replays the WAL tail
-// through AddBatch, and leaves the log open for appending.
+// under dir: it loads the newest valid snapshot, replays the WAL tail in
+// one pass (each record checked once and folded per worker, the totals
+// reaching the manager only once the whole log checks out), and leaves
+// the log open for appending.
 func OpenDurableStore(dir string, mgr *EpochManager, opts DurableOptions) (*DurableStore, error) {
 	return persist.Open(dir, mgr, opts)
 }
