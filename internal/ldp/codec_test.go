@@ -1,6 +1,9 @@
 package ldp
 
 import (
+	"encoding/binary"
+	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -81,33 +84,92 @@ func TestCodecMarshalValidation(t *testing.T) {
 	}
 }
 
+// reportFrame assembles a single-report wire frame from a version, a
+// tag and little-endian uint32 payload fields.
+func reportFrame(version, tag byte, fields ...uint32) []byte {
+	b := []byte{version, tag}
+	for _, f := range fields {
+		b = binary.LittleEndian.AppendUint32(b, f)
+	}
+	return b
+}
+
+// TestCodecUnmarshalValidation is the wire-format spec of a single
+// report: one case per rejection rule. Each case must fail
+// UnmarshalReport on its own and, wrapped as a one-report batch, must
+// fail ValidateReportBatchFrame, UnmarshalReportBatch and
+// Accumulator.AddBatchFrame with ErrCodec, leaving the accumulator as it
+// was.
 func TestCodecUnmarshalValidation(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		{1},                       // short
-		{9, tagGRR, 0, 0, 0, 0},   // bad version
-		{1, 99, 0, 0, 0, 0},       // unknown tag
-		{1, tagGRR, 0, 0},         // short GRR payload
-		{1, tagUnary, 0, 0},       // short unary payload
-		{1, tagUnary, 0, 0, 0, 0}, // zero bit count
-		{1, tagOLH, 0, 0, 0},      // short OLH payload
-	}
-	for i, buf := range cases {
-		if _, err := UnmarshalReport(buf); err == nil {
-			t.Fatalf("case %d: corrupt buffer accepted", i)
-		}
-	}
+	const maxBits = 1 << 26
 	// Unary with stray bits beyond the declared length.
 	bits := NewBitset(65)
 	bits.Set(64)
-	good, err := MarshalReport(OUEReport{Bits: bits})
+	stray, err := MarshalReport(OUEReport{Bits: bits})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := append([]byte(nil), good...)
-	bad[len(bad)-1] |= 0x80 // set a bit past position 64
-	if _, err := UnmarshalReport(bad); err == nil {
-		t.Fatal("stray high bits accepted")
+	stray[len(stray)-1] |= 0x80 // set a bit past position 64
+
+	cases := []struct {
+		name  string
+		frame []byte
+	}{
+		{"empty", nil},
+		{"short", []byte{1}},
+		{"bad version", reportFrame(9, tagGRR, 0)},
+		{"unknown tag", reportFrame(1, 99, 0)},
+		{"short GRR payload", []byte{1, tagGRR, 0, 0}},
+		{"long GRR payload", reportFrame(1, tagGRR, 0, 0)},
+		{"short unary payload", []byte{1, tagUnary, 0, 0}},
+		{"unary zero bit count", reportFrame(1, tagUnary, 0)},
+		{"unary bit count above 2^26", reportFrame(1, tagUnary, maxBits+1)},
+		{"unary payload length mismatch", reportFrame(1, tagUnary, 65, 0, 0)},
+		{"unary stray bits", stray},
+		{"retired OLH v1 tag", reportFrame(1, tagOLHV1, 9, 0, 1, 4)},
+		{"short OLH payload", []byte{1, tagOLH, 0, 0, 0}},
+		{"OLH g<2", reportFrame(1, tagOLH, 9, 0, 0, 1)},
+		{"OLH value>=g", reportFrame(1, tagOLH, 9, 0, 4, 4)},
+		{"sparse short payload", reportFrame(1, tagSparse, 64)},
+		{"sparse zero bit count", reportFrame(1, tagSparse, 0, 0)},
+		{"sparse bit count above 2^26", reportFrame(1, tagSparse, maxBits+1, 0)},
+		{"sparse k>n", reportFrame(1, tagSparse, 2, 3, 0, 1, 1)},
+		{"sparse length mismatch", reportFrame(1, tagSparse, 64, 2, 1)},
+		{"sparse out-of-order support", reportFrame(1, tagSparse, 64, 2, 7, 3)},
+		{"sparse repeated support", reportFrame(1, tagSparse, 64, 2, 5, 5)},
+		{"sparse out-of-range support", reportFrame(1, tagSparse, 64, 1, 64)},
+	}
+
+	const d = 8
+	good, err := MarshalReportBatch([]Report{GRRReport(3), SparseUnaryReport{N: d, Items: []int32{1, 6}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, _ := NewAccumulator(d)
+	if err := acc.AddBatchFrame(good); err != nil {
+		t.Fatal(err)
+	}
+	wantCounts, wantTotal := acc.Counts(), acc.Total()
+
+	for _, tc := range cases {
+		if _, err := UnmarshalReport(tc.frame); !errors.Is(err, ErrCodec) {
+			t.Errorf("%s: UnmarshalReport error %v, want ErrCodec", tc.name, err)
+		}
+		batch := append([]byte{batchMagic[0], batchMagic[1], batchVersion}, 1, 0, 0, 0)
+		batch = binary.LittleEndian.AppendUint32(batch, uint32(len(tc.frame)))
+		batch = append(batch, tc.frame...)
+		if _, err := ValidateReportBatchFrame(batch); !errors.Is(err, ErrCodec) {
+			t.Errorf("%s: ValidateReportBatchFrame error %v, want ErrCodec", tc.name, err)
+		}
+		if _, err := UnmarshalReportBatch(batch); !errors.Is(err, ErrCodec) {
+			t.Errorf("%s: UnmarshalReportBatch error %v, want ErrCodec", tc.name, err)
+		}
+		if err := acc.AddBatchFrame(batch); !errors.Is(err, ErrCodec) {
+			t.Errorf("%s: AddBatchFrame error %v, want ErrCodec", tc.name, err)
+		}
+		if acc.Total() != wantTotal || !reflect.DeepEqual(acc.Counts(), wantCounts) {
+			t.Fatalf("%s: a rejected frame moved the accumulator", tc.name)
+		}
 	}
 }
 
