@@ -1023,7 +1023,7 @@ func (s *streamServer) handleTally(w http.ResponseWriter, r *http.Request) {
 	if root == nil {
 		return
 	}
-	body, ok := s.readBody(w, r, "tally")
+	body, ok := s.readBody(w, r, "tally", false)
 	if !ok {
 		return
 	}
@@ -1058,7 +1058,7 @@ func (s *streamServer) handleMembership(w http.ResponseWriter, r *http.Request) 
 	if root == nil {
 		return
 	}
-	body, ok := s.readBody(w, r, "announce")
+	body, ok := s.readBody(w, r, "announce", false)
 	if !ok {
 		return
 	}

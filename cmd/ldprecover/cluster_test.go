@@ -278,7 +278,7 @@ func TestClusterEquivalenceE2E(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := getEstimate(t, rootHS.URL)
-		wantResp := canonicalEstimate(t, toEstimateResponse(want))
+		wantResp := canonicalEstimate(t, estimateResponse(*want))
 		if !reflect.DeepEqual(got, wantResp) {
 			t.Fatalf("epoch %d: cluster estimate diverged from single node\ngot  %+v\nwant %+v", e, got, wantResp)
 		}

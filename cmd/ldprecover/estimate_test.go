@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -17,113 +16,14 @@ import (
 	"ldprecover"
 )
 
-// estimateResponse is the JSON shape of a window estimate, the reference
-// appendEstimateJSON is pinned against and what tests decode served
-// estimates into.
-type estimateResponse struct {
-	Seq              int       `json:"seq"`
-	Epochs           int       `json:"epochs"`
-	Total            int64     `json:"total"`
-	Poisoned         []float64 `json:"poisoned,omitempty"`
-	Recovered        []float64 `json:"recovered,omitempty"`
-	Targets          []int     `json:"targets,omitempty"`
-	PartialKnowledge bool      `json:"partial_knowledge"`
-}
-
-func toEstimateResponse(est *ldprecover.WindowEstimate) estimateResponse {
-	return estimateResponse{
-		Seq:              est.Seq,
-		Epochs:           est.Epochs,
-		Total:            est.Total,
-		Poisoned:         est.Poisoned,
-		Recovered:        est.Recovered,
-		Targets:          est.Targets,
-		PartialKnowledge: est.PartialKnowledge,
-	}
-}
-
 // referenceJSON is encoding/json's body for est.
 func referenceJSON(t testing.TB, est *ldprecover.WindowEstimate) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(toEstimateResponse(est)); err != nil {
+	if err := json.NewEncoder(&buf).Encode(estimateResponse(*est)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-func checkEncoding(t testing.TB, name string, est *ldprecover.WindowEstimate) {
-	t.Helper()
-	got, err := appendEstimateJSON(nil, est)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	if want := referenceJSON(t, est); !bytes.Equal(got, want) {
-		t.Fatalf("%s: append encoder differs from encoding/json:\n got %s\nwant %s", name, got, want)
-	}
-}
-
-// TestEstimateEncodingGolden pins the append encoder to encoding/json
-// byte for byte: empty windows (vectors omitted), nil, empty and
-// non-empty target sets, every domain size the server is run at, and the
-// float boundaries where encoding/json switches notation.
-func TestEstimateEncodingGolden(t *testing.T) {
-	edges := []float64{
-		0, math.Copysign(0, -1), 1e-6, -1e-6, 9.99e-7, -9.99e-7, 1e21, -1e21,
-		9.999999999999999e20, 5e-324, -5e-324, math.MaxFloat64, -math.MaxFloat64,
-		1e-7, 1.5e-10, 1e-100, 1e100, 0.1, 1.0 / 3, -2.5, 123456789, 1, -1,
-	}
-	checkEncoding(t, "edges", &ldprecover.WindowEstimate{
-		Seq: 7, Epochs: 4, Total: 99, Poisoned: edges, Recovered: edges, Targets: []int{0, 3},
-	})
-
-	for _, targets := range [][]int{nil, {}, {2}, {0, 17, 4095}} {
-		name := fmt.Sprintf("empty window, targets %v", targets)
-		checkEncoding(t, name, &ldprecover.WindowEstimate{Seq: 3, Epochs: 2, Targets: targets})
-		checkEncoding(t, name+", empty vectors", &ldprecover.WindowEstimate{
-			Seq: 3, Epochs: 2, Poisoned: []float64{}, Recovered: []float64{}, Targets: targets,
-		})
-	}
-
-	r := rand.New(rand.NewPCG(1, 2))
-	for _, d := range []int{1, 128, 4096} {
-		for _, targets := range [][]int{nil, {0, d - 1}} {
-			poisoned := make([]float64, d)
-			recovered := make([]float64, d)
-			for v := range poisoned {
-				// Estimates scatter around 1/d with LDP noise of either
-				// sign; recovery clips some to exactly zero.
-				poisoned[v] = (r.Float64() - 0.3) / float64(d)
-				recovered[v] = max(0, poisoned[v]*r.Float64())
-			}
-			checkEncoding(t, fmt.Sprintf("d=%d targets %v", d, targets), &ldprecover.WindowEstimate{
-				Seq: d, Epochs: 4, Total: int64(1000 * d), Poisoned: poisoned, Recovered: recovered,
-				Targets: targets, PartialKnowledge: targets != nil,
-			})
-		}
-	}
-}
-
-// FuzzEstimateEncoding builds a finite float from an arbitrary bit
-// pattern and checks the append encoder against encoding/json on it.
-func FuzzEstimateEncoding(f *testing.F) {
-	for _, v := range []float64{0, 1e-6, 9.99e-7, 1e21, 5e-324, math.MaxFloat64, 0.25} {
-		f.Add(math.Float64bits(v), 3, int64(1000), true)
-		f.Add(math.Float64bits(-v), 0, int64(0), false)
-	}
-	f.Fuzz(func(t *testing.T, bits uint64, seq int, total int64, pk bool) {
-		v := math.Float64frombits(bits)
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			// The top exponent bit off turns the all-ones exponent of
-			// NaN and ±Inf into a finite one.
-			v = math.Float64frombits(bits &^ (1 << 62))
-		}
-		checkEncoding(t, fmt.Sprint(v), &ldprecover.WindowEstimate{
-			Seq: seq, Epochs: 1, Total: total,
-			Poisoned: []float64{v, -v, v / 3}, Recovered: []float64{v * 0.5},
-			Targets: []int{seq}, PartialKnowledge: pk,
-		})
-	})
 }
 
 // TestServeEstimateRejectsNonFinite serves a hand-built estimate holding

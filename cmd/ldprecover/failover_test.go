@@ -365,7 +365,7 @@ func TestClusterElasticFailoverE2E(t *testing.T) {
 			}
 			// The warm state serves immediately: the last merged estimate
 			// survives the failover bit-identical.
-			if got, want := getEstimate(t, sbHS.URL), canonicalEstimate(t, toEstimateResponse(ref.Latest())); !reflect.DeepEqual(got, want) {
+			if got, want := getEstimate(t, sbHS.URL), canonicalEstimate(t, estimateResponse(*ref.Latest())); !reflect.DeepEqual(got, want) {
 				t.Fatalf("promoted standby's warm estimate diverged\ngot  %+v\nwant %+v", got, want)
 			}
 			// Dedupe is idempotent across the promotion: re-sending every
@@ -385,7 +385,7 @@ func TestClusterElasticFailoverE2E(t *testing.T) {
 					t.Fatalf("epoch %d re-send after promotion not deduped: %+v", ep.Seq, tr)
 				}
 			}
-			if got, want := getEstimate(t, sbHS.URL), canonicalEstimate(t, toEstimateResponse(ref.Latest())); !reflect.DeepEqual(got, want) {
+			if got, want := getEstimate(t, sbHS.URL), canonicalEstimate(t, estimateResponse(*ref.Latest())); !reflect.DeepEqual(got, want) {
 				t.Fatalf("post-promotion re-sends changed the estimate\ngot  %+v\nwant %+v", got, want)
 			}
 			activeURL = func() string { return sbHS.URL }
@@ -433,7 +433,7 @@ func TestClusterElasticFailoverE2E(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := getEstimate(t, activeURL())
-		wantResp := canonicalEstimate(t, toEstimateResponse(want))
+		wantResp := canonicalEstimate(t, estimateResponse(*want))
 		if !reflect.DeepEqual(got, wantResp) {
 			t.Fatalf("epoch %d: cluster estimate diverged from single node\ngot  %+v\nwant %+v", e, got, wantResp)
 		}

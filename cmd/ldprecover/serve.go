@@ -837,16 +837,8 @@ func (s *streamServer) handleReports(w http.ResponseWriter, r *http.Request) {
 	// structurally validated (never decoded into reports), and travels
 	// through the queue, the WAL and the counting fold as those same
 	// bytes; the worker returns the buffer to the pool after the fold.
-	buf := s.getBuf()
-	body, err := readAllInto(buf, http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err != nil {
-		s.putBuf(body)
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, "reading body: %v", err)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "reading body: %v", err)
+	body, ok := s.readBody(w, r, "body", true)
+	if !ok {
 		return
 	}
 	count, err := ldprecover.ValidateReportBatchFrame(body)
@@ -881,11 +873,20 @@ func (s *streamServer) handleReports(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// readBody reads a request body of at most -max-body bytes. On a read
-// error it answers 413 (over the cap) or 400 and reports false.
-func (s *streamServer) readBody(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+// readBody reads a request body of at most -max-body bytes, into a
+// buffer checked out of the pool when pooled is set (the caller then
+// owns it and returns it with putBuf). On a read error it returns any
+// pooled buffer, answers 413 (over the cap) or 400 and reports false.
+func (s *streamServer) readBody(w http.ResponseWriter, r *http.Request, what string, pooled bool) ([]byte, bool) {
+	var buf []byte
+	if pooled {
+		buf = s.getBuf()
+	}
+	body, err := readAllInto(buf, http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
+		if pooled {
+			s.putBuf(body)
+		}
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -917,7 +918,7 @@ func (s *streamServer) handlePartial(w http.ResponseWriter, r *http.Request) {
 			"this node merges sealed tallies (/v1/tally), it does not ingest partial tallies; POST them to a frontend")
 		return
 	}
-	body, ok := s.readBody(w, r, "body")
+	body, ok := s.readBody(w, r, "body", false)
 	if !ok {
 		return
 	}

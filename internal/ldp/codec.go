@@ -36,6 +36,10 @@ const (
 	tagOLHV1  = 3
 	tagSparse = 4
 	tagOLH    = 5
+
+	// maxReportBits caps a unary report's declared bit count (64 Mbit)
+	// so a corrupt length cannot drive a huge allocation.
+	maxReportBits = 1 << 26
 )
 
 // ErrCodec wraps all report (de)serialization failures.
@@ -88,9 +92,9 @@ func MarshalReport(rep Report) ([]byte, error) {
 		binary.LittleEndian.PutUint32(buf[14:], uint32(r.G))
 		return buf, nil
 	case SparseUnaryReport:
-		// Same 1<<26 cap the decoder enforces, so anything we write can
-		// be read back.
-		if r.N <= 0 || r.N > 1<<26 {
+		// Same cap the decoder enforces, so anything we write can be
+		// read back.
+		if r.N <= 0 || r.N > maxReportBits {
 			return nil, fmt.Errorf("%w: sparse unary bit count %d out of range", ErrCodec, r.N)
 		}
 		prev := int32(-1)
@@ -117,83 +121,36 @@ func MarshalReport(rep Report) ([]byte, error) {
 // (version, tag, lengths, field ranges) but cannot validate domain
 // membership — callers aggregate against their own domain size.
 func UnmarshalReport(data []byte) (Report, error) {
-	if len(data) < 2 {
-		return nil, fmt.Errorf("%w: short buffer (%d bytes)", ErrCodec, len(data))
+	if err := validateReportFrame(data); err != nil {
+		return nil, err
 	}
-	if data[0] != codecVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCodec, data[0])
-	}
+	return unmarshalValidReport(data), nil
+}
+
+// unmarshalValidReport extracts the report from a frame that
+// validateReportFrame accepted; it checks nothing itself.
+func unmarshalValidReport(data []byte) Report {
 	payload := data[2:]
 	switch data[1] {
 	case tagGRR:
-		if len(payload) != 4 {
-			return nil, fmt.Errorf("%w: GRR payload %d bytes, want 4", ErrCodec, len(payload))
-		}
-		return GRRReport(binary.LittleEndian.Uint32(payload)), nil
+		return GRRReport(binary.LittleEndian.Uint32(payload))
 	case tagUnary:
-		if len(payload) < 4 {
-			return nil, fmt.Errorf("%w: unary payload too short", ErrCodec)
-		}
-		n := int(binary.LittleEndian.Uint32(payload))
-		const maxBits = 1 << 26 // 64 Mbit cap guards against corrupt lengths
-		if n <= 0 || n > maxBits {
-			return nil, fmt.Errorf("%w: unary bit count %d out of range", ErrCodec, n)
-		}
-		words := (n + 63) / 64
-		if len(payload) != 4+8*words {
-			return nil, fmt.Errorf("%w: unary payload %d bytes, want %d", ErrCodec, len(payload), 4+8*words)
-		}
-		bits := NewBitset(n)
-		for w := 0; w < words; w++ {
+		bits := NewBitset(int(binary.LittleEndian.Uint32(payload)))
+		for w := range bits.words {
 			bits.words[w] = binary.LittleEndian.Uint64(payload[4+8*w:])
 		}
-		// Reject set bits beyond the declared length (would corrupt
-		// Count and aggregation).
-		if tail := n % 64; tail != 0 {
-			if bits.words[words-1]>>uint(tail) != 0 {
-				return nil, fmt.Errorf("%w: unary report has bits beyond length %d", ErrCodec, n)
-			}
-		}
-		return OUEReport{Bits: bits}, nil
-	case tagOLHV1:
-		return nil, fmt.Errorf("%w: OLH report uses the retired v1 hash family; "+
-			"its hash values cannot be interpreted by the current two-stage family — re-collect the report", ErrCodec)
+		return OUEReport{Bits: bits}
 	case tagOLH:
-		if len(payload) != 16 {
-			return nil, fmt.Errorf("%w: OLH payload %d bytes, want 16", ErrCodec, len(payload))
+		return OLHReport{
+			Seed:  binary.LittleEndian.Uint64(payload),
+			Value: int(binary.LittleEndian.Uint32(payload[8:])),
+			G:     int(binary.LittleEndian.Uint32(payload[12:])),
 		}
-		seed := binary.LittleEndian.Uint64(payload)
-		value := int(binary.LittleEndian.Uint32(payload[8:]))
-		g := int(binary.LittleEndian.Uint32(payload[12:]))
-		if g < 2 || value < 0 || value >= g {
-			return nil, fmt.Errorf("%w: invalid OLH fields g=%d value=%d", ErrCodec, g, value)
-		}
-		return OLHReport{Seed: seed, Value: value, G: g}, nil
-	case tagSparse:
-		if len(payload) < 8 {
-			return nil, fmt.Errorf("%w: sparse unary payload too short", ErrCodec)
-		}
-		n := int(binary.LittleEndian.Uint32(payload))
-		const maxBits = 1 << 26 // matches the dense unary cap
-		if n <= 0 || n > maxBits {
-			return nil, fmt.Errorf("%w: sparse unary bit count %d out of range", ErrCodec, n)
-		}
-		k := int(binary.LittleEndian.Uint32(payload[4:]))
-		if k > n || len(payload) != 8+4*k {
-			return nil, fmt.Errorf("%w: sparse unary payload %d bytes for %d supports", ErrCodec, len(payload), k)
-		}
-		items := make([]int32, k)
-		prev := int32(-1)
+	default: // tagSparse — validation admits no other tag
+		items := make([]int32, (len(payload)-8)/4)
 		for i := range items {
-			v := binary.LittleEndian.Uint32(payload[8+4*i:])
-			if int64(v) >= int64(n) || int32(v) <= prev {
-				return nil, fmt.Errorf("%w: sparse unary support %d out of order or range", ErrCodec, v)
-			}
-			items[i] = int32(v)
-			prev = int32(v)
+			items[i] = int32(binary.LittleEndian.Uint32(payload[8+4*i:]))
 		}
-		return SparseUnaryReport{N: n, Items: items}, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown tag %d", ErrCodec, data[1])
+		return SparseUnaryReport{N: int(binary.LittleEndian.Uint32(payload)), Items: items}
 	}
 }

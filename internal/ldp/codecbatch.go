@@ -62,48 +62,13 @@ func MarshalReportBatch(reps []Report) ([]byte, error) {
 // be exactly one batch: trailing bytes are an error, like every other
 // malformed frame.
 func UnmarshalReportBatch(data []byte) ([]Report, error) {
-	if len(data) < 7 {
-		return nil, fmt.Errorf("%w: short batch frame (%d bytes)", ErrCodec, len(data))
+	var subs [][]byte
+	if _, err := validateBatchFrame(data, &subs); err != nil {
+		return nil, err
 	}
-	if data[0] != batchMagic[0] || data[1] != batchMagic[1] {
-		return nil, fmt.Errorf("%w: bad batch magic %q", ErrCodec, string(data[:2]))
-	}
-	if data[2] != batchVersion {
-		return nil, fmt.Errorf("%w: unsupported batch version %d", ErrCodec, data[2])
-	}
-	count := binary.LittleEndian.Uint32(data[3:])
-	if count > MaxBatchReports {
-		return nil, fmt.Errorf("%w: batch declares %d reports, cap %d",
-			ErrCodec, count, MaxBatchReports)
-	}
-	// A report is at least 6 bytes on the wire (GRR) plus its 4-byte
-	// length prefix, so the declared count also may not exceed what the
-	// frame could physically hold.
-	if int64(count)*10 > int64(len(data)-7) {
-		return nil, fmt.Errorf("%w: batch declares %d reports in %d bytes",
-			ErrCodec, count, len(data))
-	}
-	reps := make([]Report, 0, count)
-	rest := data[7:]
-	for i := uint32(0); i < count; i++ {
-		if len(rest) < 4 {
-			return nil, fmt.Errorf("%w: batch truncated at report %d", ErrCodec, i)
-		}
-		n := binary.LittleEndian.Uint32(rest)
-		rest = rest[4:]
-		if uint64(n) > uint64(len(rest)) {
-			return nil, fmt.Errorf("%w: batch report %d declares %d bytes, %d remain",
-				ErrCodec, i, n, len(rest))
-		}
-		rep, err := UnmarshalReport(rest[:n])
-		if err != nil {
-			return nil, fmt.Errorf("batch report %d: %w", i, err)
-		}
-		reps = append(reps, rep)
-		rest = rest[n:]
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after batch", ErrCodec, len(rest))
+	reps := make([]Report, len(subs))
+	for i, sub := range subs {
+		reps[i] = unmarshalValidReport(sub)
 	}
 	return reps, nil
 }

@@ -9,23 +9,32 @@ import (
 // batch straight from the wire bytes — no []Report materialization, no
 // per-report boxing, no bitset allocation. It is the one report lane of
 // the server: live ingest and WAL replay both fold frames through it.
-// The frame is structurally validated first (the exact checks
-// UnmarshalReportBatch/UnmarshalReport perform, minus the allocations),
-// then the run walkers below pull words, indices, seeds and values out
-// of the sub-frames in place and hand them to the kernels AddBatch uses
-// (addbatch.go). The aggregate is bit-identical to UnmarshalReportBatch
-// + AddBatch, which the equivalence tests pin; validation runs to
-// completion before any count moves, so a bad frame leaves the
-// accumulator untouched.
+//
+// The validators below are the one definition of a valid report frame:
+// UnmarshalReport and UnmarshalReportBatch run them first and then only
+// extract fields, so the decoders, the request-path check and the fold
+// cannot disagree on what they admit. AddBatchFrame validates and
+// slices the frame into per-report sub-frames in one walk, then the run
+// walkers pull words, indices, seeds and values out of the sub-frames
+// in place and hand them to the kernels AddBatch uses (addbatch.go).
+// The aggregate is bit-identical to UnmarshalReportBatch + AddBatch,
+// which the equivalence tests pin; validation runs to completion before
+// any count moves, so a bad frame leaves the accumulator untouched.
 
 // ValidateReportBatchFrame structurally validates a wire-format report
-// batch frame without decoding it, returning the report count. It
-// accepts exactly the frames UnmarshalReportBatch accepts — same header
-// checks, same per-report field validation — so a frame that passes here
-// cannot fail a later decode or an AddBatchFrame fold. Servers call this
-// on the request path to settle the 400-vs-accepted decision (and learn
-// the user volume) before the frame is queued for durable ingest.
+// batch frame without decoding it, returning the report count. A frame
+// that passes here cannot fail a later decode or an AddBatchFrame fold.
+// Servers call this on the request path to settle the 400-vs-accepted
+// decision (and learn the user volume) before the frame is queued for
+// durable ingest.
 func ValidateReportBatchFrame(frame []byte) (int, error) {
+	return validateBatchFrame(frame, nil)
+}
+
+// validateBatchFrame is ValidateReportBatchFrame that also appends each
+// validated single-report sub-frame to *subs when subs is non-nil. On
+// error *subs may hold the sub-frames validated before the bad one.
+func validateBatchFrame(frame []byte, subs *[][]byte) (int, error) {
 	if len(frame) < 7 {
 		return 0, fmt.Errorf("%w: short batch frame (%d bytes)", ErrCodec, len(frame))
 	}
@@ -40,6 +49,9 @@ func ValidateReportBatchFrame(frame []byte) (int, error) {
 		return 0, fmt.Errorf("%w: batch declares %d reports, cap %d",
 			ErrCodec, count, MaxBatchReports)
 	}
+	// A report is at least 6 bytes on the wire (GRR) plus its 4-byte
+	// length prefix, so the declared count also may not exceed what the
+	// frame could physically hold.
 	if int64(count)*10 > int64(len(frame)-7) {
 		return 0, fmt.Errorf("%w: batch declares %d reports in %d bytes",
 			ErrCodec, count, len(frame))
@@ -58,6 +70,9 @@ func ValidateReportBatchFrame(frame []byte) (int, error) {
 		if err := validateReportFrame(rest[:n]); err != nil {
 			return 0, fmt.Errorf("batch report %d: %w", i, err)
 		}
+		if subs != nil {
+			*subs = append(*subs, rest[:n])
+		}
 		rest = rest[n:]
 	}
 	if len(rest) != 0 {
@@ -66,8 +81,9 @@ func ValidateReportBatchFrame(frame []byte) (int, error) {
 	return int(count), nil
 }
 
-// validateReportFrame checks one single-report wire frame exactly as
-// UnmarshalReport would, allocating nothing.
+// validateReportFrame checks one single-report wire frame (version, tag,
+// lengths, field ranges), allocating nothing. It cannot check domain
+// membership — callers aggregate against their own domain size.
 func validateReportFrame(data []byte) error {
 	if len(data) < 2 {
 		return fmt.Errorf("%w: short buffer (%d bytes)", ErrCodec, len(data))
@@ -86,14 +102,15 @@ func validateReportFrame(data []byte) error {
 			return fmt.Errorf("%w: unary payload too short", ErrCodec)
 		}
 		n := int(binary.LittleEndian.Uint32(payload))
-		const maxBits = 1 << 26
-		if n <= 0 || n > maxBits {
+		if n <= 0 || n > maxReportBits {
 			return fmt.Errorf("%w: unary bit count %d out of range", ErrCodec, n)
 		}
 		words := (n + 63) / 64
 		if len(payload) != 4+8*words {
 			return fmt.Errorf("%w: unary payload %d bytes, want %d", ErrCodec, len(payload), 4+8*words)
 		}
+		// Set bits beyond the declared length would corrupt Count and
+		// aggregation.
 		if tail := n % 64; tail != 0 {
 			if binary.LittleEndian.Uint64(payload[4+8*(words-1):])>>uint(tail) != 0 {
 				return fmt.Errorf("%w: unary report has bits beyond length %d", ErrCodec, n)
@@ -116,8 +133,7 @@ func validateReportFrame(data []byte) error {
 			return fmt.Errorf("%w: sparse unary payload too short", ErrCodec)
 		}
 		n := int(binary.LittleEndian.Uint32(payload))
-		const maxBits = 1 << 26
-		if n <= 0 || n > maxBits {
+		if n <= 0 || n > maxReportBits {
 			return fmt.Errorf("%w: sparse unary bit count %d out of range", ErrCodec, n)
 		}
 		k := int(binary.LittleEndian.Uint32(payload[4:]))
@@ -142,24 +158,17 @@ func validateReportFrame(data []byte) error {
 // aggregate without decoding it into reports. Bit-identical to
 // UnmarshalReportBatch followed by AddBatch; on error nothing is folded.
 func (a *Accumulator) AddBatchFrame(frame []byte) error {
-	count, err := ValidateReportBatchFrame(frame)
-	if err != nil {
-		return err
+	// One walk validates the frame and slices it into the per-report
+	// sub-frames the run walkers group by type. The slice header is
+	// reused across calls and cleared afterwards, on error too, so it
+	// never pins the (possibly pooled) wire buffer.
+	a.scratch.frames = a.scratch.frames[:0]
+	_, err := validateBatchFrame(frame, &a.scratch.frames)
+	if err == nil {
+		a.addFrames(a.scratch.frames)
 	}
-	// Slice the validated frame into per-report sub-frames so the run
-	// walkers below can group by type; the header slice is reused across
-	// calls and cleared afterwards (it must not pin the wire buffer).
-	frames := a.scratch.frames[:0]
-	rest := frame[7:]
-	for i := 0; i < count; i++ {
-		n := binary.LittleEndian.Uint32(rest)
-		frames = append(frames, rest[4:4+n])
-		rest = rest[4+n:]
-	}
-	a.scratch.frames = frames
-	a.addFrames(frames)
-	clear(frames)
-	return nil
+	clear(a.scratch.frames)
+	return err
 }
 
 // addFrames folds validated single-report sub-frames through the

@@ -2,6 +2,7 @@ package ldp
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -229,6 +230,49 @@ func TestAddBatchFrameErrorLeavesUntouched(t *testing.T) {
 	}
 	if acc.Total() != int64(len(reps)) {
 		t.Fatalf("total %d want %d", acc.Total(), len(reps))
+	}
+}
+
+// TestAddBatchFrameErrorClearsScratch: the one-walk fold slices
+// sub-frames into the accumulator's scratch while it validates, so a
+// frame whose last report is corrupt fails after the scratch already
+// points into it. The failed fold must leave no scratch entry pinning
+// the wire buffer, and the accumulator must still fold a good frame
+// exactly.
+func TestAddBatchFrameErrorClearsScratch(t *testing.T) {
+	const d = 64
+	reps := wireReports(t, d, 50)
+	good, err := MarshalReportBatch(reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := MarshalReportBatch(append(reps, GRRReport(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad[len(bad)-5] = 99 // the last report's protocol tag
+	acc, _ := NewAccumulator(d)
+	if err := acc.AddBatchFrame(bad); !errors.Is(err, ErrCodec) {
+		t.Fatalf("corrupt last report: error %v, want ErrCodec", err)
+	}
+	frames := acc.scratch.frames[:cap(acc.scratch.frames)]
+	if len(frames) < len(reps) {
+		t.Fatalf("scratch holds %d sub-frames, want the walk to have sliced all %d good ones", len(frames), len(reps))
+	}
+	for i, f := range frames {
+		if f != nil {
+			t.Fatalf("scratch sub-frame %d still points into the rejected frame", i)
+		}
+	}
+	if err := acc.AddBatchFrame(good); err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := NewAccumulator(d)
+	if err := ref.AddBatch(reps); err != nil {
+		t.Fatal(err)
+	}
+	if acc.Total() != ref.Total() || !reflect.DeepEqual(acc.Counts(), ref.Counts()) {
+		t.Fatal("fold after a rejected frame diverged from AddBatch")
 	}
 }
 

@@ -71,9 +71,9 @@ func (m *EpochManager) SnapshotState() ManagerState {
 // RestoreState replaces the manager's cross-epoch state with a deep copy
 // of st. It may only be called on a freshly constructed manager (nothing
 // sealed, nothing ingested): restore is a boot-time operation, not a
-// rollback. The caller then replays any write-ahead-log tail through
-// AddBatch to rebuild the live epoch, after which window estimates are
-// bit-identical to the uninterrupted run — Latest() is recomputed here
+// rollback. The caller then replays any write-ahead-log tail to rebuild
+// the live epoch — folded per worker through AddBatchFrame and committed
+// with one AddCounts — after which window estimates are bit-identical to the uninterrupted run — Latest() is recomputed here
 // from the restored window and tracker state, which reproduces the
 // pre-restart estimate float for float because recovery is
 // deterministic.
