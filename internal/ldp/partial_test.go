@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ldprecover/internal/rng"
@@ -86,6 +87,103 @@ func TestPartialUnmarshalRejectsCorruption(t *testing.T) {
 	}
 	if _, err := UnmarshalPartial(append(bytes.Clone(frame), 0)); err == nil {
 		t.Fatal("trailing byte decoded cleanly")
+	}
+}
+
+// rawCountFrame holds a count frame's wire fields before encoding, so a
+// spec case can set any of them to a value the encoder would refuse.
+type rawCountFrame struct {
+	magic        [2]byte
+	version      byte
+	idLen        int // declared node-id length; -1 means len(id)
+	id           string
+	epoch, total uint64
+	domain       uint32
+	counts       []uint64
+}
+
+// encode lays the fields out as a count frame and appends a valid
+// CRC-32C, so the semantic checks are what reject a bad field.
+func (f rawCountFrame) encode() []byte {
+	idLen := f.idLen
+	if idLen < 0 {
+		idLen = len(f.id)
+	}
+	b := []byte{f.magic[0], f.magic[1], f.version}
+	b = binary.LittleEndian.AppendUint16(b, uint16(idLen))
+	b = append(b, f.id...)
+	b = binary.LittleEndian.AppendUint64(b, f.epoch)
+	b = binary.LittleEndian.AppendUint64(b, f.total)
+	b = binary.LittleEndian.AppendUint32(b, f.domain)
+	for _, c := range f.counts {
+		b = binary.LittleEndian.AppendUint64(b, c)
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, tallyCRCTable))
+}
+
+// validRawCountFrame is the valid frame every spec case mutates.
+func validRawCountFrame(magic [2]byte) rawCountFrame {
+	return rawCountFrame{magic: magic, version: countFrameVersion, idLen: -1, id: "edge-7",
+		epoch: 3, total: 40, domain: 4, counts: []uint64{1, 0, 25, 14}}
+}
+
+// countFrameRejections is the count-frame spec: one frame per rule that
+// rejects an "LT" or "LP" frame, built under the given magic. Every
+// frame but the CRC case carries a valid checksum.
+func countFrameRejections(magic [2]byte) []struct {
+	name  string
+	frame []byte
+} {
+	build := func(mutate func(*rawCountFrame)) []byte {
+		f := validRawCountFrame(magic)
+		mutate(&f)
+		return f.encode()
+	}
+	valid := validRawCountFrame(magic).encode()
+	badCRC := bytes.Clone(valid)
+	badCRC[len(badCRC)-1] ^= 0x01
+	return []struct {
+		name  string
+		frame []byte
+	}{
+		{"short frame", valid[:countHeaderSize+8+8+4+3]},
+		{"bad magic", build(func(f *rawCountFrame) { f.magic = [2]byte{'L', 'X'} })},
+		{"bad version", build(func(f *rawCountFrame) { f.version = countFrameVersion + 1 })},
+		{"CRC mismatch", badCRC},
+		{"node id length 0", build(func(f *rawCountFrame) { f.id = "" })},
+		{"node id length above cap", build(func(f *rawCountFrame) { f.id = strings.Repeat("n", maxTallyNodeID+1) })},
+		{"truncated header", build(func(f *rawCountFrame) { f.idLen = maxTallyNodeID })},
+		{"epoch above MaxInt64", build(func(f *rawCountFrame) { f.epoch = math.MaxInt64 + 1 })},
+		{"total above MaxInt64", build(func(f *rawCountFrame) { f.total = math.MaxUint64 })},
+		{"domain below 2", build(func(f *rawCountFrame) { f.domain, f.counts = 1, f.counts[:1] })},
+		{"domain above cap", build(func(f *rawCountFrame) { f.domain = maxTallyDomain + 1 })},
+		{"count bytes short", build(func(f *rawCountFrame) { f.counts = f.counts[:3] })},
+		{"count bytes long", build(func(f *rawCountFrame) { f.counts = append(f.counts, 0) })},
+		{"negative count", build(func(f *rawCountFrame) { f.counts[2] = 1 << 63 })},
+	}
+}
+
+// TestCountFrameValidation is the count-frame spec: one case per
+// rejection rule, each re-CRC'd so the semantic check is what fires.
+// Every case must fail UnmarshalPartial and, under "LT" magic,
+// UnmarshalTally, with ErrCodec.
+func TestCountFrameValidation(t *testing.T) {
+	for _, tc := range countFrameRejections(partialMagic) {
+		if _, err := UnmarshalPartial(tc.frame); !errors.Is(err, ErrCodec) {
+			t.Errorf("%s: UnmarshalPartial error %v, want ErrCodec", tc.name, err)
+		}
+	}
+	for _, tc := range countFrameRejections(tallyMagic) {
+		if _, err := UnmarshalTally(tc.frame); !errors.Is(err, ErrCodec) {
+			t.Errorf("%s: UnmarshalTally error %v, want ErrCodec", tc.name, err)
+		}
+	}
+	// The unmutated frame is valid, so each case fails on its own rule.
+	if _, err := UnmarshalPartial(validRawCountFrame(partialMagic).encode()); err != nil {
+		t.Fatalf("base partial frame rejected: %v", err)
+	}
+	if _, err := UnmarshalTally(validRawCountFrame(tallyMagic).encode()); err != nil {
+		t.Fatalf("base tally frame rejected: %v", err)
 	}
 }
 
