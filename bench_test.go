@@ -644,7 +644,9 @@ func BenchmarkWALAppend(b *testing.B) {
 //	zero-copy      AppendBatchFrame validates, logs and counts the wire
 //	               bytes in place; no []Report ever exists
 //	partial-tally  the same 4096 users pre-aggregated at an edge
-//	               Collector into ONE partial-tally frame (DESIGN.md §8)
+//	               Collector into ONE partial-tally frame (DESIGN.md §8);
+//	               ValidatePartialFrame checks it in place and
+//	               AppendPartial logs and folds its wire bytes
 //
 // Both lanes report SetBytes of the report lane's total frame bytes, so
 // the MB/s column answers "how fast does this lane move the same users
@@ -690,7 +692,7 @@ func BenchmarkDurableIngest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	partial, err := ldprecover.UnmarshalPartial(pframe)
+	partial, err := ldprecover.ValidatePartialFrame(pframe)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -715,6 +717,7 @@ func BenchmarkDurableIngest(b *testing.B) {
 	b.Run("zero-copy", func(b *testing.B) {
 		store := newStore(b)
 		b.SetBytes(wireBytes)
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, frame := range frames {
@@ -728,9 +731,14 @@ func BenchmarkDurableIngest(b *testing.B) {
 	b.Run("partial-tally", func(b *testing.B) {
 		store := newStore(b)
 		b.SetBytes(wireBytes) // report-equivalent: the same users moved
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := store.AppendPartial(pframe, partial); err != nil {
+			p, err := ldprecover.ValidatePartialFrame(pframe)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := store.AppendPartial(p); err != nil {
 				b.Fatal(err)
 			}
 		}

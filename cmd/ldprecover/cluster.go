@@ -1023,10 +1023,11 @@ func (s *streamServer) handleTally(w http.ResponseWriter, r *http.Request) {
 	if root == nil {
 		return
 	}
-	body, ok := s.readBody(w, r, "tally", false)
+	body, ok := s.readBody(w, r, "tally")
 	if !ok {
 		return
 	}
+	defer s.putBuf(body)
 	tally, err := ldprecover.UnmarshalTally(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "decoding tally: %v", err)
@@ -1058,10 +1059,11 @@ func (s *streamServer) handleMembership(w http.ResponseWriter, r *http.Request) 
 	if root == nil {
 		return
 	}
-	body, ok := s.readBody(w, r, "announce", false)
+	body, ok := s.readBody(w, r, "announce")
 	if !ok {
 		return
 	}
+	defer s.putBuf(body)
 	a, err := ldprecover.UnmarshalAnnounce(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "decoding announce: %v", err)

@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"ldprecover"
@@ -164,6 +166,97 @@ func TestServePartialBadRequests(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestServePartialPoolsBodies: a server that only sees /v1/partial
+// traffic reads every body into the pooled buffer and returns it, so
+// later requests reuse buffers earlier ones released. Several clients
+// post distinct frames at once, and the sealed estimate must equal a
+// server fed the same frames one at a time.
+func TestServePartialPoolsBodies(t *testing.T) {
+	const d, clients, perClient = 64, 4, 8
+	proto, err := ldprecover.NewOUE(d, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := streamServerConfig{
+		Stream:    ldprecover.StreamConfig{Params: proto.Params(), TargetK: -1},
+		QueueLen:  4,
+		Ingesters: 1,
+		MaxBody:   1 << 20,
+	}
+	_, hs := testServer(t, cfg)
+	_, refHS := testServer(t, cfg)
+
+	r := ldprecover.NewRand(5)
+	trueCounts := make([]int64, d)
+	frames := make([][]byte, clients)
+	for c := range frames {
+		for v := range trueCounts {
+			trueCounts[v] = int64(1 + (v+c)%3)
+		}
+		reps, err := ldprecover.PerturbAll(proto, r, trueCounts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col, err := ldprecover.NewCollector("edge-test", d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := col.AddBatch(reps); err != nil {
+			t.Fatal(err)
+		}
+		if frames[c], err = col.Flush(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	post := func(url string, frame []byte) error {
+		resp, err := http.Post(url+"/v1/partial", "application/octet-stream", bytes.NewReader(frame))
+		if err != nil {
+			return err
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			return fmt.Errorf("status %d", resp.StatusCode)
+		}
+		return nil
+	}
+
+	var wg sync.WaitGroup
+	for c := range frames {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range perClient {
+				if err := post(hs.URL, frames[c]); err != nil {
+					t.Errorf("client %d: %v", c, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for c := range frames {
+		for range perClient {
+			if err := post(refHS.URL, frames[c]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	st := getJSON[statsResponse](t, hs.URL+"/v1/stats")
+	if st.PartialsAccepted != clients*perClient || st.BatchesAccepted != 0 {
+		t.Fatalf("counters %+v", st)
+	}
+	if st.BufPoolHits+st.BufPoolMisses != clients*perClient {
+		t.Fatalf("%d pool checkouts for %d partial bodies", st.BufPoolHits+st.BufPoolMisses, clients*perClient)
+	}
+	if st.BufPoolHits == 0 {
+		t.Fatalf("partial-only traffic never hit the body buffer pool: %d misses", st.BufPoolMisses)
+	}
+	if got, want := sealOverHTTP(t, hs.URL), sealOverHTTP(t, refHS.URL); !reflect.DeepEqual(got, want) {
+		t.Fatalf("concurrent partials diverged from sequential:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestServeMixedLaneCrashRestartE2E is the tally-first acceptance test:
 // a durable server ingesting over both lanes — report batches on
 // /v1/reports (the zero-copy path) and edge-aggregated partials on
@@ -301,10 +394,10 @@ func TestServeMixedLaneCrashRestartE2E(t *testing.T) {
 	if st.PartialsAccepted == 0 || st.PartialsStale != 0 {
 		t.Fatalf("partial counters %+v", st)
 	}
-	// The pooled report-lane buffers were recycled: far fewer
-	// allocations than checkouts once the workers keep returning them.
+	// The pooled body buffers were recycled: far fewer allocations
+	// than checkouts once the handlers and workers keep returning them.
 	if st.BufPoolHits == 0 {
-		t.Fatalf("report-lane buffer pool never hit: %d gets, %d misses",
+		t.Fatalf("body buffer pool never hit: %d gets, %d misses",
 			st.BufPoolHits+st.BufPoolMisses, st.BufPoolMisses)
 	}
 }

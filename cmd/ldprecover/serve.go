@@ -544,8 +544,10 @@ type streamServer struct {
 	partialsAccepted atomic.Int64
 	partialsStale    atomic.Int64 // rejected with 409 ErrStalePartial
 
-	// bufPool recycles request-body buffers between /v1/reports
-	// handlers and the ingest workers that release them after the fold.
+	// bufPool recycles request-body buffers: every POST handler reads
+	// its body into one. A /v1/reports buffer travels through the queue
+	// and the ingest worker returns it after the fold; every other
+	// handler returns its own before it exits.
 	// poolGets counts handler checkouts, poolMisses the checkouts the
 	// pool had to allocate for; hits = gets - misses.
 	bufPool    sync.Pool
@@ -837,7 +839,7 @@ func (s *streamServer) handleReports(w http.ResponseWriter, r *http.Request) {
 	// structurally validated (never decoded into reports), and travels
 	// through the queue, the WAL and the counting fold as those same
 	// bytes; the worker returns the buffer to the pool after the fold.
-	body, ok := s.readBody(w, r, "body", true)
+	body, ok := s.readBody(w, r, "body")
 	if !ok {
 		return
 	}
@@ -873,20 +875,15 @@ func (s *streamServer) handleReports(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// readBody reads a request body of at most -max-body bytes, into a
-// buffer checked out of the pool when pooled is set (the caller then
-// owns it and returns it with putBuf). On a read error it returns any
-// pooled buffer, answers 413 (over the cap) or 400 and reports false.
-func (s *streamServer) readBody(w http.ResponseWriter, r *http.Request, what string, pooled bool) ([]byte, bool) {
-	var buf []byte
-	if pooled {
-		buf = s.getBuf()
-	}
-	body, err := readAllInto(buf, http.MaxBytesReader(w, r.Body, s.maxBody))
+// readBody reads a request body of at most -max-body bytes into a
+// buffer checked out of the pool; the caller owns it and returns it with
+// putBuf once nothing aliases it any more. On a read error it returns
+// the buffer itself, answers 413 (over the cap) or 400 and reports
+// false.
+func (s *streamServer) readBody(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool) {
+	body, err := readAllInto(s.getBuf(), http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
-		if pooled {
-			s.putBuf(body)
-		}
+		s.putBuf(body)
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -918,17 +915,21 @@ func (s *streamServer) handlePartial(w http.ResponseWriter, r *http.Request) {
 			"this node merges sealed tallies (/v1/tally), it does not ingest partial tallies; POST them to a frontend")
 		return
 	}
-	body, ok := s.readBody(w, r, "body", false)
+	// Validated in place and folded straight from the wire bytes: the
+	// view p aliases body, which goes back to the pool when the handler
+	// returns — the WAL append and the fold are done with it by then.
+	body, ok := s.readBody(w, r, "body")
 	if !ok {
 		return
 	}
-	p, err := ldprecover.UnmarshalPartial(body)
+	defer s.putBuf(body)
+	p, err := ldprecover.ValidatePartialFrame(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "decoding partial tally: %v", err)
 		return
 	}
-	if d := s.mgr.Config().Params.Domain; len(p.Counts) != d {
-		httpError(w, http.StatusBadRequest, "partial tally over domain %d, server domain is %d", len(p.Counts), d)
+	if d := s.mgr.Config().Params.Domain; p.Domain() != d {
+		httpError(w, http.StatusBadRequest, "partial tally over domain %d, server domain is %d", p.Domain(), d)
 		return
 	}
 	// Folded synchronously, not queued: partials are rare (one frame
@@ -942,9 +943,9 @@ func (s *streamServer) handlePartial(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.store != nil {
-		err = s.store.AppendPartial(body, p)
+		err = s.store.AppendPartial(p)
 	} else {
-		err = s.mgr.AddPartial(p)
+		err = s.mgr.AddPartialFrame(p)
 	}
 	s.drainMu.RUnlock()
 	switch {
@@ -1033,7 +1034,8 @@ type statsResponse struct {
 	// Partial-tally lane (POST /v1/partial) counters.
 	PartialsAccepted int64 `json:"partials_accepted"`
 	PartialsStale    int64 `json:"partials_stale"`
-	// Request-body buffer pool effectiveness for the report lane.
+	// Request-body buffer pool effectiveness: every POST body is read
+	// into a pooled buffer.
 	BufPoolHits   int64 `json:"buf_pool_hits"`
 	BufPoolMisses int64 `json:"buf_pool_misses"`
 	// OLHKernel names the kernel OLH reports fold on, "avx512" or

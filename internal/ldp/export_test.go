@@ -12,3 +12,13 @@ func SetOLHAVX512(on bool) (restore func()) {
 	olhAVX512 = on
 	return func() { olhAVX512 = prev }
 }
+
+// PartialFrameRejections returns the count-frame spec cases under "LP"
+// magic, for tests that feed each one further down the partial lane.
+func PartialFrameRejections() (names []string, frames [][]byte) {
+	for _, tc := range countFrameRejections(partialMagic) {
+		names = append(names, tc.name)
+		frames = append(frames, tc.frame)
+	}
+	return names, frames
+}

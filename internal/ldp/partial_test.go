@@ -165,12 +165,17 @@ func countFrameRejections(magic [2]byte) []struct {
 
 // TestCountFrameValidation is the count-frame spec: one case per
 // rejection rule, each re-CRC'd so the semantic check is what fires.
-// Every case must fail UnmarshalPartial and, under "LT" magic,
-// UnmarshalTally, with ErrCodec.
+// Every case must fail UnmarshalPartial and ValidatePartialFrame and,
+// under "LT" magic, UnmarshalTally, with ErrCodec. Feeding the cases
+// on into an epoch manager is
+// TestPartialFrameRejectionsLeaveManagerUntouched.
 func TestCountFrameValidation(t *testing.T) {
 	for _, tc := range countFrameRejections(partialMagic) {
 		if _, err := UnmarshalPartial(tc.frame); !errors.Is(err, ErrCodec) {
 			t.Errorf("%s: UnmarshalPartial error %v, want ErrCodec", tc.name, err)
+		}
+		if _, err := ValidatePartialFrame(tc.frame); !errors.Is(err, ErrCodec) {
+			t.Errorf("%s: ValidatePartialFrame error %v, want ErrCodec", tc.name, err)
 		}
 	}
 	for _, tc := range countFrameRejections(tallyMagic) {
@@ -326,8 +331,11 @@ func TestNewCollectorValidation(t *testing.T) {
 	}
 }
 
-// FuzzUnmarshalPartial: arbitrary bytes must never panic the decoder,
-// and every frame that decodes must re-encode to an equivalent partial.
+// FuzzUnmarshalPartial: arbitrary bytes must never panic the decoder;
+// ValidatePartialFrame must accept exactly the frames UnmarshalPartial
+// accepts, and fold them through AddPartialFrame to the same counts and
+// total as AddCounts of the decoded partial; every frame that decodes
+// must re-encode to an equivalent partial.
 func FuzzUnmarshalPartial(f *testing.F) {
 	for _, seed := range []*PartialTally{
 		samplePartial("edge-0", 0, 2, 1),
@@ -359,8 +367,28 @@ func FuzzUnmarshalPartial(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := UnmarshalPartial(data)
+		view, verr := ValidatePartialFrame(data)
+		if (err == nil) != (verr == nil) {
+			t.Fatalf("UnmarshalPartial error %v, ValidatePartialFrame error %v", err, verr)
+		}
 		if err != nil {
 			return
+		}
+		// The in-place fold agrees with the decoded one.
+		if view.NodeID != p.NodeID || view.EpochHint != p.EpochHint || view.Users != p.Users ||
+			view.Domain() != len(p.Counts) || !bytes.Equal(view.Bytes(), data) {
+			t.Fatalf("view %+v disagrees with decoded partial %+v", view, p)
+		}
+		got, _ := NewShardedAccumulator(len(p.Counts), 1)
+		if err := got.AddPartialFrame(view); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := NewShardedAccumulator(len(p.Counts), 1)
+		if err := want.AddCounts(p.Counts, p.Users); err != nil {
+			t.Fatal(err)
+		}
+		if got.Total() != want.Total() || !reflect.DeepEqual(got.Counts(), want.Counts()) {
+			t.Fatal("AddPartialFrame diverged from AddCounts of the decoded partial")
 		}
 		frame, err := MarshalPartial(p)
 		if err != nil {
@@ -374,4 +402,31 @@ func FuzzUnmarshalPartial(f *testing.F) {
 			t.Fatal("partial mutated across re-encode round trip")
 		}
 	})
+}
+
+// TestPartialFrameFoldAllocs pins the partial lane's allocation budget
+// at d=4096: validating a frame in place and folding it from its wire
+// bytes allocates the NodeID string and nothing else.
+func TestPartialFrameFoldAllocs(t *testing.T) {
+	const d = 4096
+	frame, err := MarshalPartial(samplePartial("edge-allocs", 2, d, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := NewShardedAccumulator(d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		p, err := ValidatePartialFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := acc.AddPartialFrame(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("ValidatePartialFrame + AddPartialFrame: %.1f allocs per frame, want <= 1", allocs)
+	}
 }

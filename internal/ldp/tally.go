@@ -159,19 +159,30 @@ func MarshalTally(t *Tally) ([]byte, error) {
 
 // UnmarshalTally parses a wire-format sealed tally.
 func UnmarshalTally(data []byte) (*Tally, error) {
-	f, err := unmarshalCountFrame(data, tallyMagic, "tally")
+	f, err := validateCountFrame(data, tallyMagic, "tally")
 	if err != nil {
 		return nil, err
 	}
-	return &Tally{NodeID: f.nodeID, Epoch: f.epoch, Counts: f.counts, Total: f.total}, nil
+	return &Tally{NodeID: f.nodeID, Epoch: f.epoch, Counts: f.decodeCounts(), Total: f.total}, nil
 }
 
-// countFrame is a decoded count frame's fields.
+// countFrame is a validated count frame's header fields and its counts
+// as raw wire bytes: 8 bytes per item, little endian, each a
+// non-negative int64. counts aliases the validated frame.
 type countFrame struct {
 	nodeID string
 	epoch  int
 	total  int64
-	counts []int64
+	counts []byte
+}
+
+// decodeCounts copies the wire counts into a fresh []int64.
+func (f *countFrame) decodeCounts() []int64 {
+	counts := make([]int64, len(f.counts)/8)
+	for v := range counts {
+		counts[v] = int64(binary.LittleEndian.Uint64(f.counts[8*v:]))
+	}
+	return counts
 }
 
 // marshalCountFrame encodes already-validated count-frame fields.
@@ -190,12 +201,14 @@ func marshalCountFrame(magic [2]byte, nodeID string, epoch int, total int64, cou
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, tallyCRCTable))
 }
 
-// unmarshalCountFrame parses a count frame with the given magic; kind
-// names the frame in errors. The CRC is verified before any field is
-// trusted; every declared length is bounds-checked before it drives an
-// allocation, so corrupt or hostile frames error out without panicking
-// or ballooning memory. The decoded fields pass validateCounts.
-func unmarshalCountFrame(data []byte, magic [2]byte, kind string) (countFrame, error) {
+// validateCountFrame is the one definition of a valid count frame with
+// the given magic; kind names the frame in errors. The CRC is verified
+// before any field is trusted, every declared length is bounds-checked
+// against the frame, and every count is checked non-negative on the
+// wire bytes, so a frame that passes here satisfies validateCounts
+// once decoded. Nothing is allocated but the node id string; the
+// returned counts alias data.
+func validateCountFrame(data []byte, magic [2]byte, kind string) (countFrame, error) {
 	var f countFrame
 	if len(data) < countHeaderSize+8+8+4+4 {
 		return f, fmt.Errorf("%w: short %s frame (%d bytes)", ErrCodec, kind, len(data))
@@ -219,7 +232,7 @@ func unmarshalCountFrame(data []byte, magic [2]byte, kind string) (countFrame, e
 	if len(rest) < idLen+8+8+4 {
 		return f, fmt.Errorf("%w: %s frame truncated inside header", ErrCodec, kind)
 	}
-	f.nodeID = string(rest[:idLen])
+	id := rest[:idLen]
 	rest = rest[idLen:]
 	epoch := binary.LittleEndian.Uint64(rest)
 	total := binary.LittleEndian.Uint64(rest[8:])
@@ -228,8 +241,6 @@ func unmarshalCountFrame(data []byte, magic [2]byte, kind string) (countFrame, e
 	if epoch > math.MaxInt64 || total > math.MaxInt64 {
 		return f, fmt.Errorf("%w: %s epoch/total out of int64 range", ErrCodec, kind)
 	}
-	f.epoch = int(epoch)
-	f.total = int64(total)
 	if d < 2 || d > maxTallyDomain {
 		return f, fmt.Errorf("%w: %s domain %d outside [2, %d]", ErrCodec, kind, d, maxTallyDomain)
 	}
@@ -237,9 +248,17 @@ func unmarshalCountFrame(data []byte, magic [2]byte, kind string) (countFrame, e
 		return f, fmt.Errorf("%w: %s frame holds %d count bytes, domain %d needs %d",
 			ErrCodec, kind, len(rest), d, 8*d)
 	}
-	f.counts = make([]int64, d)
-	for v := range f.counts {
-		f.counts[v] = int64(binary.LittleEndian.Uint64(rest[8*v:]))
+	// A count is negative exactly when the top bit of its last
+	// (little-endian, most significant) byte is set.
+	for v := 0; v < int(d); v++ {
+		if rest[8*v+7]&0x80 != 0 {
+			return f, fmt.Errorf("%w: negative %s count %d for item %d",
+				ErrCodec, kind, int64(binary.LittleEndian.Uint64(rest[8*v:])), v)
+		}
 	}
-	return f, validateCounts(kind, f.nodeID, f.epoch, f.total, f.counts)
+	f.nodeID = string(id)
+	f.epoch = int(epoch)
+	f.total = int64(total)
+	f.counts = rest
+	return f, nil
 }

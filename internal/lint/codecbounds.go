@@ -30,11 +30,11 @@ var codecFuncRE = regexp.MustCompile(`^[Uu]nmarshal|^[Vv]alidate.*Frame$`)
 
 // crcRequiredRE names the decode functions whose frame format carries a
 // CRC-32C trailer (the "LT"/"LP"/"LA" family, including the count-frame
-// decoder "LT" and "LP" share, and WAL-derived frames); these must call
-// hash/crc32 at all. Every other scoped function is only held to
+// validator "LT" and "LP" share, and WAL-derived frames); these must
+// call hash/crc32 at all. Every other scoped function is only held to
 // check-order: if it verifies a CRC, no wire-derived allocation may
 // precede the verification.
-var crcRequiredRE = regexp.MustCompile(`^(Unmarshal(Tally|Partial|Announce)|unmarshalCountFrame)$`)
+var crcRequiredRE = regexp.MustCompile(`^(Unmarshal(Tally|Partial|Announce)|unmarshalCountFrame|validateCountFrame)$`)
 
 func runCodecbounds(pass *analysis.Pass) error {
 	for _, f := range pass.Files {

@@ -44,8 +44,8 @@ var exactScopes = []exactScope{
 	// chunk helpers.
 	{pkg: "ldp", recv: "Tally", name: regexp.MustCompile(`(?i)^merge`)},
 	// The merge-on-arrival hand-off into the epoch manager, and the
-	// partial-tally fold.
-	{pkg: "stream", recv: "", name: regexp.MustCompile(`^(SealCounts|AddPartial)$`)},
+	// partial-tally folds (decoded and from the wire bytes).
+	{pkg: "stream", recv: "", name: regexp.MustCompile(`^(SealCounts|AddPartial|AddPartialFrame)$`)},
 	// WAL replay: everything that re-folds logged records at boot.
 	{pkg: "persist", recv: "", name: regexp.MustCompile(`(?i)replay|^apply`)},
 }

@@ -1,7 +1,8 @@
 // Fixture for the codecbounds missing-CRC rule: the Tally/Partial/
 // Announce frame family carries a CRC-32C trailer, so a decoder with
-// one of those names — or the count-frame decoder Tally and Partial
-// share — that never touches hash/crc32 cannot be verifying it.
+// one of those names — or the count-frame decoder or validator Tally
+// and Partial share — that never touches hash/crc32 cannot be
+// verifying it.
 package nocrc
 
 import (
@@ -43,6 +44,19 @@ func unmarshalCountFrame(b []byte) ([]int64, error) { // want "never verifies a 
 		return nil, errFrame
 	}
 	return make([]int64, d), nil
+}
+
+// validateCountFrame is the shared count-frame validator: it checks
+// lengths but skips the CRC, so it is reported like a decoder.
+func validateCountFrame(b []byte) (int, error) { // want "never verifies a CRC-32C"
+	if len(b) < 8 {
+		return 0, errFrame
+	}
+	d := int(binary.LittleEndian.Uint32(b[:4]))
+	if d < 2 || d > maxDomain || len(b) != 8+8*d {
+		return 0, errFrame
+	}
+	return d, nil
 }
 
 // UnmarshalAnnounce delegates to the shared decoder and inherits its

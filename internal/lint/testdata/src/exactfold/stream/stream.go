@@ -1,5 +1,6 @@
 // Fixture for the exactfold analyzer, stream scope: the SealCounts /
-// AddPartial hand-off into the epoch manager must stay float-free.
+// AddPartial / AddPartialFrame hand-off into the epoch manager must
+// stay float-free.
 package stream
 
 import "math"
@@ -21,6 +22,14 @@ func SealCounts(e *epoch, counts []int64) {
 func AddPartial(e *epoch, counts []int64) {
 	for i := range counts {
 		e.counts[i] += counts[i]
+	}
+}
+
+// AddPartialFrame folds wire counts through a float64 scale factor,
+// which rounds once the counts pass 2^53.
+func AddPartialFrame(e *epoch, wire []uint64) {
+	for i := range wire {
+		e.counts[i] += int64(float64(wire[i]) * e.scale) // want "conversion to float64" "floating-point arithmetic"
 	}
 }
 

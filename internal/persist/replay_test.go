@@ -42,7 +42,7 @@ func TestOpenRejectsInvalidRecord(t *testing.T) {
 	// checksums it like any record.
 	badBatch := append([]byte(nil), good...)
 	badBatch[7+4+1] = 0xee
-	otherDomain, _ := partialFrame(t, 2*d, 0, nil)
+	otherDomain := partialFrame(t, 2*d, 0, nil).Bytes()
 	newMgr := func(t *testing.T) *stream.EpochManager {
 		t.Helper()
 		mgr, err := stream.NewEpochManager(stream.Config{Params: proto.Params(), TargetK: -1})
@@ -156,7 +156,7 @@ func TestStoreParallelReplayEquivalence(t *testing.T) {
 	r := rng.New(23)
 	type record struct {
 		frame   []byte
-		partial *ldp.PartialTally // nil for a report batch
+		partial *ldp.PartialFrame // nil for a report batch
 		reports int
 	}
 	// Seals after records 15 and 28; the crash comes after the last
@@ -178,8 +178,8 @@ func TestStoreParallelReplayEquivalence(t *testing.T) {
 			}
 		}
 		if i%3 == 2 {
-			buf, p := partialFrame(t, d, epoch, reps)
-			recs = append(recs, record{frame: buf, partial: p, reports: n})
+			p := partialFrame(t, d, epoch, reps)
+			recs = append(recs, record{frame: p.Bytes(), partial: &p, reports: n})
 		} else {
 			recs = append(recs, record{frame: frame(t, reps), reports: n})
 		}
@@ -206,10 +206,10 @@ func TestStoreParallelReplayEquivalence(t *testing.T) {
 	var after uint64
 	for i, rec := range recs {
 		if rec.partial != nil {
-			if err := store.AppendPartial(rec.frame, rec.partial); err != nil {
+			if err := store.AppendPartial(*rec.partial); err != nil {
 				t.Fatal(err)
 			}
-			if err := ref.AddPartial(rec.partial); err != nil {
+			if err := ref.AddPartialFrame(*rec.partial); err != nil {
 				t.Fatal(err)
 			}
 		} else {
@@ -350,8 +350,8 @@ func TestStoreReplayCountsFrames(t *testing.T) {
 	for i, n := range []int{1, 7, 0, 9, 269, 64} {
 		reps := batch(n)
 		if i%2 == 1 {
-			buf, p := partialFrame(t, d, 1, reps)
-			if err := store.AppendPartial(buf, p); err != nil {
+			p := partialFrame(t, d, 1, reps)
+			if err := store.AppendPartial(p); err != nil {
 				t.Fatal(err)
 			}
 			want.ReplayedPartials++

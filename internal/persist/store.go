@@ -85,13 +85,14 @@ type Store struct {
 // Open makes mgr durable under dir: it loads the newest valid snapshot
 // into the (freshly constructed) manager, replays the WAL tail to
 // rebuild the live epoch — one pass over the log, spread over
-// GOMAXPROCS workers, each folding report batches as wire frames through
-// AddBatchFrame (never decoded into reports) into its own accumulator —
-// and leaves the log open for appending. A WAL record that fails its
-// check fails Open, naming the lowest failing LSN, and the manager is
-// left untouched: worker totals reach it only once the whole log has
-// checked out. The restored manager serves window estimates
-// bit-identical to the pre-crash process.
+// GOMAXPROCS workers, each folding report batches through AddBatchFrame
+// and partial tallies through AddPartialFrame, both straight from the
+// wire bytes, into its own accumulator — and leaves the log open for
+// appending. A WAL record that fails its check fails Open, naming the
+// lowest failing LSN, and the manager is left untouched: worker totals
+// reach it only once the whole log has checked out. The restored
+// manager serves window estimates bit-identical to the pre-crash
+// process.
 func Open(dir string, mgr *stream.EpochManager, opts Options) (*Store, error) {
 	if mgr == nil {
 		return nil, errors.New("persist: nil epoch manager")
@@ -178,9 +179,10 @@ type replayFold struct {
 
 // apply validates one WAL record and folds it. The WAL is
 // payload-agnostic; records are dispatched on their 2-byte frame magic:
-// "LP" partial tallies fold through AddCounts regardless of their epoch
-// hint, every other record is a report-batch frame folded as wire bytes
-// through AddBatchFrame, the lane live ingest takes. The hint was
+// "LP" partial tallies are validated in place and folded from their
+// wire bytes through AddPartialFrame regardless of their epoch hint,
+// every other record is a report-batch frame folded as wire bytes
+// through AddBatchFrame — the lanes live ingest takes. The hint was
 // checked against the sealed watermark when the record was accepted
 // (append and fold are atomic with respect to seals), so on replay the
 // fold is unconditional — exactly like report batches, every surviving
@@ -193,9 +195,9 @@ func (f *replayFold) apply(lsn uint64, payload []byte) error {
 		f.batches++
 		return nil
 	}
-	p, err := ldp.UnmarshalPartial(payload)
+	p, err := ldp.ValidatePartialFrame(payload)
 	if err == nil {
-		err = f.acc.AddCounts(p.Counts, p.Users)
+		err = f.acc.AddPartialFrame(p)
 	}
 	if err != nil {
 		return fmt.Errorf("persist: WAL record %d: partial tally: %w", lsn, err)
@@ -265,30 +267,31 @@ func (s *Store) AppendBatchFrame(frame []byte) error {
 }
 
 // AppendPartial durably logs an edge-aggregated partial tally and folds
-// it into the live epoch. frame must be the ldp partial codec encoding
-// of p — servers pass the wire bytes they already hold alongside the
-// decoded partial. The staleness check runs before the append so a
-// rejected partial leaves no durable trace; holding the append lock
-// shared excludes Seal, so the watermark cannot move between the check
-// and the fold — the WAL never holds a partial the manager rejected,
-// and replay can fold every surviving record unconditionally.
-func (s *Store) AppendPartial(frame []byte, p *ldp.PartialTally) error {
+// it into the live epoch straight from its wire bytes. f is the view
+// ldp.ValidatePartialFrame returned; its frame is appended verbatim. The
+// domain and staleness checks run before the append so a rejected
+// partial leaves no durable trace; holding the append lock shared
+// excludes Seal, so the watermark cannot move between the check and the
+// fold — the WAL never holds a partial the manager rejected, and replay
+// can fold every surviving record unconditionally.
+func (s *Store) AppendPartial(f ldp.PartialFrame) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return errors.New("persist: store is closed")
 	}
-	if p == nil {
-		return errors.New("persist: nil partial tally")
+	if f.Domain() != s.mgr.Domain() {
+		return fmt.Errorf("persist: partial tally over domain %d, manager domain is %d",
+			f.Domain(), s.mgr.Domain())
 	}
-	if p.EpochHint < s.mgr.SealedWatermark() {
+	if f.EpochHint < s.mgr.SealedWatermark() {
 		return fmt.Errorf("%w: hint %d, watermark %d",
-			stream.ErrStalePartial, p.EpochHint, s.mgr.SealedWatermark())
+			stream.ErrStalePartial, f.EpochHint, s.mgr.SealedWatermark())
 	}
-	if _, err := s.wal.Append(frame); err != nil {
+	if _, err := s.wal.Append(f.Bytes()); err != nil {
 		return err
 	}
-	return s.mgr.AddPartial(p)
+	return s.mgr.AddPartialFrame(f)
 }
 
 // Seal closes the live epoch, snapshots the manager's state, and

@@ -10,9 +10,9 @@ import (
 	"ldprecover/internal/stream"
 )
 
-// partialFrame runs reps through a Collector and returns both the wire
-// frame and the decoded partial, the pair AppendPartial takes.
-func partialFrame(t testing.TB, d int, hint int, reps []ldp.Report) ([]byte, *ldp.PartialTally) {
+// partialFrame runs reps through a Collector and returns the validated
+// view of the flushed wire frame, which AppendPartial takes.
+func partialFrame(t testing.TB, d int, hint int, reps []ldp.Report) ldp.PartialFrame {
 	t.Helper()
 	col, err := ldp.NewCollector("edge-test", d)
 	if err != nil {
@@ -25,11 +25,11 @@ func partialFrame(t testing.TB, d int, hint int, reps []ldp.Report) ([]byte, *ld
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := ldp.UnmarshalPartial(buf)
+	p, err := ldp.ValidatePartialFrame(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buf, p
+	return p
 }
 
 // TestStoreMixedLaneCrashRestartEquivalence is the tally-first ingest
@@ -79,8 +79,8 @@ func TestStoreMixedLaneCrashRestartEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		default:
-			buf, p := partialFrame(t, d, e, b)
-			if err := store.AppendPartial(buf, p); err != nil {
+			p := partialFrame(t, d, e, b)
+			if err := store.AppendPartial(p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -108,8 +108,8 @@ func TestStoreMixedLaneCrashRestartEquivalence(t *testing.T) {
 	}
 	// Tail of the crashed epoch: one partial, one zero-copy frame.
 	next := epochs[crashAt+1]
-	buf, p := partialFrame(t, d, crashAt+1, next[0])
-	if err := store.AppendPartial(buf, p); err != nil {
+	p := partialFrame(t, d, crashAt+1, next[0])
+	if err := store.AppendPartial(p); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.AppendBatchFrame(frame(t, next[1])); err != nil {
@@ -194,16 +194,16 @@ func TestStoreAppendPartialStaleLeavesNoTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, p := partialFrame(t, d, 0, reps)
-	if err := store.AppendPartial(buf, p); err != nil {
+	p := partialFrame(t, d, 0, reps)
+	if err := store.AppendPartial(p); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	// Watermark is now 1; the same hint-0 partial is stale.
-	buf2, p2 := partialFrame(t, d, 0, reps)
-	if err := store.AppendPartial(buf2, p2); !errors.Is(err, stream.ErrStalePartial) {
+	p2 := partialFrame(t, d, 0, reps)
+	if err := store.AppendPartial(p2); !errors.Is(err, stream.ErrStalePartial) {
 		t.Fatalf("stale partial: %v, want ErrStalePartial", err)
 	}
 	if got := mgr.Stats().LiveTotal; got != 0 {

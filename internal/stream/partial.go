@@ -32,10 +32,31 @@ func (m *EpochManager) AddPartial(p *ldp.PartialTally) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if p.EpochHint < m.seq {
-		return fmt.Errorf("%w: hint %d, watermark %d", ErrStalePartial, p.EpochHint, m.seq)
+	if err := m.stalePartial(p.EpochHint); err != nil {
+		return err
 	}
 	// Folding under m.mu (Seal's lock) pins the epoch the check decided
 	// on; the shard-lock nesting matches Seal's own m.mu → shard order.
 	return m.live.AddCounts(p.Counts, p.Users)
+}
+
+// AddPartialFrame is AddPartial for a validated wire frame: the same
+// atomic staleness check, with the counts folded straight from the
+// frame's bytes — the lane the server and WAL replay take.
+func (m *EpochManager) AddPartialFrame(f ldp.PartialFrame) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.stalePartial(f.EpochHint); err != nil {
+		return err
+	}
+	return m.live.AddPartialFrame(f)
+}
+
+// stalePartial is the staleness check both partial lanes make under
+// m.mu: ErrStalePartial for a hint behind the sealed watermark.
+func (m *EpochManager) stalePartial(hint int) error {
+	if hint < m.seq {
+		return fmt.Errorf("%w: hint %d, watermark %d", ErrStalePartial, hint, m.seq)
+	}
+	return nil
 }

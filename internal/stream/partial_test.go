@@ -118,3 +118,62 @@ func TestAddPartialValidation(t *testing.T) {
 		t.Fatal("negative-count partial accepted")
 	}
 }
+
+// TestAddPartialFrameMatchesAddPartial: the wire-byte lane makes the
+// same staleness verdicts and folds the same counts as the decoded
+// lane — current, far-ahead and stale hints across two seals, plus a
+// frame over the wrong domain.
+func TestAddPartialFrameMatchesAddPartial(t *testing.T) {
+	cfg, _ := testConfig(t, 4, 0.5)
+	decoded, err := NewEpochManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := NewEpochManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []*ldp.PartialTally{
+		partialOf(0, []int64{4, 0, 9, 1}, 11),
+		partialOf(1000, []int64{2, 0, 1, 0}, 3),
+		nil,                                   // seal
+		partialOf(0, []int64{5, 5, 5, 5}, 20), // stale
+		partialOf(1, []int64{1, 1, 0, 0}, 2),
+		partialOf(1, []int64{1, 1, 0}, 2), // wrong domain
+		nil,
+		partialOf(1, []int64{7, 7, 7, 7}, 9), // stale
+		partialOf(2, []int64{0, 3, 0, 8}, 8),
+		nil,
+	}
+	for i, p := range steps {
+		if p == nil {
+			want, err := decoded.Seal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := wire.Seal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: sealed estimates diverged:\n got %+v\nwant %+v", i, got, want)
+			}
+			continue
+		}
+		frame, err := ldp.MarshalPartial(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, err := ldp.ValidatePartialFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantErr, gotErr := decoded.AddPartial(p), wire.AddPartialFrame(view)
+		if (gotErr == nil) != (wantErr == nil) || errors.Is(gotErr, ErrStalePartial) != errors.Is(wantErr, ErrStalePartial) {
+			t.Fatalf("step %d: AddPartialFrame error %v, AddPartial error %v", i, gotErr, wantErr)
+		}
+	}
+	if !reflect.DeepEqual(wire.Epochs(), decoded.Epochs()) {
+		t.Fatal("sealed epochs diverged between the lanes")
+	}
+}

@@ -259,6 +259,10 @@ type (
 	// PartialTally is an edge-aggregated partial tally frame's decoded
 	// form: node id, advisory epoch hint, support counts, user count.
 	PartialTally = ldp.PartialTally
+	// PartialFrame is a validated view of a wire-format partial tally:
+	// node id, epoch hint and user count decoded, the counts left as
+	// the frame's bytes. It is valid only while those bytes are.
+	PartialFrame = ldp.PartialFrame
 )
 
 // ErrStalePartial rejects a partial tally whose epoch hint predates the
@@ -277,6 +281,11 @@ func MarshalPartial(p *PartialTally) ([]byte, error) { return ldp.MarshalPartial
 
 // UnmarshalPartial parses and checksums a wire-format partial tally.
 func UnmarshalPartial(data []byte) (*PartialTally, error) { return ldp.UnmarshalPartial(data) }
+
+// ValidatePartialFrame checks a wire-format partial tally in place —
+// exactly the frames UnmarshalPartial accepts — and returns a view the
+// partial lane folds from the wire bytes, with no []int64 decoded.
+func ValidatePartialFrame(frame []byte) (PartialFrame, error) { return ldp.ValidatePartialFrame(frame) }
 
 // ValidateReportBatchFrame structurally validates a report batch frame
 // without decoding it, returning its report count — the zero-copy
