@@ -512,45 +512,70 @@ func TestSealedMergerDuplicateIdempotenceRace(t *testing.T) {
 // every frontend's tally and sealing through the barrier. The cost is
 // independent of how many users reported (tallies are fixed-size count
 // vectors) and scales only with d × nodes, which is what makes the
-// two-tier design absorb arbitrarily large populations.
+// two-tier design absorb arbitrarily large populations. The wire arms
+// start from each tally's marshaled frame, as /v1/tally does: frames
+// are built outside the timed region, and the timed region takes them
+// from bytes to merged counts the way the handler does.
 func BenchmarkRootMerge(b *testing.B) {
-	for _, d := range []int{128, 4096} {
-		for _, nNodes := range []int{3, 9} {
-			b.Run(fmt.Sprintf("d=%d/nodes=%d", d, nNodes), func(b *testing.B) {
-				nodes := make([]string, nNodes)
-				for i := range nodes {
-					nodes[i] = fmt.Sprintf("fe-%d", i)
+	for _, wire := range []bool{false, true} {
+		for _, d := range []int{128, 4096} {
+			for _, nNodes := range []int{3, 9} {
+				name := fmt.Sprintf("d=%d/nodes=%d", d, nNodes)
+				if wire {
+					name = "wire/" + name
 				}
-				mgr, err := NewEpochManager(Config{
-					Params: mergeTestParams(d), Window: 1, History: 4, TargetK: -1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				merger, err := NewSealedMerger(mgr, nodes)
-				if err != nil {
-					b.Fatal(err)
-				}
-				proto := make([]*ldp.Tally, nNodes)
-				for i, n := range nodes {
-					// A billion-user tally costs the same as a thousand-user
-					// one: the wire and merge units are counts, not reports.
-					proto[i] = nodeTally(n, 0, d, uint64(i+1), 0)
-					proto[i].Total += 1 << 30
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for _, p := range proto {
-						tally := &ldp.Tally{NodeID: p.NodeID, Epoch: i, Counts: p.Counts, Total: p.Total}
-						if _, err := merger.MergeSealed(tally); err != nil {
-							b.Fatal(err)
+				b.Run(name, func(b *testing.B) {
+					nodes := make([]string, nNodes)
+					for i := range nodes {
+						nodes[i] = fmt.Sprintf("fe-%d", i)
+					}
+					mgr, err := NewEpochManager(Config{
+						Params: mergeTestParams(d), Window: 1, History: 4, TargetK: -1,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					merger, err := NewSealedMerger(mgr, nodes)
+					if err != nil {
+						b.Fatal(err)
+					}
+					proto := make([]*ldp.Tally, nNodes)
+					for i, n := range nodes {
+						// A billion-user tally costs the same as a thousand-user
+						// one: the wire and merge units are counts, not reports.
+						proto[i] = nodeTally(n, 0, d, uint64(i+1), 0)
+						proto[i].Total += 1 << 30
+					}
+					frames := make([][]byte, nNodes)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if wire {
+							b.StopTimer()
+							for j, p := range proto {
+								frames[j], err = ldp.MarshalTally(&ldp.Tally{NodeID: p.NodeID, Epoch: i, Counts: p.Counts, Total: p.Total})
+								if err != nil {
+									b.Fatal(err)
+								}
+							}
+							b.StartTimer()
+						}
+						for j, p := range proto {
+							tally := &ldp.Tally{NodeID: p.NodeID, Epoch: i, Counts: p.Counts, Total: p.Total}
+							if wire {
+								if tally, err = ldp.UnmarshalTally(frames[j]); err != nil {
+									b.Fatal(err)
+								}
+							}
+							if _, err := merger.MergeSealed(tally); err != nil {
+								b.Fatal(err)
+							}
+						}
+						if est, _, err := merger.TrySeal(); err != nil || est == nil {
+							b.Fatalf("seal %d: est=%v err=%v", i, est, err)
 						}
 					}
-					if est, _, err := merger.TrySeal(); err != nil || est == nil {
-						b.Fatalf("seal %d: est=%v err=%v", i, est, err)
-					}
-				}
-			})
+				})
+			}
 		}
 	}
 }
