@@ -746,7 +746,7 @@ func BenchmarkDurableIngest(b *testing.B) {
 
 	// Sanity outside the timed regions: both lanes must count the same
 	// users per op (the equivalence the tests pin bit-for-bit).
-	if got, want := partial.Users, int64(numFrames*perFrame); got != want {
+	if got, want := partial.Total, int64(numFrames*perFrame); got != want {
 		b.Fatalf("partial covers %d users, lanes move %d", got, want)
 	}
 }

@@ -11,10 +11,10 @@
 // (test summaries, package headers) pass through unparsed.
 //
 // -merge folds the freshly parsed results into an existing report
-// instead of starting from scratch: benchmarks sharing a name are
-// replaced in place, new ones append. `make bench-ingest` uses it to
-// re-baseline just the ingest rows of BENCH_report.json at a longer
-// benchtime without re-running the full figure suite.
+// instead of starting from scratch: same-name benchmarks are replaced in
+// place, new ones append. `make bench-ingest` uses it to re-baseline just
+// the ingest rows of BENCH_report.json at a longer benchtime without
+// re-running the full figure suite.
 //
 // -gate-num/-gate-den/-gate-min assert a throughput ratio between two
 // benchmarks in the final report: the run fails (exit 1) unless the
@@ -30,14 +30,15 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
 
 // Benchmark is one benchmark result line.
 type Benchmark struct {
-	// Name is the benchmark's full printed name, including sub-benchmark
-	// path and Go's GOMAXPROCS suffix when present.
+	// Name is the benchmark's printed name and sub-benchmark path, less
+	// the GOMAXPROCS suffix when every row of the run shares it.
 	Name string `json:"name"`
 	// Runs is the measured iteration count (b.N).
 	Runs int64 `json:"runs"`
@@ -121,7 +122,26 @@ func parse(r io.Reader) (*Report, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	stripProcsSuffix(rep.Benchmarks)
 	return rep, nil
+}
+
+// stripProcsSuffix drops the "-N" GOMAXPROCS suffix Go appends to every
+// row of a run with N > 1, so fresh rows merge over stored ones on any
+// host. A suffix not shared by every row is part of a name and stays.
+func stripProcsSuffix(rows []Benchmark) {
+	suffix := ""
+	for _, b := range rows {
+		i := strings.LastIndexByte(b.Name, '-')
+		_, err := strconv.ParseUint(b.Name[i+1:], 10, 0)
+		if i < 0 || err != nil || (suffix != "" && b.Name[i:] != suffix) {
+			return
+		}
+		suffix = b.Name[i:]
+	}
+	for i := range rows {
+		rows[i].Name = strings.TrimSuffix(rows[i].Name, suffix)
+	}
 }
 
 // mergeInto folds fresh results into base: same-name benchmarks are
@@ -151,14 +171,7 @@ func mergeInto(base, fresh *Report) *Report {
 		base.CPU = fresh.CPU
 	}
 	for _, p := range fresh.Packages {
-		found := false
-		for _, q := range base.Packages {
-			if p == q {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(base.Packages, p) {
 			base.Packages = append(base.Packages, p)
 		}
 	}

@@ -126,3 +126,58 @@ func TestCheckGate(t *testing.T) {
 		t.Fatal("unknown benchmark passed the gate")
 	}
 }
+
+// TestRunMergeReplacesAcrossProcsSuffix: a fresh run on a multi-core
+// host names every row with Go's -GOMAXPROCS suffix. Merged over a
+// report holding the same benchmarks without it, the fresh rows must
+// replace the stored ones in place — no stale twin left behind — and
+// the gate must read the fresh numbers.
+func TestRunMergeReplacesAcrossProcsSuffix(t *testing.T) {
+	base := &Report{Benchmarks: []Benchmark{
+		{Name: "BenchmarkMergeParallel/d=65536/sequential", Runs: 1, NsPerOp: 1, Metrics: map[string]float64{"MB/s": 100}},
+		{Name: "BenchmarkMergeParallel/d=65536/parallel", Runs: 1, NsPerOp: 1, Metrics: map[string]float64{"MB/s": 900}},
+	}}
+	fresh := `BenchmarkMergeParallel/d=65536/sequential-2   100   5000 ns/op   400.00 MB/s
+BenchmarkMergeParallel/d=65536/parallel-2     100   2000 ns/op   500.00 MB/s
+`
+	var out bytes.Buffer
+	rep, err := run(strings.NewReader(fresh), &out, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 2 {
+		t.Fatalf("merged %d rows, want the 2 stored rows replaced: %+v", len(rep.Benchmarks), rep.Benchmarks)
+	}
+	if rep.Benchmarks[1].Name != "BenchmarkMergeParallel/d=65536/parallel" || rep.Benchmarks[1].NsPerOp != 2000 {
+		t.Fatalf("fresh row not merged over the stored one: %+v", rep.Benchmarks[1])
+	}
+	// Fresh rows read 1.25x; the stale ones would have read 9x.
+	if err := checkGate(rep, "BenchmarkMergeParallel/d=65536/parallel",
+		"BenchmarkMergeParallel/d=65536/sequential", 2); err == nil {
+		t.Fatal("gate passed on the stale rows instead of the fresh run")
+	}
+}
+
+// TestParseKeepsDigitSuffixedNames: the suffix is stripped only when
+// every row of the run carries the same one, so sub-benchmark names
+// that end in "-<digits>" on a single-core host survive.
+func TestParseKeepsDigitSuffixedNames(t *testing.T) {
+	rep, err := parse(strings.NewReader(`BenchmarkFanIn/nodes-4    10   100 ns/op
+BenchmarkFanIn/nodes-16   10   200 ns/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Benchmarks[0].Name != "BenchmarkFanIn/nodes-4" || rep.Benchmarks[1].Name != "BenchmarkFanIn/nodes-16" {
+		t.Fatalf("names rewritten: %+v", rep.Benchmarks)
+	}
+	rep, err = parse(strings.NewReader(`BenchmarkFanIn/nodes-4-2    10   100 ns/op
+BenchmarkFanIn/nodes-16-2   10   200 ns/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Benchmarks[0].Name != "BenchmarkFanIn/nodes-4" || rep.Benchmarks[1].Name != "BenchmarkFanIn/nodes-16" {
+		t.Fatalf("shared -2 suffix not stripped: %+v", rep.Benchmarks)
+	}
+}

@@ -632,11 +632,11 @@ type rootSealError struct{ err error }
 func (e rootSealError) Error() string { return e.err.Error() }
 func (e rootSealError) Unwrap() error { return e.err }
 
-// onTally folds one pushed tally, sealing through the barrier when the
-// tally completes it and arming the straggler timer when it starts a
-// new partial epoch.
-func (r *rootMerge) onTally(t *ldprecover.Tally) (tallyResponse, error) {
-	res, err := r.merger.MergeSealed(t)
+// onTally folds one pushed tally's validated frame, sealing through the
+// barrier when the tally completes it and arming the straggler timer
+// when it starts a new partial epoch.
+func (r *rootMerge) onTally(f ldprecover.CountFrame) (tallyResponse, error) {
+	res, err := r.merger.MergeFrame(f)
 	if err != nil {
 		return tallyResponse{}, err
 	}
@@ -1013,7 +1013,7 @@ func (s *streamServer) barrierFor(w http.ResponseWriter) *rootMerge {
 }
 
 // handleTally is the barrier's ingest endpoint: one CRC-framed sealed
-// tally per POST.
+// tally per POST, validated in place and merged from the wire bytes.
 func (s *streamServer) handleTally(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST a sealed tally frame")
@@ -1028,7 +1028,7 @@ func (s *streamServer) handleTally(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.putBuf(body)
-	tally, err := ldprecover.UnmarshalTally(body)
+	tally, err := ldprecover.ValidateTallyFrame(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "decoding tally: %v", err)
 		return

@@ -644,10 +644,18 @@ func TestRootForceSealStaleGuard(t *testing.T) {
 		t.Fatal("empty force seal sealed an epoch")
 	}
 
-	tally := func(node string, epoch int) *ldprecover.Tally {
+	tally := func(node string, epoch int) ldprecover.CountFrame {
 		tl := &ldprecover.Tally{NodeID: node, Epoch: epoch, Counts: make([]int64, 8), Total: 5}
 		tl.Counts[1] = 5
-		return tl
+		frame, err := ldprecover.MarshalTally(tl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, err := ldprecover.ValidateTallyFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return view
 	}
 	// Partial barrier at epoch 0: a force armed for epoch 0 seals it...
 	if _, err := rm.onTally(tally("a", 0)); err != nil {

@@ -951,7 +951,7 @@ func (s *streamServer) handlePartial(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 		s.partialsAccepted.Add(1)
-		writeJSON(w, http.StatusAccepted, partialResponse{Users: p.Users, EpochHint: p.EpochHint})
+		writeJSON(w, http.StatusAccepted, partialResponse{Users: p.Total, EpochHint: p.Epoch})
 	case errors.Is(err, ldprecover.ErrStalePartial):
 		// The sealed-boundary taxonomy of /v1/tally: an ordinary
 		// client-visible conflict, not broken durability.

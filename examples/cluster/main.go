@@ -136,11 +136,11 @@ func main() {
 				if err != nil {
 					log.Fatal(err)
 				}
-				decoded, err := ldprecover.UnmarshalTally(frame)
+				view, err := ldprecover.ValidateTallyFrame(frame)
 				if err != nil {
 					log.Fatal(err)
 				}
-				res, err := merger.MergeSealed(decoded)
+				res, err := merger.MergeFrame(view)
 				if err != nil {
 					log.Fatal(err)
 				}

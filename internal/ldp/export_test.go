@@ -16,7 +16,17 @@ func SetOLHAVX512(on bool) (restore func()) {
 // PartialFrameRejections returns the count-frame spec cases under "LP"
 // magic, for tests that feed each one further down the partial lane.
 func PartialFrameRejections() (names []string, frames [][]byte) {
-	for _, tc := range countFrameRejections(partialMagic) {
+	return frameRejections(partialMagic)
+}
+
+// TallyFrameRejections returns the count-frame spec cases under "LT"
+// magic, for tests that feed each one on to a root merger.
+func TallyFrameRejections() (names []string, frames [][]byte) {
+	return frameRejections(tallyMagic)
+}
+
+func frameRejections(magic [2]byte) (names []string, frames [][]byte) {
+	for _, tc := range countFrameRejections(magic) {
 		names = append(names, tc.name)
 		frames = append(frames, tc.frame)
 	}

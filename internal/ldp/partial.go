@@ -1,7 +1,6 @@
 package ldp
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 )
@@ -69,66 +68,30 @@ func MarshalPartial(p *PartialTally) ([]byte, error) {
 
 // UnmarshalPartial parses a wire-format partial tally.
 func UnmarshalPartial(data []byte) (*PartialTally, error) {
-	f, err := validateCountFrame(data, partialMagic, "partial tally")
+	f, err := ValidatePartialFrame(data)
 	if err != nil {
 		return nil, err
 	}
-	return &PartialTally{NodeID: f.nodeID, EpochHint: f.epoch, Counts: f.decodeCounts(), Users: f.total}, nil
+	return &PartialTally{NodeID: f.NodeID, EpochHint: f.Epoch, Counts: f.decodeCounts(), Users: f.Total}, nil
 }
 
-// PartialFrame is a validated view of a wire-format "LP" partial tally:
-// the header fields decoded, the counts left as the frame's
-// little-endian bytes. It is the partial lane's unit of ingest — live
-// ingest, the durable append and WAL replay all fold a PartialFrame
-// straight from the wire bytes, so no []int64 is ever decoded.
-//
-// A PartialFrame aliases the bytes it was validated from (only NodeID
-// is copied): it is valid only while those bytes are, and must not
-// outlive a buffer that is recycled or overwritten.
-type PartialFrame struct {
-	// NodeID, EpochHint and Users mean what they do in PartialTally.
-	NodeID    string
-	EpochHint int
-	Users     int64
-
-	frame  []byte // the whole validated frame
-	counts []byte // its 8*Domain() count bytes
+// ValidatePartialFrame checks frame as an "LP" count frame — accepting
+// exactly the frames UnmarshalPartial accepts — and returns a view of it.
+func ValidatePartialFrame(frame []byte) (CountFrame, error) {
+	return validateCountFrame(frame, partialMagic, "partial tally")
 }
-
-// ValidatePartialFrame checks frame against the count-frame spec — the
-// same checks UnmarshalPartial runs, so the two accept exactly the same
-// frames — and returns a view of it. Nothing is allocated but NodeID.
-func ValidatePartialFrame(frame []byte) (PartialFrame, error) {
-	f, err := validateCountFrame(frame, partialMagic, "partial tally")
-	if err != nil {
-		return PartialFrame{}, err
-	}
-	return PartialFrame{NodeID: f.nodeID, EpochHint: f.epoch, Users: f.total,
-		frame: frame, counts: f.counts}, nil
-}
-
-// Domain returns the number of items the partial counts.
-func (f PartialFrame) Domain() int { return len(f.counts) / 8 }
-
-// Bytes returns the validated wire frame the view aliases — what a
-// durable store appends to its log.
-func (f PartialFrame) Bytes() []byte { return f.frame }
 
 // AddPartialFrame folds a validated partial straight from its wire
 // bytes under a single shard lock. Bit-identical to UnmarshalPartial +
 // AddCounts(p.Counts, p.Users); on a domain mismatch nothing is folded.
-func (sa *ShardedAccumulator) AddPartialFrame(f PartialFrame) error {
+func (sa *ShardedAccumulator) AddPartialFrame(f CountFrame) error {
 	if f.Domain() != sa.domain {
 		return errLenMismatch(f.Domain(), sa.domain)
 	}
 	sh := sa.shard()
 	sh.mu.Lock()
-	counts, src := sh.acc.counts, f.counts
-	for v := range counts {
-		counts[v] += int64(binary.LittleEndian.Uint64(src))
-		src = src[8:]
-	}
-	sh.acc.total += f.Users
+	addCountBytes(sh.acc.counts, f.counts)
+	sh.acc.total += f.Total
 	sh.mu.Unlock()
 	sa.gen.Add(1)
 	return nil

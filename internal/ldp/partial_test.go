@@ -375,7 +375,7 @@ func FuzzUnmarshalPartial(f *testing.F) {
 			return
 		}
 		// The in-place fold agrees with the decoded one.
-		if view.NodeID != p.NodeID || view.EpochHint != p.EpochHint || view.Users != p.Users ||
+		if view.NodeID != p.NodeID || view.Epoch != p.EpochHint || view.Total != p.Users ||
 			view.Domain() != len(p.Counts) || !bytes.Equal(view.Bytes(), data) {
 			t.Fatalf("view %+v disagrees with decoded partial %+v", view, p)
 		}

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
 )
 
 // Tally is one frontend node's sealed per-epoch aggregate: the raw
@@ -78,27 +80,32 @@ func (t *Tally) Merge(other *Tally) error {
 	return other.MergeInto(t)
 }
 
-// MergeInto folds this tally into acc — the direction the merge tree's
-// accept path uses: the incoming tally is the receiver, the per-epoch
-// accumulated tally the argument, and the incoming counts are never
-// retained. The fold is exact int64 addition, so any grouping of
-// MergeInto/Merge calls over the same tallies produces the same bits.
+// MergeInto folds this tally into acc, never retaining its counts.
+// The fold is exact int64 addition, so any grouping of MergeInto/Merge
+// calls over the same tallies produces the same bits;
+// CountFrame.MergeInto is the same fold from the wire bytes.
 func (t *Tally) MergeInto(acc *Tally) error {
-	if acc == nil {
-		return fmt.Errorf("%w: merging into a nil tally", ErrCodec)
-	}
-	if len(t.Counts) != len(acc.Counts) {
-		return fmt.Errorf("%w: merging tallies over domains %d and %d",
-			ErrCodec, len(t.Counts), len(acc.Counts))
-	}
-	if t.Epoch != acc.Epoch {
-		return fmt.Errorf("%w: merging tallies for epochs %d and %d",
-			ErrCodec, t.Epoch, acc.Epoch)
+	if err := checkMerge(len(t.Counts), t.Epoch, acc); err != nil {
+		return err
 	}
 	for v, c := range t.Counts {
 		acc.Counts[v] += c
 	}
 	acc.Total += t.Total
+	return nil
+}
+
+// checkMerge is both MergeInto folds' shape check: a source over domain
+// d for epoch folds only into a non-nil tally of that domain and epoch.
+func checkMerge(d, epoch int, acc *Tally) error {
+	switch {
+	case acc == nil:
+		return fmt.Errorf("%w: merging into a nil tally", ErrCodec)
+	case d != len(acc.Counts):
+		return fmt.Errorf("%w: merging tallies over domains %d and %d", ErrCodec, d, len(acc.Counts))
+	case epoch != acc.Epoch:
+		return fmt.Errorf("%w: merging tallies for epochs %d and %d", ErrCodec, epoch, acc.Epoch)
+	}
 	return nil
 }
 
@@ -159,30 +166,107 @@ func MarshalTally(t *Tally) ([]byte, error) {
 
 // UnmarshalTally parses a wire-format sealed tally.
 func UnmarshalTally(data []byte) (*Tally, error) {
-	f, err := validateCountFrame(data, tallyMagic, "tally")
+	f, err := ValidateTallyFrame(data)
 	if err != nil {
 		return nil, err
 	}
-	return &Tally{NodeID: f.nodeID, Epoch: f.epoch, Counts: f.decodeCounts(), Total: f.total}, nil
+	return &Tally{NodeID: f.NodeID, Epoch: f.Epoch, Counts: f.decodeCounts(), Total: f.Total}, nil
 }
 
-// countFrame is a validated count frame's header fields and its counts
-// as raw wire bytes: 8 bytes per item, little endian, each a
-// non-negative int64. counts aliases the validated frame.
-type countFrame struct {
-	nodeID string
-	epoch  int
-	total  int64
-	counts []byte
+// ValidateTallyFrame checks frame as an "LT" count frame — accepting
+// exactly the frames UnmarshalTally accepts — and returns a view of it.
+func ValidateTallyFrame(frame []byte) (CountFrame, error) {
+	return validateCountFrame(frame, tallyMagic, "tally")
 }
+
+// CountFrame is a validated view of an "LT" or "LP" count frame (as
+// its validator decides): header fields decoded, counts left as the
+// frame's little-endian bytes, so neither count lane decodes a []int64.
+// It aliases the bytes it was validated from (only NodeID is copied)
+// and is valid only while those bytes are.
+type CountFrame struct {
+	// NodeID, Epoch and Total mean what they do in Tally; for a
+	// partial, Epoch is the epoch hint and Total the user count.
+	NodeID string
+	Epoch  int
+	Total  int64
+
+	frame  []byte // the whole validated frame
+	counts []byte // its 8*Domain() count bytes, each a non-negative int64
+}
+
+// Domain returns the number of items the frame counts.
+func (f CountFrame) Domain() int { return len(f.counts) / 8 }
+
+// Bytes returns the validated wire frame the view aliases — what a
+// durable store appends to its log.
+func (f CountFrame) Bytes() []byte { return f.frame }
 
 // decodeCounts copies the wire counts into a fresh []int64.
-func (f *countFrame) decodeCounts() []int64 {
-	counts := make([]int64, len(f.counts)/8)
-	for v := range counts {
-		counts[v] = int64(binary.LittleEndian.Uint64(f.counts[8*v:]))
-	}
+func (f CountFrame) decodeCounts() []int64 {
+	counts := make([]int64, f.Domain())
+	addCountBytes(counts, f.counts)
 	return counts
+}
+
+// addCountBytes adds src's little-endian int64 counts to dst: the one
+// loop every fold from count-frame bytes runs. Four items per re-sliced
+// step measured about twice the one-item loop's speed at d=4096.
+func addCountBytes(dst []int64, src []byte) {
+	for ; len(dst) >= 4 && len(src) >= 32; dst, src = dst[4:], src[32:] {
+		dst[0] += int64(binary.LittleEndian.Uint64(src))
+		dst[1] += int64(binary.LittleEndian.Uint64(src[8:]))
+		dst[2] += int64(binary.LittleEndian.Uint64(src[16:]))
+		dst[3] += int64(binary.LittleEndian.Uint64(src[24:]))
+	}
+	for v := range dst {
+		dst[v] += int64(binary.LittleEndian.Uint64(src))
+		src = src[8:]
+	}
+}
+
+// Chunk-parallel merging (merge-on-arrival, DESIGN.md §9): the counts
+// split into disjoint chunks folded by a small worker pool, race-free
+// and bit-identical to the sequential fold whatever the worker count.
+const (
+	// parallelMergeMin is the domain below which MergeInto stays
+	// sequential: goroutine handoff would dominate a few-µs fold.
+	parallelMergeMin = 1 << 15
+	// parallelMergeGrain is the minimum chunk per worker.
+	parallelMergeGrain = 1 << 13
+)
+
+// MergeInto folds the frame into acc straight from the wire bytes,
+// exactly like Tally.MergeInto of the decoded tally, chunked across a
+// worker pool when the domain and GOMAXPROCS make that worthwhile.
+func (f CountFrame) MergeInto(acc *Tally) error {
+	return f.mergeInto(acc, runtime.GOMAXPROCS(0))
+}
+
+// mergeInto is MergeInto with an explicit worker count, the hook tests
+// use to force real chunking on any host.
+func (f CountFrame) mergeInto(acc *Tally, workers int) error {
+	d := f.Domain()
+	if err := checkMerge(d, f.Epoch, acc); err != nil {
+		return err
+	}
+	if workers = min(workers, d/parallelMergeGrain); workers <= 1 || d < parallelMergeMin {
+		addCountBytes(acc.Counts, f.counts)
+	} else {
+		chunk := (d + workers - 1) / workers
+		var wg sync.WaitGroup
+		for lo := 0; lo < d; lo += chunk {
+			hi := min(lo+chunk, d)
+			wg.Add(1)
+			go func(dst []int64, src []byte) {
+				defer wg.Done()
+				addCountBytes(dst, src)
+			}(acc.Counts[lo:hi], f.counts[8*lo:8*hi])
+		}
+		wg.Wait()
+	}
+	acc.Total += f.Total
+	return nil
 }
 
 // marshalCountFrame encodes already-validated count-frame fields.
@@ -207,30 +291,29 @@ func marshalCountFrame(magic [2]byte, nodeID string, epoch int, total int64, cou
 // against the frame, and every count is checked non-negative on the
 // wire bytes, so a frame that passes here satisfies validateCounts
 // once decoded. Nothing is allocated but the node id string; the
-// returned counts alias data.
-func validateCountFrame(data []byte, magic [2]byte, kind string) (countFrame, error) {
-	var f countFrame
+// returned view aliases data.
+func validateCountFrame(data []byte, magic [2]byte, kind string) (CountFrame, error) {
 	if len(data) < countHeaderSize+8+8+4+4 {
-		return f, fmt.Errorf("%w: short %s frame (%d bytes)", ErrCodec, kind, len(data))
+		return CountFrame{}, fmt.Errorf("%w: short %s frame (%d bytes)", ErrCodec, kind, len(data))
 	}
 	if data[0] != magic[0] || data[1] != magic[1] {
-		return f, fmt.Errorf("%w: bad %s magic %q", ErrCodec, kind, string(data[:2]))
+		return CountFrame{}, fmt.Errorf("%w: bad %s magic %q", ErrCodec, kind, string(data[:2]))
 	}
 	if data[2] != countFrameVersion {
-		return f, fmt.Errorf("%w: unsupported %s version %d", ErrCodec, kind, data[2])
+		return CountFrame{}, fmt.Errorf("%w: unsupported %s version %d", ErrCodec, kind, data[2])
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
 	if crc32.Checksum(body, tallyCRCTable) != binary.LittleEndian.Uint32(tail) {
-		return f, fmt.Errorf("%w: %s checksum mismatch", ErrCodec, kind)
+		return CountFrame{}, fmt.Errorf("%w: %s checksum mismatch", ErrCodec, kind)
 	}
 	idLen := int(binary.LittleEndian.Uint16(data[3:]))
 	if idLen == 0 || idLen > maxTallyNodeID {
-		return f, fmt.Errorf("%w: %s node id length %d outside [1, %d]",
+		return CountFrame{}, fmt.Errorf("%w: %s node id length %d outside [1, %d]",
 			ErrCodec, kind, idLen, maxTallyNodeID)
 	}
 	rest := body[countHeaderSize:]
 	if len(rest) < idLen+8+8+4 {
-		return f, fmt.Errorf("%w: %s frame truncated inside header", ErrCodec, kind)
+		return CountFrame{}, fmt.Errorf("%w: %s frame truncated inside header", ErrCodec, kind)
 	}
 	id := rest[:idLen]
 	rest = rest[idLen:]
@@ -239,26 +322,23 @@ func validateCountFrame(data []byte, magic [2]byte, kind string) (countFrame, er
 	d := binary.LittleEndian.Uint32(rest[16:])
 	rest = rest[20:]
 	if epoch > math.MaxInt64 || total > math.MaxInt64 {
-		return f, fmt.Errorf("%w: %s epoch/total out of int64 range", ErrCodec, kind)
+		return CountFrame{}, fmt.Errorf("%w: %s epoch/total out of int64 range", ErrCodec, kind)
 	}
 	if d < 2 || d > maxTallyDomain {
-		return f, fmt.Errorf("%w: %s domain %d outside [2, %d]", ErrCodec, kind, d, maxTallyDomain)
+		return CountFrame{}, fmt.Errorf("%w: %s domain %d outside [2, %d]", ErrCodec, kind, d, maxTallyDomain)
 	}
 	if len(rest) != 8*int(d) {
-		return f, fmt.Errorf("%w: %s frame holds %d count bytes, domain %d needs %d",
+		return CountFrame{}, fmt.Errorf("%w: %s frame holds %d count bytes, domain %d needs %d",
 			ErrCodec, kind, len(rest), d, 8*d)
 	}
 	// A count is negative exactly when the top bit of its last
 	// (little-endian, most significant) byte is set.
 	for v := 0; v < int(d); v++ {
 		if rest[8*v+7]&0x80 != 0 {
-			return f, fmt.Errorf("%w: negative %s count %d for item %d",
+			return CountFrame{}, fmt.Errorf("%w: negative %s count %d for item %d",
 				ErrCodec, kind, int64(binary.LittleEndian.Uint64(rest[8*v:])), v)
 		}
 	}
-	f.nodeID = string(id)
-	f.epoch = int(epoch)
-	f.total = int64(total)
-	f.counts = rest
-	return f, nil
+	return CountFrame{NodeID: string(id), Epoch: int(epoch), Total: int64(total),
+		frame: data, counts: rest}, nil
 }

@@ -20,10 +20,24 @@ func mergeTestTally(node string, epoch int, d int, seed uint64) *Tally {
 	return &Tally{NodeID: node, Epoch: epoch, Counts: counts, Total: total}
 }
 
+// tallyFrame marshals t and returns the validated "LT" view of it.
+func tallyFrame(tb testing.TB, t *Tally) CountFrame {
+	tb.Helper()
+	frame, err := MarshalTally(t)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f, err := ValidateTallyFrame(frame)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return f
+}
+
 // TestMergeParallelMatchesSequential pins the core property of the
 // chunked fold: for any domain size (odd, power-of-two, straddling the
-// parallel threshold) and any worker count, mergeParallelInto produces
-// exactly the bits MergeInto does.
+// parallel threshold) and any worker count, CountFrame.mergeInto
+// produces exactly the bits Tally.MergeInto of the decoded tally does.
 func TestMergeParallelMatchesSequential(t *testing.T) {
 	for _, d := range []int{2, 17, 1 << 10, parallelMergeMin - 1, parallelMergeMin, parallelMergeMin + 3, 1 << 16} {
 		for _, workers := range []int{1, 2, 3, 4, 8} {
@@ -33,8 +47,8 @@ func TestMergeParallelMatchesSequential(t *testing.T) {
 			if err := src.MergeInto(accSeq); err != nil {
 				t.Fatalf("d=%d workers=%d: MergeInto: %v", d, workers, err)
 			}
-			if err := src.mergeParallelInto(accPar, workers); err != nil {
-				t.Fatalf("d=%d workers=%d: mergeParallelInto: %v", d, workers, err)
+			if err := tallyFrame(t, src).mergeInto(accPar, workers); err != nil {
+				t.Fatalf("d=%d workers=%d: CountFrame.mergeInto: %v", d, workers, err)
 			}
 			if !reflect.DeepEqual(accSeq, accPar) {
 				t.Fatalf("d=%d workers=%d: parallel merge diverged from sequential", d, workers)
@@ -55,7 +69,7 @@ func TestMergeParallelRepeatedFolds(t *testing.T) {
 		if err := src.MergeInto(accSeq); err != nil {
 			t.Fatal(err)
 		}
-		if err := src.mergeParallelInto(accPar, 4); err != nil {
+		if err := tallyFrame(t, src).mergeInto(accPar, 4); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,28 +78,29 @@ func TestMergeParallelRepeatedFolds(t *testing.T) {
 	}
 }
 
-// TestMergeIntoRejects pins the validation surface shared by MergeInto,
-// MergeParallel, and the delegating Merge.
+// TestMergeIntoRejects pins the validation surface shared by
+// Tally.MergeInto, CountFrame.MergeInto, and the delegating Merge.
 func TestMergeIntoRejects(t *testing.T) {
 	src := mergeTestTally("child", 2, 16, 9)
+	frame := tallyFrame(t, src)
 	if err := src.MergeInto(nil); err == nil {
 		t.Fatal("MergeInto(nil) accepted")
 	}
-	if err := src.MergeParallel(nil); err == nil {
-		t.Fatal("MergeParallel(nil) accepted")
+	if err := frame.MergeInto(nil); err == nil {
+		t.Fatal("CountFrame.MergeInto(nil) accepted")
 	}
 	wrongDomain := mergeTestTally("acc", 2, 32, 9)
 	if err := src.MergeInto(wrongDomain); err == nil {
 		t.Fatal("domain mismatch accepted")
 	}
-	if err := src.mergeParallelInto(wrongDomain, 4); err == nil {
+	if err := frame.mergeInto(wrongDomain, 4); err == nil {
 		t.Fatal("parallel domain mismatch accepted")
 	}
 	wrongEpoch := mergeTestTally("acc", 3, 16, 9)
 	if err := src.MergeInto(wrongEpoch); err == nil {
 		t.Fatal("epoch mismatch accepted")
 	}
-	if err := src.mergeParallelInto(wrongEpoch, 4); err == nil {
+	if err := frame.mergeInto(wrongEpoch, 4); err == nil {
 		t.Fatal("parallel epoch mismatch accepted")
 	}
 	ok := mergeTestTally("acc", 2, 16, 10)
@@ -133,8 +148,9 @@ func TestShardedMutations(t *testing.T) {
 //   - sequential: the pre-refactor accept path — a defensive clone
 //     retained at accept plus the sequential seal-time fold, the O(2d)
 //     copy+add every accepted tally used to pay;
-//   - parallel: MergeParallel folding the arriving tally straight into
-//     the epoch accumulator — one pass, no retained clone, chunked
+//   - parallel: CountFrame.MergeInto folding the arriving tally's
+//     validated frame straight into the epoch accumulator, as the root
+//     does — one pass over the wire bytes, no retained clone, chunked
 //     across cores when GOMAXPROCS allows.
 //
 // On a single-core host the ≥2x win is the eliminated clone and second
@@ -142,6 +158,7 @@ func TestShardedMutations(t *testing.T) {
 func BenchmarkMergeParallel(b *testing.B) {
 	for _, d := range []int{1 << 12, 1 << 16, 1 << 20} {
 		src := mergeTestTally("child", 0, d, 0xabcd)
+		frame := tallyFrame(b, src)
 		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
 			b.Run("sequential", func(b *testing.B) {
 				acc := mergeTestTally("acc", 0, d, 0)
@@ -159,7 +176,7 @@ func BenchmarkMergeParallel(b *testing.B) {
 				b.SetBytes(int64(8 * d))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := src.MergeParallel(acc); err != nil {
+					if err := frame.MergeInto(acc); err != nil {
 						b.Fatal(err)
 					}
 				}

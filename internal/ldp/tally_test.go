@@ -129,14 +129,18 @@ func TestTallyMergeExact(t *testing.T) {
 	}
 }
 
-// FuzzUnmarshalTally: arbitrary bytes must never panic the decoder, and
-// every frame that decodes must re-encode to an equivalent tally (the
-// decoder accepts nothing the encoder cannot reproduce).
+// FuzzUnmarshalTally: arbitrary bytes must never panic the decoder;
+// ValidateTallyFrame must accept exactly the frames UnmarshalTally
+// accepts, and its view must merge into a zero tally to the same bits
+// as the decoded tally, sequentially and chunked; every frame that
+// decodes must re-encode to an equivalent tally (the decoder accepts
+// nothing the encoder cannot reproduce).
 func FuzzUnmarshalTally(f *testing.F) {
 	for _, seed := range []*Tally{
 		sampleTally("frontend-0", 0, 2, 1),
 		sampleTally("frontend-1", 12, 48, 2),
 		{NodeID: "z", Epoch: 1, Counts: make([]int64, 4), Total: 0},
+		sampleTally("wide", 3, parallelMergeMin+3, 4), // chunks at 4 workers
 	} {
 		frame, err := MarshalTally(seed)
 		if err != nil {
@@ -148,8 +152,25 @@ func FuzzUnmarshalTally(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tally, err := UnmarshalTally(data)
+		view, verr := ValidateTallyFrame(data)
+		if (err == nil) != (verr == nil) {
+			t.Fatalf("UnmarshalTally error %v, ValidateTallyFrame error %v", err, verr)
+		}
 		if err != nil {
 			return
+		}
+		want := &Tally{Epoch: tally.Epoch, Counts: make([]int64, len(tally.Counts))}
+		if err := tally.MergeInto(want); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			got := &Tally{Epoch: tally.Epoch, Counts: make([]int64, len(tally.Counts))}
+			if err := view.mergeInto(got, workers); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d: CountFrame.mergeInto diverged from Tally.MergeInto", workers)
+			}
 		}
 		frame, err := MarshalTally(tally)
 		if err != nil {
@@ -163,6 +184,24 @@ func FuzzUnmarshalTally(f *testing.F) {
 			t.Fatal("tally mutated across re-encode round trip")
 		}
 	})
+}
+
+// TestTallyFrameValidateAllocs pins the root's per-tally validation
+// budget at d=4096: checking an "LT" frame in place allocates the
+// NodeID string and nothing else.
+func TestTallyFrameValidateAllocs(t *testing.T) {
+	frame, err := MarshalTally(sampleTally("frontend-allocs", 2, 4096, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ValidateTallyFrame(frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("ValidateTallyFrame: %.1f allocs per frame, want <= 1", allocs)
+	}
 }
 
 // BenchmarkTallyMarshal measures the sealed-tally codec at serving

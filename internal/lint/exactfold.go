@@ -11,8 +11,8 @@ import (
 
 // Exactfold enforces the exactness contract of the merge tree
 // (DESIGN.md §10): the paths whose bit-identical-to-single-node
-// guarantee rests on exact int64 addition — Tally.Merge*/MergeParallel,
-// the epoch manager's SealCounts hand-off, and the WAL replay folds —
+// guarantee rests on exact int64 addition — the tally merges, the
+// epoch manager's SealCounts hand-off, and the WAL replay folds —
 // must contain no floating-point arithmetic, float literals, or float
 // conversions. One float anywhere in a fold re-introduces rounding, and
 // with it order-dependence: the cluster/tree equivalence e2es would
@@ -40,12 +40,14 @@ type exactScope struct {
 // (ldp, stream, persist), not import path, so analysistest fixtures can
 // reproduce the scope.
 var exactScopes = []exactScope{
-	// The sealed-tally folds: Merge, MergeInto, MergeParallel and their
-	// chunk helpers.
+	// The sealed-tally folds, decoded and from the wire bytes, and the
+	// one loop every fold from count-frame bytes runs.
 	{pkg: "ldp", recv: "Tally", name: regexp.MustCompile(`(?i)^merge`)},
-	// The merge-on-arrival hand-off into the epoch manager, and the
-	// partial-tally folds (decoded and from the wire bytes).
-	{pkg: "stream", recv: "", name: regexp.MustCompile(`^(SealCounts|AddPartial|AddPartialFrame)$`)},
+	{pkg: "ldp", recv: "CountFrame", name: regexp.MustCompile(`(?i)^merge`)},
+	{pkg: "ldp", recv: "", name: regexp.MustCompile(`^addCountBytes$`)},
+	// The root's tally accept paths, the merge-on-arrival hand-off, and
+	// the partial-tally folds (decoded and from the wire bytes).
+	{pkg: "stream", recv: "", name: regexp.MustCompile(`^(MergeSealed|MergeFrame|SealCounts|AddPartial|AddPartialFrame)$`)},
 	// WAL replay: everything that re-folds logged records at boot.
 	{pkg: "persist", recv: "", name: regexp.MustCompile(`(?i)replay|^apply`)},
 }

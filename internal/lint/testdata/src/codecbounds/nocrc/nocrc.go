@@ -64,3 +64,19 @@ func validateCountFrame(b []byte) (int, error) { // want "never verifies a CRC-3
 func UnmarshalAnnounce(b []byte) ([]int64, error) {
 	return unmarshalCountFrame(b)
 }
+
+// ValidateTallyFrame is a public count-frame validator that checks
+// lengths itself instead of delegating to the shared validator, and
+// skips the CRC.
+func ValidateTallyFrame(b []byte) (int, error) { // want "never verifies a CRC-32C"
+	if len(b) < 8 {
+		return 0, errFrame
+	}
+	return int(binary.LittleEndian.Uint32(b[:4])), nil
+}
+
+// ValidatePartialFrame delegates to the shared validator and inherits
+// its verification.
+func ValidatePartialFrame(b []byte) (int, error) {
+	return validateCountFrame(b)
+}

@@ -1,6 +1,6 @@
-// Fixture for the exactfold analyzer, stream scope: the SealCounts /
-// AddPartial / AddPartialFrame hand-off into the epoch manager must
-// stay float-free.
+// Fixture for the exactfold analyzer, stream scope: the MergeSealed /
+// MergeFrame accept paths and the SealCounts / AddPartial /
+// AddPartialFrame hand-off into the epoch manager must stay float-free.
 package stream
 
 import "math"
@@ -30,6 +30,21 @@ func AddPartial(e *epoch, counts []int64) {
 func AddPartialFrame(e *epoch, wire []uint64) {
 	for i := range wire {
 		e.counts[i] += int64(float64(wire[i]) * e.scale) // want "conversion to float64" "floating-point arithmetic"
+	}
+}
+
+// MergeFrame weighs the arriving tally by a float share before the
+// fold.
+func MergeFrame(e *epoch, wire []uint64, share float64) {
+	for i := range wire {
+		e.counts[i] += int64(share * float64(wire[i])) // want "conversion to float64" "floating-point arithmetic"
+	}
+}
+
+// MergeSealed is the exact form.
+func MergeSealed(e *epoch, counts []int64) {
+	for i := range counts {
+		e.counts[i] += counts[i]
 	}
 }
 

@@ -156,7 +156,7 @@ func TestStoreParallelReplayEquivalence(t *testing.T) {
 	r := rng.New(23)
 	type record struct {
 		frame   []byte
-		partial *ldp.PartialFrame // nil for a report batch
+		partial *ldp.CountFrame // nil for a report batch
 		reports int
 	}
 	// Seals after records 15 and 28; the crash comes after the last

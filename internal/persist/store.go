@@ -203,7 +203,7 @@ func (f *replayFold) apply(lsn uint64, payload []byte) error {
 		return fmt.Errorf("persist: WAL record %d: partial tally: %w", lsn, err)
 	}
 	f.partials++
-	f.partialUsers += p.Users
+	f.partialUsers += p.Total
 	return nil
 }
 
@@ -274,7 +274,7 @@ func (s *Store) AppendBatchFrame(frame []byte) error {
 // excludes Seal, so the watermark cannot move between the check and the
 // fold — the WAL never holds a partial the manager rejected, and replay
 // can fold every surviving record unconditionally.
-func (s *Store) AppendPartial(f ldp.PartialFrame) error {
+func (s *Store) AppendPartial(f ldp.CountFrame) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
@@ -284,9 +284,9 @@ func (s *Store) AppendPartial(f ldp.PartialFrame) error {
 		return fmt.Errorf("persist: partial tally over domain %d, manager domain is %d",
 			f.Domain(), s.mgr.Domain())
 	}
-	if f.EpochHint < s.mgr.SealedWatermark() {
+	if f.Epoch < s.mgr.SealedWatermark() {
 		return fmt.Errorf("%w: hint %d, watermark %d",
-			stream.ErrStalePartial, f.EpochHint, s.mgr.SealedWatermark())
+			stream.ErrStalePartial, f.Epoch, s.mgr.SealedWatermark())
 	}
 	if _, err := s.wal.Append(f.Bytes()); err != nil {
 		return err

@@ -12,7 +12,7 @@ import (
 
 // partialFrame runs reps through a Collector and returns the validated
 // view of the flushed wire frame, which AppendPartial takes.
-func partialFrame(t testing.TB, d int, hint int, reps []ldp.Report) ldp.PartialFrame {
+func partialFrame(t testing.TB, d int, hint int, reps []ldp.Report) ldp.CountFrame {
 	t.Helper()
 	col, err := ldp.NewCollector("edge-test", d)
 	if err != nil {

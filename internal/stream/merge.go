@@ -106,7 +106,7 @@ func (m MergedEpoch) clone() MergedEpoch {
 	return m
 }
 
-// SubmitResult describes what MergeSealed did with a tally.
+// SubmitResult describes what the merger did with a tally.
 type SubmitResult struct {
 	// Duplicate is set when the tally was already merged — the same
 	// (node, epoch) seen before the barrier, or the epoch already sealed
@@ -386,14 +386,8 @@ func (sm *SealedMerger) Leave(node string, from int) (effective int, ready bool,
 	return effective, false, nil
 }
 
-// MergeSealed is the root's ingest path: it folds one frontend's sealed
-// tally into the pending epoch it belongs to. Duplicates — by (node,
-// epoch), or for an epoch already sealed — are no-ops reported in the
-// result, never errors, because at-least-once delivery makes them part
-// of normal operation (including a former member's re-sends for epochs
-// that sealed before it left). Tallies from nodes that are not members
-// for the tally's epoch, domain mismatches, and epochs absurdly far
-// past the barrier are errors.
+// MergeSealed is MergeFrame for a tally built in memory: it validates
+// the tally, then makes the same checks with the same result.
 func (sm *SealedMerger) MergeSealed(t *ldp.Tally) (SubmitResult, error) {
 	if t == nil {
 		return SubmitResult{}, fmt.Errorf("stream: merging a nil tally")
@@ -401,24 +395,43 @@ func (sm *SealedMerger) MergeSealed(t *ldp.Tally) (SubmitResult, error) {
 	if err := t.Validate(); err != nil {
 		return SubmitResult{}, err
 	}
-	if d := sm.mgr.Domain(); len(t.Counts) != d {
+	return sm.accept(t.NodeID, t.Epoch, len(t.Counts), t.Total, t.MergeInto)
+}
+
+// MergeFrame is the root's ingest path: it folds one frontend's sealed
+// tally, as validated by ldp.ValidateTallyFrame, into the pending epoch
+// it belongs to straight from the wire bytes. Duplicates — by (node,
+// epoch), or for an epoch already sealed — are no-ops reported in the
+// result, never errors, because at-least-once delivery makes them part
+// of normal operation (including a former member's re-sends for epochs
+// that sealed before it left). Tallies from nodes that are not members
+// for the tally's epoch, domain mismatches, and epochs absurdly far
+// past the barrier are errors.
+func (sm *SealedMerger) MergeFrame(f ldp.CountFrame) (SubmitResult, error) {
+	return sm.accept(f.NodeID, f.Epoch, f.Domain(), f.Total, f.MergeInto)
+}
+
+// accept is MergeSealed's and MergeFrame's one body: the barrier's
+// checks on a tally's header, then fold into its epoch's accumulator.
+func (sm *SealedMerger) accept(node string, epoch, domain int, total int64, fold func(acc *ldp.Tally) error) (SubmitResult, error) {
+	if d := sm.mgr.Domain(); domain != d {
 		return SubmitResult{}, fmt.Errorf("stream: tally from %q has domain %d, root serves %d",
-			t.NodeID, len(t.Counts), d)
+			node, domain, d)
 	}
 
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
 	res := SubmitResult{SealedThrough: sm.next}
-	if t.Epoch < sm.next {
+	if epoch < sm.next {
 		// The epoch sealed without (or with) this tally; either way the
 		// barrier has moved on and the re-send changes nothing. This
 		// holds for former members too — their retained-ring re-sends
 		// must stay harmless after they leave.
-		sm.noteDuplicateLocked(t.Epoch)
+		sm.noteDuplicateLocked(epoch)
 		res.Duplicate = true
 		return res, nil
 	}
-	if t.Epoch > sm.next && sm.next == 0 && len(sm.pending) == 0 && sm.mgr.Stats().Epochs == 0 {
+	if epoch > sm.next && sm.next == 0 && len(sm.pending) == 0 && sm.mgr.Stats().Epochs == 0 {
 		// A virgin root facing a cluster whose clock is already running —
 		// an in-memory root restarted, or a root whose state was lost —
 		// adopts the frontends' epoch base instead of forcing its way
@@ -427,38 +440,37 @@ func (sm *SealedMerger) MergeSealed(t *ldp.Tally) (SubmitResult, error) {
 		// earliest tally still deliverable; anything older another node
 		// re-sends is stale either way, because the state that could
 		// have merged it is gone.
-		sm.next = t.Epoch
+		sm.next = epoch
 		res.SealedThrough = sm.next
 	}
-	if t.Epoch >= sm.next+maxEpochLead {
+	if epoch >= sm.next+maxEpochLead {
 		return res, fmt.Errorf("stream: tally from %q for epoch %d is %d epochs past the merge barrier %d",
-			t.NodeID, t.Epoch, t.Epoch-sm.next, sm.next)
+			node, epoch, epoch-sm.next, sm.next)
 	}
-	if !sm.memberAtLocked(t.NodeID, t.Epoch) {
+	if !sm.memberAtLocked(node, epoch) {
 		return res, fmt.Errorf("stream: tally from %q, which is not a cluster member at epoch %d",
-			t.NodeID, t.Epoch)
+			node, epoch)
 	}
-	pe := sm.pending[t.Epoch]
+	pe := sm.pending[epoch]
 	if pe == nil {
 		pe = &pendingEpoch{
-			acc:   &ldp.Tally{Epoch: t.Epoch, Counts: make([]int64, len(t.Counts))},
+			acc:   &ldp.Tally{Epoch: epoch, Counts: make([]int64, domain)},
 			nodes: make(map[string]int64, len(sm.expected)+1),
 		}
-		sm.pending[t.Epoch] = pe
+		sm.pending[epoch] = pe
 	}
-	if _, seen := pe.nodes[t.NodeID]; seen {
+	if _, seen := pe.nodes[node]; seen {
 		sm.dupes++
 		res.Duplicate = true
 		return res, nil
 	}
 	// Merge-on-arrival: fold the tally into the epoch's accumulator now
-	// (chunk-parallel above the domain threshold) and keep only its
-	// accounting entry — the seal becomes a hand-off instead of a
-	// re-merge, and nothing else of the tally is retained.
-	if err := t.MergeParallel(pe.acc); err != nil {
+	// and keep only its accounting entry — the seal becomes a hand-off
+	// instead of a re-merge, and nothing else of the tally is retained.
+	if err := fold(pe.acc); err != nil {
 		return res, err
 	}
-	pe.nodes[t.NodeID] = t.Total
+	pe.nodes[node] = total
 	res.Ready = sm.barrierCompleteLocked()
 	return res, nil
 }

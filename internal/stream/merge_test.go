@@ -560,12 +560,17 @@ func BenchmarkRootMerge(b *testing.B) {
 							b.StartTimer()
 						}
 						for j, p := range proto {
-							tally := &ldp.Tally{NodeID: p.NodeID, Epoch: i, Counts: p.Counts, Total: p.Total}
 							if wire {
-								if tally, err = ldp.UnmarshalTally(frames[j]); err != nil {
+								f, err := ldp.ValidateTallyFrame(frames[j])
+								if err != nil {
 									b.Fatal(err)
 								}
+								if _, err := merger.MergeFrame(f); err != nil {
+									b.Fatal(err)
+								}
+								continue
 							}
+							tally := &ldp.Tally{NodeID: p.NodeID, Epoch: i, Counts: p.Counts, Total: p.Total}
 							if _, err := merger.MergeSealed(tally); err != nil {
 								b.Fatal(err)
 							}

@@ -43,10 +43,10 @@ func (m *EpochManager) AddPartial(p *ldp.PartialTally) error {
 // AddPartialFrame is AddPartial for a validated wire frame: the same
 // atomic staleness check, with the counts folded straight from the
 // frame's bytes — the lane the server and WAL replay take.
-func (m *EpochManager) AddPartialFrame(f ldp.PartialFrame) error {
+func (m *EpochManager) AddPartialFrame(f ldp.CountFrame) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.stalePartial(f.EpochHint); err != nil {
+	if err := m.stalePartial(f.Epoch); err != nil {
 		return err
 	}
 	return m.live.AddPartialFrame(f)

@@ -259,10 +259,10 @@ type (
 	// PartialTally is an edge-aggregated partial tally frame's decoded
 	// form: node id, advisory epoch hint, support counts, user count.
 	PartialTally = ldp.PartialTally
-	// PartialFrame is a validated view of a wire-format partial tally:
-	// node id, epoch hint and user count decoded, the counts left as
-	// the frame's bytes. It is valid only while those bytes are.
-	PartialFrame = ldp.PartialFrame
+	// CountFrame is a validated view of a partial or sealed tally frame:
+	// node id, epoch and total decoded, the counts left as the frame's
+	// bytes. It is valid only while those bytes are.
+	CountFrame = ldp.CountFrame
 )
 
 // ErrStalePartial rejects a partial tally whose epoch hint predates the
@@ -285,7 +285,7 @@ func UnmarshalPartial(data []byte) (*PartialTally, error) { return ldp.Unmarshal
 // ValidatePartialFrame checks a wire-format partial tally in place —
 // exactly the frames UnmarshalPartial accepts — and returns a view the
 // partial lane folds from the wire bytes, with no []int64 decoded.
-func ValidatePartialFrame(frame []byte) (PartialFrame, error) { return ldp.ValidatePartialFrame(frame) }
+func ValidatePartialFrame(frame []byte) (CountFrame, error) { return ldp.ValidatePartialFrame(frame) }
 
 // ValidateReportBatchFrame structurally validates a report batch frame
 // without decoding it, returning its report count — the zero-copy
@@ -315,7 +315,7 @@ type (
 	// MergedEpoch is one sealed epoch's partial-epoch accounting
 	// (which expected nodes merged, which were missing).
 	MergedEpoch = stream.MergedEpoch
-	// SubmitResult describes what MergeSealed did with a tally.
+	// SubmitResult describes what the merger did with a tally.
 	SubmitResult = stream.SubmitResult
 	// SnapshotStore is the root's WAL-less per-seal durability.
 	SnapshotStore = persist.SnapshotStore
@@ -327,6 +327,10 @@ func MarshalTally(t *Tally) ([]byte, error) { return ldp.MarshalTally(t) }
 
 // UnmarshalTally parses and checksums a wire-format sealed tally.
 func UnmarshalTally(data []byte) (*Tally, error) { return ldp.UnmarshalTally(data) }
+
+// ValidateTallyFrame checks a wire-format sealed tally in place, as
+// UnmarshalTally does, for SealedMerger.MergeFrame to merge.
+func ValidateTallyFrame(frame []byte) (CountFrame, error) { return ldp.ValidateTallyFrame(frame) }
 
 // NewSealedMerger wraps an EpochManager with an epoch barrier over the
 // expected frontend nodes.
