@@ -641,8 +641,9 @@ func BenchmarkWALAppend(b *testing.B) {
 // — for the two ingest lanes at equal user volume (4096 users per op,
 // as sixteen 256-report OUE frames):
 //
-//	zero-copy      AppendBatchFrame validates, logs and counts the wire
-//	               bytes in place; no []Report ever exists
+//	zero-copy      ValidateReportBatchFrame checks each frame in place
+//	               and AppendBatchFrame logs and counts the view's wire
+//	               bytes; no []Report ever exists
 //	partial-tally  the same 4096 users pre-aggregated at an edge
 //	               Collector into ONE partial-tally frame (DESIGN.md §8);
 //	               ValidatePartialFrame checks it in place and
@@ -721,7 +722,11 @@ func BenchmarkDurableIngest(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, frame := range frames {
-				if err := store.AppendBatchFrame(frame); err != nil {
+				f, err := ldprecover.ValidateReportBatchFrame(frame)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := store.AppendBatchFrame(f); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -770,13 +775,17 @@ func BenchmarkStoreOpenReplay(b *testing.B) {
 	for v := range trueCounts {
 		trueCounts[v] = perFrame / d
 	}
-	frames := make([][]byte, distinct)
+	frames := make([]ldprecover.ReportFrame, distinct)
 	for i := range frames {
 		reps, err := ldprecover.PerturbAll(proto, r, trueCounts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if frames[i], err = ldprecover.MarshalReportBatch(reps); err != nil {
+		frame, err := ldprecover.MarshalReportBatch(reps)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if frames[i], err = ldprecover.ValidateReportBatchFrame(frame); err != nil {
 			b.Fatal(err)
 		}
 	}

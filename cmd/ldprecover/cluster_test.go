@@ -588,11 +588,7 @@ func TestServeRootRejectsReportWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := ldprecover.MarshalReportBatch([]ldprecover.Report{rep})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.AppendBatchFrame(frame); err != nil {
+	if err := store.AppendBatchFrame(mustView(t, []ldprecover.Report{rep})); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Close(); err != nil {

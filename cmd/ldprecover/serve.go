@@ -32,7 +32,8 @@ import (
 // Endpoints:
 //
 //	POST /v1/reports   body = MarshalReportBatch frame; enqueued for
-//	                   ingest. 202 on accept, 429 when the queue is full.
+//	                   ingest. 202 on accept (queued, not yet logged),
+//	                   429 when the queue is full.
 //	POST /v1/partial   body = MarshalPartial frame: an edge collector's
 //	                   pre-aggregated partial tally (DESIGN.md §8),
 //	                   folded synchronously. 202 on accept, 409 when
@@ -43,12 +44,13 @@ import (
 //	                   the newest k sealed epochs on demand instead.
 //	GET  /v1/stats     ingest/queue/epoch counters for monitoring.
 //
-// Ingest is decoupled from request handling by a bounded queue draining
-// into EpochManager.AddBatchFrame (DurableStore.AppendBatchFrame with
-// -data-dir) from -ingesters goroutines, so a slow aggregation moment
-// backpressures clients with 429 instead of accumulating unbounded
-// memory. Shutdown (SIGINT/SIGTERM) stops the listener, drains the
-// queue, seals the final epoch, and prints it.
+// Ingest is decoupled from request handling by a bounded queue of
+// validated frames draining into EpochManager.AddReportFrame
+// (DurableStore.AppendBatchFrame with -data-dir) from -ingesters
+// goroutines, so a slow aggregation moment backpressures clients with
+// 429 instead of accumulating unbounded memory. Shutdown
+// (SIGINT/SIGTERM) stops the listener, drains the queue, seals the
+// final epoch, and prints it.
 //
 // With -data-dir the service is durable (DESIGN.md §6): batches are
 // written to a CRC-framed WAL before they are aggregated, every seal
@@ -487,11 +489,12 @@ type streamServerConfig struct {
 type streamServer struct {
 	mgr   *ldprecover.EpochManager
 	store *ldprecover.DurableStore // nil in memory-only mode
-	// queue carries validated POST /v1/reports bodies, each a report
-	// batch frame held in a pooled buffer: the worker folds it in place
-	// — durable mode appends it to the WAL verbatim, counting never
-	// materializes a []Report — and returns it to the pool.
-	queue   chan []byte
+	// queue carries POST /v1/reports bodies as the views the handler's
+	// validation returned, each over a pooled buffer: the worker folds
+	// the view in place — durable mode appends its bytes to the WAL
+	// verbatim, counting never materializes a []Report — and returns
+	// the buffer to the pool.
+	queue   chan ldprecover.ReportFrame
 	wg      sync.WaitGroup
 	maxBody int64
 
@@ -524,7 +527,7 @@ type streamServer struct {
 
 	// foldFn is what an ingest worker runs on each dequeued frame:
 	// ingest. Tests wrap it to park the worker.
-	foldFn func(frame []byte) error
+	foldFn func(f ldprecover.ReportFrame) error
 
 	// fatalc carries a handler-observed fatal error (a failed seal) to
 	// serveLoop, so a durable server whose snapshots stop persisting
@@ -619,7 +622,7 @@ func newStreamServer(cfg streamServerConfig) (*streamServer, error) {
 	}
 	s := &streamServer{
 		mgr:     mgr,
-		queue:   make(chan []byte, cfg.QueueLen),
+		queue:   make(chan ldprecover.ReportFrame, cfg.QueueLen),
 		maxBody: cfg.MaxBody,
 		fatalc:  make(chan error, 1),
 		parts:   parts,
@@ -674,33 +677,32 @@ func newStreamServer(cfg streamServerConfig) (*streamServer, error) {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			for frame := range s.queue {
-				// The fold only fails on inputs the handler's validation
-				// cannot admit, and a WAL append fails only when the
-				// log can no longer be written — either way the server
-				// cannot keep its promises, so crash rather than drop
-				// reports silently.
-				if err := s.foldFn(frame); err != nil {
+			for f := range s.queue {
+				// Only a WAL append can fail, and only when the log can
+				// no longer be written — the server cannot keep its
+				// promises, so crash rather than drop reports silently.
+				if err := s.foldFn(f); err != nil {
 					panic(err)
 				}
 				// Neither the WAL nor the counting fold retains the
 				// frame, so the buffer can serve the next request.
-				s.putBuf(frame)
+				s.putBuf(f.Bytes())
 			}
 		}()
 	}
 	return s, nil
 }
 
-// ingest folds one dequeued report batch frame — through the WAL first
+// ingest folds one dequeued report batch view — through the WAL first
 // in durable mode, so a batch is never aggregated without being logged.
 // The wire bytes are appended verbatim and counted in place; no
 // []Report ever exists.
-func (s *streamServer) ingest(frame []byte) error {
+func (s *streamServer) ingest(f ldprecover.ReportFrame) error {
 	if s.store != nil {
-		return s.store.AppendBatchFrame(frame)
+		return s.store.AppendBatchFrame(f)
 	}
-	return s.mgr.AddBatchFrame(frame)
+	s.mgr.AddReportFrame(f)
+	return nil
 }
 
 // handler routes the versioned API.
@@ -835,21 +837,22 @@ func (s *streamServer) handleReports(w http.ResponseWriter, r *http.Request) {
 			"this node merges sealed tallies (/v1/tally), it does not ingest report batches; POST them to a frontend")
 		return
 	}
-	// The zero-copy lane: the body lands in a pooled buffer, is
-	// structurally validated (never decoded into reports), and travels
-	// through the queue, the WAL and the counting fold as those same
-	// bytes; the worker returns the buffer to the pool after the fold.
+	// The zero-copy lane: the body lands in a pooled buffer and is
+	// structurally validated here, once (never decoded into reports).
+	// The view travels through the queue, the WAL and the counting fold
+	// over those same bytes; the worker returns the buffer to the pool
+	// after the fold.
 	body, ok := s.readBody(w, r, "body")
 	if !ok {
 		return
 	}
-	count, err := ldprecover.ValidateReportBatchFrame(body)
+	frame, err := ldprecover.ValidateReportBatchFrame(body)
 	if err != nil {
 		s.putBuf(body)
 		httpError(w, http.StatusBadRequest, "decoding batch: %v", err)
 		return
 	}
-	if count == 0 {
+	if frame.Reports() == 0 {
 		s.putBuf(body)
 		writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: 0, QueueDepth: len(s.queue)})
 		return
@@ -862,10 +865,10 @@ func (s *streamServer) handleReports(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	select {
-	case s.queue <- body:
+	case s.queue <- frame:
 		s.drainMu.RUnlock()
 		s.accepted.Add(1)
-		writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: count, QueueDepth: len(s.queue)})
+		writeJSON(w, http.StatusAccepted, ingestResponse{Accepted: frame.Reports(), QueueDepth: len(s.queue)})
 	default:
 		s.drainMu.RUnlock()
 		s.putBuf(body)

@@ -307,6 +307,16 @@ func mustFrame(t *testing.T, reps []ldprecover.Report) []byte {
 	return frame
 }
 
+// mustView is mustFrame validated into the view the ingest queue holds.
+func mustView(t *testing.T, reps []ldprecover.Report) ldprecover.ReportFrame {
+	t.Helper()
+	f, err := ldprecover.ValidateReportBatchFrame(mustFrame(t, reps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // TestServeFlagValidation: flag combinations that used to pass through
 // silently (negative -epoch behaved like 0) or surface as an internal
 // "stream:" config error must fail up front, naming the flags.
@@ -361,8 +371,8 @@ func TestServeLoopSealFailureShutsDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.queue <- mustFrame(t, []ldprecover.Report{rep})
-	srv.queue <- mustFrame(t, []ldprecover.Report{rep})
+	srv.queue <- mustView(t, []ldprecover.Report{rep})
+	srv.queue <- mustView(t, []ldprecover.Report{rep})
 
 	sealErr := errors.New("synthetic seal failure")
 	srv.sealFn = func() (*ldprecover.WindowEstimate, error) { return nil, sealErr }
@@ -469,9 +479,9 @@ func TestServeSealEndpointFailureShutsDown(t *testing.T) {
 // deterministically. Call it before the first frame is queued.
 func parkFold(srv *streamServer, release <-chan struct{}) {
 	fold := srv.foldFn
-	srv.foldFn = func(frame []byte) error {
+	srv.foldFn = func(f ldprecover.ReportFrame) error {
 		<-release
-		return fold(frame)
+		return fold(f)
 	}
 }
 
@@ -501,7 +511,7 @@ func TestServeBackpressure(t *testing.T) {
 	// Enqueue directly; the worker dequeues the frame and parks before
 	// folding it.
 	parkFold(srv, block)
-	srv.queue <- mustFrame(t, batch)
+	srv.queue <- mustView(t, batch)
 	hs := httptest.NewServer(srv.handler())
 	defer hs.Close()
 

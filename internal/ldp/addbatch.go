@@ -9,8 +9,8 @@ import (
 	"ldprecover/internal/hashx"
 )
 
-// Batched ingest. AddBatch (a decoded []Report) and AddBatchFrame (a
-// marshaled "LB" report batch, framecount.go) split their input into
+// Batched ingest. AddBatch (a decoded []Report) and addReportFrame (a
+// validated "LB" report batch view, framecount.go) split their input into
 // runs of one report kind and fold each run through the same
 // type-specialized kernels below. The two walkers differ only in how
 // they pull words, indices, seeds and values out of a run. All scratch
@@ -47,10 +47,6 @@ type batchScratch struct {
 	planes []uint64
 	// olh holds the premixed descriptors of the current OLH run.
 	olh []premixedOLH
-	// frames holds the per-report sub-frame slices of the batch frame
-	// AddBatchFrame is walking. Entries are cleared after every fold so
-	// the scratch never pins a caller's (possibly pooled) wire buffer.
-	frames [][]byte
 }
 
 // premixedOLH is one OLH report with its seed premix hoisted and its

@@ -62,13 +62,15 @@ func MarshalReportBatch(reps []Report) ([]byte, error) {
 // be exactly one batch: trailing bytes are an error, like every other
 // malformed frame.
 func UnmarshalReportBatch(data []byte) ([]Report, error) {
-	var subs [][]byte
-	if _, err := validateBatchFrame(data, &subs); err != nil {
+	f, err := ValidateReportBatchFrame(data)
+	if err != nil {
 		return nil, err
 	}
-	reps := make([]Report, len(subs))
-	for i, sub := range subs {
-		reps[i] = unmarshalValidReport(sub)
+	reps := make([]Report, 0, f.Reports())
+	for off := 7; off < len(data); {
+		sub, next := f.sub(off)
+		reps = append(reps, unmarshalValidReport(sub))
+		off = next
 	}
 	return reps, nil
 }

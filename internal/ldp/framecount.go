@@ -5,36 +5,64 @@ import (
 	"fmt"
 )
 
-// Zero-copy batch ingest: AddBatchFrame folds a marshaled "LB" report
+// Zero-copy batch ingest: AddReportFrame folds a marshaled "LB" report
 // batch straight from the wire bytes — no []Report materialization, no
 // per-report boxing, no bitset allocation. It is the one report lane of
 // the server: live ingest and WAL replay both fold frames through it.
 //
-// The validators below are the one definition of a valid report frame:
-// UnmarshalReport and UnmarshalReportBatch run them first and then only
-// extract fields, so the decoders, the request-path check and the fold
-// cannot disagree on what they admit. AddBatchFrame validates and
-// slices the frame into per-report sub-frames in one walk, then the run
-// walkers pull words, indices, seeds and values out of the sub-frames
-// in place and hand them to the kernels AddBatch uses (addbatch.go).
-// The aggregate is bit-identical to UnmarshalReportBatch + AddBatch,
-// which the equivalence tests pin; validation runs to completion before
-// any count moves, so a bad frame leaves the accumulator untouched.
+// ValidateReportBatchFrame is the one definition of a valid report
+// frame, and the only constructor of a non-zero ReportFrame view:
+// UnmarshalReport and UnmarshalReportBatch run the validators first and
+// then only extract fields, and the serve queue, the WAL append and the
+// fold take the view, so a frame is judged once where it enters and no
+// later stage can disagree about what was admitted. The fold's run
+// walkers step through the view's sub-frames by their length prefixes
+// (one pass, nothing sliced out first), pull words, indices, seeds and
+// values out of them in place and hand them to the kernels AddBatch
+// uses (addbatch.go). The aggregate is bit-identical to
+// UnmarshalReportBatch + AddBatch, which the equivalence tests pin.
 
 // ValidateReportBatchFrame structurally validates a wire-format report
-// batch frame without decoding it, returning the report count. A frame
-// that passes here cannot fail a later decode or an AddBatchFrame fold.
-// Servers call this on the request path to settle the 400-vs-accepted
-// decision (and learn the user volume) before the frame is queued for
-// durable ingest.
-func ValidateReportBatchFrame(frame []byte) (int, error) {
-	return validateBatchFrame(frame, nil)
+// batch frame without decoding it and returns a view of it. A view
+// cannot fail a later decode or fold. Servers call this on the request
+// path to settle the 400-vs-accepted decision (and learn the user
+// volume) before the view is queued for durable ingest.
+func ValidateReportBatchFrame(frame []byte) (ReportFrame, error) {
+	count, err := validateBatchFrame(frame)
+	if err != nil {
+		return ReportFrame{}, err
+	}
+	return ReportFrame{frame: frame, reports: count}, nil
 }
 
-// validateBatchFrame is ValidateReportBatchFrame that also appends each
-// validated single-report sub-frame to *subs when subs is non-nil. On
-// error *subs may hold the sub-frames validated before the bad one.
-func validateBatchFrame(frame []byte, subs *[][]byte) (int, error) {
+// ReportFrame is a validated view of an "LB" report batch frame. Only
+// ValidateReportBatchFrame makes a non-zero one, so whatever takes a
+// view folds or logs it without checking it again. It aliases the bytes
+// it was validated from and is valid only while those bytes are. The
+// zero view holds no frame and folds nothing.
+type ReportFrame struct {
+	frame   []byte
+	reports int
+}
+
+// Bytes returns the validated wire frame the view aliases — what a
+// durable store appends to its log. It is nil for the zero view.
+func (f ReportFrame) Bytes() []byte { return f.frame }
+
+// Reports returns the number of reports in the frame.
+func (f ReportFrame) Reports() int { return f.reports }
+
+// sub returns the single-report sub-frame whose length prefix starts at
+// off, and the offset of the next prefix. Sub-frames run back to back
+// from offset 7 to the end of a validated frame.
+func (f ReportFrame) sub(off int) (sub []byte, next int) {
+	next = off + 4 + int(binary.LittleEndian.Uint32(f.frame[off:]))
+	return f.frame[off+4 : next], next
+}
+
+// validateBatchFrame checks a batch frame and every sub-frame in it,
+// returning the report count.
+func validateBatchFrame(frame []byte) (int, error) {
 	if len(frame) < 7 {
 		return 0, fmt.Errorf("%w: short batch frame (%d bytes)", ErrCodec, len(frame))
 	}
@@ -69,9 +97,6 @@ func validateBatchFrame(frame []byte, subs *[][]byte) (int, error) {
 		}
 		if err := validateReportFrame(rest[:n]); err != nil {
 			return 0, fmt.Errorf("batch report %d: %w", i, err)
-		}
-		if subs != nil {
-			*subs = append(*subs, rest[:n])
 		}
 		rest = rest[n:]
 	}
@@ -154,38 +179,35 @@ func validateReportFrame(data []byte) error {
 	return nil
 }
 
-// AddBatchFrame folds a wire-format report batch frame into the
-// aggregate without decoding it into reports. Bit-identical to
+// AddBatchFrame validates a wire-format report batch frame and folds it
+// into the aggregate without decoding it into reports. Bit-identical to
 // UnmarshalReportBatch followed by AddBatch; on error nothing is folded.
 func (a *Accumulator) AddBatchFrame(frame []byte) error {
-	// One walk validates the frame and slices it into the per-report
-	// sub-frames the run walkers group by type. The slice header is
-	// reused across calls and cleared afterwards, on error too, so it
-	// never pins the (possibly pooled) wire buffer.
-	a.scratch.frames = a.scratch.frames[:0]
-	_, err := validateBatchFrame(frame, &a.scratch.frames)
-	if err == nil {
-		a.addFrames(a.scratch.frames)
+	f, err := ValidateReportBatchFrame(frame)
+	if err != nil {
+		return err
 	}
-	clear(a.scratch.frames)
-	return err
+	a.addReportFrame(f)
+	return nil
 }
 
-// addFrames folds validated single-report sub-frames through the
-// type-specialized run walkers, mirroring addBatch's dispatch.
-func (a *Accumulator) addFrames(frames [][]byte) {
-	i := 0
-	for i < len(frames) {
-		switch frames[i][1] {
+// addReportFrame folds a validated report batch frame straight from its
+// wire bytes through the type-specialized run walkers, mirroring
+// addBatch's dispatch. Each walker takes the offset of its run's first
+// sub-frame and returns the offset just past the run.
+func (a *Accumulator) addReportFrame(f ReportFrame) {
+	for off := 7; off < len(f.frame); {
+		sub, _ := f.sub(off)
+		switch sub[1] {
 		case tagUnary:
-			n := int(binary.LittleEndian.Uint32(frames[i][2:]))
-			i = a.addDenseFrameRun(frames, i, (n+63)/64)
+			n := int(binary.LittleEndian.Uint32(sub[2:]))
+			off = a.addDenseFrameRun(f, off, (n+63)/64)
 		case tagSparse:
-			i = a.addSparseFrameRun(frames, i)
+			off = a.addSparseFrameRun(f, off)
 		case tagOLH:
-			i = a.addOLHFrameRun(frames, i)
+			off = a.addOLHFrameRun(f, off)
 		default: // tagGRR — validation admits no other tag
-			i = a.addGRRFrameRun(frames, i)
+			off = a.addGRRFrameRun(f, off)
 		}
 	}
 }
@@ -202,100 +224,104 @@ func denseFrameWords(f []byte) (words []byte, n int, ok bool) {
 
 // addDenseFrameRun is addDenseRun over sub-frames: the dense kernel
 // reads each report's words straight out of the wire buffer.
-func (a *Accumulator) addDenseFrameRun(frames [][]byte, start, words int) int {
-	f := a.newDenseFold(words)
+func (a *Accumulator) addDenseFrameRun(f ReportFrame, off, words int) int {
+	fold := a.newDenseFold(words)
 	var ws [8][]byte
-	i := start
-	for ; i+8 <= len(frames) && denseFrames8(&ws, frames[i:i+8], words); i += 8 {
-		f.add8(&ws)
+	n := 0
+	for next, ok := denseFrames8(&ws, f, off, words); ok; next, ok = denseFrames8(&ws, f, off, words) {
+		fold.add8(&ws)
+		off, n = next, n+8
 	}
-	for ; i < len(frames); i++ {
-		region, n, ok := denseFrameWords(frames[i])
-		if !ok || n != words {
+	for off < len(f.frame) {
+		sub, next := f.sub(off)
+		region, w, ok := denseFrameWords(sub)
+		if !ok || w != words {
 			break
 		}
-		f.add1(region)
+		fold.add1(region)
+		off, n = next, n+1
 	}
-	f.flush()
-	a.total += int64(i - start)
-	return i
+	fold.flush()
+	a.total += int64(n)
+	return off
 }
 
-// denseFrames8 points ws at the next 8 sub-frames' word regions for one
-// CSA group, or reports false when the run ends inside the group.
-func denseFrames8(ws *[8][]byte, frames [][]byte, words int) bool {
+// denseFrames8 points ws at the word regions of the 8 sub-frames from
+// off for one CSA group and returns the offset past them, or reports
+// false when the run ends inside the group.
+func denseFrames8(ws *[8][]byte, f ReportFrame, off, words int) (int, bool) {
 	for k := range ws {
-		region, n, ok := denseFrameWords(frames[k])
-		if !ok || n != words {
-			return false
+		if off >= len(f.frame) {
+			return 0, false
 		}
-		ws[k] = region
+		sub, next := f.sub(off)
+		region, n, ok := denseFrameWords(sub)
+		if !ok || n != words {
+			return 0, false
+		}
+		ws[k], off = region, next
 	}
-	return true
+	return off, true
 }
 
-// addSparseFrameRun folds the run of sparse unary sub-frames starting at
-// start: one bounds-checked increment per encoded set position.
-func (a *Accumulator) addSparseFrameRun(frames [][]byte, start int) int {
-	i := start
-	for ; i < len(frames); i++ {
-		f := frames[i]
-		if f[1] != tagSparse {
+// addSparseFrameRun folds the run of sparse unary sub-frames from off:
+// one bounds-checked increment per encoded set position.
+func (a *Accumulator) addSparseFrameRun(f ReportFrame, off int) int {
+	for off < len(f.frame) {
+		sub, next := f.sub(off)
+		if sub[1] != tagSparse {
 			break
 		}
-		k := int(binary.LittleEndian.Uint32(f[6:]))
+		k := int(binary.LittleEndian.Uint32(sub[6:]))
 		for j := 0; j < k; j++ {
-			bump(a.counts, uint64(binary.LittleEndian.Uint32(f[10+4*j:])))
+			bump(a.counts, uint64(binary.LittleEndian.Uint32(sub[10+4*j:])))
 		}
 		a.total++
+		off = next
 	}
-	return i
+	return off
 }
 
-// addOLHFrameRun folds the run of OLH sub-frames starting at start.
-// Validation admitted only value ∈ [0, g), so no report needs the
-// degenerate fallback of the report-slice walker.
-func (a *Accumulator) addOLHFrameRun(frames [][]byte, start int) int {
+// addOLHFrameRun folds the run of OLH sub-frames from off. Validation
+// admitted only value ∈ [0, g), so no report needs the degenerate
+// fallback of the report-slice walker.
+func (a *Accumulator) addOLHFrameRun(f ReportFrame, off int) int {
 	run := a.scratch.olh[:0]
-	i := start
-	for ; i < len(frames); i++ {
-		f := frames[i]
-		if f[1] != tagOLH {
+	for off < len(f.frame) {
+		sub, next := f.sub(off)
+		if sub[1] != tagOLH {
 			break
 		}
-		run = append(run, newPremixedOLH(binary.LittleEndian.Uint64(f[2:]),
-			int(binary.LittleEndian.Uint32(f[10:])), int(binary.LittleEndian.Uint32(f[14:]))))
+		run = append(run, newPremixedOLH(binary.LittleEndian.Uint64(sub[2:]),
+			int(binary.LittleEndian.Uint32(sub[10:])), int(binary.LittleEndian.Uint32(sub[14:]))))
+		off = next
 	}
 	a.scratch.olh = run
 	a.sweepOLH(run)
-	return i
+	return off
 }
 
-// addGRRFrameRun folds the run of GRR sub-frames starting at start.
-func (a *Accumulator) addGRRFrameRun(frames [][]byte, start int) int {
-	i := start
-	for ; i < len(frames); i++ {
-		f := frames[i]
-		if f[1] != tagGRR {
+// addGRRFrameRun folds the run of GRR sub-frames from off.
+func (a *Accumulator) addGRRFrameRun(f ReportFrame, off int) int {
+	for off < len(f.frame) {
+		sub, next := f.sub(off)
+		if sub[1] != tagGRR {
 			break
 		}
-		bump(a.counts, uint64(binary.LittleEndian.Uint32(f[2:])))
+		bump(a.counts, uint64(binary.LittleEndian.Uint32(sub[2:])))
 		a.total++
+		off = next
 	}
-	return i
+	return off
 }
 
-// AddBatchFrame folds a wire-format report batch frame under a single
+// AddReportFrame folds a validated report batch frame under a single
 // shard lock — the concurrency-safe zero-copy ingest path. Bit-identical
-// to UnmarshalReportBatch + AddBatch; on error nothing is folded.
-func (sa *ShardedAccumulator) AddBatchFrame(frame []byte) error {
+// to UnmarshalReportBatch + AddBatch.
+func (sa *ShardedAccumulator) AddReportFrame(f ReportFrame) {
 	sh := sa.shard()
 	sh.mu.Lock()
-	err := sh.acc.AddBatchFrame(frame)
+	sh.acc.addReportFrame(f)
 	sh.mu.Unlock()
-	if err != nil {
-		return err
-	}
 	sa.gen.Add(1)
-	return nil
 }

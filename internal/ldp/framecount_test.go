@@ -96,9 +96,11 @@ func TestAddBatchFrameMatchesDecodedExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sa.AddBatchFrame(frame); err != nil {
+		view, err := ValidateReportBatchFrame(frame)
+		if err != nil {
 			t.Fatal(err)
 		}
+		sa.AddReportFrame(view)
 		if !reflect.DeepEqual(sa.Counts(), ref.Counts()) {
 			t.Fatalf("d=%d: sharded zero-copy counts diverged", d)
 		}
@@ -179,13 +181,13 @@ func TestValidateFrameMatchesDecode(t *testing.T) {
 	}
 	check := func(data []byte) {
 		t.Helper()
-		count, verr := ValidateReportBatchFrame(data)
+		view, verr := ValidateReportBatchFrame(data)
 		decoded, derr := UnmarshalReportBatch(data)
 		if (verr == nil) != (derr == nil) {
 			t.Fatalf("validator/decoder disagree: validate=%v decode=%v", verr, derr)
 		}
-		if verr == nil && count != len(decoded) {
-			t.Fatalf("validator count %d, decoder count %d", count, len(decoded))
+		if verr == nil && view.Reports() != len(decoded) {
+			t.Fatalf("validator count %d, decoder count %d", view.Reports(), len(decoded))
 		}
 	}
 	check(frame)
@@ -233,13 +235,12 @@ func TestAddBatchFrameErrorLeavesUntouched(t *testing.T) {
 	}
 }
 
-// TestAddBatchFrameErrorClearsScratch: the one-walk fold slices
-// sub-frames into the accumulator's scratch while it validates, so a
-// frame whose last report is corrupt fails after the scratch already
-// points into it. The failed fold must leave no scratch entry pinning
-// the wire buffer, and the accumulator must still fold a good frame
-// exactly.
-func TestAddBatchFrameErrorClearsScratch(t *testing.T) {
+// TestAddReportFrameZeroViewAndRejectedFrame: only a validated view
+// reaches the fold. A frame whose last report is corrupt, which a
+// streaming fold would already have half counted, is stopped by
+// validation; the zero view folds nothing; and the accumulator still
+// folds good frames exactly around both.
+func TestAddReportFrameZeroViewAndRejectedFrame(t *testing.T) {
 	const d = 64
 	reps := wireReports(t, d, 50)
 	good, err := MarshalReportBatch(reps)
@@ -252,33 +253,34 @@ func TestAddBatchFrameErrorClearsScratch(t *testing.T) {
 	}
 	bad[len(bad)-5] = 99 // the last report's protocol tag
 	acc, _ := NewAccumulator(d)
-	if err := acc.AddBatchFrame(bad); !errors.Is(err, ErrCodec) {
-		t.Fatalf("corrupt last report: error %v, want ErrCodec", err)
-	}
-	frames := acc.scratch.frames[:cap(acc.scratch.frames)]
-	if len(frames) < len(reps) {
-		t.Fatalf("scratch holds %d sub-frames, want the walk to have sliced all %d good ones", len(frames), len(reps))
-	}
-	for i, f := range frames {
-		if f != nil {
-			t.Fatalf("scratch sub-frame %d still points into the rejected frame", i)
-		}
-	}
 	if err := acc.AddBatchFrame(good); err != nil {
 		t.Fatal(err)
 	}
-	ref, _ := NewAccumulator(d)
-	if err := ref.AddBatch(reps); err != nil {
+	if err := acc.AddBatchFrame(bad); !errors.Is(err, ErrCodec) {
+		t.Fatalf("corrupt last report: error %v, want ErrCodec", err)
+	}
+	acc.addReportFrame(ReportFrame{})
+	view, err := ValidateReportBatchFrame(good)
+	if err != nil {
 		t.Fatal(err)
 	}
+	acc.addReportFrame(view)
+	ref, _ := NewAccumulator(d)
+	for range 2 {
+		if err := ref.AddBatch(reps); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if acc.Total() != ref.Total() || !reflect.DeepEqual(acc.Counts(), ref.Counts()) {
-		t.Fatal("fold after a rejected frame diverged from AddBatch")
+		t.Fatal("folds around a rejected frame and the zero view diverged from AddBatch")
 	}
 }
 
 // TestAddBatchFrameSteadyStateZeroAlloc pins the lane's reason to
 // exist: with warmed scratch, folding a wire frame allocates nothing —
-// no reports, no bitsets, no per-call state.
+// no reports, no bitsets, no per-call state — whether the frame comes
+// as bytes (AddBatchFrame) or is validated into a view and folded
+// (ValidateReportBatchFrame + AddReportFrame, what serve runs).
 func TestAddBatchFrameSteadyStateZeroAlloc(t *testing.T) {
 	const d = 128
 	reps := wireReports(t, d, 512)
@@ -290,21 +292,32 @@ func TestAddBatchFrameSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fold := func() {
-		if err := acc.AddBatchFrame(frame); err != nil {
-			t.Fatal(err)
+	for name, fold := range map[string]func(){
+		"AddBatchFrame": func() {
+			if err := acc.AddBatchFrame(frame); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"validate+AddReportFrame": func() {
+			view, err := ValidateReportBatchFrame(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acc.addReportFrame(view)
+		},
+	} {
+		fold() // warm the scratch
+		if allocs := testing.AllocsPerRun(10, fold); allocs > 0 {
+			t.Errorf("%s: %v allocs per zero-copy fold, want 0", name, allocs)
 		}
-	}
-	fold() // warm the scratch
-	if allocs := testing.AllocsPerRun(10, fold); allocs > 0 {
-		t.Errorf("%v allocs per zero-copy fold, want 0", allocs)
 	}
 }
 
 // FuzzReportBatchFrame drives the validator, the decoder, and the
-// zero-copy fold against each other over arbitrary bytes: they must
-// agree on acceptance, and on accepted frames the in-place fold must
-// equal the decoded fold exactly.
+// zero-copy folds against each other over arbitrary bytes: they must
+// agree on acceptance, and on accepted frames the view's report count
+// must equal the decoded length and both in-place folds (AddBatchFrame
+// and AddReportFrame of the view) must equal the decoded fold exactly.
 func FuzzReportBatchFrame(f *testing.F) {
 	seedReps := []Report{GRRReport(3), SparseUnaryReport{N: 64, Items: []int32{1, 7}},
 		OLHReport{Seed: 9, Value: 1, G: 16}}
@@ -317,7 +330,7 @@ func FuzzReportBatchFrame(f *testing.F) {
 	f.Add([]byte("LB"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const d = 96
-		count, verr := ValidateReportBatchFrame(data)
+		view, verr := ValidateReportBatchFrame(data)
 		decoded, derr := UnmarshalReportBatch(data)
 		if (verr == nil) != (derr == nil) {
 			t.Fatalf("validator/decoder disagree: validate=%v decode=%v", verr, derr)
@@ -325,8 +338,8 @@ func FuzzReportBatchFrame(f *testing.F) {
 		if verr != nil {
 			return
 		}
-		if count != len(decoded) {
-			t.Fatalf("validator count %d, decoder count %d", count, len(decoded))
+		if view.Reports() != len(decoded) {
+			t.Fatalf("validator count %d, decoder count %d", view.Reports(), len(decoded))
 		}
 		ref, _ := NewAccumulator(d)
 		if err := ref.AddBatch(decoded); err != nil {
@@ -338,6 +351,11 @@ func FuzzReportBatchFrame(f *testing.F) {
 		}
 		if zc.Total() != ref.Total() || !reflect.DeepEqual(zc.Counts(), ref.Counts()) {
 			t.Fatal("zero-copy fold diverged from decoded fold")
+		}
+		viewAcc, _ := NewAccumulator(d)
+		viewAcc.addReportFrame(view)
+		if viewAcc.Total() != ref.Total() || !reflect.DeepEqual(viewAcc.Counts(), ref.Counts()) {
+			t.Fatal("fold of the validated view diverged from decoded fold")
 		}
 	})
 }

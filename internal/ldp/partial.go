@@ -113,7 +113,6 @@ func (sa *ShardedAccumulator) AddPartialFrame(f CountFrame) error {
 type Collector struct {
 	nodeID string
 	acc    *Accumulator
-	users  int64
 }
 
 // NewCollector returns an empty collector over a domain of size d,
@@ -135,27 +134,15 @@ func (c *Collector) Domain() int { return len(c.acc.counts) }
 
 // Users returns the number of user reports folded in since the last
 // flush or reset.
-func (c *Collector) Users() int64 { return c.users }
+func (c *Collector) Users() int64 { return c.acc.total }
 
 // Add folds one user report into the pending partial.
-func (c *Collector) Add(rep Report) error {
-	if err := c.acc.Add(rep); err != nil {
-		return err
-	}
-	c.users++
-	return nil
-}
+func (c *Collector) Add(rep Report) error { return c.acc.Add(rep) }
 
 // AddBatch folds a slice of user reports through the type-specialized
 // batch fast paths; it is the preferred ingest call when reports arrive
 // in chunks.
-func (c *Collector) AddBatch(reps []Report) error {
-	if err := c.acc.AddBatch(reps); err != nil {
-		return err
-	}
-	c.users += int64(len(reps))
-	return nil
-}
+func (c *Collector) AddBatch(reps []Report) error { return c.acc.AddBatch(reps) }
 
 // AddCounts folds pre-aggregated support counts from total users — the
 // path for partials computed even further out (another process, a batch
@@ -176,7 +163,6 @@ func (c *Collector) AddCounts(counts []int64, total int64) error {
 		c.acc.counts[v] += cnt
 	}
 	c.acc.total += total
-	c.users += total
 	return nil
 }
 
@@ -185,7 +171,7 @@ func (c *Collector) AddCounts(counts []int64, total int64) error {
 // the ship-and-reset cycle.
 func (c *Collector) Partial(epochHint int) (*PartialTally, error) {
 	p := &PartialTally{NodeID: c.nodeID, EpochHint: epochHint,
-		Counts: slices.Clone(c.acc.counts), Users: c.users}
+		Counts: slices.Clone(c.acc.counts), Users: c.acc.total}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -215,5 +201,4 @@ func (c *Collector) Reset() {
 		c.acc.counts[v] = 0
 	}
 	c.acc.total = 0
-	c.users = 0
 }

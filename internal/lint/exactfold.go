@@ -45,9 +45,10 @@ var exactScopes = []exactScope{
 	{pkg: "ldp", recv: "Tally", name: regexp.MustCompile(`(?i)^merge`)},
 	{pkg: "ldp", recv: "CountFrame", name: regexp.MustCompile(`(?i)^merge`)},
 	{pkg: "ldp", recv: "", name: regexp.MustCompile(`^addCountBytes$`)},
-	// The root's tally accept paths, the merge-on-arrival hand-off, and
-	// the partial-tally folds (decoded and from the wire bytes).
-	{pkg: "stream", recv: "", name: regexp.MustCompile(`^(MergeSealed|MergeFrame|SealCounts|AddPartial|AddPartialFrame)$`)},
+	// The root's tally accept paths, the merge-on-arrival hand-off, the
+	// partial-tally folds (decoded and from the wire bytes), and the
+	// report-batch fold from a validated view.
+	{pkg: "stream", recv: "", name: regexp.MustCompile(`^(MergeSealed|MergeFrame|SealCounts|AddPartial|AddPartialFrame|AddReportFrame)$`)},
 	// WAL replay: everything that re-folds logged records at boot.
 	{pkg: "persist", recv: "", name: regexp.MustCompile(`(?i)replay|^apply`)},
 }

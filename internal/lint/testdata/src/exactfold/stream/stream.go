@@ -1,6 +1,7 @@
 // Fixture for the exactfold analyzer, stream scope: the MergeSealed /
 // MergeFrame accept paths and the SealCounts / AddPartial /
-// AddPartialFrame hand-off into the epoch manager must stay float-free.
+// AddPartialFrame / AddReportFrame hand-off into the epoch manager must
+// stay float-free.
 package stream
 
 import "math"
@@ -30,6 +31,14 @@ func AddPartial(e *epoch, counts []int64) {
 func AddPartialFrame(e *epoch, wire []uint64) {
 	for i := range wire {
 		e.counts[i] += int64(float64(wire[i]) * e.scale) // want "conversion to float64" "floating-point arithmetic"
+	}
+}
+
+// AddReportFrame weighs each report's supports by the frame's report
+// count, which rounds the counts it was meant to add exactly.
+func AddReportFrame(e *epoch, supports []int, reports int) {
+	for _, v := range supports {
+		e.counts[v] += int64(e.scale / float64(reports)) // want "conversion to float64" "floating-point arithmetic"
 	}
 }
 

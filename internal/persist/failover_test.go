@@ -188,7 +188,7 @@ func TestStandbyTailerTracksRootAndPromotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := OpenSnapshotStore(dir, rootMgr, 4)
+	snaps, err := AttachSnapshotStore(dir, rootMgr, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestStandbyPollLeavesRootTempFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := OpenSnapshotStore(dir, rootMgr, 2)
+	snaps, err := AttachSnapshotStore(dir, rootMgr, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

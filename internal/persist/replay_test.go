@@ -35,7 +35,7 @@ func TestOpenRejectsInvalidRecord(t *testing.T) {
 		}
 		reps = append(reps, rep)
 	}
-	good := frame(t, reps)
+	good := frame(t, reps).Bytes()
 	// The first sub-frame's tag byte (after the 7-byte batch header and
 	// its 4-byte length and version byte) set to an unknown tag: every
 	// length still adds up, but the frame no longer parses. The WAL
@@ -155,7 +155,7 @@ func TestStoreParallelReplayEquivalence(t *testing.T) {
 	cfg := stream.Config{Params: proto.Params(), TargetK: -1}
 	r := rng.New(23)
 	type record struct {
-		frame   []byte
+		batch   ldp.ReportFrame
 		partial *ldp.CountFrame // nil for a report batch
 		reports int
 	}
@@ -179,9 +179,9 @@ func TestStoreParallelReplayEquivalence(t *testing.T) {
 		}
 		if i%3 == 2 {
 			p := partialFrame(t, d, epoch, reps)
-			recs = append(recs, record{frame: p.Bytes(), partial: &p, reports: n})
+			recs = append(recs, record{partial: &p, reports: n})
 		} else {
-			recs = append(recs, record{frame: frame(t, reps), reports: n})
+			recs = append(recs, record{batch: frame(t, reps), reports: n})
 		}
 		if seals[i] {
 			epoch++
@@ -213,12 +213,10 @@ func TestStoreParallelReplayEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			if err := store.AppendBatchFrame(rec.frame); err != nil {
+			if err := store.AppendBatchFrame(rec.batch); err != nil {
 				t.Fatal(err)
 			}
-			if err := ref.AddBatchFrame(rec.frame); err != nil {
-				t.Fatal(err)
-			}
+			ref.AddReportFrame(rec.batch)
 		}
 		if i > lastSeal { // the tail above the last snapshot
 			if rec.partial != nil {
@@ -359,15 +357,11 @@ func TestStoreReplayCountsFrames(t *testing.T) {
 			continue
 		}
 		f := frame(t, reps)
-		count, err := ldp.ValidateReportBatchFrame(f)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if err := store.AppendBatchFrame(f); err != nil {
 			t.Fatal(err)
 		}
 		want.ReplayedBatches++
-		want.ReplayedReports += int64(count)
+		want.ReplayedReports += int64(f.Reports())
 	}
 	live := mgr.Stats().LiveTotal
 	// Crash: no Close, no final seal.

@@ -22,7 +22,7 @@ import (
 //
 // The report-level WAL is a different contract: its records are report
 // batch frames and partial tallies, replayed in one pass that folds them
-// into the live epoch (batches as wire frames through AddBatchFrame). A
+// into the live epoch (batches as wire frames through AddReportFrame). A
 // directory holding one belongs to a frontend or single-node server;
 // opening it as a root store is refused, because replaying report frames
 // into a tally-merging root (or logging tally frames into a report WAL)
@@ -32,45 +32,17 @@ type SnapshotStore struct {
 	dir  string
 	keep int
 
-	mu       sync.Mutex
-	closed   bool
-	restored RestoreInfo
+	mu     sync.Mutex
+	closed bool
 }
 
-// OpenSnapshotStore makes a root's merged state durable under dir: it
-// restores the newest valid snapshot into the freshly constructed
-// manager and prepares per-seal snapshot writes. keep <= 0 selects
-// DefaultKeepSnapshots. dir must not hold a report-level WAL.
-func OpenSnapshotStore(dir string, mgr *stream.EpochManager, keep int) (*SnapshotStore, error) {
-	s, err := newSnapshotStore(dir, mgr, keep)
-	if err != nil {
-		return nil, err
-	}
-	_, state, found, err := LoadLatestSnapshot(filepath.Join(dir, "snap"))
-	if err != nil {
-		return nil, err
-	}
-	if found {
-		if err := mgr.RestoreState(state); err != nil {
-			return nil, fmt.Errorf("persist: restoring root snapshot: %w", err)
-		}
-		s.restored.SnapshotSeq = state.Seq
-	}
-	return s, nil
-}
-
-// AttachSnapshotStore prepares per-seal snapshot writes for a manager
-// whose state is already live — a promoted standby's warm manager,
-// restored by the tailer from the very snapshots this store will keep
-// writing. Unlike OpenSnapshotStore it restores nothing; the
-// report-WAL refusal still applies.
+// AttachSnapshotStore prepares per-seal snapshot writes under dir for a
+// manager whose state is already live: the one a StandbyTailer restored
+// from the very snapshots this store will keep writing, when a root
+// boots over its own directory or a standby promotes. It restores
+// nothing itself. keep <= 0 selects DefaultKeepSnapshots. dir must not
+// hold a report-level WAL.
 func AttachSnapshotStore(dir string, mgr *stream.EpochManager, keep int) (*SnapshotStore, error) {
-	return newSnapshotStore(dir, mgr, keep)
-}
-
-// newSnapshotStore validates the directory (no report WAL), creates the
-// snapshot subdirectory, and builds the store without restoring.
-func newSnapshotStore(dir string, mgr *stream.EpochManager, keep int) (*SnapshotStore, error) {
 	if mgr == nil {
 		return nil, errors.New("persist: nil epoch manager")
 	}
@@ -90,9 +62,6 @@ func newSnapshotStore(dir string, mgr *stream.EpochManager, keep int) (*Snapshot
 	}
 	return &SnapshotStore{mgr: mgr, dir: dir, keep: keep}, nil
 }
-
-// Restored reports what Open reconstructed.
-func (s *SnapshotStore) Restored() RestoreInfo { return s.restored }
 
 // Manager returns the manager this store persists.
 func (s *SnapshotStore) Manager() *stream.EpochManager { return s.mgr }

@@ -25,18 +25,36 @@ func rootTestManager(t *testing.T) *stream.EpochManager {
 	return mgr
 }
 
+// bootRoot opens a root over dir the way a durable root boots: a
+// StandbyTailer restores the newest snapshot into mgr, Promote wraps it
+// in a merger, and AttachSnapshotStore takes over the per-seal writes.
+// restored is the restored snapshot's seal count, 0 on a cold start.
+func bootRoot(dir string, mgr *stream.EpochManager, keep int) (store *SnapshotStore, restored int, err error) {
+	tailer, err := NewStandbyTailer(dir, func() (*stream.EpochManager, error) { return mgr, nil })
+	if err != nil {
+		return nil, 0, err
+	}
+	merger, err := tailer.Promote([]string{"fe-0"})
+	if err != nil {
+		return nil, 0, err
+	}
+	restored, _ = tailer.SnapshotSeq()
+	store, err = AttachSnapshotStore(dir, merger.Manager(), keep)
+	return store, restored, err
+}
+
 // TestSnapshotStoreRoundTrip: a root restored from its per-seal
 // snapshot serves the same window estimate and resumes at the same
 // sealed watermark.
 func TestSnapshotStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	mgr := rootTestManager(t)
-	store, err := OpenSnapshotStore(dir, mgr, 2)
+	store, restored, err := bootRoot(dir, mgr, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if store.Restored().SnapshotSeq != 0 {
-		t.Fatalf("cold start restored %+v", store.Restored())
+	if restored != 0 || mgr.Stats().Epochs != 0 {
+		t.Fatalf("cold start restored %d sealed epochs", restored)
 	}
 	counts := []int64{5, 4, 3, 2, 1, 0, 7, 6}
 	for e := 0; e < 3; e++ {
@@ -53,12 +71,11 @@ func TestSnapshotStoreRoundTrip(t *testing.T) {
 	want := mgr.Latest()
 
 	mgr2 := rootTestManager(t)
-	store2, err := OpenSnapshotStore(dir, mgr2, 2)
-	if err != nil {
+	if _, restored, err = bootRoot(dir, mgr2, 2); err != nil {
 		t.Fatal(err)
 	}
-	if store2.Restored().SnapshotSeq != 3 {
-		t.Fatalf("restored %+v, want 3 sealed epochs", store2.Restored())
+	if restored != 3 {
+		t.Fatalf("restored %d sealed epochs, want 3", restored)
 	}
 	if !reflect.DeepEqual(mgr2.Latest(), want) {
 		t.Fatal("restored latest estimate differs")
@@ -83,8 +100,8 @@ func TestSnapshotStoreRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotStoreRejectsReportWAL: a directory holding a report-level
-// WAL belongs to a frontend or single-node server; opening it as a root
-// snapshot store must refuse, not replay tally-incompatible frames.
+// WAL belongs to a frontend or single-node server; booting a root over
+// it must refuse, not replay tally-incompatible frames.
 func TestSnapshotStoreRejectsReportWAL(t *testing.T) {
 	dir := t.TempDir()
 	mgr := rootTestManager(t)
@@ -93,19 +110,14 @@ func TestSnapshotStoreRejectsReportWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := ldp.GRRReport(3)
-	frame, err := ldp.MarshalReportBatch([]ldp.Report{rep})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := front.AppendBatchFrame(frame); err != nil {
+	if err := front.AppendBatchFrame(frame(t, []ldp.Report{ldp.GRRReport(3)})); err != nil {
 		t.Fatal(err)
 	}
 	if err := front.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	_, err = OpenSnapshotStore(dir, rootTestManager(t), 2)
+	_, _, err = bootRoot(dir, rootTestManager(t), 2)
 	if err == nil {
 		t.Fatal("root snapshot store opened over a report-level WAL")
 	}

@@ -85,7 +85,7 @@ type Store struct {
 // Open makes mgr durable under dir: it loads the newest valid snapshot
 // into the (freshly constructed) manager, replays the WAL tail to
 // rebuild the live epoch — one pass over the log, spread over
-// GOMAXPROCS workers, each folding report batches through AddBatchFrame
+// GOMAXPROCS workers, each folding report batches through AddReportFrame
 // and partial tallies through AddPartialFrame, both straight from the
 // wire bytes, into its own accumulator — and leaves the log open for
 // appending. A WAL record that fails its check fails Open, naming the
@@ -181,17 +181,19 @@ type replayFold struct {
 // payload-agnostic; records are dispatched on their 2-byte frame magic:
 // "LP" partial tallies are validated in place and folded from their
 // wire bytes through AddPartialFrame regardless of their epoch hint,
-// every other record is a report-batch frame folded as wire bytes
-// through AddBatchFrame — the lanes live ingest takes. The hint was
-// checked against the sealed watermark when the record was accepted
+// every other record is a report-batch frame validated in place and
+// folded through AddReportFrame — the lanes live ingest takes. The hint
+// was checked against the sealed watermark when the record was accepted
 // (append and fold are atomic with respect to seals), so on replay the
 // fold is unconditional — exactly like report batches, every surviving
 // record rebuilds the live epoch.
 func (f *replayFold) apply(lsn uint64, payload []byte) error {
 	if !isPartialRecord(payload) {
-		if err := f.acc.AddBatchFrame(payload); err != nil {
+		batch, err := ldp.ValidateReportBatchFrame(payload)
+		if err != nil {
 			return fmt.Errorf("persist: WAL record %d: report batch: %w", lsn, err)
 		}
+		f.acc.AddReportFrame(batch)
 		f.batches++
 		return nil
 	}
@@ -246,24 +248,25 @@ func (s *Store) Manager() *stream.EpochManager { return s.mgr }
 
 // AppendBatchFrame durably logs a report batch frame and folds it into
 // the live epoch without ever decoding it into reports — the store's one
-// report lane. The frame is structurally validated before it touches
-// the log (an invalid frame must not poison replay), appended verbatim,
-// and counted in place. The batch is durable (per the fsync policy)
-// before it is aggregated; a crash in between replays it on boot, which
-// yields the same counts.
-func (s *Store) AppendBatchFrame(frame []byte) error {
+// report lane. f is the view ldp.ValidateReportBatchFrame returned; its
+// frame is appended verbatim and counted in place. The zero view is
+// refused: an empty record would fail replay. The batch is durable (per
+// the fsync policy) before it is aggregated; a crash in between replays
+// it on boot, which yields the same counts.
+func (s *Store) AppendBatchFrame(f ldp.ReportFrame) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return errors.New("persist: store is closed")
 	}
-	if _, err := ldp.ValidateReportBatchFrame(frame); err != nil {
+	if f.Bytes() == nil {
+		return errors.New("persist: zero report frame; log only views ldp.ValidateReportBatchFrame returned")
+	}
+	if _, err := s.wal.Append(f.Bytes()); err != nil {
 		return err
 	}
-	if _, err := s.wal.Append(frame); err != nil {
-		return err
-	}
-	return s.mgr.AddBatchFrame(frame)
+	s.mgr.AddReportFrame(f)
+	return nil
 }
 
 // AppendPartial durably logs an edge-aggregated partial tally and folds

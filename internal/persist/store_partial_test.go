@@ -228,9 +228,10 @@ func TestStoreAppendPartialStaleLeavesNoTrace(t *testing.T) {
 	}
 }
 
-// TestStoreAppendBatchFrameRejectsCorrupt: an invalid frame is rejected
-// before it touches the WAL — replay must never meet a frame the
-// validator would refuse.
+// TestStoreAppendBatchFrameRejectsCorrupt: nothing but a validated view
+// reaches the WAL — replay must never meet a frame the validator would
+// refuse. A corrupt frame cannot become a view at all, so the one input
+// left to refuse is the zero view, whose empty record would fail replay.
 func TestStoreAppendBatchFrameRejectsCorrupt(t *testing.T) {
 	const d = 8
 	proto, err := ldp.NewOUE(d, 0.7)
@@ -252,8 +253,11 @@ func TestStoreAppendBatchFrameRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := frame(t, reps)
-	if err := store.AppendBatchFrame(good[:len(good)-1]); err == nil {
-		t.Fatal("corrupt frame appended")
+	if _, err := ldp.ValidateReportBatchFrame(good.Bytes()[:len(good.Bytes())-1]); err == nil {
+		t.Fatal("truncated frame validated")
+	}
+	if err := store.AppendBatchFrame(ldp.ReportFrame{}); err == nil {
+		t.Fatal("zero report frame appended")
 	}
 	if err := store.AppendBatchFrame(good); err != nil {
 		t.Fatal(err)

@@ -217,14 +217,18 @@ func epochBatches(t testing.TB, proto ldp.Protocol, d, quiet, attacked int) [][]
 	return epochs
 }
 
-// frame encodes a batch for AppendBatchFrame.
-func frame(t testing.TB, reps []ldp.Report) []byte {
+// frame encodes and validates a batch for AppendBatchFrame.
+func frame(t testing.TB, reps []ldp.Report) ldp.ReportFrame {
 	t.Helper()
 	buf, err := ldp.MarshalReportBatch(reps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buf
+	f, err := ldp.ValidateReportBatchFrame(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 // TestStoreCrashRestartEquivalence is the persistence acceptance at the
@@ -713,7 +717,7 @@ func TestStoreClosedAndInvalid(t *testing.T) {
 	if err := store.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if err := store.AppendBatchFrame([]byte{1}); err == nil {
+	if err := store.AppendBatchFrame(frame(t, nil)); err == nil {
 		t.Fatal("append on closed store succeeded")
 	}
 	if _, err := store.Seal(); err == nil {

@@ -15,7 +15,7 @@
 // On boot a Store loads the newest valid snapshot and replays the WAL
 // tail in one pass, its segments spread over GOMAXPROCS workers that
 // each check every record once and fold it (report batches as wire
-// frames through AddBatchFrame) into a private accumulator; the worker
+// frames through AddReportFrame) into a private accumulator; the worker
 // totals reach the manager only once the whole log checks out. The
 // manager then serves window estimates bit-identical to an
 // uninterrupted run: support counting is additive, so re-applying the

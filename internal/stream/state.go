@@ -72,7 +72,7 @@ func (m *EpochManager) SnapshotState() ManagerState {
 // of st. It may only be called on a freshly constructed manager (nothing
 // sealed, nothing ingested): restore is a boot-time operation, not a
 // rollback. The caller then replays any write-ahead-log tail to rebuild
-// the live epoch — folded per worker through AddBatchFrame and committed
+// the live epoch — folded per worker through AddReportFrame and committed
 // with one AddCounts — after which window estimates are bit-identical to the uninterrupted run — Latest() is recomputed here
 // from the restored window and tracker state, which reproduces the
 // pre-restart estimate float for float because recovery is

@@ -261,12 +261,21 @@ func (m *EpochManager) AddCounts(counts []int64, total int64) error {
 	return m.live.AddCounts(counts, total)
 }
 
-// AddBatchFrame folds a wire-format report batch frame into the open
-// epoch without decoding it — the zero-copy ingest lane. Bit-identical
-// to UnmarshalReportBatch + AddBatch.
+// AddBatchFrame validates a wire-format report batch frame and folds it
+// into the open epoch: ldp.ValidateReportBatchFrame, then
+// AddReportFrame. Bit-identical to UnmarshalReportBatch + AddBatch.
 func (m *EpochManager) AddBatchFrame(frame []byte) error {
-	return m.live.AddBatchFrame(frame)
+	f, err := ldp.ValidateReportBatchFrame(frame)
+	if err != nil {
+		return err
+	}
+	m.AddReportFrame(f)
+	return nil
 }
+
+// AddReportFrame folds a validated report batch frame into the open
+// epoch straight from its wire bytes — the zero-copy ingest lane.
+func (m *EpochManager) AddReportFrame(f ldp.ReportFrame) { m.live.AddReportFrame(f) }
 
 // SealedWatermark returns the next epoch's sequence number — the
 // sealed watermark partial-tally epoch hints are checked against.

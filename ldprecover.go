@@ -263,6 +263,10 @@ type (
 	// node id, epoch and total decoded, the counts left as the frame's
 	// bytes. It is valid only while those bytes are.
 	CountFrame = ldp.CountFrame
+	// ReportFrame is a validated view of a report batch frame: the
+	// frame's bytes and its report count. Only ValidateReportBatchFrame
+	// makes one, and it is valid only while those bytes are.
+	ReportFrame = ldp.ReportFrame
 )
 
 // ErrStalePartial rejects a partial tally whose epoch hint predates the
@@ -288,10 +292,10 @@ func UnmarshalPartial(data []byte) (*PartialTally, error) { return ldp.Unmarshal
 func ValidatePartialFrame(frame []byte) (CountFrame, error) { return ldp.ValidatePartialFrame(frame) }
 
 // ValidateReportBatchFrame structurally validates a report batch frame
-// without decoding it, returning its report count — the zero-copy
-// ingest lane's admission check. It accepts exactly the frames
-// UnmarshalReportBatch accepts.
-func ValidateReportBatchFrame(frame []byte) (int, error) {
+// without decoding it, returning the view the zero-copy ingest lane
+// queues, logs and folds — its one admission check. It accepts exactly
+// the frames UnmarshalReportBatch accepts.
+func ValidateReportBatchFrame(frame []byte) (ReportFrame, error) {
 	return ldp.ValidateReportBatchFrame(frame)
 }
 
@@ -336,14 +340,6 @@ func ValidateTallyFrame(frame []byte) (CountFrame, error) { return ldp.ValidateT
 // expected frontend nodes.
 func NewSealedMerger(mgr *EpochManager, nodes []string) (*SealedMerger, error) {
 	return stream.NewSealedMerger(mgr, nodes)
-}
-
-// OpenSnapshotStore makes a root merger's manager durable under dir via
-// per-seal snapshots (no WAL — frontends re-send tallies the root has
-// not durably sealed). It refuses a directory holding a report-level
-// WAL.
-func OpenSnapshotStore(dir string, mgr *EpochManager, keep int) (*SnapshotStore, error) {
-	return persist.OpenSnapshotStore(dir, mgr, keep)
 }
 
 // Elastic membership and root failover (DESIGN.md §7): frontends join
@@ -417,9 +413,12 @@ func NewStandbyTailer(dir string, newMgr func() (*EpochManager, error)) (*Standb
 	return persist.NewStandbyTailer(dir, newMgr)
 }
 
-// AttachSnapshotStore prepares per-seal snapshots for a manager whose
-// state is already live (a promoted standby's warm manager); unlike
-// OpenSnapshotStore it does not restore anything into it.
+// AttachSnapshotStore makes a root merger's manager durable under dir
+// via per-seal snapshots (no WAL — frontends re-send tallies the root
+// has not durably sealed). The manager's state is already live: a
+// StandbyTailer restored it, whether a root boots over its own
+// directory or a standby promotes. It refuses a directory holding a
+// report-level WAL.
 func AttachSnapshotStore(dir string, mgr *EpochManager, keep int) (*SnapshotStore, error) {
 	return persist.AttachSnapshotStore(dir, mgr, keep)
 }
