@@ -27,38 +27,36 @@ func RefineKKT(estimate []float64) ([]float64, error) {
 		return nil, errors.New("core: refine on non-finite vector")
 	}
 	d := len(estimate)
-	active := make([]bool, d)
+	// active lists D* in index order, so each round sums the same items
+	// in the same order as a scan of the whole domain would, and a
+	// demoted item costs nothing in later rounds.
+	active := make([]int, d)
 	for v := range active {
-		active[v] = true
+		active[v] = v
 	}
-	nActive := d
 	out := make([]float64, d)
 	for iter := 0; iter < d; iter++ {
 		// Eq. 34–35: mu/2 = (Σ_{D*} f̃ - 1)/|D*|; f'(v) = f̃(v) - mu/2.
 		var sum float64
-		for v := range estimate {
-			if active[v] {
-				sum += estimate[v]
-			}
+		for _, v := range active {
+			sum += estimate[v]
 		}
-		shift := (sum - 1) / float64(nActive)
-		anyNegative := false
-		for v := range estimate {
-			if !active[v] {
+		shift := (sum - 1) / float64(len(active))
+		kept := active[:0]
+		for _, v := range active {
+			f := estimate[v] - shift
+			if f < 0 {
 				out[v] = 0
 				continue
 			}
-			out[v] = estimate[v] - shift
-			if out[v] < 0 {
-				active[v] = false
-				nActive--
-				anyNegative = true
-			}
+			out[v] = f
+			kept = append(kept, v)
 		}
-		if !anyNegative {
+		if len(kept) == len(active) {
 			return out, nil
 		}
-		if nActive == 0 {
+		active = kept
+		if len(active) == 0 {
 			// Unreachable for finite input (a singleton active set yields
 			// exactly 1), but guard against float pathologies.
 			return nil, errors.New("core: refinement emptied the active set")

@@ -9,6 +9,10 @@ import (
 	"ldprecover/internal/stats"
 )
 
+// zBlock is how many items one pass over the history rows carries; the
+// block's running sums live on the stack.
+const zBlock = 256
+
 // ZScoreOutliers identifies likely attack targets by statistical anomaly
 // against historical frequency series (§V-D's outlier-detection oracle):
 // for each item it computes the z-score of the current frequency against
@@ -54,25 +58,58 @@ func ZScoreOutliersMinSD(history [][]float64, current []float64, k int, minZ, mi
 		z    float64
 	}
 	var out []scored
-	series := make([]float64, len(history))
-	for v := 0; v < d; v++ {
-		for t := range history {
-			series[t] = history[t][v]
+	// Only an item whose deviation from its mean could reach minZ at
+	// the floor is scored. The floor bounds every item's standard
+	// deviation from below (sd >= minSD), correctly rounded division is
+	// monotone, so fl(dev/sd) <= fl(dev/minSD) for dev >= 0, and a
+	// negative dev scores below a positive minZ: an item with
+	// fl(dev/minSD) < minZ can never be flagged. The pruning is off when
+	// minZ is 0 (a tiny negative dev can underflow to z = -0, which is
+	// >= 0) or when there is no floor to bound sd by.
+	prune := minZ > 0 && minSD > 0
+	n := float64(len(history))
+	var series []float64
+	// The compensated sums of a block of items run side by side, one
+	// history row at a time, so each mean is stats.Mean of the item's
+	// series bit for bit without gathering the series.
+	var sums, comps [zBlock]float64
+	for lo := 0; lo < d; lo += zBlock {
+		hi := min(lo+zBlock, d)
+		sum, comp := sums[:hi-lo], comps[:hi-lo]
+		clear(sum)
+		clear(comp)
+		for _, row := range history {
+			row = row[lo:hi]
+			for j, x := range row {
+				sum[j], comp[j] = stats.SumStep(sum[j], comp[j], x)
+			}
 		}
-		mu := stats.Mean(series)
-		sd := math.Sqrt(stats.SampleVariance(series))
-		if sd < minSD {
-			sd = minSD
-		}
-		if sd == 0 {
-			// A perfectly flat history cannot absorb any deviation; any
-			// change is infinitely anomalous. Use a tiny floor instead to
-			// keep scores finite and comparable.
-			sd = 1e-12
-		}
-		z := (current[v] - mu) / sd
-		if z >= minZ {
-			out = append(out, scored{v, z})
+		for j := range sum {
+			v := lo + j
+			dev := current[v] - (sum[j]+comp[j])/n
+			if prune && !(dev/minSD >= minZ) {
+				continue
+			}
+			if series == nil {
+				series = make([]float64, len(history))
+			}
+			for t := range history {
+				series[t] = history[t][v]
+			}
+			sd := math.Sqrt(stats.SampleVariance(series))
+			if sd < minSD {
+				sd = minSD
+			}
+			if sd == 0 {
+				// A perfectly flat history cannot absorb any deviation; any
+				// change is infinitely anomalous. Use a tiny floor instead to
+				// keep scores finite and comparable.
+				sd = 1e-12
+			}
+			z := dev / sd
+			if z >= minZ {
+				out = append(out, scored{v, z})
+			}
 		}
 	}
 	sort.Slice(out, func(a, b int) bool {

@@ -160,6 +160,10 @@ func countFrameRejections(magic [2]byte) []struct {
 		{"count bytes short", build(func(f *rawCountFrame) { f.counts = f.counts[:3] })},
 		{"count bytes long", build(func(f *rawCountFrame) { f.counts = append(f.counts, 0) })},
 		{"negative count", build(func(f *rawCountFrame) { f.counts[2] = 1 << 63 })},
+		{"negative count in last item", build(func(f *rawCountFrame) { f.counts[3] = math.MaxUint64 })},
+		{"negative count in a tail of d = 3 mod 4", build(func(f *rawCountFrame) {
+			f.domain, f.counts = 7, append(f.counts, 2, 9, 1<<63|5)
+		})},
 	}
 }
 
@@ -189,6 +193,19 @@ func TestCountFrameValidation(t *testing.T) {
 	}
 	if _, err := UnmarshalTally(validRawCountFrame(tallyMagic).encode()); err != nil {
 		t.Fatalf("base tally frame rejected: %v", err)
+	}
+	// The counts are checked a word group at a time; a tail that does
+	// not fill a group is still read, and the error names the first
+	// negative item.
+	tail := validRawCountFrame(partialMagic)
+	tail.domain, tail.counts = 7, append(tail.counts, 2, 9, 1<<62)
+	if _, err := ValidatePartialFrame(tail.encode()); err != nil {
+		t.Fatalf("d=7 frame rejected: %v", err)
+	}
+	tail.counts[1], tail.counts[5] = math.MaxUint64, 1<<63
+	_, err := ValidatePartialFrame(tail.encode())
+	if want := "count -1 for item 1"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("two negative counts: error %v, want it to name %q", err, want)
 	}
 }
 
