@@ -8,7 +8,9 @@
 //	go test -run '^$' -bench . -benchtime 1x ./... | benchjson -o BENCH_report.json
 //
 // Reading stdin and writing stdout are the defaults; non-benchmark lines
-// (test summaries, package headers) pass through unparsed.
+// (test summaries, package headers) pass through unparsed. Repeated
+// samples of one benchmark (`go test -count N`) collapse to the sample
+// with the median ns/op, the lower middle one for even N.
 //
 // -merge folds the freshly parsed results into an existing report
 // instead of starting from scratch: same-name benchmarks are replaced in
@@ -25,6 +27,7 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -123,7 +126,30 @@ func parse(r io.Reader) (*Report, error) {
 		return nil, err
 	}
 	stripProcsSuffix(rep.Benchmarks)
+	rep.Benchmarks = medianSamples(rep.Benchmarks)
 	return rep, nil
+}
+
+// medianSamples keeps one row per name, in first-seen order: of a
+// name's samples, the one with the median ns/op (the lower middle one
+// for an even count). The whole row is kept, so its metrics come from
+// the same measured run as its ns/op.
+func medianSamples(rows []Benchmark) []Benchmark {
+	samples := make(map[string][]Benchmark, len(rows))
+	var names []string
+	for _, b := range rows {
+		if _, ok := samples[b.Name]; !ok {
+			names = append(names, b.Name)
+		}
+		samples[b.Name] = append(samples[b.Name], b)
+	}
+	out := make([]Benchmark, 0, len(names))
+	for _, name := range names {
+		s := samples[name]
+		slices.SortStableFunc(s, func(a, b Benchmark) int { return cmp.Compare(a.NsPerOp, b.NsPerOp) })
+		out = append(out, s[(len(s)-1)/2])
+	}
+	return out
 }
 
 // stripProcsSuffix drops the "-N" GOMAXPROCS suffix Go appends to every

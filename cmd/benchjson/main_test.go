@@ -181,3 +181,48 @@ BenchmarkFanIn/nodes-16-2   10   200 ns/op
 		t.Fatalf("shared -2 suffix not stripped: %+v", rep.Benchmarks)
 	}
 }
+
+// TestRepeatedSamplesKeepMedian: `go test -count N` prints N rows per
+// benchmark. The report keeps one, the sample with the median ns/op
+// (the lower middle one for even N) and that sample's own metrics,
+// whether or not it merges over a stored report.
+func TestRepeatedSamplesKeepMedian(t *testing.T) {
+	const fresh = `BenchmarkFold/odd-2    10   200 ns/op   20.00 MB/s
+BenchmarkFold/even-2   10   400 ns/op   40.00 MB/s
+BenchmarkFold/odd-2    10   100 ns/op   10.00 MB/s
+BenchmarkFold/even-2   10   100 ns/op   10.00 MB/s
+BenchmarkFold/odd-2    10   300 ns/op   30.00 MB/s
+BenchmarkFold/even-2   10   200 ns/op   20.00 MB/s
+BenchmarkFold/even-2   10   300 ns/op   30.00 MB/s
+`
+	check := func(label string, rep *Report) {
+		t.Helper()
+		if len(rep.Benchmarks) != 2 {
+			t.Fatalf("%s: %d rows, want one per name: %+v", label, len(rep.Benchmarks), rep.Benchmarks)
+		}
+		for i, want := range []Benchmark{
+			{Name: "BenchmarkFold/odd", NsPerOp: 200, Metrics: map[string]float64{"MB/s": 20}},
+			{Name: "BenchmarkFold/even", NsPerOp: 200, Metrics: map[string]float64{"MB/s": 20}},
+		} {
+			got := rep.Benchmarks[i]
+			if got.Name != want.Name || got.NsPerOp != want.NsPerOp || got.Metrics["MB/s"] != want.Metrics["MB/s"] {
+				t.Fatalf("%s: row %d = %+v, want %+v", label, i, got, want)
+			}
+		}
+	}
+	var out bytes.Buffer
+	rep, err := run(strings.NewReader(fresh), &out, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fresh report", rep)
+	base := &Report{Benchmarks: []Benchmark{
+		{Name: "BenchmarkFold/odd", Runs: 1, NsPerOp: 999},
+		{Name: "BenchmarkFold/even", Runs: 1, NsPerOp: 999},
+	}}
+	rep, err = run(strings.NewReader(fresh), &out, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("merged report", rep)
+}

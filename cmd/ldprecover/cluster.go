@@ -111,13 +111,13 @@ type tallyPusher struct {
 	flushTimeout time.Duration // bound on the shutdown flush (tests shrink it)
 
 	mu         sync.Mutex
-	pending    []*ldprecover.Tally // unacked, epoch ascending
-	dropped    int64               // tallies evicted past maxPending
-	rootSeen   int                 // highest sealed watermark any answer carried
-	lastErr    error               // most recent push failure, for stats/logs
-	active     int                 // index into urls currently delivered to
-	failStreak int                 // consecutive failed passes on the active url
-	failovers  int64               // times the active url rotated
+	pending    []ldprecover.Epoch // unacked sealed epochs, ascending
+	dropped    int64              // tallies evicted past maxPending
+	rootSeen   int                // highest sealed watermark any answer carried
+	lastErr    error              // most recent push failure, for stats/logs
+	active     int                // index into urls currently delivered to
+	failStreak int                // consecutive failed passes on the active url
+	failovers  int64              // times the active url rotated
 
 	// backoffRng drives the decorrelated retry jitter. Seeded from the
 	// node id so each pusher's schedule is deterministic per node yet
@@ -164,15 +164,15 @@ func (p *tallyPusher) url() string {
 	return p.urls[p.active]
 }
 
-// enqueue adds a sealed tally to the delivery queue and wakes the loop,
-// evicting the oldest pending tallies beyond the retention bound.
-func (p *tallyPusher) enqueue(t *ldprecover.Tally) {
+// enqueue queues one sealed epoch as this node's tally and wakes the
+// loop, evicting the oldest pending tallies beyond the retention bound.
+func (p *tallyPusher) enqueue(ep ldprecover.Epoch) {
 	p.mu.Lock()
-	p.pending = append(p.pending, t)
+	p.pending = append(p.pending, ep)
 	var evicted int
 	if p.maxPending > 0 && len(p.pending) > p.maxPending {
 		evicted = len(p.pending) - p.maxPending
-		p.pending = append([]*ldprecover.Tally(nil), p.pending[evicted:]...)
+		p.pending = append([]ldprecover.Epoch(nil), p.pending[evicted:]...)
 		p.dropped += int64(evicted)
 	}
 	p.mu.Unlock()
@@ -183,11 +183,6 @@ func (p *tallyPusher) enqueue(t *ldprecover.Tally) {
 	case p.kick <- struct{}{}:
 	default:
 	}
-}
-
-// enqueueEpoch queues one sealed epoch as this node's tally.
-func (p *tallyPusher) enqueueEpoch(ep ldprecover.Epoch) {
-	p.enqueue(&ldprecover.Tally{NodeID: p.nodeID, Epoch: ep.Seq, Counts: ep.Counts, Total: ep.Total})
 }
 
 // pendingCount returns how many tallies await the root's watermark.
@@ -283,15 +278,15 @@ func (p *tallyPusher) finalFlush() {
 // passes.
 func (p *tallyPusher) pushAll(ctx context.Context) bool {
 	p.mu.Lock()
-	batch := append([]*ldprecover.Tally(nil), p.pending...)
+	batch := append([]ldprecover.Epoch(nil), p.pending...)
 	p.mu.Unlock()
 	ok := true
 	watermark := -1
-	for _, t := range batch {
-		if t.Epoch < watermark {
+	for _, ep := range batch {
+		if ep.Seq < watermark {
 			continue // already covered by an earlier answer this pass
 		}
-		resp, err := p.pushOne(ctx, t)
+		resp, err := p.pushOne(ctx, ep)
 		if err != nil {
 			p.mu.Lock()
 			p.lastErr = err
@@ -304,12 +299,12 @@ func (p *tallyPusher) pushAll(ctx context.Context) bool {
 	if watermark >= 0 {
 		p.mu.Lock()
 		kept := p.pending[:0]
-		for _, t := range p.pending {
-			if t.Epoch >= watermark {
-				kept = append(kept, t)
+		for _, ep := range p.pending {
+			if ep.Seq >= watermark {
+				kept = append(kept, ep)
 			}
 		}
-		p.pending = append([]*ldprecover.Tally(nil), kept...)
+		p.pending = append([]ldprecover.Epoch(nil), kept...)
 		if watermark > p.rootSeen {
 			p.rootSeen = watermark
 		}
@@ -354,9 +349,10 @@ func (p *tallyPusher) noteWatermark(w int) {
 	p.mu.Unlock()
 }
 
-// pushOne POSTs one tally frame to the active root.
-func (p *tallyPusher) pushOne(ctx context.Context, t *ldprecover.Tally) (*tallyResponse, error) {
-	frame, err := ldprecover.MarshalTally(t)
+// pushOne POSTs sealed epoch ep to the active root as this node's
+// tally frame.
+func (p *tallyPusher) pushOne(ctx context.Context, ep ldprecover.Epoch) (*tallyResponse, error) {
+	frame, err := ldprecover.MarshalTally(&ldprecover.Tally{NodeID: p.nodeID, Epoch: ep.Seq, Counts: ep.Counts, Total: ep.Total})
 	if err != nil {
 		return nil, err
 	}
@@ -439,7 +435,7 @@ func (s *streamServer) openUplink(cfg streamServerConfig) error {
 	// (the restored ring, on a durable node); the parent dedupes what it
 	// has already merged.
 	for _, ep := range s.mgr.Epochs() {
-		s.pusher.enqueueEpoch(ep)
+		s.pusher.enqueue(ep)
 	}
 	if s.root != nil {
 		// The barrier's clock is driven by its children, never resynced
@@ -507,7 +503,7 @@ func (s *streamServer) join(cfg streamServerConfig) error {
 // holds it as its newest.
 func (s *streamServer) pushSealed(seq int) {
 	if eps := s.mgr.Epochs(); len(eps) > 0 && eps[len(eps)-1].Seq == seq {
-		s.pusher.enqueueEpoch(eps[len(eps)-1])
+		s.pusher.enqueue(eps[len(eps)-1])
 	}
 }
 
@@ -549,7 +545,7 @@ func openBarrier(cfg streamServerConfig, owner string, mgr *ldprecover.EpochMana
 		slog  *ldprecover.SealLog
 	)
 	if err == nil {
-		snaps, err = ldprecover.AttachSnapshotStore(cfg.DataDir, merger.Manager(), 0)
+		snaps, err = ldprecover.AttachSnapshotStore(cfg.DataDir, merger.Manager())
 	}
 	if err == nil {
 		slog, err = ldprecover.OpenSealLog(cfg.DataDir)

@@ -752,7 +752,7 @@ func TestTallyPusherQueueBound(t *testing.T) {
 		}
 	}()
 	for e := 0; e < 5; e++ {
-		p.enqueue(&ldprecover.Tally{NodeID: "fe-0", Epoch: e, Counts: make([]int64, 4), Total: 1})
+		p.enqueue(ldprecover.Epoch{Seq: e, Counts: make([]int64, 4), Total: 1})
 	}
 	if got := p.pendingCount(); got != 3 {
 		t.Fatalf("pending %d tallies, bound is 3", got)
@@ -761,7 +761,7 @@ func TestTallyPusherQueueBound(t *testing.T) {
 		t.Fatalf("dropped %d tallies, want 2", got)
 	}
 	p.mu.Lock()
-	oldest := p.pending[0].Epoch
+	oldest := p.pending[0].Seq
 	p.mu.Unlock()
 	if oldest != 2 {
 		t.Fatalf("eviction kept epoch %d as oldest, want 2 (newest retained)", oldest)

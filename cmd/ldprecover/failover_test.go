@@ -32,7 +32,7 @@ func TestTallyPusherShutdownBounded(t *testing.T) {
 	defer close(release) // deferred LIFO: unblock handlers, then Close
 	p := newTallyPusher("fe-0", []string{hang.URL}, 10*time.Millisecond, 0)
 	p.flushTimeout = 150 * time.Millisecond
-	p.enqueue(&ldprecover.Tally{NodeID: "fe-0", Epoch: 0, Counts: make([]int64, 4), Total: 1})
+	p.enqueue(ldprecover.Epoch{Seq: 0, Counts: make([]int64, 4), Total: 1})
 	time.Sleep(50 * time.Millisecond) // let the loop start a push that will hang
 	start := time.Now()
 	err := p.close()

@@ -42,12 +42,6 @@ func (p *PartialTally) Validate() error {
 	return validateCounts("partial tally", p.NodeID, p.EpochHint, p.Users, p.Counts)
 }
 
-// Clone returns a deep copy.
-func (p *PartialTally) Clone() *PartialTally {
-	return &PartialTally{NodeID: p.NodeID, EpochHint: p.EpochHint,
-		Counts: slices.Clone(p.Counts), Users: p.Users}
-}
-
 // A partial travels in the count frame it shares with sealed tallies
 // (tally.go) under its own "LP" magic: an epoch hint and a user count
 // where a tally carries a sealed epoch and a report total. Like a

@@ -46,7 +46,6 @@ func TestPartialRoundTrip(t *testing.T) {
 
 func TestPartialMarshalRejectsInvalid(t *testing.T) {
 	d := 8
-	ok := samplePartial("n", 0, d, 4)
 	for name, mutate := range map[string]func(*PartialTally){
 		"empty-node":     func(p *PartialTally) { p.NodeID = "" },
 		"huge-node":      func(p *PartialTally) { p.NodeID = string(make([]byte, maxTallyNodeID+1)) },
@@ -55,7 +54,7 @@ func TestPartialMarshalRejectsInvalid(t *testing.T) {
 		"negative-count": func(p *PartialTally) { p.Counts[3] = -5 },
 		"tiny-domain":    func(p *PartialTally) { p.Counts = p.Counts[:1] },
 	} {
-		bad := ok.Clone()
+		bad := samplePartial("n", 0, d, 4)
 		mutate(bad)
 		if _, err := MarshalPartial(bad); !errors.Is(err, ErrCodec) {
 			t.Errorf("%s: marshal error %v, want ErrCodec", name, err)

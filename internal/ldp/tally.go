@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 )
 
@@ -66,52 +65,6 @@ func validateCounts(kind, nodeID string, epoch int, total int64, counts []int64)
 		}
 	}
 	return nil
-}
-
-// Merge folds another node's tally for the same epoch into this one.
-// The merge is exact — int64 addition of per-item counts and totals —
-// which is the whole cluster-mode guarantee: order and grouping of
-// merges cannot change the result. The node id is not merged; the
-// caller owns the identity of the combined aggregate.
-func (t *Tally) Merge(other *Tally) error {
-	if other == nil {
-		return fmt.Errorf("%w: merging a nil tally", ErrCodec)
-	}
-	return other.MergeInto(t)
-}
-
-// MergeInto folds this tally into acc, never retaining its counts.
-// The fold is exact int64 addition, so any grouping of MergeInto/Merge
-// calls over the same tallies produces the same bits;
-// CountFrame.MergeInto is the same fold from the wire bytes.
-func (t *Tally) MergeInto(acc *Tally) error {
-	if err := checkMerge(len(t.Counts), t.Epoch, acc); err != nil {
-		return err
-	}
-	for v, c := range t.Counts {
-		acc.Counts[v] += c
-	}
-	acc.Total += t.Total
-	return nil
-}
-
-// checkMerge is both MergeInto folds' shape check: a source over domain
-// d for epoch folds only into a non-nil tally of that domain and epoch.
-func checkMerge(d, epoch int, acc *Tally) error {
-	switch {
-	case acc == nil:
-		return fmt.Errorf("%w: merging into a nil tally", ErrCodec)
-	case d != len(acc.Counts):
-		return fmt.Errorf("%w: merging tallies over domains %d and %d", ErrCodec, d, len(acc.Counts))
-	case epoch != acc.Epoch:
-		return fmt.Errorf("%w: merging tallies for epochs %d and %d", ErrCodec, epoch, acc.Epoch)
-	}
-	return nil
-}
-
-// Clone returns a deep copy.
-func (t *Tally) Clone() *Tally {
-	return &Tally{NodeID: t.NodeID, Epoch: t.Epoch, Counts: slices.Clone(t.Counts), Total: t.Total}
 }
 
 // Count-frame wire format (little endian), shared by the sealed-tally
@@ -236,9 +189,11 @@ const (
 	parallelMergeGrain = 1 << 13
 )
 
-// MergeInto folds the frame into acc straight from the wire bytes,
-// exactly like Tally.MergeInto of the decoded tally, chunked across a
-// worker pool when the domain and GOMAXPROCS make that worthwhile.
+// MergeInto folds the frame into acc straight from the wire bytes:
+// exact int64 addition of the counts and the total, so any grouping of
+// folds over the same frames produces the same bits. The fold is
+// chunked across a worker pool when the domain and GOMAXPROCS make
+// that worthwhile. acc must be a tally of the frame's domain and epoch.
 func (f CountFrame) MergeInto(acc *Tally) error {
 	return f.mergeInto(acc, runtime.GOMAXPROCS(0))
 }
@@ -247,8 +202,13 @@ func (f CountFrame) MergeInto(acc *Tally) error {
 // use to force real chunking on any host.
 func (f CountFrame) mergeInto(acc *Tally, workers int) error {
 	d := f.Domain()
-	if err := checkMerge(d, f.Epoch, acc); err != nil {
-		return err
+	switch {
+	case acc == nil:
+		return fmt.Errorf("%w: merging into a nil tally", ErrCodec)
+	case d != len(acc.Counts):
+		return fmt.Errorf("%w: merging tallies over domains %d and %d", ErrCodec, d, len(acc.Counts))
+	case f.Epoch != acc.Epoch:
+		return fmt.Errorf("%w: merging tallies for epochs %d and %d", ErrCodec, f.Epoch, acc.Epoch)
 	}
 	if workers = min(workers, d/parallelMergeGrain); workers <= 1 || d < parallelMergeMin {
 		addCountBytes(acc.Counts, f.counts)

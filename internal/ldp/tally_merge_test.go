@@ -3,6 +3,7 @@ package ldp
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ldprecover/internal/rng"
@@ -18,6 +19,22 @@ func mergeTestTally(node string, epoch int, d int, seed uint64) *Tally {
 		total += counts[v]
 	}
 	return &Tally{NodeID: node, Epoch: epoch, Counts: counts, Total: total}
+}
+
+// mergeIntoRef is the reference count fold: int64 addition of a
+// decoded tally's counts and total into acc, one item at a time.
+// CountFrame.MergeInto must produce exactly its bits. acc must match
+// src's domain and epoch.
+func mergeIntoRef(src, acc *Tally) {
+	for v, c := range src.Counts {
+		acc.Counts[v] += c
+	}
+	acc.Total += src.Total
+}
+
+// cloneTally returns a deep copy of t.
+func cloneTally(t *Tally) *Tally {
+	return &Tally{NodeID: t.NodeID, Epoch: t.Epoch, Counts: slices.Clone(t.Counts), Total: t.Total}
 }
 
 // tallyFrame marshals t and returns the validated "LT" view of it.
@@ -37,16 +54,15 @@ func tallyFrame(tb testing.TB, t *Tally) CountFrame {
 // TestMergeParallelMatchesSequential pins the core property of the
 // chunked fold: for any domain size (odd, power-of-two, straddling the
 // parallel threshold) and any worker count, CountFrame.mergeInto
-// produces exactly the bits Tally.MergeInto of the decoded tally does.
+// produces exactly the bits the reference fold of the decoded tally
+// does.
 func TestMergeParallelMatchesSequential(t *testing.T) {
 	for _, d := range []int{2, 17, 1 << 10, parallelMergeMin - 1, parallelMergeMin, parallelMergeMin + 3, 1 << 16} {
 		for _, workers := range []int{1, 2, 3, 4, 8} {
 			src := mergeTestTally("child", 7, d, uint64(d)*31+uint64(workers))
 			accSeq := mergeTestTally("acc", 7, d, 0xfeed)
-			accPar := accSeq.Clone()
-			if err := src.MergeInto(accSeq); err != nil {
-				t.Fatalf("d=%d workers=%d: MergeInto: %v", d, workers, err)
-			}
+			accPar := cloneTally(accSeq)
+			mergeIntoRef(src, accSeq)
 			if err := tallyFrame(t, src).mergeInto(accPar, workers); err != nil {
 				t.Fatalf("d=%d workers=%d: CountFrame.mergeInto: %v", d, workers, err)
 			}
@@ -63,12 +79,10 @@ func TestMergeParallelMatchesSequential(t *testing.T) {
 func TestMergeParallelRepeatedFolds(t *testing.T) {
 	const d, nodes = 1<<16 + 5, 6
 	accSeq := mergeTestTally("acc", 3, d, 1)
-	accPar := accSeq.Clone()
+	accPar := cloneTally(accSeq)
 	for i := 0; i < nodes; i++ {
 		src := mergeTestTally(fmt.Sprintf("node-%d", i), 3, d, uint64(100+i))
-		if err := src.MergeInto(accSeq); err != nil {
-			t.Fatal(err)
-		}
+		mergeIntoRef(src, accSeq)
 		if err := tallyFrame(t, src).mergeInto(accPar, 4); err != nil {
 			t.Fatal(err)
 		}
@@ -78,34 +92,30 @@ func TestMergeParallelRepeatedFolds(t *testing.T) {
 	}
 }
 
-// TestMergeIntoRejects pins the validation surface shared by
-// Tally.MergeInto, CountFrame.MergeInto, and the delegating Merge.
+// TestMergeIntoRejects pins the frame fold's shape checks: it folds
+// only into a non-nil tally of the frame's domain and epoch, whatever
+// the worker count.
 func TestMergeIntoRejects(t *testing.T) {
-	src := mergeTestTally("child", 2, 16, 9)
-	frame := tallyFrame(t, src)
-	if err := src.MergeInto(nil); err == nil {
-		t.Fatal("MergeInto(nil) accepted")
-	}
+	frame := tallyFrame(t, mergeTestTally("child", 2, 16, 9))
 	if err := frame.MergeInto(nil); err == nil {
 		t.Fatal("CountFrame.MergeInto(nil) accepted")
 	}
 	wrongDomain := mergeTestTally("acc", 2, 32, 9)
-	if err := src.MergeInto(wrongDomain); err == nil {
+	if err := frame.MergeInto(wrongDomain); err == nil {
 		t.Fatal("domain mismatch accepted")
 	}
 	if err := frame.mergeInto(wrongDomain, 4); err == nil {
 		t.Fatal("parallel domain mismatch accepted")
 	}
 	wrongEpoch := mergeTestTally("acc", 3, 16, 9)
-	if err := src.MergeInto(wrongEpoch); err == nil {
+	if err := frame.MergeInto(wrongEpoch); err == nil {
 		t.Fatal("epoch mismatch accepted")
 	}
 	if err := frame.mergeInto(wrongEpoch, 4); err == nil {
 		t.Fatal("parallel epoch mismatch accepted")
 	}
-	ok := mergeTestTally("acc", 2, 16, 10)
-	if err := src.Merge(ok); err != nil {
-		t.Fatalf("Merge after delegation broke: %v", err)
+	if err := frame.MergeInto(mergeTestTally("acc", 2, 16, 10)); err != nil {
+		t.Fatalf("well-shaped fold refused: %v", err)
 	}
 }
 
@@ -165,10 +175,8 @@ func BenchmarkMergeParallel(b *testing.B) {
 				b.SetBytes(int64(8 * d))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					retained := src.Clone()
-					if err := retained.MergeInto(acc); err != nil {
-						b.Fatal(err)
-					}
+					retained := cloneTally(src)
+					mergeIntoRef(retained, acc)
 				}
 			})
 			b.Run("parallel", func(b *testing.B) {

@@ -44,7 +44,6 @@ func TestTallyRoundTrip(t *testing.T) {
 
 func TestTallyMarshalRejectsInvalid(t *testing.T) {
 	d := 8
-	ok := sampleTally("n", 0, d, 4)
 	for name, mutate := range map[string]func(*Tally){
 		"empty-node":     func(t *Tally) { t.NodeID = "" },
 		"huge-node":      func(t *Tally) { t.NodeID = string(make([]byte, maxTallyNodeID+1)) },
@@ -53,7 +52,7 @@ func TestTallyMarshalRejectsInvalid(t *testing.T) {
 		"negative-count": func(t *Tally) { t.Counts[3] = -5 },
 		"tiny-domain":    func(t *Tally) { t.Counts = t.Counts[:1] },
 	} {
-		bad := ok.Clone()
+		bad := sampleTally("n", 0, d, 4)
 		mutate(bad)
 		if _, err := MarshalTally(bad); !errors.Is(err, ErrCodec) {
 			t.Errorf("%s: marshal error %v, want ErrCodec", name, err)
@@ -109,7 +108,7 @@ func TestTallyMergeExact(t *testing.T) {
 	for _, order := range [][]int{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}} {
 		got := &Tally{NodeID: "union", Epoch: 7, Counts: make([]int64, d)}
 		for _, i := range order {
-			if err := got.Merge(parts[i]); err != nil {
+			if err := tallyFrame(t, parts[i]).MergeInto(got); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -118,13 +117,13 @@ func TestTallyMergeExact(t *testing.T) {
 		}
 	}
 	// Mismatched shapes fail loudly.
-	if err := want.Merge(sampleTally("x", 7, d+1, 13)); !errors.Is(err, ErrCodec) {
+	if err := tallyFrame(t, sampleTally("x", 7, d+1, 13)).MergeInto(want); !errors.Is(err, ErrCodec) {
 		t.Fatalf("domain mismatch merge: %v", err)
 	}
-	if err := want.Merge(sampleTally("x", 8, d, 13)); !errors.Is(err, ErrCodec) {
+	if err := tallyFrame(t, sampleTally("x", 8, d, 13)).MergeInto(want); !errors.Is(err, ErrCodec) {
 		t.Fatalf("epoch mismatch merge: %v", err)
 	}
-	if err := want.Merge(nil); !errors.Is(err, ErrCodec) {
+	if err := tallyFrame(t, parts[0]).MergeInto(nil); !errors.Is(err, ErrCodec) {
 		t.Fatalf("nil merge: %v", err)
 	}
 }
@@ -160,16 +159,14 @@ func FuzzUnmarshalTally(f *testing.F) {
 			return
 		}
 		want := &Tally{Epoch: tally.Epoch, Counts: make([]int64, len(tally.Counts))}
-		if err := tally.MergeInto(want); err != nil {
-			t.Fatal(err)
-		}
+		mergeIntoRef(tally, want)
 		for _, workers := range []int{1, 4} {
 			got := &Tally{Epoch: tally.Epoch, Counts: make([]int64, len(tally.Counts))}
 			if err := view.mergeInto(got, workers); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d: CountFrame.mergeInto diverged from Tally.MergeInto", workers)
+				t.Fatalf("workers=%d: CountFrame.mergeInto diverged from the reference fold", workers)
 			}
 		}
 		frame, err := MarshalTally(tally)

@@ -40,15 +40,15 @@ type exactScope struct {
 // (ldp, stream, persist), not import path, so analysistest fixtures can
 // reproduce the scope.
 var exactScopes = []exactScope{
-	// The sealed-tally folds, decoded and from the wire bytes, and the
-	// one loop every fold from count-frame bytes runs.
+	// Merges on a sealed tally or on its wire view, and the one loop
+	// every fold from count-frame bytes runs.
 	{pkg: "ldp", recv: "Tally", name: regexp.MustCompile(`(?i)^merge`)},
 	{pkg: "ldp", recv: "CountFrame", name: regexp.MustCompile(`(?i)^merge`)},
 	{pkg: "ldp", recv: "", name: regexp.MustCompile(`^addCountBytes$`)},
-	// The root's tally accept paths, the merge-on-arrival hand-off, the
+	// The root's tally accept path, the merge-on-arrival hand-off, the
 	// partial-tally folds (decoded and from the wire bytes), and the
 	// report-batch fold from a validated view.
-	{pkg: "stream", recv: "", name: regexp.MustCompile(`^(MergeSealed|MergeFrame|SealCounts|AddPartial|AddPartialFrame|AddReportFrame)$`)},
+	{pkg: "stream", recv: "", name: regexp.MustCompile(`^(MergeFrame|SealCounts|AddPartial|AddPartialFrame|AddReportFrame)$`)},
 	// WAL replay: everything that re-folds logged records at boot.
 	{pkg: "persist", recv: "", name: regexp.MustCompile(`(?i)replay|^apply`)},
 }

@@ -1,7 +1,6 @@
-// Fixture for the exactfold analyzer, stream scope: the MergeSealed /
-// MergeFrame accept paths and the SealCounts / AddPartial /
-// AddPartialFrame / AddReportFrame hand-off into the epoch manager must
-// stay float-free.
+// Fixture for the exactfold analyzer, stream scope: the MergeFrame
+// accept path and the SealCounts / AddPartial / AddPartialFrame /
+// AddReportFrame hand-off into the epoch manager must stay float-free.
 package stream
 
 import "math"
@@ -47,13 +46,6 @@ func AddReportFrame(e *epoch, supports []int, reports int) {
 func MergeFrame(e *epoch, wire []uint64, share float64) {
 	for i := range wire {
 		e.counts[i] += int64(share * float64(wire[i])) // want "conversion to float64" "floating-point arithmetic"
-	}
-}
-
-// MergeSealed is the exact form.
-func MergeSealed(e *epoch, counts []int64) {
-	for i := range counts {
-		e.counts[i] += counts[i]
 	}
 }
 

@@ -24,6 +24,20 @@ func failoverStreamConfig(d int) stream.Config {
 	}
 }
 
+// mergeTally submits t to sm the way the root's tally endpoint does:
+// marshal, validate the frame, merge the view.
+func mergeTally(sm *stream.SealedMerger, t *ldp.Tally) (stream.SubmitResult, error) {
+	frame, err := ldp.MarshalTally(t)
+	if err != nil {
+		return stream.SubmitResult{}, err
+	}
+	f, err := ldp.ValidateTallyFrame(frame)
+	if err != nil {
+		return stream.SubmitResult{}, err
+	}
+	return sm.MergeFrame(f)
+}
+
 func TestSealLogAppendReplayAndTornTail(t *testing.T) {
 	dir := t.TempDir()
 	log, err := OpenSealLog(dir)
@@ -188,7 +202,7 @@ func TestStandbyTailerTracksRootAndPromotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := AttachSnapshotStore(dir, rootMgr, 4)
+	snaps, err := AttachSnapshotStore(dir, rootMgr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +238,7 @@ func TestStandbyTailerTracksRootAndPromotes(t *testing.T) {
 		t.Helper()
 		for _, n := range merger.Nodes() {
 			tl := tally(n, e)
-			if _, err := merger.MergeSealed(tl); err != nil {
+			if _, err := mergeTally(merger, tl); err != nil {
 				t.Fatal(err)
 			}
 			sent = append(sent, tl)
@@ -277,7 +291,7 @@ func TestStandbyTailerTracksRootAndPromotes(t *testing.T) {
 
 	// The root dies mid-epoch 3: fe-0's tally is in flight, nothing of
 	// epoch 3 is persisted.
-	if _, err := merger.MergeSealed(tally("fe-0", 3)); err != nil {
+	if _, err := mergeTally(merger, tally("fe-0", 3)); err != nil {
 		t.Fatal(err)
 	}
 	wantEst := func() *stream.WindowEstimate {
@@ -296,7 +310,7 @@ func TestStandbyTailerTracksRootAndPromotes(t *testing.T) {
 				if e < 2 && n == "fe-2" {
 					continue
 				}
-				if _, err := ref.MergeSealed(tally(n, e)); err != nil {
+				if _, err := mergeTally(ref, tally(n, e)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -324,7 +338,7 @@ func TestStandbyTailerTracksRootAndPromotes(t *testing.T) {
 	// Frontends re-send everything unacked and then some: every sealed
 	// tally dedupes, the lost in-flight one merges fresh.
 	for _, tl := range sent {
-		res, err := promoted.MergeSealed(tl.Clone())
+		res, err := mergeTally(promoted, tl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +347,7 @@ func TestStandbyTailerTracksRootAndPromotes(t *testing.T) {
 		}
 	}
 	for _, n := range []string{"fe-0", "fe-1", "fe-2"} {
-		if _, err := promoted.MergeSealed(tally(n, 3)); err != nil {
+		if _, err := mergeTally(promoted, tally(n, 3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -386,7 +400,7 @@ func TestStandbyPollLeavesRootTempFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := AttachSnapshotStore(dir, rootMgr, 2)
+	snaps, err := AttachSnapshotStore(dir, rootMgr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,9 +28,8 @@ import (
 // into a tally-merging root (or logging tally frames into a report WAL)
 // would silently corrupt the merged state.
 type SnapshotStore struct {
-	mgr  *stream.EpochManager
-	dir  string
-	keep int
+	mgr *stream.EpochManager
+	dir string
 
 	mu     sync.Mutex
 	closed bool
@@ -40,14 +39,11 @@ type SnapshotStore struct {
 // manager whose state is already live: the one a StandbyTailer restored
 // from the very snapshots this store will keep writing, when a root
 // boots over its own directory or a standby promotes. It restores
-// nothing itself. keep <= 0 selects DefaultKeepSnapshots. dir must not
-// hold a report-level WAL.
-func AttachSnapshotStore(dir string, mgr *stream.EpochManager, keep int) (*SnapshotStore, error) {
+// nothing itself. It retains DefaultKeepSnapshots generations. dir must
+// not hold a report-level WAL.
+func AttachSnapshotStore(dir string, mgr *stream.EpochManager) (*SnapshotStore, error) {
 	if mgr == nil {
 		return nil, errors.New("persist: nil epoch manager")
-	}
-	if keep <= 0 {
-		keep = DefaultKeepSnapshots
 	}
 	walDir := filepath.Join(dir, "wal")
 	if segs, err := listSegments(walDir); err == nil && len(segs) > 0 {
@@ -60,7 +56,7 @@ func AttachSnapshotStore(dir string, mgr *stream.EpochManager, keep int) (*Snaps
 	if err := os.MkdirAll(filepath.Join(dir, "snap"), 0o755); err != nil {
 		return nil, err
 	}
-	return &SnapshotStore{mgr: mgr, dir: dir, keep: keep}, nil
+	return &SnapshotStore{mgr: mgr, dir: dir}, nil
 }
 
 // Manager returns the manager this store persists.
@@ -81,7 +77,7 @@ func (s *SnapshotStore) Persist() error {
 	if _, err := WriteSnapshot(snapDir, 0, s.mgr.SnapshotState()); err != nil {
 		return err
 	}
-	return pruneSnapshots(snapDir, s.keep)
+	return pruneSnapshots(snapDir)
 }
 
 // Close rejects further persists. There is nothing to flush — every

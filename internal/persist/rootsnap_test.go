@@ -29,7 +29,7 @@ func rootTestManager(t *testing.T) *stream.EpochManager {
 // StandbyTailer restores the newest snapshot into mgr, Promote wraps it
 // in a merger, and AttachSnapshotStore takes over the per-seal writes.
 // restored is the restored snapshot's seal count, 0 on a cold start.
-func bootRoot(dir string, mgr *stream.EpochManager, keep int) (store *SnapshotStore, restored int, err error) {
+func bootRoot(dir string, mgr *stream.EpochManager) (store *SnapshotStore, restored int, err error) {
 	tailer, err := NewStandbyTailer(dir, func() (*stream.EpochManager, error) { return mgr, nil })
 	if err != nil {
 		return nil, 0, err
@@ -39,7 +39,7 @@ func bootRoot(dir string, mgr *stream.EpochManager, keep int) (store *SnapshotSt
 		return nil, 0, err
 	}
 	restored, _ = tailer.SnapshotSeq()
-	store, err = AttachSnapshotStore(dir, merger.Manager(), keep)
+	store, err = AttachSnapshotStore(dir, merger.Manager())
 	return store, restored, err
 }
 
@@ -49,7 +49,7 @@ func bootRoot(dir string, mgr *stream.EpochManager, keep int) (store *SnapshotSt
 func TestSnapshotStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	mgr := rootTestManager(t)
-	store, restored, err := bootRoot(dir, mgr, 2)
+	store, restored, err := bootRoot(dir, mgr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestSnapshotStoreRoundTrip(t *testing.T) {
 	want := mgr.Latest()
 
 	mgr2 := rootTestManager(t)
-	if _, restored, err = bootRoot(dir, mgr2, 2); err != nil {
+	if _, restored, err = bootRoot(dir, mgr2); err != nil {
 		t.Fatal(err)
 	}
 	if restored != 3 {
@@ -117,7 +117,7 @@ func TestSnapshotStoreRejectsReportWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, err = bootRoot(dir, rootTestManager(t), 2)
+	_, _, err = bootRoot(dir, rootTestManager(t))
 	if err == nil {
 		t.Fatal("root snapshot store opened over a report-level WAL")
 	}

@@ -350,10 +350,11 @@ func validSnapshots(dir string) ([]snapMeta, error) {
 	return metas, nil
 }
 
-// pruneSnapshots deletes all but the newest keep snapshot files, and
-// the temp files of interrupted writes. Only the directory's one writer
-// calls it, after its own write has been renamed into place.
-func pruneSnapshots(dir string, keep int) error {
+// pruneSnapshots deletes all but the newest DefaultKeepSnapshots
+// snapshot files, and the temp files of interrupted writes. Only the
+// directory's one writer calls it, after its own write has been renamed
+// into place.
+func pruneSnapshots(dir string) error {
 	tmps, err := filepath.Glob(filepath.Join(dir, snapPrefix+"*"+snapSuffix+".tmp"))
 	if err != nil {
 		return err
@@ -365,7 +366,7 @@ func pruneSnapshots(dir string, keep int) error {
 	if err != nil {
 		return err
 	}
-	for _, sf := range snaps[min(keep, len(snaps)):] {
+	for _, sf := range snaps[min(DefaultKeepSnapshots, len(snaps)):] {
 		if err := os.Remove(sf.path); err != nil {
 			return err
 		}

@@ -17,14 +17,11 @@ type Options struct {
 	// SegmentBytes and SyncEvery are the WAL knobs; see WALOptions.
 	SegmentBytes int64
 	SyncEvery    int
-	// KeepSnapshots is how many snapshot generations to retain; zero
-	// selects 2 (the newest plus one fallback should the newest be
-	// damaged after the fact).
-	KeepSnapshots int
 }
 
-// DefaultKeepSnapshots is the retention when Options leaves
-// KeepSnapshots zero.
+// DefaultKeepSnapshots is how many snapshot generations a store
+// retains: the newest plus one fallback should the newest be damaged
+// after the fact.
 const DefaultKeepSnapshots = 2
 
 // RestoreInfo summarizes what Open reconstructed.
@@ -63,10 +60,9 @@ type RestoreInfo struct {
 // between snapshot rename and WAL truncation double-applies nothing,
 // because replay skips records the snapshot position covers.
 type Store struct {
-	mgr  *stream.EpochManager
-	wal  *WAL
-	dir  string
-	opts Options
+	mgr *stream.EpochManager
+	wal *WAL
+	dir string
 
 	// mu: appends hold it shared (the WAL serializes appends, the
 	// manager handles concurrent folds), Seal holds it exclusive so
@@ -97,17 +93,11 @@ func Open(dir string, mgr *stream.EpochManager, opts Options) (*Store, error) {
 	if mgr == nil {
 		return nil, errors.New("persist: nil epoch manager")
 	}
-	if opts.KeepSnapshots == 0 {
-		opts.KeepSnapshots = DefaultKeepSnapshots
-	}
-	if opts.KeepSnapshots < 1 {
-		return nil, fmt.Errorf("persist: snapshot retention %d < 1", opts.KeepSnapshots)
-	}
 	snapDir := filepath.Join(dir, "snap")
 	if err := os.MkdirAll(snapDir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{mgr: mgr, dir: dir, opts: opts}
+	s := &Store{mgr: mgr, dir: dir}
 
 	walSeq, state, found, err := LoadLatestSnapshot(snapDir)
 	if err != nil {
@@ -327,10 +317,10 @@ func (s *Store) Seal() (*stream.WindowEstimate, error) {
 		return est, err
 	}
 	s.snaps = append(s.snaps, snapMeta{seq: state.Seq, walSeq: walSeq})
-	if len(s.snaps) > s.opts.KeepSnapshots {
-		s.snaps = s.snaps[len(s.snaps)-s.opts.KeepSnapshots:]
+	if len(s.snaps) > DefaultKeepSnapshots {
+		s.snaps = s.snaps[len(s.snaps)-DefaultKeepSnapshots:]
 	}
-	if err := pruneSnapshots(filepath.Join(s.dir, "snap"), s.opts.KeepSnapshots); err != nil {
+	if err := pruneSnapshots(filepath.Join(s.dir, "snap")); err != nil {
 		return est, err
 	}
 	// Truncate only through the *oldest retained* snapshot's position:

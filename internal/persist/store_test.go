@@ -143,19 +143,19 @@ func TestSnapshotWriteLoadPrune(t *testing.T) {
 	}
 
 	// A leftover temp file from an interrupted write is swept, and
-	// pruning keeps only the newest two.
+	// pruning keeps only the newest DefaultKeepSnapshots.
 	if err := os.WriteFile(filepath.Join(dir, snapPrefix+"zzz"+snapSuffix+".tmp"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := pruneSnapshots(dir, 2); err != nil {
+	if err := pruneSnapshots(dir); err != nil {
 		t.Fatal(err)
 	}
 	snaps, err = listSnapshots(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) != 2 {
-		t.Fatalf("%d snapshots after pruning, want 2", len(snaps))
+	if len(snaps) != DefaultKeepSnapshots {
+		t.Fatalf("%d snapshots after pruning, want %d", len(snaps), DefaultKeepSnapshots)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -703,9 +703,6 @@ func TestStoreClosedAndInvalid(t *testing.T) {
 	mgr, err := stream.NewEpochManager(stream.Config{Params: proto.Params()})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := Open(t.TempDir(), mgr, Options{KeepSnapshots: -1}); err == nil {
-		t.Fatal("negative snapshot retention accepted")
 	}
 	store, err := Open(t.TempDir(), mgr, Options{})
 	if err != nil {

@@ -39,7 +39,7 @@ func TestSealedMergerJoinLeaveBoundaries(t *testing.T) {
 	}
 
 	// The barrier starts filling: a new join waits for the boundary.
-	if _, err := merger.MergeSealed(nodeTally("a", 0, d, 1, 0)); err != nil {
+	if _, err := mergeTally(merger, nodeTally("a", 0, d, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if eff, err := merger.Join("late"); err != nil || eff != 1 {
@@ -49,11 +49,11 @@ func TestSealedMergerJoinLeaveBoundaries(t *testing.T) {
 		t.Fatalf("mid-barrier join mutated the current barrier: %v", got)
 	}
 	// ...and its tally for the barrier epoch is rejected: not a member yet.
-	if _, err := merger.MergeSealed(nodeTally("late", 0, d, 2, 0)); err == nil {
+	if _, err := mergeTally(merger, nodeTally("late", 0, d, 2, 0)); err == nil {
 		t.Fatal("pre-membership tally accepted")
 	}
 	// But its tally for the effective epoch waits at the barrier fine.
-	if res, err := merger.MergeSealed(nodeTally("late", 1, d, 3, 0)); err != nil || res.Ready {
+	if res, err := mergeTally(merger, nodeTally("late", 1, d, 3, 0)); err != nil || res.Ready {
 		t.Fatalf("tally for join epoch: res=%+v err=%v", res, err)
 	}
 
@@ -75,7 +75,7 @@ func TestSealedMergerJoinLeaveBoundaries(t *testing.T) {
 
 	// Close the barrier: b and c complete epoch 0 (a already delivered).
 	for _, n := range []string{"b", "c"} {
-		if _, err := merger.MergeSealed(nodeTally(n, 0, d, 4, 0)); err != nil {
+		if _, err := mergeTally(merger, nodeTally(n, 0, d, 4, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,11 +91,11 @@ func TestSealedMergerJoinLeaveBoundaries(t *testing.T) {
 		t.Fatalf("members after boundary: %v", got)
 	}
 	// a's re-sent epoch-0 tally (at-least-once tail) dedupes harmlessly...
-	if res, err := merger.MergeSealed(nodeTally("a", 0, d, 1, 0)); err != nil || !res.Duplicate {
+	if res, err := mergeTally(merger, nodeTally("a", 0, d, 1, 0)); err != nil || !res.Duplicate {
 		t.Fatalf("ex-member re-send: res=%+v err=%v", res, err)
 	}
 	// ...but a fresh tally from the ex-member is rejected.
-	if _, err := merger.MergeSealed(nodeTally("a", 1, d, 5, 0)); err == nil {
+	if _, err := mergeTally(merger, nodeTally("a", 1, d, 5, 0)); err == nil {
 		t.Fatal("post-departure tally accepted")
 	}
 
@@ -111,7 +111,7 @@ func TestSealedMergerJoinLeaveBoundaries(t *testing.T) {
 	}
 
 	// A scheduled join cancelled by a leave never becomes a member.
-	if _, err := merger.MergeSealed(nodeTally("late", 1, d, 6, 0)); err != nil {
+	if _, err := mergeTally(merger, nodeTally("late", 1, d, 6, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if eff, err := merger.Join("flaky"); err != nil || eff != 2 {
@@ -142,7 +142,7 @@ func TestSealedMergerLeaveCompletesBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	tally := nodeTally("a", 0, d, 1, 0)
-	if res, err := merger.MergeSealed(tally); err != nil || res.Ready {
+	if res, err := mergeTally(merger, tally); err != nil || res.Ready {
 		t.Fatalf("submit a: res=%+v err=%v", res, err)
 	}
 	eff, ready, err := merger.Leave("b", 0)
@@ -172,7 +172,7 @@ func TestSealedMergerMembershipExportRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := merger.MergeSealed(nodeTally("a", 0, d, 1, 0)); err != nil {
+	if _, err := mergeTally(merger, nodeTally("a", 0, d, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if eff, err := merger.Join("c"); err != nil || eff != 1 {
@@ -216,7 +216,7 @@ func TestSealedMergerMembershipExportRestore(t *testing.T) {
 	}
 	// Epoch 0 replays under the old membership, epoch 1 expects c too.
 	for _, n := range []string{"a", "b"} {
-		if _, err := restored.MergeSealed(nodeTally(n, 0, d, 1, 0)); err != nil {
+		if _, err := mergeTally(restored, nodeTally(n, 0, d, 1, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -259,7 +259,7 @@ func TestSealedMergerAccessorAliasing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []string{"a", "b"} {
-		if _, err := merger.MergeSealed(nodeTally(n, 0, d, 1, 0)); err != nil {
+		if _, err := mergeTally(merger, nodeTally(n, 0, d, 1, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -402,10 +402,8 @@ func churnConvergence(t *testing.T, seed uint64) {
 				continue // n crashed this epoch: no delivery, straggler policy applies
 			}
 			tally := nodeTally(n, e, d, nodeSeed(n), spike)
-			if err := union.Merge(tally); err != nil {
-				t.Fatal(err)
-			}
-			if res, err := merger.MergeSealed(tally); err != nil || res.Duplicate {
+			addTally(union, tally)
+			if res, err := mergeTally(merger, tally); err != nil || res.Duplicate {
 				t.Fatalf("epoch %d node %s: res=%+v err=%v", e, n, res, err)
 			}
 			delivered = append(delivered, tally)
@@ -425,7 +423,7 @@ func churnConvergence(t *testing.T, seed uint64) {
 		if len(delivered) > 0 && r.Uint64()%3 == 0 {
 			old := delivered[r.Uint64()%uint64(len(delivered))]
 			if old.Epoch < e {
-				if res, err := merger.MergeSealed(old.Clone()); err != nil || !res.Duplicate {
+				if res, err := mergeTally(merger, old); err != nil || !res.Duplicate {
 					t.Fatalf("epoch %d: re-send of %s/%d res=%+v err=%v", e, old.NodeID, old.Epoch, res, err)
 				}
 			}
@@ -503,10 +501,8 @@ func TestSealedMergerPromotionDedupeIdempotence(t *testing.T) {
 		union := &ldp.Tally{NodeID: "union", Epoch: e, Counts: make([]int64, d)}
 		for _, n := range m.Nodes() {
 			tally := nodeTally(n, e, d, nodeSeed(n), 0)
-			if err := union.Merge(tally); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := m.MergeSealed(tally); err != nil {
+			addTally(union, tally)
+			if _, err := mergeTally(m, tally); err != nil {
 				t.Fatal(err)
 			}
 			sent = append(sent, tally)
@@ -565,7 +561,7 @@ func TestSealedMergerPromotionDedupeIdempotence(t *testing.T) {
 	// Frontends re-send their whole retained ring at failover; every
 	// already-merged tally must dedupe to a no-op.
 	for _, tally := range sent {
-		res, err := rootB.MergeSealed(tally.Clone())
+		res, err := mergeTally(rootB, tally)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -386,18 +386,6 @@ func (sm *SealedMerger) Leave(node string, from int) (effective int, ready bool,
 	return effective, false, nil
 }
 
-// MergeSealed is MergeFrame for a tally built in memory: it validates
-// the tally, then makes the same checks with the same result.
-func (sm *SealedMerger) MergeSealed(t *ldp.Tally) (SubmitResult, error) {
-	if t == nil {
-		return SubmitResult{}, fmt.Errorf("stream: merging a nil tally")
-	}
-	if err := t.Validate(); err != nil {
-		return SubmitResult{}, err
-	}
-	return sm.accept(t.NodeID, t.Epoch, len(t.Counts), t.Total, t.MergeInto)
-}
-
 // MergeFrame is the root's ingest path: it folds one frontend's sealed
 // tally, as validated by ldp.ValidateTallyFrame, into the pending epoch
 // it belongs to straight from the wire bytes. Duplicates — by (node,
@@ -408,12 +396,7 @@ func (sm *SealedMerger) MergeSealed(t *ldp.Tally) (SubmitResult, error) {
 // for the tally's epoch, domain mismatches, and epochs absurdly far
 // past the barrier are errors.
 func (sm *SealedMerger) MergeFrame(f ldp.CountFrame) (SubmitResult, error) {
-	return sm.accept(f.NodeID, f.Epoch, f.Domain(), f.Total, f.MergeInto)
-}
-
-// accept is MergeSealed's and MergeFrame's one body: the barrier's
-// checks on a tally's header, then fold into its epoch's accumulator.
-func (sm *SealedMerger) accept(node string, epoch, domain int, total int64, fold func(acc *ldp.Tally) error) (SubmitResult, error) {
+	node, epoch, domain := f.NodeID, f.Epoch, f.Domain()
 	if d := sm.mgr.Domain(); domain != d {
 		return SubmitResult{}, fmt.Errorf("stream: tally from %q has domain %d, root serves %d",
 			node, domain, d)
@@ -467,10 +450,10 @@ func (sm *SealedMerger) accept(node string, epoch, domain int, total int64, fold
 	// Merge-on-arrival: fold the tally into the epoch's accumulator now
 	// and keep only its accounting entry — the seal becomes a hand-off
 	// instead of a re-merge, and nothing else of the tally is retained.
-	if err := fold(pe.acc); err != nil {
+	if err := f.MergeInto(pe.acc); err != nil {
 		return res, err
 	}
-	pe.nodes[node] = total
+	pe.nodes[node] = f.Total
 	res.Ready = sm.barrierCompleteLocked()
 	return res, nil
 }

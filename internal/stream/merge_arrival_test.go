@@ -85,45 +85,6 @@ func TestSealCountsRejects(t *testing.T) {
 	}
 }
 
-// TestMergeSealedAcceptAllocFree is the allocation regression test for
-// the accept path: after an epoch's first tally has set up the
-// accumulator and the pre-sized accounting map, accepting further
-// tallies — the steady state under high fan-in — allocates nothing.
-// The old path retained per-node state per tally; merge-on-arrival
-// folds and forgets.
-func TestMergeSealedAcceptAllocFree(t *testing.T) {
-	const d, members, runs = 64, 80, 64
-	nodes := make([]string, members)
-	for i := range nodes {
-		nodes[i] = fmt.Sprintf("fe-%02d", i)
-	}
-	mgr, err := NewEpochManager(mergerConfig(d))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm, err := NewSealedMerger(mgr, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tallies := make([]*ldp.Tally, members)
-	for i, n := range nodes {
-		tallies[i] = nodeTally(n, 0, d, uint64(i), 0)
-	}
-	next := 0
-	avg := testing.AllocsPerRun(runs, func() {
-		// One fresh (node, epoch-0) accept per run; the warm-up call
-		// pays the epoch's setup. The barrier never completes (members
-		// > runs+1), so every call exercises the steady accept path.
-		if _, err := sm.MergeSealed(tallies[next]); err != nil {
-			t.Fatal(err)
-		}
-		next++
-	})
-	if avg != 0 {
-		t.Fatalf("accept path allocates %.1f objects per tally, want 0", avg)
-	}
-}
-
 // validTallyFrame marshals t and returns the validated view the root's
 // tally endpoint would merge.
 func validTallyFrame(tb testing.TB, t *ldp.Tally) ldp.CountFrame {
@@ -139,9 +100,12 @@ func validTallyFrame(tb testing.TB, t *ldp.Tally) ldp.CountFrame {
 	return f
 }
 
-// TestMergeFrameAcceptAllocFree is TestMergeSealedAcceptAllocFree for
-// the wire lane the root takes: once an epoch's first tally has set up
-// its accumulator, merging a further validated frame allocates nothing.
+// TestMergeFrameAcceptAllocFree is the allocation regression test for
+// the root's accept path: after an epoch's first tally has set up the
+// accumulator and the pre-sized accounting map, merging a further
+// validated frame — the steady state under high fan-in — allocates
+// nothing. Merge-on-arrival folds and forgets; no per-node state is
+// retained per tally.
 func TestMergeFrameAcceptAllocFree(t *testing.T) {
 	const d, members, runs = 64, 80, 64
 	nodes := make([]string, members)
@@ -162,88 +126,16 @@ func TestMergeFrameAcceptAllocFree(t *testing.T) {
 	}
 	next := 0
 	avg := testing.AllocsPerRun(runs, func() {
+		// One fresh (node, epoch-0) accept per run; the warm-up call
+		// pays the epoch's setup. The barrier never completes (members
+		// > runs+1), so every call exercises the steady accept path.
 		if _, err := sm.MergeFrame(frames[next]); err != nil {
 			t.Fatal(err)
 		}
 		next++
 	})
 	if avg != 0 {
-		t.Fatalf("frame accept path allocates %.1f objects per tally, want 0", avg)
-	}
-}
-
-// TestMergeFrameMatchesMergeSealed feeds two mergers the same
-// submissions, one as decoded tallies through MergeSealed and one as
-// validated frames through MergeFrame: a virgin-root adoption, re-sends
-// before and after the seal, a stranger, a domain mismatch, an epoch
-// past maxEpochLead, an early tally for a later epoch, complete and
-// forced seals. Every submission must give the same result and the same
-// error/no-error outcome, and every seal bit-identical estimates and
-// accounting.
-func TestMergeFrameMatchesMergeSealed(t *testing.T) {
-	const d = 32
-	nodes := []string{"a", "b", "c"}
-	newMerger := func() *SealedMerger {
-		mgr, err := NewEpochManager(mergerConfig(d))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sm, err := NewSealedMerger(mgr, nodes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sm
-	}
-	decoded, wire := newMerger(), newMerger()
-	step := 0
-	submit := func(node string, epoch, dom int) {
-		t.Helper()
-		step++
-		tl := nodeTally(node, epoch, dom, uint64(step), int64(40*epoch))
-		want, wantErr := decoded.MergeSealed(tl)
-		got, gotErr := wire.MergeFrame(validTallyFrame(t, tl))
-		if (gotErr == nil) != (wantErr == nil) || got != want {
-			t.Fatalf("step %d (%s@%d): MergeFrame %+v, %v; MergeSealed %+v, %v",
-				step, node, epoch, got, gotErr, want, wantErr)
-		}
-	}
-	seal := func(force bool) {
-		t.Helper()
-		sealFn := func(sm *SealedMerger) (*WindowEstimate, *MergedEpoch, error) {
-			if force {
-				return sm.SealPartial()
-			}
-			return sm.TrySeal()
-		}
-		wantEst, wantInfo, wantErr := sealFn(decoded)
-		gotEst, gotInfo, gotErr := sealFn(wire)
-		if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(gotEst, wantEst) ||
-			!reflect.DeepEqual(gotInfo, wantInfo) {
-			t.Fatalf("seal after step %d diverged: %v / %v", step, gotErr, wantErr)
-		}
-	}
-	submit("a", 5, d) // virgin root adopts epoch 5
-	submit("a", 5, d) // re-send before the seal
-	submit("z", 5, d) // stranger
-	submit("b", 5, d+1)
-	submit("b", 5, d)
-	submit("c", 7, d) // early tally two epochs ahead
-	submit("c", 5, d) // completes the barrier
-	seal(false)
-	submit("b", 5, d) // re-send after the seal
-	submit("a", 6+maxEpochLead, d)
-	submit("a", 6, d)
-	seal(false) // barrier still open: no seal
-	seal(true)  // forced partial seal of epoch 6
-	submit("b", 7, d)
-	submit("a", 7, d)
-	seal(false)
-	if !reflect.DeepEqual(wire.Merged(), decoded.Merged()) ||
-		wire.Duplicates() != decoded.Duplicates() || wire.SealedThrough() != decoded.SealedThrough() {
-		t.Fatal("merge accounting diverged between MergeFrame and MergeSealed")
-	}
-	if wire.SealedThrough() != 8 {
-		t.Fatalf("sealed through %d, want 8", wire.SealedThrough())
+		t.Fatalf("accept path allocates %.1f objects per tally, want 0", avg)
 	}
 }
 
@@ -263,7 +155,7 @@ func TestMergedEpochNodeTotals(t *testing.T) {
 	a := nodeTally("fe-0", 0, d, 1, 0)
 	b := nodeTally("fe-1", 0, d, 2, 0)
 	for _, tl := range []*ldp.Tally{a, b} {
-		if _, err := sm.MergeSealed(tl); err != nil {
+		if _, err := mergeTally(sm, tl); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -324,7 +216,7 @@ func BenchmarkRootSealLatency(b *testing.B) {
 				epoch := sm.SealedThrough()
 				for _, tl := range tallies {
 					tl.Epoch = epoch
-					if _, err := sm.MergeSealed(tl); err != nil {
+					if _, err := mergeTally(sm, tl); err != nil {
 						b.Fatal(err)
 					}
 				}

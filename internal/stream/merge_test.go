@@ -33,6 +33,30 @@ func nodeTally(node string, epoch, d int, seed uint64, spike int64) *ldp.Tally {
 	return t
 }
 
+// mergeTally submits t to sm the way the root's tally endpoint does:
+// marshal, validate the frame, merge the view. It returns every error
+// rather than failing the test, so refusals stay observable.
+func mergeTally(sm *SealedMerger, t *ldp.Tally) (SubmitResult, error) {
+	frame, err := ldp.MarshalTally(t)
+	if err != nil {
+		return SubmitResult{}, err
+	}
+	f, err := ldp.ValidateTallyFrame(frame)
+	if err != nil {
+		return SubmitResult{}, err
+	}
+	return sm.MergeFrame(f)
+}
+
+// addTally folds t into union by plain int64 addition: the single-node
+// aggregate a merger's output is compared against.
+func addTally(union, t *ldp.Tally) {
+	for v, c := range t.Counts {
+		union.Counts[v] += c
+	}
+	union.Total += t.Total
+}
+
 func mergerConfig(d int) Config {
 	return Config{
 		Params:      mergeTestParams(d),
@@ -75,10 +99,8 @@ func TestSealedMergerBitIdenticalToSingleNode(t *testing.T) {
 		union := &ldp.Tally{NodeID: "union", Epoch: e, Counts: make([]int64, d)}
 		for i, n := range nodes {
 			tally := nodeTally(n, e, d, uint64(i+1)*7919, spike)
-			if err := union.Merge(tally); err != nil {
-				t.Fatal(err)
-			}
-			res, err := merger.MergeSealed(tally)
+			addTally(union, tally)
+			res, err := mergeTally(merger, tally)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,7 +271,7 @@ func TestSealedMergerTreeBitIdenticalToSingleNode(t *testing.T) {
 				parts := dealTallies(unions[e], totals[e], e, leaves)
 				for i, mid := range mids {
 					for range mid.leaves {
-						if _, err := mid.sm.MergeSealed(parts[0]); err != nil {
+						if _, err := mergeTally(mid.sm, parts[0]); err != nil {
 							t.Fatal(err)
 						}
 						parts = parts[1:]
@@ -259,7 +281,7 @@ func TestSealedMergerTreeBitIdenticalToSingleNode(t *testing.T) {
 					}
 					ring := mid.sm.Manager().Epochs()
 					sealed := ring[len(ring)-1]
-					if _, err := root.MergeSealed(&ldp.Tally{
+					if _, err := mergeTally(root, &ldp.Tally{
 						NodeID: midIDs[i], Epoch: sealed.Seq, Counts: sealed.Counts, Total: sealed.Total,
 					}); err != nil {
 						t.Fatal(err)
@@ -293,7 +315,7 @@ func TestSealedMergerStragglerAccounting(t *testing.T) {
 	t0 := nodeTally("fe-0", 0, d, 1, 0)
 	t2 := nodeTally("fe-2", 0, d, 3, 0)
 	for _, tally := range []*ldp.Tally{t0, t2} {
-		if res, err := merger.MergeSealed(tally); err != nil || res.Duplicate || res.Ready {
+		if res, err := mergeTally(merger, tally); err != nil || res.Duplicate || res.Ready {
 			t.Fatalf("submit %s: res=%+v err=%v", tally.NodeID, res, err)
 		}
 	}
@@ -316,7 +338,7 @@ func TestSealedMergerStragglerAccounting(t *testing.T) {
 	}
 	// The straggler arrives late: deduped, nothing changes.
 	late := nodeTally("fe-1", 0, d, 2, 0)
-	res, err := merger.MergeSealed(late)
+	res, err := mergeTally(merger, late)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +381,7 @@ func TestSealedMergerOutOfOrderEpochs(t *testing.T) {
 	}
 	// Establish the clock: epoch 0 merges and seals normally.
 	for _, tally := range []*ldp.Tally{nodeTally("a", 0, d, 8, 0), nodeTally("b", 0, d, 9, 0)} {
-		if _, err := merger.MergeSealed(tally); err != nil {
+		if _, err := mergeTally(merger, tally); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -370,7 +392,7 @@ func TestSealedMergerOutOfOrderEpochs(t *testing.T) {
 	for _, tally := range []*ldp.Tally{
 		nodeTally("a", 2, d, 10, 0), nodeTally("b", 2, d, 11, 0), nodeTally("a", 1, d, 12, 0),
 	} {
-		res, err := merger.MergeSealed(tally)
+		res, err := mergeTally(merger, tally)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,7 +400,7 @@ func TestSealedMergerOutOfOrderEpochs(t *testing.T) {
 			t.Fatalf("barrier for epoch 1 reported ready after %s/%d", tally.NodeID, tally.Epoch)
 		}
 	}
-	res, err := merger.MergeSealed(nodeTally("b", 1, d, 13, 0))
+	res, err := mergeTally(merger, nodeTally("b", 1, d, 13, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,13 +420,14 @@ func TestSealedMergerOutOfOrderEpochs(t *testing.T) {
 		t.Fatalf("seal past the cascade: %v %v %v", est, info, err)
 	}
 	// A tally absurdly far ahead is rejected, naming the barrier.
-	if _, err := merger.MergeSealed(nodeTally("a", 3+maxEpochLead, d, 14, 0)); err == nil {
+	if _, err := mergeTally(merger, nodeTally("a", 3+maxEpochLead, d, 14, 0)); err == nil {
 		t.Fatal("far-future tally accepted")
 	}
 }
 
 // TestSealedMergerRejects covers the error paths: unknown node, domain
-// mismatch, nil and invalid tallies, bad configs.
+// mismatch, bad configs. Malformed frames are refused before they reach
+// a merger (TestTallyFrameRejectionsLeaveMergerUntouched).
 func TestSealedMergerRejects(t *testing.T) {
 	const d = 16
 	mgr, err := NewEpochManager(mergerConfig(d))
@@ -415,19 +438,11 @@ func TestSealedMergerRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := merger.MergeSealed(nodeTally("rogue", 0, d, 1, 0)); err == nil {
+	if _, err := mergeTally(merger, nodeTally("rogue", 0, d, 1, 0)); err == nil {
 		t.Fatal("unknown node accepted")
 	}
-	if _, err := merger.MergeSealed(nodeTally("a", 0, d+1, 1, 0)); err == nil {
+	if _, err := mergeTally(merger, nodeTally("a", 0, d+1, 1, 0)); err == nil {
 		t.Fatal("domain mismatch accepted")
-	}
-	if _, err := merger.MergeSealed(nil); err == nil {
-		t.Fatal("nil tally accepted")
-	}
-	bad := nodeTally("a", 0, d, 1, 0)
-	bad.Counts[0] = -1
-	if _, err := merger.MergeSealed(bad); err == nil {
-		t.Fatal("negative counts accepted")
 	}
 	if _, err := NewSealedMerger(mgr, nil); err == nil {
 		t.Fatal("empty node set accepted")
@@ -473,7 +488,7 @@ func TestSealedMergerDuplicateIdempotenceRace(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < resends; r++ {
 				for _, tally := range tallies {
-					res, err := merger.MergeSealed(tally.Clone())
+					res, err := mergeTally(merger, tally)
 					if err != nil {
 						t.Error(err)
 						return
@@ -512,75 +527,60 @@ func TestSealedMergerDuplicateIdempotenceRace(t *testing.T) {
 // every frontend's tally and sealing through the barrier. The cost is
 // independent of how many users reported (tallies are fixed-size count
 // vectors) and scales only with d × nodes, which is what makes the
-// two-tier design absorb arbitrarily large populations. The wire arms
-// start from each tally's marshaled frame, as /v1/tally does: frames
-// are built outside the timed region, and the timed region takes them
-// from bytes to merged counts the way the handler does.
+// two-tier design absorb arbitrarily large populations. Each tally
+// starts from its marshaled frame, as /v1/tally does: frames are built
+// outside the timed region, and the timed region takes them from bytes
+// to merged counts the way the handler does.
 func BenchmarkRootMerge(b *testing.B) {
-	for _, wire := range []bool{false, true} {
-		for _, d := range []int{128, 4096} {
-			for _, nNodes := range []int{3, 9} {
-				name := fmt.Sprintf("d=%d/nodes=%d", d, nNodes)
-				if wire {
-					name = "wire/" + name
+	for _, d := range []int{128, 4096} {
+		for _, nNodes := range []int{3, 9} {
+			b.Run(fmt.Sprintf("wire/d=%d/nodes=%d", d, nNodes), func(b *testing.B) {
+				nodes := make([]string, nNodes)
+				for i := range nodes {
+					nodes[i] = fmt.Sprintf("fe-%d", i)
 				}
-				b.Run(name, func(b *testing.B) {
-					nodes := make([]string, nNodes)
-					for i := range nodes {
-						nodes[i] = fmt.Sprintf("fe-%d", i)
-					}
-					mgr, err := NewEpochManager(Config{
-						Params: mergeTestParams(d), Window: 1, History: 4, TargetK: -1,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					merger, err := NewSealedMerger(mgr, nodes)
-					if err != nil {
-						b.Fatal(err)
-					}
-					proto := make([]*ldp.Tally, nNodes)
-					for i, n := range nodes {
-						// A billion-user tally costs the same as a thousand-user
-						// one: the wire and merge units are counts, not reports.
-						proto[i] = nodeTally(n, 0, d, uint64(i+1), 0)
-						proto[i].Total += 1 << 30
-					}
-					frames := make([][]byte, nNodes)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if wire {
-							b.StopTimer()
-							for j, p := range proto {
-								frames[j], err = ldp.MarshalTally(&ldp.Tally{NodeID: p.NodeID, Epoch: i, Counts: p.Counts, Total: p.Total})
-								if err != nil {
-									b.Fatal(err)
-								}
-							}
-							b.StartTimer()
-						}
-						for j, p := range proto {
-							if wire {
-								f, err := ldp.ValidateTallyFrame(frames[j])
-								if err != nil {
-									b.Fatal(err)
-								}
-								if _, err := merger.MergeFrame(f); err != nil {
-									b.Fatal(err)
-								}
-								continue
-							}
-							tally := &ldp.Tally{NodeID: p.NodeID, Epoch: i, Counts: p.Counts, Total: p.Total}
-							if _, err := merger.MergeSealed(tally); err != nil {
-								b.Fatal(err)
-							}
-						}
-						if est, _, err := merger.TrySeal(); err != nil || est == nil {
-							b.Fatalf("seal %d: est=%v err=%v", i, est, err)
-						}
-					}
+				mgr, err := NewEpochManager(Config{
+					Params: mergeTestParams(d), Window: 1, History: 4, TargetK: -1,
 				})
-			}
+				if err != nil {
+					b.Fatal(err)
+				}
+				merger, err := NewSealedMerger(mgr, nodes)
+				if err != nil {
+					b.Fatal(err)
+				}
+				proto := make([]*ldp.Tally, nNodes)
+				for i, n := range nodes {
+					// A billion-user tally costs the same as a thousand-user
+					// one: the wire and merge units are counts, not reports.
+					proto[i] = nodeTally(n, 0, d, uint64(i+1), 0)
+					proto[i].Total += 1 << 30
+				}
+				frames := make([][]byte, nNodes)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					for j, p := range proto {
+						frames[j], err = ldp.MarshalTally(&ldp.Tally{NodeID: p.NodeID, Epoch: i, Counts: p.Counts, Total: p.Total})
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StartTimer()
+					for _, frame := range frames {
+						f, err := ldp.ValidateTallyFrame(frame)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if _, err := merger.MergeFrame(f); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if est, _, err := merger.TrySeal(); err != nil || est == nil {
+						b.Fatalf("seal %d: est=%v err=%v", i, est, err)
+					}
+				}
+			})
 		}
 	}
 }
@@ -602,14 +602,14 @@ func TestSealedMergerAdoptsRunningClock(t *testing.T) {
 	}
 	// The cluster has been sealing for a long time; a's oldest retained
 	// tally is epoch 5000 (past maxEpochLead from base 0).
-	res, err := merger.MergeSealed(nodeTally("a", 5000, d, 1, 0))
+	res, err := mergeTally(merger, nodeTally("a", 5000, d, 1, 0))
 	if err != nil {
 		t.Fatalf("virgin root rejected the running clock: %v", err)
 	}
 	if res.Duplicate || res.SealedThrough != 5000 {
 		t.Fatalf("adoption result: %+v", res)
 	}
-	if res, err = merger.MergeSealed(nodeTally("b", 5000, d, 2, 0)); err != nil || !res.Ready {
+	if res, err = mergeTally(merger, nodeTally("b", 5000, d, 2, 0)); err != nil || !res.Ready {
 		t.Fatalf("barrier after adoption: res=%+v err=%v", res, err)
 	}
 	est, info, err := merger.TrySeal()
@@ -618,11 +618,11 @@ func TestSealedMergerAdoptsRunningClock(t *testing.T) {
 	}
 	// An older tally from b that the lost state could have merged is
 	// stale now — deduped, not an error.
-	if res, err = merger.MergeSealed(nodeTally("b", 4999, d, 3, 0)); err != nil || !res.Duplicate {
+	if res, err = mergeTally(merger, nodeTally("b", 4999, d, 3, 0)); err != nil || !res.Duplicate {
 		t.Fatalf("pre-adoption tally: res=%+v err=%v", res, err)
 	}
 	// The barrier has state now: a fresh absurd lead is still an error.
-	if _, err := merger.MergeSealed(nodeTally("a", 5001+maxEpochLead, d, 4, 0)); err == nil {
+	if _, err := mergeTally(merger, nodeTally("a", 5001+maxEpochLead, d, 4, 0)); err == nil {
 		t.Fatal("non-virgin root accepted an absurd epoch lead")
 	}
 }

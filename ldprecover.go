@@ -219,7 +219,7 @@ func NewEpochManager(cfg StreamConfig) (*EpochManager, error) { return stream.Ne
 type (
 	// DurableStore persists one EpochManager under a data directory.
 	DurableStore = persist.Store
-	// DurableOptions are the store's WAL and snapshot-retention knobs.
+	// DurableOptions are the store's WAL knobs.
 	DurableOptions = persist.Options
 	// RestoreInfo summarizes what OpenDurableStore reconstructed.
 	RestoreInfo = persist.RestoreInfo
@@ -419,8 +419,8 @@ func NewStandbyTailer(dir string, newMgr func() (*EpochManager, error)) (*Standb
 // StandbyTailer restored it, whether a root boots over its own
 // directory or a standby promotes. It refuses a directory holding a
 // report-level WAL.
-func AttachSnapshotStore(dir string, mgr *EpochManager, keep int) (*SnapshotStore, error) {
-	return persist.AttachSnapshotStore(dir, mgr, keep)
+func AttachSnapshotStore(dir string, mgr *EpochManager) (*SnapshotStore, error) {
+	return persist.AttachSnapshotStore(dir, mgr)
 }
 
 // NewTargetTracker returns a tracker that promotes or demotes a target
