@@ -86,11 +86,12 @@ bench-json:
 
 # Tally-first ingest micro-suite: re-baselines the two durable ingest
 # lanes (zero-copy report frame, partial-tally) plus the raw WAL append
-# at a real benchtime, folds the rows into BENCH_report.json in place,
-# and gates the run: the partial-tally lane must move at least 5x the
+# at a real benchtime, five samples each (benchjson keeps the median
+# sample and records the spread), folds the rows into BENCH_report.json
+# in place, and gates the run on the medians: the partial-tally lane must move at least 5x the
 # MB/s of the zero-copy report lane, or the target (and CI) fails.
 bench-ingest:
-	$(GO) test -run '^$$' -bench 'BenchmarkDurableIngest|BenchmarkWALAppend' -benchtime 300ms . > BENCH_ingest.tmp
+	$(GO) test -run '^$$' -bench 'BenchmarkDurableIngest|BenchmarkWALAppend' -benchtime 300ms -count 5 . > BENCH_ingest.tmp
 	cat BENCH_ingest.tmp
 	$(GO) run ./cmd/benchjson -merge BENCH_report.json -o BENCH_report.json \
 		-gate-num 'BenchmarkDurableIngest/partial-tally' \
@@ -101,14 +102,14 @@ bench-ingest:
 # Merge-on-arrival micro-suite: re-baselines the per-tally accept cost
 # (the pre-refactor clone + seal-time fold vs the single-pass fold into
 # the epoch accumulator) and the root's barrier-seal latency across
-# fan-ins, folds the rows into BENCH_report.json in place, and gates the
-# run: fold-on-arrival must move at least 2x the MB/s of clone+fold at
+# fan-ins, five samples each (median kept, spread recorded), folds the
+# rows into BENCH_report.json in place, and gates the run on the medians: fold-on-arrival must move at least 2x the MB/s of clone+fold at
 # d=65536, or the target (and CI) fails. RootSealLatency's flatness
 # across nodes=4..64 is recorded for the report, eyeballed not gated —
 # a ±10% band is too tight for shared CI runners to assert on.
 bench-merge:
-	$(GO) test -run '^$$' -bench 'BenchmarkMergeParallel' -benchtime 300ms ./internal/ldp > BENCH_merge.tmp
-	$(GO) test -run '^$$' -bench 'BenchmarkRootSealLatency' -benchtime 200ms ./internal/stream >> BENCH_merge.tmp
+	$(GO) test -run '^$$' -bench 'BenchmarkMergeParallel' -benchtime 300ms -count 5 ./internal/ldp > BENCH_merge.tmp
+	$(GO) test -run '^$$' -bench 'BenchmarkRootSealLatency' -benchtime 200ms -count 5 ./internal/stream >> BENCH_merge.tmp
 	cat BENCH_merge.tmp
 	$(GO) run ./cmd/benchjson -merge BENCH_report.json -o BENCH_report.json \
 		-gate-num 'BenchmarkMergeParallel/d=65536/parallel' \

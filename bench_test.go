@@ -757,29 +757,58 @@ func BenchmarkDurableIngest(b *testing.B) {
 }
 
 // BenchmarkStoreOpenReplay measures boot-time WAL replay: OpenDurableStore
-// on a crashed store whose log holds 2048 OUE d=128 report-batch frames
-// of 256 reports (524288 reports, about 14 MB) spread over 1 MiB
-// segments, with no snapshot, so the whole log is read, CRC-checked,
-// validated and folded. The WAL is built once outside the timer; each op
-// opens it into a fresh manager and closes it again. ns/report is the
-// replay cost per logged report.
+// on a crashed store with no snapshot, so the whole log is read,
+// CRC-checked, validated and folded. Each arm logs OUE d=128 report-batch
+// frames:
+//
+//   - oue-d128: 2048 frames of 256 reports (524288 reports, about 14 MB)
+//     over 1 MiB segments;
+//   - crash-replay: the shape of ldpload's crash-replay WAL, 10000 frames
+//     of 256 genuine reports plus 13 MGA reports (2.69 M reports, about
+//     70 MB) over the default 8 MiB segments.
+//
+// The WAL is built once per arm outside the timer; each op opens it into
+// a fresh manager and closes it again. ns/report is the replay cost per
+// logged report.
 func BenchmarkStoreOpenReplay(b *testing.B) {
-	const d, eps = 128, 0.5
-	const perFrame, numFrames, distinct = 256, 2048, 32
+	b.Run("oue-d128", func(b *testing.B) { benchStoreOpenReplay(b, 256, 0, 2048, 1<<20) })
+	b.Run("crash-replay", func(b *testing.B) { benchStoreOpenReplay(b, 256, 13, 10000, 0) })
+}
+
+// benchStoreOpenReplay times replay of numFrames logged frames, each of
+// perFrame genuine OUE d=128 reports followed by mal MGA reports, cycling
+// through 32 distinct frames.
+func benchStoreOpenReplay(b *testing.B, perFrame, mal, numFrames int, segmentBytes int64) {
+	const d, eps, distinct = 128, 0.5, 32
 	proto, err := ldprecover.NewOUE(d, eps)
 	if err != nil {
 		b.Fatal(err)
 	}
 	r := ldprecover.NewRand(9)
+	targets, err := ldprecover.RandomTargets(r, d, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mga, err := ldprecover.NewMGA(targets)
+	if err != nil {
+		b.Fatal(err)
+	}
 	trueCounts := make([]int64, d)
 	for v := range trueCounts {
-		trueCounts[v] = perFrame / d
+		trueCounts[v] = int64(perFrame / d)
 	}
 	frames := make([]ldprecover.ReportFrame, distinct)
 	for i := range frames {
 		reps, err := ldprecover.PerturbAll(proto, r, trueCounts)
 		if err != nil {
 			b.Fatal(err)
+		}
+		if mal > 0 {
+			crafted, err := mga.CraftReports(r, proto, int64(mal))
+			if err != nil {
+				b.Fatal(err)
+			}
+			reps = append(reps, crafted...)
 		}
 		frame, err := ldprecover.MarshalReportBatch(reps)
 		if err != nil {
@@ -790,7 +819,7 @@ func BenchmarkStoreOpenReplay(b *testing.B) {
 		}
 	}
 	cfg := ldprecover.StreamConfig{Params: proto.Params(), TargetK: -1}
-	opts := ldprecover.DurableOptions{SegmentBytes: 1 << 20, SyncEvery: -1}
+	opts := ldprecover.DurableOptions{SegmentBytes: segmentBytes, SyncEvery: -1}
 	dir := b.TempDir()
 	mgr, err := ldprecover.NewEpochManager(cfg)
 	if err != nil {
@@ -808,7 +837,7 @@ func BenchmarkStoreOpenReplay(b *testing.B) {
 	if err := store.Close(); err != nil {
 		b.Fatal(err)
 	}
-	const reports = perFrame * numFrames
+	reports := int64((perFrame + mal) * numFrames)
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -831,7 +860,7 @@ func BenchmarkStoreOpenReplay(b *testing.B) {
 		}
 		b.StartTimer()
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*reports), "ns/report")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*reports), "ns/report")
 }
 
 // BenchmarkSnapshotWrite measures the per-seal durability cost: encoding

@@ -10,7 +10,8 @@
 // Reading stdin and writing stdout are the defaults; non-benchmark lines
 // (test summaries, package headers) pass through unparsed. Repeated
 // samples of one benchmark (`go test -count N`) collapse to the sample
-// with the median ns/op, the lower middle one for even N.
+// with the median ns/op, the lower middle one for even N, which also
+// records N and the samples' ns/op range.
 //
 // -merge folds the freshly parsed results into an existing report
 // instead of starting from scratch: same-name benchmarks are replaced in
@@ -50,6 +51,12 @@ type Benchmark struct {
 	// Metrics holds every further "value unit" pair on the line: B/op,
 	// allocs/op, and custom b.ReportMetric outputs such as mse-after.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+	// Samples, MinNsPerOp and MaxNsPerOp record the spread when the row
+	// is the median of repeated samples (`go test -count N`, N > 1);
+	// a single sample leaves them unset.
+	Samples    int     `json:"samples,omitempty"`
+	MinNsPerOp float64 `json:"min_ns_per_op,omitempty"`
+	MaxNsPerOp float64 `json:"max_ns_per_op,omitempty"`
 }
 
 // Report is the emitted document.
@@ -133,7 +140,8 @@ func parse(r io.Reader) (*Report, error) {
 // medianSamples keeps one row per name, in first-seen order: of a
 // name's samples, the one with the median ns/op (the lower middle one
 // for an even count). The whole row is kept, so its metrics come from
-// the same measured run as its ns/op.
+// the same measured run as its ns/op; a name with more than one sample
+// also records their count and ns/op range.
 func medianSamples(rows []Benchmark) []Benchmark {
 	samples := make(map[string][]Benchmark, len(rows))
 	var names []string
@@ -147,7 +155,11 @@ func medianSamples(rows []Benchmark) []Benchmark {
 	for _, name := range names {
 		s := samples[name]
 		slices.SortStableFunc(s, func(a, b Benchmark) int { return cmp.Compare(a.NsPerOp, b.NsPerOp) })
-		out = append(out, s[(len(s)-1)/2])
+		median := s[(len(s)-1)/2]
+		if len(s) > 1 {
+			median.Samples, median.MinNsPerOp, median.MaxNsPerOp = len(s), s[0].NsPerOp, s[len(s)-1].NsPerOp
+		}
+		out = append(out, median)
 	}
 	return out
 }

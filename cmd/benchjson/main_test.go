@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -225,4 +226,43 @@ BenchmarkFold/even-2   10   300 ns/op   30.00 MB/s
 		t.Fatal(err)
 	}
 	check("merged report", rep)
+}
+
+// TestRepeatedSamplesRecordSpread: a row collapsed from repeated samples
+// carries their count and ns/op range next to the kept median, and a
+// single-sample row carries neither (the fields are omitted from JSON).
+func TestRepeatedSamplesRecordSpread(t *testing.T) {
+	const in = `BenchmarkFold/repeated-2   10   200 ns/op
+BenchmarkFold/single-2     10   500 ns/op
+BenchmarkFold/repeated-2   10   100 ns/op
+BenchmarkFold/repeated-2   10   400 ns/op
+BenchmarkFold/repeated-2   10   300 ns/op
+BenchmarkFold/repeated-2   10   250 ns/op
+`
+	var out bytes.Buffer
+	rep, err := run(strings.NewReader(in), &out, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Benchmark{
+		{Name: "BenchmarkFold/repeated", Runs: 10, NsPerOp: 250, Samples: 5, MinNsPerOp: 100, MaxNsPerOp: 400},
+		{Name: "BenchmarkFold/single", Runs: 10, NsPerOp: 500},
+	}
+	if !reflect.DeepEqual(rep.Benchmarks, want) {
+		t.Fatalf("rows %+v, want %+v", rep.Benchmarks, want)
+	}
+	var doc struct {
+		Benchmarks []map[string]any `json:"benchmarks"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if got := doc.Benchmarks[0]; got["samples"] != 5.0 || got["min_ns_per_op"] != 100.0 || got["max_ns_per_op"] != 400.0 {
+		t.Errorf("repeated row JSON %v lacks samples 5, min 100, max 400", got)
+	}
+	for _, key := range []string{"samples", "min_ns_per_op", "max_ns_per_op"} {
+		if _, ok := doc.Benchmarks[1][key]; ok {
+			t.Errorf("single-sample row JSON carries %q: %v", key, doc.Benchmarks[1])
+		}
+	}
 }

@@ -182,16 +182,17 @@ const denseCSAGroups = 8000
 
 // denseFold is the Harley–Seal state of one dense-unary run, shared by
 // the report-slice and wire-frame walkers. It reads report words in the
-// wire layout (little-endian uint64s): the frame walker passes the
-// wire bytes themselves, the report walker each bitset's own memory
-// (wireWords).
+// wire layout (little-endian uint64s): the frame walker reads the wire
+// bytes themselves, a fixed stride apart (addDenseStrided), the report
+// walker each bitset's own memory (wireWords, add8).
 //
 // The core is a carry-save adder tree: 8 reports at a time, per word
-// column, seven full adders fold the 8 input words into running
-// ones/twos/fours planes and one weight-8 carry — about five ALU ops per
-// report word, with no per-bit work at all. Weight-8 carries ripple into
-// binary counter planes, which expand into the count vector only on
-// flush (at most once per ~64k reports per bit).
+// column, seven full adders (two csa4 halves and a csa of their
+// carries) fold the 8 input words into running ones/twos/fours planes
+// and one weight-8 carry — about five ALU ops per report word, with no
+// per-bit work at all. Weight-8 carries ripple into binary counter
+// planes, which expand into the count vector only on flush (at most
+// once per ~64k reports per bit).
 type denseFold struct {
 	counts []int64
 	// planes holds planeLevels binary counter planes per word column,
@@ -228,15 +229,13 @@ func (f *denseFold) add8(ws *[8][]byte) {
 	w4, w5, w6, w7 := ws[4][:8*n], ws[5][:8*n], ws[6][:8*n], ws[7][:8*n]
 	for wi := range ones {
 		off := 8 * wi
-		o, tw, fo := ones[wi], twos[wi], fours[wi]
-		var c1, c2, c3, c4, d1, d2, e uint64
-		o, c1 = csa(o, binary.LittleEndian.Uint64(w0[off:off+8]), binary.LittleEndian.Uint64(w1[off:off+8]))
-		o, c2 = csa(o, binary.LittleEndian.Uint64(w2[off:off+8]), binary.LittleEndian.Uint64(w3[off:off+8]))
-		tw, d1 = csa(tw, c1, c2)
-		o, c3 = csa(o, binary.LittleEndian.Uint64(w4[off:off+8]), binary.LittleEndian.Uint64(w5[off:off+8]))
-		o, c4 = csa(o, binary.LittleEndian.Uint64(w6[off:off+8]), binary.LittleEndian.Uint64(w7[off:off+8]))
-		tw, d2 = csa(tw, c3, c4)
-		fo, e = csa(fo, d1, d2)
+		o, tw, d1 := csa4(ones[wi], twos[wi],
+			binary.LittleEndian.Uint64(w0[off:off+8]), binary.LittleEndian.Uint64(w1[off:off+8]),
+			binary.LittleEndian.Uint64(w2[off:off+8]), binary.LittleEndian.Uint64(w3[off:off+8]))
+		o, tw, d2 := csa4(o, tw,
+			binary.LittleEndian.Uint64(w4[off:off+8]), binary.LittleEndian.Uint64(w5[off:off+8]),
+			binary.LittleEndian.Uint64(w6[off:off+8]), binary.LittleEndian.Uint64(w7[off:off+8]))
+		fo, e := csa(fours[wi], d1, d2)
 		ones[wi], twos[wi], fours[wi] = o, tw, fo
 		if e != 0 {
 			rippleInto(planes, wi, e, 3)
@@ -246,6 +245,21 @@ func (f *denseFold) add8(ws *[8][]byte) {
 		f.flush()
 		f.groups = 0
 	}
+}
+
+// csa4 is half of a column's carry-save adder tree: three full adders
+// fold 4 input words into the running ones and twos planes and return
+// them with the weight-4 carry. A column takes two halves and one csa
+// of their carries into the fours plane. The adders are written out,
+// not called as csa, so that csa4 stays inlinable in both kernels.
+func csa4(o, tw, x0, x1, x2, x3 uint64) (oOut, twOut, four uint64) {
+	t := x0 ^ x1
+	c1 := x0&x1 | o&t
+	o ^= t
+	t = x2 ^ x3
+	c2 := x2&x3 | o&t
+	t2 := c1 ^ c2
+	return o ^ t, tw ^ t2, c1&c2 | tw&t2
 }
 
 // add1 ripples one report straight into the counter planes: the ≤7
@@ -342,6 +356,49 @@ func dense8(ws *[8][]byte, reps []Report, words int) bool {
 		ws[k] = wireWords(b.words)
 	}
 	return true
+}
+
+// addDenseStrided folds the n dense unary sub-frames laid out stride
+// bytes apart from the start of b — each a denseHeaderBytes head, then
+// its words — with no per-report walk: report k's word wi is at
+// k·stride + denseHeaderBytes + 8·wi. It takes one word column at a
+// time across up to denseCSAGroups groups of 8 reports, so the column's
+// carry-save planes stay in registers, and flushes after each such
+// stretch.
+func (a *Accumulator) addDenseStrided(b []byte, stride, n int) {
+	f := a.newDenseFold((stride - denseHeaderBytes) / 8)
+	planes, ones := f.planes, f.ones
+	twos, fours := f.twos[:len(ones)], f.fours[:len(ones)]
+	k := 0
+	for k+8 <= n {
+		groups := min((n-k)/8, denseCSAGroups)
+		g := b[k*stride : (k+8*groups)*stride]
+		for wi := range ones {
+			o, tw, fo := ones[wi], twos[wi], fours[wi]
+			for off := denseHeaderBytes + 8*wi; off < len(g); off += 8 * stride {
+				var d1, d2, e uint64
+				o, tw, d1 = csa4(o, tw,
+					binary.LittleEndian.Uint64(g[off:]), binary.LittleEndian.Uint64(g[off+stride:]),
+					binary.LittleEndian.Uint64(g[off+2*stride:]), binary.LittleEndian.Uint64(g[off+3*stride:]))
+				o, tw, d2 = csa4(o, tw,
+					binary.LittleEndian.Uint64(g[off+4*stride:]), binary.LittleEndian.Uint64(g[off+5*stride:]),
+					binary.LittleEndian.Uint64(g[off+6*stride:]), binary.LittleEndian.Uint64(g[off+7*stride:]))
+				fo, e = csa(fo, d1, d2)
+				if e != 0 {
+					rippleInto(planes, wi, e, 3)
+				}
+			}
+			ones[wi], twos[wi], fours[wi] = o, tw, fo
+		}
+		if k += 8 * groups; groups == denseCSAGroups {
+			f.flush()
+		}
+	}
+	for ; k < n; k++ {
+		f.add1(b[k*stride+denseHeaderBytes:])
+	}
+	f.flush()
+	a.total += int64(n)
 }
 
 // bump increments item v's count when v is inside the domain; negative

@@ -101,44 +101,7 @@ func reportFrame(version, tag byte, fields ...uint32) []byte {
 // Accumulator.AddBatchFrame with ErrCodec, leaving the accumulator as it
 // was.
 func TestCodecUnmarshalValidation(t *testing.T) {
-	const maxBits = 1 << 26
-	// Unary with stray bits beyond the declared length.
-	bits := NewBitset(65)
-	bits.Set(64)
-	stray, err := MarshalReport(OUEReport{Bits: bits})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stray[len(stray)-1] |= 0x80 // set a bit past position 64
-
-	cases := []struct {
-		name  string
-		frame []byte
-	}{
-		{"empty", nil},
-		{"short", []byte{1}},
-		{"bad version", reportFrame(9, tagGRR, 0)},
-		{"unknown tag", reportFrame(1, 99, 0)},
-		{"short GRR payload", []byte{1, tagGRR, 0, 0}},
-		{"long GRR payload", reportFrame(1, tagGRR, 0, 0)},
-		{"short unary payload", []byte{1, tagUnary, 0, 0}},
-		{"unary zero bit count", reportFrame(1, tagUnary, 0)},
-		{"unary bit count above 2^26", reportFrame(1, tagUnary, maxBits+1)},
-		{"unary payload length mismatch", reportFrame(1, tagUnary, 65, 0, 0)},
-		{"unary stray bits", stray},
-		{"retired OLH v1 tag", reportFrame(1, tagOLHV1, 9, 0, 1, 4)},
-		{"short OLH payload", []byte{1, tagOLH, 0, 0, 0}},
-		{"OLH g<2", reportFrame(1, tagOLH, 9, 0, 0, 1)},
-		{"OLH value>=g", reportFrame(1, tagOLH, 9, 0, 4, 4)},
-		{"sparse short payload", reportFrame(1, tagSparse, 64)},
-		{"sparse zero bit count", reportFrame(1, tagSparse, 0, 0)},
-		{"sparse bit count above 2^26", reportFrame(1, tagSparse, maxBits+1, 0)},
-		{"sparse k>n", reportFrame(1, tagSparse, 2, 3, 0, 1, 1)},
-		{"sparse length mismatch", reportFrame(1, tagSparse, 64, 2, 1)},
-		{"sparse out-of-order support", reportFrame(1, tagSparse, 64, 2, 7, 3)},
-		{"sparse repeated support", reportFrame(1, tagSparse, 64, 2, 5, 5)},
-		{"sparse out-of-range support", reportFrame(1, tagSparse, 64, 1, 64)},
-	}
+	cases := reportRejections(t)
 
 	const d = 8
 	good, err := MarshalReportBatch([]Report{GRRReport(3), SparseUnaryReport{N: d, Items: []int32{1, 6}}})
@@ -170,6 +133,53 @@ func TestCodecUnmarshalValidation(t *testing.T) {
 		if acc.Total() != wantTotal || !reflect.DeepEqual(acc.Counts(), wantCounts) {
 			t.Fatalf("%s: a rejected frame moved the accumulator", tc.name)
 		}
+	}
+}
+
+// rejection is one malformed single-report frame of the wire-format spec.
+type rejection struct {
+	name  string
+	frame []byte
+}
+
+// reportRejections returns the single-report spec cases of
+// TestCodecUnmarshalValidation, one per rejection rule.
+func reportRejections(t testing.TB) []rejection {
+	t.Helper()
+	const maxBits = 1 << 26
+	// Unary with stray bits beyond the declared length.
+	bits := NewBitset(65)
+	bits.Set(64)
+	stray, err := MarshalReport(OUEReport{Bits: bits})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stray[len(stray)-1] |= 0x80 // set a bit past position 64
+
+	return []rejection{
+		{"empty", nil},
+		{"short", []byte{1}},
+		{"bad version", reportFrame(9, tagGRR, 0)},
+		{"unknown tag", reportFrame(1, 99, 0)},
+		{"short GRR payload", []byte{1, tagGRR, 0, 0}},
+		{"long GRR payload", reportFrame(1, tagGRR, 0, 0)},
+		{"short unary payload", []byte{1, tagUnary, 0, 0}},
+		{"unary zero bit count", reportFrame(1, tagUnary, 0)},
+		{"unary bit count above 2^26", reportFrame(1, tagUnary, maxBits+1)},
+		{"unary payload length mismatch", reportFrame(1, tagUnary, 65, 0, 0)},
+		{"unary stray bits", stray},
+		{"retired OLH v1 tag", reportFrame(1, tagOLHV1, 9, 0, 1, 4)},
+		{"short OLH payload", []byte{1, tagOLH, 0, 0, 0}},
+		{"OLH g<2", reportFrame(1, tagOLH, 9, 0, 0, 1)},
+		{"OLH value>=g", reportFrame(1, tagOLH, 9, 0, 4, 4)},
+		{"sparse short payload", reportFrame(1, tagSparse, 64)},
+		{"sparse zero bit count", reportFrame(1, tagSparse, 0, 0)},
+		{"sparse bit count above 2^26", reportFrame(1, tagSparse, maxBits+1, 0)},
+		{"sparse k>n", reportFrame(1, tagSparse, 2, 3, 0, 1, 1)},
+		{"sparse length mismatch", reportFrame(1, tagSparse, 64, 2, 1)},
+		{"sparse out-of-order support", reportFrame(1, tagSparse, 64, 2, 7, 3)},
+		{"sparse repeated support", reportFrame(1, tagSparse, 64, 2, 5, 5)},
+		{"sparse out-of-range support", reportFrame(1, tagSparse, 64, 1, 64)},
 	}
 }
 

@@ -19,7 +19,10 @@ import (
 // walkers step through the view's sub-frames by their length prefixes
 // (one pass, nothing sliced out first), pull words, indices, seeds and
 // values out of them in place and hand them to the kernels AddBatch
-// uses (addbatch.go). The aggregate is bit-identical to
+// uses (addbatch.go). A run of dense unary sub-frames of one length is
+// one fixed-size record repeated, so the validator checks a repeated
+// head once and the fold reads the run's words by stride, with no
+// per-report walk. The aggregate is bit-identical to
 // UnmarshalReportBatch + AddBatch, which the equivalence tests pin.
 
 // ValidateReportBatchFrame structurally validates a wire-format report
@@ -60,8 +63,54 @@ func (f ReportFrame) sub(off int) (sub []byte, next int) {
 	return f.frame[off+4 : next], next
 }
 
+// denseHeaderBytes is the fixed head of a dense unary sub-frame: u32
+// length prefix, version, tag and u32 bit count. Together with the tail
+// bits of its last word it decides whether the sub-frame is valid.
+const denseHeaderBytes = 10
+
+// denseHeader is the head of a dense unary sub-frame that passed
+// validation, with the stride and tail-bit shift it implies. A later
+// sub-frame with the same head bytes is valid exactly when its stride
+// fits in what remains and its last word has no bits past the bit count.
+type denseHeader struct {
+	lo     uint64 // head bytes 0..7
+	hi     uint16 // head bytes 8..9
+	stride int    // 10 + 8·words
+	tail   uint   // bit count mod 64: the valid bits of the last word
+}
+
+// newDenseHeader is the head of a valid dense sub-frame sub, whose
+// length prefix reads n.
+func newDenseHeader(n uint32, sub []byte) denseHeader {
+	return denseHeader{
+		lo:     uint64(n) | uint64(binary.LittleEndian.Uint32(sub))<<32,
+		hi:     binary.LittleEndian.Uint16(sub[4:]),
+		stride: 4 + int(n),
+		tail:   uint(binary.LittleEndian.Uint32(sub[2:]) % 64),
+	}
+}
+
+// repeats counts the sub-frames from the start of b, at most max, that
+// in turn repeat h's head, fit in what remains and carry no bits past
+// their bit count — which, for a head that already passed, is all
+// validateReportFrame would check.
+func (h denseHeader) repeats(b []byte, max int) int {
+	n := 0
+	for n < max && len(b) >= h.stride &&
+		binary.LittleEndian.Uint64(b) == h.lo && binary.LittleEndian.Uint16(b[8:]) == h.hi &&
+		(h.tail == 0 || binary.LittleEndian.Uint64(b[h.stride-8:])>>h.tail == 0) {
+		b = b[h.stride:]
+		n++
+	}
+	return n
+}
+
 // validateBatchFrame checks a batch frame and every sub-frame in it,
-// returning the report count.
+// returning the report count. The run of sub-frames that repeat the
+// head of a dense sub-frame that just passed is checked by
+// denseHeader.repeats alone; every other sub-frame, including the first
+// one repeats refuses, goes through validateReportFrame, so the errors
+// are the generic check's.
 func validateBatchFrame(frame []byte) (int, error) {
 	if len(frame) < 7 {
 		return 0, fmt.Errorf("%w: short batch frame (%d bytes)", ErrCodec, len(frame))
@@ -95,10 +144,20 @@ func validateBatchFrame(frame []byte) (int, error) {
 			return 0, fmt.Errorf("%w: batch report %d declares %d bytes, %d remain",
 				ErrCodec, i, n, len(rest))
 		}
-		if err := validateReportFrame(rest[:n]); err != nil {
+		sub := rest[:n]
+		rest = rest[n:]
+		if err := validateReportFrame(sub); err != nil {
 			return 0, fmt.Errorf("batch report %d: %w", i, err)
 		}
-		rest = rest[n:]
+		if sub[1] != tagUnary {
+			continue
+		}
+		// The run of sub-frames repeating this dense head needs only
+		// repeats' checks; the first one after it goes the generic way.
+		h := newDenseHeader(n, sub)
+		k := h.repeats(rest, int(count-i-1))
+		rest = rest[k*h.stride:]
+		i += uint32(k)
 	}
 	if len(rest) != 0 {
 		return 0, fmt.Errorf("%w: %d trailing bytes after batch", ErrCodec, len(rest))
@@ -197,11 +256,9 @@ func (a *Accumulator) AddBatchFrame(frame []byte) error {
 // sub-frame and returns the offset just past the run.
 func (a *Accumulator) addReportFrame(f ReportFrame) {
 	for off := 7; off < len(f.frame); {
-		sub, _ := f.sub(off)
-		switch sub[1] {
+		switch f.frame[off+5] { // the sub-frame's tag
 		case tagUnary:
-			n := int(binary.LittleEndian.Uint32(sub[2:]))
-			off = a.addDenseFrameRun(f, off, (n+63)/64)
+			off = a.addDenseFrameRun(f, off)
 		case tagSparse:
 			off = a.addSparseFrameRun(f, off)
 		case tagOLH:
@@ -212,56 +269,19 @@ func (a *Accumulator) addReportFrame(f ReportFrame) {
 	}
 }
 
-// denseFrameWords returns the little-endian word region and word count
-// of a dense unary sub-frame, or ok=false for any other tag.
-func denseFrameWords(f []byte) (words []byte, n int, ok bool) {
-	if f[1] != tagUnary {
-		return nil, 0, false
+// addDenseFrameRun folds the run of dense unary sub-frames from off that
+// share its length prefix, so sit a fixed stride apart, through the
+// strided kernel.
+func (a *Accumulator) addDenseFrameRun(f ReportFrame, off int) int {
+	prefix := binary.LittleEndian.Uint32(f.frame[off:])
+	stride := 4 + int(prefix)
+	end := off + stride
+	for end < len(f.frame) && f.frame[end+5] == tagUnary &&
+		binary.LittleEndian.Uint32(f.frame[end:]) == prefix {
+		end += stride
 	}
-	bitLen := int(binary.LittleEndian.Uint32(f[2:]))
-	return f[6:], (bitLen + 63) / 64, true
-}
-
-// addDenseFrameRun is addDenseRun over sub-frames: the dense kernel
-// reads each report's words straight out of the wire buffer.
-func (a *Accumulator) addDenseFrameRun(f ReportFrame, off, words int) int {
-	fold := a.newDenseFold(words)
-	var ws [8][]byte
-	n := 0
-	for next, ok := denseFrames8(&ws, f, off, words); ok; next, ok = denseFrames8(&ws, f, off, words) {
-		fold.add8(&ws)
-		off, n = next, n+8
-	}
-	for off < len(f.frame) {
-		sub, next := f.sub(off)
-		region, w, ok := denseFrameWords(sub)
-		if !ok || w != words {
-			break
-		}
-		fold.add1(region)
-		off, n = next, n+1
-	}
-	fold.flush()
-	a.total += int64(n)
-	return off
-}
-
-// denseFrames8 points ws at the word regions of the 8 sub-frames from
-// off for one CSA group and returns the offset past them, or reports
-// false when the run ends inside the group.
-func denseFrames8(ws *[8][]byte, f ReportFrame, off, words int) (int, bool) {
-	for k := range ws {
-		if off >= len(f.frame) {
-			return 0, false
-		}
-		sub, next := f.sub(off)
-		region, n, ok := denseFrameWords(sub)
-		if !ok || n != words {
-			return 0, false
-		}
-		ws[k], off = region, next
-	}
-	return off, true
+	a.addDenseStrided(f.frame[off:end], stride, (end-off)/stride)
+	return end
 }
 
 // addSparseFrameRun folds the run of sparse unary sub-frames from off:

@@ -328,12 +328,29 @@ func FuzzReportBatchFrame(f *testing.F) {
 		f.Add(frame)
 	}
 	f.Add([]byte("LB"))
+	// Uniform dense batches, which the validator checks and the fold
+	// reads by stride: 17 reports of 127 bits (tail bits to check), the
+	// same with a stray bit past the bit count in report 9, and 17
+	// reports of 128 bits.
+	for _, d := range []int{127, 128} {
+		subs := marshalSubs(f, denseReports(f, d, 17, uint64(d)))
+		f.Add(batchOf(subs))
+		if d%64 != 0 {
+			subs[9] = bytes.Clone(subs[9])
+			subs[9][len(subs[9])-1] |= 0x80
+			f.Add(batchOf(subs))
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const d = 96
 		view, verr := ValidateReportBatchFrame(data)
 		decoded, derr := UnmarshalReportBatch(data)
 		if (verr == nil) != (derr == nil) {
 			t.Fatalf("validator/decoder disagree: validate=%v decode=%v", verr, derr)
+		}
+		if _, rerr := refValidateBatchFrame(data); (verr == nil) != (rerr == nil) ||
+			(verr != nil && verr.Error() != rerr.Error()) {
+			t.Fatalf("validator error %v, per-report reference %v", verr, rerr)
 		}
 		if verr != nil {
 			return
@@ -357,5 +374,51 @@ func FuzzReportBatchFrame(f *testing.F) {
 		if viewAcc.Total() != ref.Total() || !reflect.DeepEqual(viewAcc.Counts(), ref.Counts()) {
 			t.Fatal("fold of the validated view diverged from decoded fold")
 		}
+	})
+}
+
+// BenchmarkReportFrame times the two stages a report frame passes
+// through on the report lane and in WAL replay, separately, on one
+// 269-report OUE d=128, ε=0.5 frame (the report count of ldpload's
+// crash-replay frames): validate is ValidateReportBatchFrame, fold is
+// the fold of the validated view. ns/report is per report in the frame.
+func BenchmarkReportFrame(b *testing.B) {
+	const d, n = 128, 269
+	oue, err := NewOUE(d, 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(5)
+	reps := make([]Report, n)
+	for i := range reps {
+		if reps[i], err = oue.Perturb(r, r.Intn(d)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	frame, err := MarshalReportBatch(reps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	view, err := ValidateReportBatchFrame(frame)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("validate/oue-d128", func(b *testing.B) {
+		for b.Loop() {
+			if _, err := ValidateReportBatchFrame(frame); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/report")
+	})
+	b.Run("fold/oue-d128", func(b *testing.B) {
+		acc, err := NewAccumulator(d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for b.Loop() {
+			acc.addReportFrame(view)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/report")
 	})
 }
