@@ -44,6 +44,10 @@ type Benchmark struct {
 	// Name is the benchmark's printed name and sub-benchmark path, less
 	// the GOMAXPROCS suffix when every row of the run shares it.
 	Name string `json:"name"`
+	// Procs is the GOMAXPROCS of that stripped suffix, so a row records
+	// the parallelism it ran at; zero when the run printed no suffix
+	// (GOMAXPROCS=1) or its rows did not share one.
+	Procs int `json:"procs,omitempty"`
 	// Runs is the measured iteration count (b.N).
 	Runs int64 `json:"runs"`
 	// NsPerOp is the headline latency.
@@ -166,7 +170,8 @@ func medianSamples(rows []Benchmark) []Benchmark {
 
 // stripProcsSuffix drops the "-N" GOMAXPROCS suffix Go appends to every
 // row of a run with N > 1, so fresh rows merge over stored ones on any
-// host. A suffix not shared by every row is part of a name and stays.
+// host, and records N as each row's Procs. A suffix not shared by every
+// row is part of a name and stays.
 func stripProcsSuffix(rows []Benchmark) {
 	suffix := ""
 	for _, b := range rows {
@@ -177,8 +182,13 @@ func stripProcsSuffix(rows []Benchmark) {
 		}
 		suffix = b.Name[i:]
 	}
+	if suffix == "" {
+		return
+	}
+	procs, _ := strconv.Atoi(suffix[1:])
 	for i := range rows {
 		rows[i].Name = strings.TrimSuffix(rows[i].Name, suffix)
+		rows[i].Procs = procs
 	}
 }
 

@@ -245,8 +245,8 @@ BenchmarkFold/repeated-2   10   250 ns/op
 		t.Fatal(err)
 	}
 	want := []Benchmark{
-		{Name: "BenchmarkFold/repeated", Runs: 10, NsPerOp: 250, Samples: 5, MinNsPerOp: 100, MaxNsPerOp: 400},
-		{Name: "BenchmarkFold/single", Runs: 10, NsPerOp: 500},
+		{Name: "BenchmarkFold/repeated", Procs: 2, Runs: 10, NsPerOp: 250, Samples: 5, MinNsPerOp: 100, MaxNsPerOp: 400},
+		{Name: "BenchmarkFold/single", Procs: 2, Runs: 10, NsPerOp: 500},
 	}
 	if !reflect.DeepEqual(rep.Benchmarks, want) {
 		t.Fatalf("rows %+v, want %+v", rep.Benchmarks, want)
@@ -263,6 +263,43 @@ BenchmarkFold/repeated-2   10   250 ns/op
 	for _, key := range []string{"samples", "min_ns_per_op", "max_ns_per_op"} {
 		if _, ok := doc.Benchmarks[1][key]; ok {
 			t.Errorf("single-sample row JSON carries %q: %v", key, doc.Benchmarks[1])
+		}
+	}
+}
+
+// TestParseRecordsProcs: the GOMAXPROCS suffix stripped from a run's
+// names survives as each row's procs, so a stored row says what
+// parallelism it was measured at. A run without a shared suffix records
+// none, and the field is then omitted from JSON.
+func TestParseRecordsProcs(t *testing.T) {
+	for _, c := range []struct {
+		in    string
+		names []string
+		procs int
+	}{
+		{"BenchmarkA/x-8   10   100 ns/op\nBenchmarkB-8   10   200 ns/op\n", []string{"BenchmarkA/x", "BenchmarkB"}, 8},
+		{"BenchmarkA/x   10   100 ns/op\nBenchmarkB   10   200 ns/op\n", []string{"BenchmarkA/x", "BenchmarkB"}, 0},
+		{"BenchmarkFanIn/nodes-4   10   100 ns/op\nBenchmarkFanIn/nodes-16   10   200 ns/op\n",
+			[]string{"BenchmarkFanIn/nodes-4", "BenchmarkFanIn/nodes-16"}, 0},
+	} {
+		var out bytes.Buffer
+		rep, err := run(strings.NewReader(c.in), &out, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Benchmarks []map[string]any `json:"benchmarks"`
+		}
+		if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range rep.Benchmarks {
+			if b.Name != c.names[i] || b.Procs != c.procs {
+				t.Fatalf("row %d = %+v, want name %s, procs %d", i, b, c.names[i], c.procs)
+			}
+			if got, ok := doc.Benchmarks[i]["procs"]; c.procs == 0 && ok || c.procs != 0 && got != float64(c.procs) {
+				t.Fatalf("row %d JSON %v, want procs %d (omitted when 0)", i, doc.Benchmarks[i], c.procs)
+			}
 		}
 	}
 }

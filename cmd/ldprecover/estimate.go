@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -20,6 +19,8 @@ type encodedEstimate struct {
 // estimateResponse is the JSON shape of a window estimate: the fields
 // of ldprecover.WindowEstimate with their JSON names, so an estimate
 // converts to it directly (and stops compiling if the two drift apart).
+// encodeEstimate writes this shape by hand; tests hold its bytes to
+// encoding/json of this type.
 type estimateResponse struct {
 	Seq              int       `json:"seq"`
 	Epochs           int       `json:"epochs"`
@@ -30,9 +31,10 @@ type estimateResponse struct {
 	PartialKnowledge bool      `json:"partial_knowledge"`
 }
 
-// writeEstimate answers 200 with est's JSON body. The serving estimate
-// is encoded once: the seal's response (or the first read after a seal
-// that had none) stores the body, and every later request for the same
+// writeEstimate answers 200 with est's JSON body (encodeEstimate) in
+// one write with its Content-Length. The serving estimate is encoded
+// once: the seal's response (or the first read after a seal that had
+// none) stores the body, and every later request for the same
 // estimate — GET /v1/estimate, or ?window= covering the serving window,
 // which EstimateWindow answers with the same pointer — writes those
 // bytes. Any other estimate is encoded per request. A non-finite value,
@@ -59,9 +61,13 @@ func (s *streamServer) writeEstimate(w http.ResponseWriter, est *ldprecover.Wind
 	_, _ = w.Write(body)
 }
 
-// encodeEstimate returns est's JSON body with a trailing newline, the
-// bytes json.Encoder writes. It names the first NaN or ±Inf, which JSON
-// cannot represent, instead of encoding/json's bare "unsupported value".
+// encodeEstimate returns est's JSON body with a trailing newline: the
+// bytes json.NewEncoder writes for estimateResponse(*est), written
+// directly into one buffer sized for the whole body (about 24 bytes a
+// float). Floats go through appendJSONFloat, which matches
+// encoding/json's float64 text byte for byte. A NaN or ±Inf, which JSON
+// cannot represent, is refused with an error naming the first by field
+// and index.
 func encodeEstimate(est *ldprecover.WindowEstimate) ([]byte, error) {
 	for _, vec := range []struct {
 		field string
@@ -73,9 +79,43 @@ func encodeEstimate(est *ldprecover.WindowEstimate) ([]byte, error) {
 			}
 		}
 	}
-	body, err := json.Marshal(estimateResponse(*est))
-	if err != nil {
-		return nil, err
+	b := make([]byte, 0, 96+24*(len(est.Poisoned)+len(est.Recovered))+8*len(est.Targets))
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendInt(b, int64(est.Seq), 10)
+	b = append(b, `,"epochs":`...)
+	b = strconv.AppendInt(b, int64(est.Epochs), 10)
+	b = append(b, `,"total":`...)
+	b = strconv.AppendInt(b, est.Total, 10)
+	b = appendFloatArray(b, `,"poisoned":`, est.Poisoned)
+	b = appendFloatArray(b, `,"recovered":`, est.Recovered)
+	if len(est.Targets) > 0 {
+		b = append(b, `,"targets":[`...)
+		for i, v := range est.Targets {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(v), 10)
+		}
+		b = append(b, ']')
 	}
-	return append(body, '\n'), nil
+	b = append(b, `,"partial_knowledge":`...)
+	b = strconv.AppendBool(b, est.PartialKnowledge)
+	return append(b, "}\n"...), nil
+}
+
+// appendFloatArray appends key and vs as a JSON array, or nothing for an
+// empty vs, as omitempty does.
+func appendFloatArray(b []byte, key string, vs []float64) []byte {
+	if len(vs) == 0 {
+		return b
+	}
+	b = append(b, key...)
+	b = append(b, '[')
+	for i, f := range vs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONFloat(b, f)
+	}
+	return append(b, ']')
 }

@@ -332,3 +332,165 @@ func BenchmarkServeEstimate(b *testing.B) {
 		})
 	}
 }
+
+// TestEncodeEstimateEdgeCases holds encodeEstimate to encoding/json on
+// hand-built estimates the seal tests never produce: empty windows (nil
+// vectors, and targets empty but not nil, both dropped by omitempty),
+// values that take the 'e' form and its "e-7" cleanup, -0 and negative
+// values. A NaN or ±Inf anywhere must still be refused by name.
+func TestEncodeEstimateEdgeCases(t *testing.T) {
+	for _, est := range []*ldprecover.WindowEstimate{
+		{},
+		{Seq: 3, Epochs: 4, Targets: []int{}},
+		{Seq: -1, Epochs: 1, Total: math.MaxInt64, Poisoned: []float64{}, Recovered: []float64{}, PartialKnowledge: true},
+		{Seq: 7, Epochs: 2, Total: 1 << 40,
+			Poisoned:  []float64{1e-7, -1e-7, 5e-324, 9.999999999999999e-7, 1e21, -1e21, 1.5e300, 1e-300, math.MaxFloat64},
+			Recovered: []float64{0, math.Copysign(0, -1), -0.25, -1, -123456.789, 1e-6, -1e-6, math.Nextafter(1e21, 0)},
+			Targets:   []int{0, 5, 4095, -2}, PartialKnowledge: true},
+		{Seq: 1, Epochs: 1, Total: 1, Poisoned: []float64{math.Copysign(0, -1)}, Targets: []int{7}},
+	} {
+		got, err := encodeEstimate(est)
+		if err != nil {
+			t.Fatalf("%+v: %v", est, err)
+		}
+		want, err := json.Marshal(estimateResponse(*est))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(got, want) {
+			t.Fatalf("body differs from encoding/json:\n got %s\nwant %s", got, want)
+		}
+	}
+	for _, c := range []struct {
+		est  ldprecover.WindowEstimate
+		name string
+	}{
+		{ldprecover.WindowEstimate{Poisoned: []float64{math.NaN()}}, "poisoned[0] is NaN"},
+		{ldprecover.WindowEstimate{Poisoned: []float64{0, 1}, Recovered: []float64{0, math.Inf(1)}}, "recovered[1] is +Inf"},
+		{ldprecover.WindowEstimate{Recovered: []float64{1e-9, 2, math.Inf(-1)}}, "recovered[2] is -Inf"},
+	} {
+		if _, err := encodeEstimate(&c.est); err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Fatalf("non-finite value encoded or not named %q: %v", c.name, err)
+		}
+	}
+}
+
+// sealBenchServer is a server at the partial-seal benchmark workload's
+// shape: OUE d=4096, ε=0.5, window 4, history 16 and serve's defaults
+// otherwise; each epoch folds 20 partials of 4096 Zipf(1.0) users, 205
+// of them MGA from epoch 10. It is sealed until LDPRecover* engages, and
+// addEpoch folds one more attacked epoch.
+func sealBenchServer(b *testing.B) (srv *streamServer, h http.Handler, addEpoch func(i int)) {
+	b.Helper()
+	const (
+		d        = 4096
+		partials = 20
+		users    = 4096
+		mal      = 205
+	)
+	proto, err := ldprecover.NewOUE(d, 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err = newStreamServer(streamServerConfig{
+		Stream:   ldprecover.StreamConfig{Params: proto.Params(), Window: 4, History: 16},
+		QueueLen: 4, Ingesters: 1, MaxBody: 1 << 20,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := ldprecover.NewRand(26)
+	targets, err := ldprecover.RandomTargets(r, d, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mga, err := ldprecover.NewMGA(targets)
+	if err != nil {
+		b.Fatal(err)
+	}
+	genuine, err := ldprecover.ZipfDataset("bench", d, partials*(users-mal), 1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	clean, err := ldprecover.ZipfDataset("bench", d, partials*users, 1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// epochs[attacked][i] is a pre-drawn epoch's support counts.
+	var epochs [2][8][]int64
+	for i := range 8 {
+		if epochs[0][i], err = proto.SimulateGenuineCounts(r, clean.Counts); err != nil {
+			b.Fatal(err)
+		}
+		if epochs[1][i], err = proto.SimulateGenuineCounts(r, genuine.Counts); err != nil {
+			b.Fatal(err)
+		}
+		mc, err := mga.CraftCounts(r, proto, partials*mal)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for v, c := range mc {
+			epochs[1][i][v] += c
+		}
+	}
+	add := func(attacked, i int) {
+		if err := srv.mgr.AddCounts(epochs[attacked][i%8], partials*users); err != nil {
+			b.Fatal(err)
+		}
+	}
+	h = srv.handler()
+	for e := range 24 {
+		add(min(e/10, 1), e)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/seal", nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("seal: %d %s", rec.Code, rec.Body)
+		}
+	}
+	if !srv.mgr.Latest().PartialKnowledge {
+		b.Fatal("LDPRecover* never engaged")
+	}
+	return srv, h, func(i int) { add(1, i) }
+}
+
+// BenchmarkServeSeal times POST /v1/seal through the handler at the
+// partial-seal workload's shape (sealBenchServer): the seal, the
+// LDPRecover* recovery and the estimate's encode. Folding the epoch's
+// counts is not timed.
+func BenchmarkServeSeal(b *testing.B) {
+	b.Run("d=4096", func(b *testing.B) {
+		_, h, addEpoch := sealBenchServer(b)
+		req := httptest.NewRequest(http.MethodPost, "/v1/seal", nil)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			addEpoch(i)
+			rec := httptest.NewRecorder()
+			b.StartTimer()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				b.Fatalf("%d %s", rec.Code, rec.Body)
+			}
+		}
+	})
+}
+
+// BenchmarkEncodeEstimate times encodeEstimate on a sealed estimate at
+// the partial-seal workload's shape, LDPRecover* engaged.
+func BenchmarkEncodeEstimate(b *testing.B) {
+	b.Run("d=4096", func(b *testing.B) {
+		srv, _, _ := sealBenchServer(b)
+		est := srv.mgr.Latest()
+		body, err := encodeEstimate(est)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(body)))
+		b.ResetTimer()
+		for range b.N {
+			if _, err := encodeEstimate(est); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
