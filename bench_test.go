@@ -328,15 +328,6 @@ func BenchmarkExtensionHarmony(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionKeyValue regenerates the key-value recovery table.
-func BenchmarkExtensionKeyValue(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.ExtensionKeyValue(benchConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTheoryValidation regenerates the theory-validation table.
 func BenchmarkTheoryValidation(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -95,58 +95,6 @@ func TestRecoveryGeneralityAcrossProtocols(t *testing.T) {
 	}
 }
 
-// TestKVFacadeEndToEnd exercises the key-value extension through the
-// public API.
-func TestKVFacadeEndToEnd(t *testing.T) {
-	const d, target = 10, 3
-	proto, err := ldprecover.NewKV(d, 1.2, 1.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := ldprecover.NewRand(5)
-	var reports []ldprecover.KVReport
-	for k := 0; k < d; k++ {
-		for i := 0; i < 4000; i++ {
-			rep, err := proto.Perturb(r, ldprecover.KVPair{Key: k, Value: -0.5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			reports = append(reports, rep)
-		}
-	}
-	n := len(reports)
-	for i := 0; i < n/19; i++ {
-		rep, err := proto.CraftReport(target, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reports = append(reports, rep)
-	}
-	agg, err := ldprecover.AggregateKVReports(reports, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	poisoned, err := proto.Estimate(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := proto.Recover(agg, ldprecover.KVRecoverOptions{
-		Eta:     float64(n/19) / float64(n),
-		Targets: []int{target},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rec.Frequencies[target]-0.1) >= math.Abs(poisoned.Frequencies[target]-0.1) {
-		t.Fatalf("kv frequency not improved: poisoned %v recovered %v",
-			poisoned.Frequencies[target], rec.Frequencies[target])
-	}
-	if math.Abs(rec.Means[target]-(-0.5)) >= math.Abs(poisoned.Means[target]-(-0.5)) {
-		t.Fatalf("kv mean not improved: poisoned %v recovered %v",
-			poisoned.Means[target], rec.Means[target])
-	}
-}
-
 // TestHarmonyFacade exercises the mean-estimation extension through the
 // public API.
 func TestHarmonyFacade(t *testing.T) {

@@ -216,7 +216,9 @@ var AblationRegistry = map[string]func(Config) ([]*Table, error){
 	"refiner":        AblationRefiner,
 	"sim-fidelity":   AblationSimFidelity,
 	"detection-rule": AblationDetectionRule,
+	"harmony":        ExtensionHarmony,
+	"theory":         TheoryValidation,
 }
 
 // AblationOrder lists ablation ids in a stable order.
-var AblationOrder = []string{"refiner", "sim-fidelity", "detection-rule"}
+var AblationOrder = []string{"refiner", "sim-fidelity", "detection-rule", "harmony", "theory"}

@@ -5,15 +5,13 @@ import (
 	"math"
 
 	"ldprecover/internal/harmony"
-	"ldprecover/internal/kv"
 	"ldprecover/internal/ldp"
 	"ldprecover/internal/rng"
 )
 
-// This file implements the paper's extension experiments: §VII-A
-// (mean estimation via Harmony) and the §VIII future-work direction
-// (key-value collection). Neither has a figure in the paper; the tables
-// quantify that LDPRecover transfers to both settings.
+// This file implements the paper's extension experiment: §VII-A (mean
+// estimation via Harmony). It has no figure in the paper; the table
+// quantifies that LDPRecover transfers to that setting.
 
 // ExtensionHarmony measures mean recovery under a +1-category crafting
 // attack across β, at each of the paper's grid points: true mean,
@@ -71,100 +69,4 @@ func ExtensionHarmony(cfg Config) ([]*Table, error) {
 			fmt.Sprintf("%.4f", math.Abs(recoveredMean-trueMean)))
 	}
 	return []*Table{t}, nil
-}
-
-// ExtensionKeyValue measures joint frequency/mean recovery for the
-// key-value protocol under a (target, +1) crafting attack across β.
-func ExtensionKeyValue(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
-	const d, target = 20, 5
-	const trueMean = -0.8
-	n := int(float64(120000) * cfg.Scale)
-	if n < 2000 {
-		n = 2000
-	}
-	t := &Table{
-		Title: fmt.Sprintf("Extension: key-value recovery (d=%d, n=%d, target mean %+.1f)", d, n, trueMean),
-		Header: []string{"beta",
-			"freq-true", "freq-poisoned", "freq-recovered",
-			"mean-poisoned", "mean-recovered"},
-	}
-	proto, err := kv.New(d, 1.0, 1.0)
-	if err != nil {
-		return nil, err
-	}
-	// Zipf-ish key population; the target key is disliked.
-	freqs := make([]float64, d)
-	means := make([]float64, d)
-	var z float64
-	for k := 0; k < d; k++ {
-		freqs[k] = 1 / float64(k+2)
-		z += freqs[k]
-		means[k] = 0.7 - 0.08*float64(k)
-	}
-	for k := range freqs {
-		freqs[k] /= z
-	}
-	means[target] = trueMean
-
-	for _, beta := range beta2Sweep {
-		var fPoisoned, fRecovered, mPoisoned, mRecovered float64
-		for trial := 0; trial < cfg.Trials; trial++ {
-			r := rng.New(cfg.Seed + uint64(trial)*524287)
-			reports := make([]kv.Report, 0, n)
-			for k := 0; k < d; k++ {
-				cnt := int(freqs[k] * float64(n))
-				for i := 0; i < cnt; i++ {
-					rep, err := proto.Perturb(r, kv.Pair{Key: k, Value: means[k]})
-					if err != nil {
-						return nil, err
-					}
-					reports = append(reports, rep)
-				}
-			}
-			nGen := len(reports)
-			m := maliciousCount(int64(nGen), beta)
-			for i := int64(0); i < m; i++ {
-				rep, err := proto.CraftReport(target, 1)
-				if err != nil {
-					return nil, err
-				}
-				reports = append(reports, rep)
-			}
-			agg, err := kv.AggregateReports(reports, d)
-			if err != nil {
-				return nil, err
-			}
-			poisoned, err := proto.Estimate(agg)
-			if err != nil {
-				return nil, err
-			}
-			rec, err := proto.Recover(agg, kv.RecoverOptions{
-				Eta:        float64(m) / float64(nGen),
-				Targets:    []int{target},
-				AttackSign: 1,
-			})
-			if err != nil {
-				return nil, err
-			}
-			fPoisoned += poisoned.Frequencies[target]
-			fRecovered += rec.Frequencies[target]
-			mPoisoned += poisoned.Means[target]
-			mRecovered += rec.Means[target]
-		}
-		tr := float64(cfg.Trials)
-		t.AddRow(fmt.Sprintf("%g", beta),
-			fmt.Sprintf("%.4f", freqs[target]),
-			fmt.Sprintf("%.4f", fPoisoned/tr),
-			fmt.Sprintf("%.4f", fRecovered/tr),
-			fmt.Sprintf("%+.3f", mPoisoned/tr),
-			fmt.Sprintf("%+.3f", mRecovered/tr))
-	}
-	return []*Table{t}, nil
-}
-
-func init() {
-	AblationRegistry["harmony"] = ExtensionHarmony
-	AblationRegistry["keyvalue"] = ExtensionKeyValue
-	AblationOrder = append(AblationOrder, "harmony", "keyvalue")
 }

@@ -56,9 +56,16 @@ func TestRegistryComplete(t *testing.T) {
 			t.Fatalf("order lists unknown id %q", id)
 		}
 	}
+	seen := map[string]int{}
 	for _, id := range AblationOrder {
 		if AblationRegistry[id] == nil {
 			t.Fatalf("ablation order lists unknown id %q", id)
+		}
+		seen[id]++
+	}
+	for id := range AblationRegistry {
+		if seen[id] != 1 {
+			t.Fatalf("ablation %q appears %d times in AblationOrder, want 1", id, seen[id])
 		}
 	}
 }

@@ -77,8 +77,3 @@ func TheoryValidation(cfg Config) ([]*Table, error) {
 	}
 	return []*Table{t}, nil
 }
-
-func init() {
-	AblationRegistry["theory"] = TheoryValidation
-	AblationOrder = append(AblationOrder, "theory")
-}

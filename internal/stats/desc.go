@@ -1,7 +1,8 @@
 // Package stats provides the numerical substrate for the LDPRecover
-// reproduction: compensated summation, descriptive moments, vector norms
-// and error metrics, the normal distribution, goodness-of-fit tests, and
-// the Berry–Esseen bound used by the paper's Theorems 4–5.
+// reproduction: compensated summation, descriptive moments, the MSE error
+// metric, the normal distribution, the Kolmogorov–Smirnov test, binomial
+// confidence bounds, and the Berry–Esseen bound used by the paper's
+// Theorems 4–5.
 //
 // The LDP literature's numerical needs are thin but exacting: frequency
 // vectors mix large positive and negative unbiased estimates, so naive
@@ -10,10 +11,7 @@
 // controlled false-positive rates. Everything here is stdlib-only.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Sum returns the Neumaier-compensated sum of xs. Unlike plain Kahan, the
 // compensation survives when a new term exceeds the running sum, which
@@ -76,9 +74,6 @@ func SampleVariance(xs []float64) float64 {
 	return Variance(xs) * float64(n) / float64(n-1)
 }
 
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Min returns the minimum of xs; +Inf for empty input.
 func Min(xs []float64) float64 {
 	m := math.Inf(1)
@@ -99,45 +94,4 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Quantile returns the q-quantile (0<=q<=1) of xs using linear
-// interpolation between order statistics; NaN for empty input.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Median returns the 0.5-quantile.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// AbsCentralMoment returns E[|X - mean|^k] over the sample xs, used by the
-// Berry–Esseen third-moment terms g_x and g_y in Theorems 4–5.
-func AbsCentralMoment(xs []float64, k float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		sum += math.Pow(math.Abs(x-m), k)
-	}
-	return sum / float64(len(xs))
 }

@@ -6,110 +6,6 @@ import (
 	"sort"
 )
 
-// ChiSquareStat returns the Pearson chi-square statistic for observed
-// counts against expected counts. Cells with expected < minExpected are
-// pooled into their neighbor to keep the asymptotic distribution valid;
-// the returned dof reflects the pooled cell count minus one.
-func ChiSquareStat(observed, expected []float64, minExpected float64) (stat float64, dof int, err error) {
-	if len(observed) != len(expected) {
-		return 0, 0, ErrLengthMismatch
-	}
-	if len(observed) == 0 {
-		return 0, 0, errors.New("stats: chi-square on empty input")
-	}
-	var chi2, obsAcc, expAcc float64
-	cells := 0
-	flush := func() {
-		if expAcc > 0 {
-			d := obsAcc - expAcc
-			chi2 += d * d / expAcc
-			cells++
-			obsAcc, expAcc = 0, 0
-		}
-	}
-	for i := range observed {
-		obsAcc += observed[i]
-		expAcc += expected[i]
-		if expAcc >= minExpected {
-			flush()
-		}
-	}
-	flush() // pool the trailing remainder into a final cell
-	if cells < 2 {
-		return 0, 0, errors.New("stats: chi-square has fewer than 2 usable cells")
-	}
-	return chi2, cells - 1, nil
-}
-
-// ChiSquareCDF returns P(X <= x) for a chi-square distribution with k
-// degrees of freedom, via the regularized lower incomplete gamma function.
-func ChiSquareCDF(x float64, k int) float64 {
-	if x <= 0 || k <= 0 {
-		return 0
-	}
-	return regIncGammaLower(float64(k)/2, x/2)
-}
-
-// regIncGammaLower computes P(a, x), the regularized lower incomplete
-// gamma function, with the standard series/continued-fraction split
-// (Numerical Recipes gser/gcf).
-func regIncGammaLower(a, x float64) float64 {
-	if x < 0 || a <= 0 {
-		return math.NaN()
-	}
-	if x == 0 {
-		return 0
-	}
-	if x < a+1 {
-		return gammaSeries(a, x)
-	}
-	return 1 - gammaContinuedFraction(a, x)
-}
-
-func gammaSeries(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
-	ap := a
-	sum := 1 / a
-	del := sum
-	for i := 0; i < 500; i++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*1e-15 {
-			break
-		}
-	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
-}
-
-func gammaContinuedFraction(a, x float64) float64 {
-	const tiny = 1e-300
-	lg, _ := math.Lgamma(a)
-	b := x + 1 - a
-	c := 1 / tiny
-	d := 1 / b
-	h := d
-	for i := 1; i <= 500; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = b + an/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < 1e-15 {
-			break
-		}
-	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
-}
-
 // KSStatistic returns the two-sided Kolmogorov–Smirnov statistic between
 // the empirical CDF of the sample and the provided theoretical CDF.
 func KSStatistic(sample []float64, cdf func(float64) float64) (float64, error) {

@@ -7,91 +7,6 @@ import (
 	"ldprecover/internal/rng"
 )
 
-func TestChiSquareStatPerfectFit(t *testing.T) {
-	obs := []float64{10, 20, 30}
-	stat, dof, err := ChiSquareStat(obs, obs, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stat != 0 || dof != 2 {
-		t.Fatalf("stat=%v dof=%d", stat, dof)
-	}
-}
-
-func TestChiSquareStatKnown(t *testing.T) {
-	obs := []float64{48, 52}
-	exp := []float64{50, 50}
-	stat, dof, err := ChiSquareStat(obs, exp, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(stat, 0.16, 1e-12) || dof != 1 {
-		t.Fatalf("stat=%v dof=%d", stat, dof)
-	}
-}
-
-func TestChiSquareStatPoolsSmallCells(t *testing.T) {
-	obs := []float64{100, 1, 1, 1, 1, 1}
-	exp := []float64{100, 1, 1, 1, 1, 1}
-	_, dof, err := ChiSquareStat(obs, exp, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The five expected-1 cells pool into one (sum 5), so dof = 2-1 = 1.
-	if dof != 1 {
-		t.Fatalf("dof=%d want 1 after pooling", dof)
-	}
-}
-
-func TestChiSquareStatErrors(t *testing.T) {
-	if _, _, err := ChiSquareStat([]float64{1}, []float64{1, 2}, 5); err == nil {
-		t.Fatal("mismatch accepted")
-	}
-	if _, _, err := ChiSquareStat(nil, nil, 5); err == nil {
-		t.Fatal("empty accepted")
-	}
-	if _, _, err := ChiSquareStat([]float64{5}, []float64{5}, 5); err == nil {
-		t.Fatal("single cell accepted")
-	}
-}
-
-func TestChiSquareCDFKnown(t *testing.T) {
-	cases := []struct {
-		x    float64
-		k    int
-		want float64
-	}{
-		// chi2(1): P(X <= 3.841) ~= 0.95
-		{3.841458820694124, 1, 0.95},
-		// chi2(2) is Exp(1/2): P(X <= x) = 1-exp(-x/2)
-		{2, 2, 1 - math.Exp(-1)},
-		// chi2(10): median ~ 9.342
-		{9.341818, 10, 0.5},
-	}
-	for _, c := range cases {
-		if got := ChiSquareCDF(c.x, c.k); !almostEq(got, c.want, 1e-4) {
-			t.Fatalf("ChiSquareCDF(%v,%d) = %v want %v", c.x, c.k, got, c.want)
-		}
-	}
-	if ChiSquareCDF(-1, 3) != 0 || ChiSquareCDF(1, 0) != 0 {
-		t.Fatal("degenerate CDF not 0")
-	}
-}
-
-func TestChiSquareCDFMonotone(t *testing.T) {
-	prev := -1.0
-	for x := 0.1; x < 30; x += 0.5 {
-		c := ChiSquareCDF(x, 5)
-		if c < prev {
-			t.Fatalf("CDF not monotone at %v", x)
-		}
-		if c < 0 || c > 1 {
-			t.Fatalf("CDF out of range at %v: %v", x, c)
-		}
-		prev = c
-	}
-}
-
 func TestKSStatisticUniform(t *testing.T) {
 	// Sample from the RNG, test against U(0,1); must pass at alpha=0.001.
 	r := rng.New(42)

@@ -5,19 +5,6 @@ import (
 	"testing"
 )
 
-func TestNormalPDFStandard(t *testing.T) {
-	want := 1 / math.Sqrt(2*math.Pi)
-	if got := NormalPDF(0, 0, 1); !almostEq(got, want, 1e-12) {
-		t.Fatalf("pdf(0) = %v want %v", got, want)
-	}
-	if got := NormalPDF(1, 0, 1); !almostEq(got, 0.24197072451914337, 1e-12) {
-		t.Fatalf("pdf(1) = %v", got)
-	}
-	if !math.IsNaN(NormalPDF(0, 0, 0)) {
-		t.Fatal("sigma=0 not NaN")
-	}
-}
-
 func TestNormalCDFKnownValues(t *testing.T) {
 	cases := []struct{ x, want float64 }{
 		{0, 0.5},

@@ -30,78 +30,6 @@ func MSE(a, b []float64) (float64, error) {
 	return sum / float64(len(a)), nil
 }
 
-// MAE returns the mean absolute error between a and b.
-func MAE(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrLengthMismatch, len(a), len(b))
-	}
-	if len(a) == 0 {
-		return 0, errors.New("stats: MAE of empty vectors")
-	}
-	var sum float64
-	for i := range a {
-		sum += math.Abs(a[i] - b[i])
-	}
-	return sum / float64(len(a)), nil
-}
-
-// L1 returns the 1-norm of x.
-func L1(x []float64) float64 {
-	var sum float64
-	for _, v := range x {
-		sum += math.Abs(v)
-	}
-	return sum
-}
-
-// L2 returns the 2-norm of x.
-func L2(x []float64) float64 {
-	var sum float64
-	for _, v := range x {
-		sum += v * v
-	}
-	return math.Sqrt(sum)
-}
-
-// LInf returns the infinity norm of x.
-func LInf(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrLengthMismatch, len(a), len(b))
-	}
-	var sum, comp float64
-	for i := range a {
-		y := a[i]*b[i] - comp
-		t := sum + y
-		comp = (t - sum) - y
-		sum = t
-	}
-	return sum, nil
-}
-
-// TotalVariation returns half the L1 distance between two frequency
-// vectors, the standard distribution distance.
-func TotalVariation(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrLengthMismatch, len(a), len(b))
-	}
-	var sum float64
-	for i := range a {
-		sum += math.Abs(a[i] - b[i])
-	}
-	return sum / 2, nil
-}
-
 // AllFinite reports whether every element of x is finite (no NaN/Inf).
 func AllFinite(x []float64) bool {
 	for _, v := range x {

@@ -41,8 +41,6 @@ import (
 	"ldprecover/internal/dataset"
 	"ldprecover/internal/detect"
 	"ldprecover/internal/harmony"
-	"ldprecover/internal/hh"
-	"ldprecover/internal/kv"
 	"ldprecover/internal/ldp"
 	"ldprecover/internal/metrics"
 	"ldprecover/internal/persist"
@@ -614,53 +612,3 @@ func RecoverHarmonyMean(poisoned []float64, epsilon, eta float64, targets []int)
 
 // HarmonyMean converts the two Harmony category frequencies into a mean.
 func HarmonyMean(freqs []float64) (float64, error) { return harmony.EstimateMean(freqs) }
-
-// Key-value collection under LDP (the paper's §VIII future-work item),
-// with joint frequency/mean recovery; see internal/kv for the protocol.
-type (
-	// KVProtocol is the KV-GRR key-value mechanism.
-	KVProtocol = kv.Protocol
-	// KVPair is one user's ⟨key, value⟩ datum.
-	KVPair = kv.Pair
-	// KVReport is a perturbed key-value submission.
-	KVReport = kv.Report
-	// KVAggregate is the raw server-side tally.
-	KVAggregate = kv.Aggregate
-	// KVEstimate holds per-key frequency and mean estimates.
-	KVEstimate = kv.Estimate
-	// KVRecoverOptions configures KV recovery.
-	KVRecoverOptions = kv.RecoverOptions
-	// KVRecovered holds recovered frequencies and means.
-	KVRecovered = kv.Recovered
-)
-
-// NewKV constructs the key-value protocol over d keys with budget split
-// (eps1 for keys, eps2 for values).
-func NewKV(d int, eps1, eps2 float64) (*KVProtocol, error) { return kv.New(d, eps1, eps2) }
-
-// AggregateKVReports tallies key-value reports over a domain of size d.
-func AggregateKVReports(reports []KVReport, d int) (*KVAggregate, error) {
-	return kv.AggregateReports(reports, d)
-}
-
-// Heavy-hitter identification (PEM) over large domains, with a poisoning
-// defense hook; see internal/hh.
-type (
-	// HHConfig parameterizes heavy-hitter identification.
-	HHConfig = hh.Config
-	// HHResult carries the identified items and their estimates.
-	HHResult = hh.Result
-)
-
-// IdentifyHeavyHitters runs prefix-extension heavy-hitter identification
-// over the users' items (each in [0, 2^cfg.Bits)).
-func IdentifyHeavyHitters(r *Rand, cfg HHConfig, items []int) (*HHResult, error) {
-	return hh.Identify(r, cfg, items, nil)
-}
-
-// SuppressHHTargets returns a per-level defense for IdentifyHeavyHitters
-// that deducts a suspected promotion attack's expected gain (Eq. 30
-// restricted to the candidate set).
-func SuppressHHTargets(bits int, suspects []int, eta float64) func(int, []int, []float64, Params, int64) []float64 {
-	return hh.SuppressTargets(bits, suspects, eta)
-}
