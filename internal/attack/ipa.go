@@ -21,12 +21,6 @@ type IPA struct {
 	label string
 }
 
-// NewIPA builds an input-poisoning attack with the given input
-// distribution.
-func NewIPA(inputDist []float64) (*IPA, error) {
-	return newIPA(inputDist, "IPA")
-}
-
 func newIPA(inputDist []float64, label string) (*IPA, error) {
 	if len(inputDist) == 0 {
 		return nil, errors.New("attack: empty IPA input distribution")

@@ -9,16 +9,16 @@ import (
 )
 
 func TestNewIPAValidation(t *testing.T) {
-	if _, err := NewIPA(nil); err == nil {
+	if _, err := newIPA(nil, "IPA"); err == nil {
 		t.Fatal("empty dist accepted")
 	}
-	if _, err := NewIPA([]float64{-1, 2}); err == nil {
+	if _, err := newIPA([]float64{-1, 2}, "IPA"); err == nil {
 		t.Fatal("negative prob accepted")
 	}
-	if _, err := NewIPA([]float64{0}); err == nil {
+	if _, err := newIPA([]float64{0}, "IPA"); err == nil {
 		t.Fatal("zero mass accepted")
 	}
-	if _, err := NewIPA([]float64{math.NaN()}); err == nil {
+	if _, err := newIPA([]float64{math.NaN()}, "IPA"); err == nil {
 		t.Fatal("NaN accepted")
 	}
 }

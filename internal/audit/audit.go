@@ -87,13 +87,17 @@ func BuildProtocol(name string, d int, eps float64) (ldp.Protocol, error) {
 	}
 }
 
+// v0 and v1 are the neighboring inputs every audit compares.
+const v0, v1 = 0, 1
+
 // Config parameterizes one privacy audit.
 type Config struct {
 	// Protocol names the mechanism under audit (see Protocols).
 	Protocol string
 	// Epsilon is the claimed privacy budget.
 	Epsilon float64
-	// Domain is the item-domain size.
+	// Domain is the item-domain size (default 16); it must hold both
+	// neighboring inputs, items 0 and 1.
 	Domain int
 	// Trials is the number of reports observed per neighboring input per
 	// path.
@@ -106,8 +110,6 @@ type Config struct {
 	Slack float64
 	// Seed drives the audit deterministically.
 	Seed uint64
-	// V0 and V1 are the neighboring inputs (defaults 0 and 1).
-	V0, V1 int
 	// Paths restricts the audit to a subset of AllPaths (nil: all).
 	Paths []Path
 }
@@ -122,9 +124,6 @@ func (c Config) withDefaults() Config {
 	if c.Domain == 0 {
 		c.Domain = 16
 	}
-	if c.V0 == 0 && c.V1 == 0 {
-		c.V1 = 1
-	}
 	if len(c.Paths) == 0 {
 		c.Paths = AllPaths
 	}
@@ -138,11 +137,8 @@ func (c Config) validate() error {
 	if c.Confidence <= 0 || c.Confidence >= 1 {
 		return fmt.Errorf("audit: confidence %v outside (0,1)", c.Confidence)
 	}
-	if c.V0 == c.V1 {
-		return fmt.Errorf("audit: neighboring inputs are both %d", c.V0)
-	}
-	if c.V0 < 0 || c.V0 >= c.Domain || c.V1 < 0 || c.V1 >= c.Domain {
-		return fmt.Errorf("audit: inputs (%d,%d) outside domain %d", c.V0, c.V1, c.Domain)
+	if c.Domain < 2 {
+		return fmt.Errorf("audit: inputs (%d,%d) outside domain %d", v0, v1, c.Domain)
 	}
 	return nil
 }
@@ -237,11 +233,11 @@ func auditPath(proto ldp.Protocol, path Path, cfg Config) (Result, error) {
 	// Distinct deterministic streams per (path, input) so adding a path
 	// to the sweep never perturbs another path's draws.
 	salt := uint64(path+1) * 0x9e3779b97f4a7c15
-	c0, err := observe(proto, path, rng.New(cfg.Seed^salt), cfg.V0, cfg)
+	c0, err := observe(proto, path, rng.New(cfg.Seed^salt), v0, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	c1, err := observe(proto, path, rng.New(cfg.Seed^salt^0x5851f42d4c957f2d), cfg.V1, cfg)
+	c1, err := observe(proto, path, rng.New(cfg.Seed^salt^0x5851f42d4c957f2d), v1, cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -330,7 +326,7 @@ func observe(proto ldp.Protocol, path Path, r *rng.Rand, v int, cfg Config) ([4]
 			if err != nil {
 				return counts, err
 			}
-			counts[eventIndex(rep.Supports(cfg.V0), rep.Supports(cfg.V1))]++
+			counts[eventIndex(rep.Supports(v0), rep.Supports(v1))]++
 		}
 	case PathBulk:
 		// Chunked so the arena stays modest at large trial counts; the
@@ -346,7 +342,7 @@ func observe(proto ldp.Protocol, path Path, r *rng.Rand, v int, cfg Config) ([4]
 				return counts, err
 			}
 			for _, rep := range reports {
-				counts[eventIndex(rep.Supports(cfg.V0), rep.Supports(cfg.V1))]++
+				counts[eventIndex(rep.Supports(v0), rep.Supports(v1))]++
 			}
 		}
 	case PathCount:
@@ -357,7 +353,7 @@ func observe(proto ldp.Protocol, path Path, r *rng.Rand, v int, cfg Config) ([4]
 			if err != nil {
 				return counts, err
 			}
-			counts[eventIndex(out[cfg.V0] > 0, out[cfg.V1] > 0)]++
+			counts[eventIndex(out[v0] > 0, out[v1] > 0)]++
 		}
 	default:
 		return counts, fmt.Errorf("audit: unknown path %d", int(path))

@@ -86,7 +86,6 @@ func TestRunLeakyCanaryViolates(t *testing.T) {
 		Domain:   16,
 		Trials:   40000,
 		Seed:     11,
-		V1:       1,
 	}.withDefaults())
 	if err != nil {
 		t.Fatal(err)
@@ -107,11 +106,10 @@ func TestRunLeakyCanaryViolates(t *testing.T) {
 
 // TestRunValidation covers config validation and unknown names.
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{Protocol: "GRR", Epsilon: 1, V0: 3, V1: 3}); err == nil {
-		t.Fatal("identical neighboring inputs accepted")
-	}
-	if _, err := Run(Config{Protocol: "GRR", Epsilon: 1, V1: 99}); err == nil {
-		t.Fatal("out-of-domain input accepted")
+	for _, d := range []int{1, -3} {
+		if _, err := Run(Config{Protocol: "GRR", Epsilon: 1, Domain: d}); err == nil {
+			t.Fatalf("domain %d, too small for the neighboring inputs, accepted", d)
+		}
 	}
 	if _, err := Run(Config{Protocol: "XYZ", Epsilon: 1}); err == nil {
 		t.Fatal("unknown protocol accepted")

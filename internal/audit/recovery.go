@@ -8,6 +8,32 @@ import (
 	"ldprecover/internal/stats"
 )
 
+// The recovery audit's population skew and guarantees. Each is a named
+// constant so that changing a gate shows in review; the floats are
+// untyped float constants because the violation messages print them
+// with %g.
+const (
+	// zipfS is the skew of the synthetic Zipf population.
+	zipfS = 1.1
+	// mseFactor is the error guarantee: the steady-state recovered MSE
+	// must stay below mseFactor times the protocol's theoretical
+	// no-attack MSE floor.
+	mseFactor = 30.0
+	// fgHalving requires the steady-state recovered frequency gain to be
+	// below fgHalving times the poisoned gain (recovery must claw back
+	// at least half of what the attacker gained).
+	fgHalving = 0.5
+	// engageLag bounds when cross-epoch detection must engage
+	// LDPRecover*: no later than engageLag epochs after the ramp
+	// completes, and never before the attack starts.
+	engageLag = 3
+	// maxViolationRate is the gate: the audit passes iff the certified
+	// upper bound on the per-run violation rate stays below it (with a
+	// short grid the exact bound is necessarily loose; more seeds
+	// tighten it).
+	maxViolationRate = 0.4
+)
+
 // RecoveryConfig parameterizes a recovery-robustness audit: the streamed
 // MGA scenario is replayed across a grid of attacker strengths and
 // seeds, and each run is checked against the recovery pipeline's error
@@ -18,11 +44,10 @@ type RecoveryConfig struct {
 	Protocol string
 	// Epsilon is the privacy budget (default 1).
 	Epsilon float64
-	// Domain and N describe the synthetic Zipf population (defaults 64
-	// and 60000); ZipfS is its skew (default 1.1).
+	// Domain and N describe the synthetic Zipf(zipfS) population
+	// (defaults 64 and 60000).
 	Domain int
 	N      int64
-	ZipfS  float64
 	// Betas is the attacker-strength grid (default {0.05, 0.1, 0.15}).
 	Betas []float64
 	// Seeds replays each beta under these stream seeds (default {1,2,3}).
@@ -32,26 +57,9 @@ type RecoveryConfig struct {
 	Epochs int
 	// NumTargets is the MGA target-set size (default 5).
 	NumTargets int
-	// MSEFactor is the error guarantee: the steady-state recovered MSE
-	// must stay below MSEFactor times the protocol's theoretical
-	// no-attack MSE floor (default 30).
-	MSEFactor float64
-	// FGHalving requires the steady-state recovered frequency gain to be
-	// below FGHalving times the poisoned gain (default 0.5 — recovery
-	// must claw back at least half of what the attacker gained).
-	FGHalving float64
-	// EngageLag bounds when cross-epoch detection must engage
-	// LDPRecover*: no later than EngageLag epochs after the ramp
-	// completes (default 3), and never before the attack starts.
-	EngageLag int
 	// Confidence is the level of the one-sided Clopper-Pearson upper
 	// bound on the violation rate (default 0.95).
 	Confidence float64
-	// MaxViolationRate is the gate: the audit passes iff the certified
-	// upper bound on the per-run violation rate stays below it (default
-	// 0.4 — with a short grid the exact bound is necessarily loose; more
-	// seeds tighten it).
-	MaxViolationRate float64
 }
 
 func (c RecoveryConfig) withDefaults() RecoveryConfig {
@@ -67,9 +75,6 @@ func (c RecoveryConfig) withDefaults() RecoveryConfig {
 	if c.N == 0 {
 		c.N = 60000
 	}
-	if c.ZipfS == 0 {
-		c.ZipfS = 1.1
-	}
 	if len(c.Betas) == 0 {
 		c.Betas = []float64{0.05, 0.1, 0.15}
 	}
@@ -82,20 +87,8 @@ func (c RecoveryConfig) withDefaults() RecoveryConfig {
 	if c.NumTargets == 0 {
 		c.NumTargets = 5
 	}
-	if c.MSEFactor == 0 {
-		c.MSEFactor = 30
-	}
-	if c.FGHalving == 0 {
-		c.FGHalving = 0.5
-	}
-	if c.EngageLag == 0 {
-		c.EngageLag = 3
-	}
 	if c.Confidence == 0 {
 		c.Confidence = 0.95
-	}
-	if c.MaxViolationRate == 0 {
-		c.MaxViolationRate = 0.4
 	}
 	return c
 }
@@ -126,7 +119,7 @@ type RecoveryResult struct {
 	// Clopper-Pearson upper confidence bound.
 	Rate   float64 `json:"rate"`
 	RateHi float64 `json:"rate_hi"`
-	// Pass is the gate verdict: RateHi <= MaxViolationRate.
+	// Pass is the gate verdict: RateHi <= maxViolationRate.
 	Pass bool `json:"pass"`
 }
 
@@ -146,7 +139,7 @@ func RunRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds, err := dataset.Zipf("audit-recovery", cfg.Domain, cfg.N, cfg.ZipfS)
+	ds, err := dataset.Zipf("audit-recovery", cfg.Domain, cfg.N, zipfS)
 	if err != nil {
 		return nil, err
 	}
@@ -196,17 +189,17 @@ func RunRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 				FGAfter:   steady.FGAfter,
 				EngagedAt: sm.StarEngagedAt,
 			}
-			if !(steady.MSEAfter <= cfg.MSEFactor*floor) {
+			if !(steady.MSEAfter <= mseFactor*floor) {
 				run.Violations = append(run.Violations, fmt.Sprintf(
 					"recovered MSE %.3g above %gx theoretical floor %.3g",
-					steady.MSEAfter, cfg.MSEFactor, floor))
+					steady.MSEAfter, mseFactor, floor))
 			}
-			if steady.FGBefore > 0 && !(steady.FGAfter <= cfg.FGHalving*steady.FGBefore) {
+			if steady.FGBefore > 0 && !(steady.FGAfter <= fgHalving*steady.FGBefore) {
 				run.Violations = append(run.Violations, fmt.Sprintf(
 					"recovered FG %.3g above %g of poisoned FG %.3g",
-					steady.FGAfter, cfg.FGHalving, steady.FGBefore))
+					steady.FGAfter, fgHalving, steady.FGBefore))
 			}
-			deadline := attackStart + rampEpochs + cfg.EngageLag
+			deadline := attackStart + rampEpochs + engageLag
 			if sm.StarEngagedAt < 0 || sm.StarEngagedAt > deadline {
 				run.Violations = append(run.Violations, fmt.Sprintf(
 					"LDPRecover* engaged at epoch %d, deadline %d", sm.StarEngagedAt, deadline))
@@ -230,7 +223,7 @@ func RunRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 		return nil, err
 	}
 	res.RateHi = hi
-	res.Pass = res.RateHi <= cfg.MaxViolationRate
+	res.Pass = res.RateHi <= maxViolationRate
 	return res, nil
 }
 

@@ -173,23 +173,6 @@ func TestZipfShape(t *testing.T) {
 	}
 }
 
-func TestGeometric(t *testing.T) {
-	ds, err := Geometric("g", 20, 10000, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := ds.Frequencies()
-	if fs[0] < 0.45 || fs[0] > 0.55 {
-		t.Fatalf("geometric head %v", fs[0])
-	}
-	if _, err := Geometric("g", 20, 10000, 1.5); err == nil {
-		t.Fatal("rho > 1 accepted")
-	}
-	if _, err := Geometric("g", 20, 10000, 0); err == nil {
-		t.Fatal("rho = 0 accepted")
-	}
-}
-
 func TestSyntheticCorporaMatchPaperScale(t *testing.T) {
 	ip := SyntheticIPUMS()
 	if ip.Domain() != IPUMSDomain || ip.N() != IPUMSUsers {

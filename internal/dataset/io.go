@@ -41,55 +41,3 @@ func (d *Dataset) SaveCSV(path string) error {
 	}
 	return f.Close()
 }
-
-// ReadCSV parses "item,count" rows (header optional). Items must form the
-// contiguous range 0..d-1 in any order; duplicates are rejected.
-func ReadCSV(name string, r io.Reader) (*Dataset, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 2
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: parse csv: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, ErrEmptyDomain
-	}
-	// Skip a header row if the first field is not numeric.
-	if _, err := strconv.Atoi(rows[0][0]); err != nil {
-		rows = rows[1:]
-	}
-	if len(rows) == 0 {
-		return nil, ErrEmptyDomain
-	}
-	counts := make([]int64, len(rows))
-	seen := make([]bool, len(rows))
-	for i, rec := range rows {
-		item, err := strconv.Atoi(rec[0])
-		if err != nil {
-			return nil, fmt.Errorf("dataset: row %d: bad item %q: %w", i, rec[0], err)
-		}
-		if item < 0 || item >= len(rows) {
-			return nil, fmt.Errorf("dataset: row %d: item %d outside [0,%d)", i, item, len(rows))
-		}
-		if seen[item] {
-			return nil, fmt.Errorf("dataset: duplicate item %d", item)
-		}
-		seen[item] = true
-		c, err := strconv.ParseInt(rec[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: row %d: bad count %q: %w", i, rec[1], err)
-		}
-		counts[item] = c
-	}
-	return New(name, counts)
-}
-
-// LoadCSV reads a dataset from a file, naming it after the path.
-func LoadCSV(path string) (*Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: open %s: %w", path, err)
-	}
-	defer f.Close()
-	return ReadCSV(path, f)
-}

@@ -23,21 +23,6 @@ func Uniform(name string, d int, n int64) (*Dataset, error) {
 	return Zipf(name, d, n, 0)
 }
 
-// Geometric builds a dataset whose frequencies decay geometrically with
-// ratio rho in (0,1): f_k ∝ rho^k. Useful for very skewed workloads.
-func Geometric(name string, d int, n int64, rho float64) (*Dataset, error) {
-	if rho <= 0 || rho >= 1 || math.IsNaN(rho) {
-		return nil, fmt.Errorf("dataset: geometric ratio %v outside (0,1)", rho)
-	}
-	freqs := make([]float64, d)
-	w := 1.0
-	for k := range freqs {
-		freqs[k] = w
-		w *= rho
-	}
-	return FromFrequencies(name, freqs, n)
-}
-
 // Paper-scale constants (§VI-A.1).
 const (
 	// IPUMSDomain and IPUMSUsers match the paper's IPUMS 2017 "city"

@@ -95,7 +95,9 @@ func (k AttackKind) String() string {
 	}
 }
 
-// Defaults matching §VI-A.
+// Defaults matching §VI-A. Manip's |H|/d (DefaultManipFraction) and
+// MUL-AA's attacker count (DefaultAttackers) are fixed by the paper's
+// evaluation, so every scenario uses them.
 const (
 	DefaultEpsilon       = 0.5
 	DefaultBeta          = 0.05
@@ -116,11 +118,9 @@ type Scenario struct {
 	Protocol ProtocolKind
 	Epsilon  float64
 	// Attack and its parameters.
-	Attack        AttackKind
-	Beta          float64 // fraction of malicious users m/(n+m)
-	NumTargets    int     // r, for targeted attacks
-	ManipFraction float64 // |H|/d for Manip
-	NumAttackers  int     // k for MUL-AA
+	Attack     AttackKind
+	Beta       float64 // fraction of malicious users m/(n+m)
+	NumTargets int     // r, for targeted attacks
 	// Eta is LDPRecover's assumed malicious/genuine ratio.
 	Eta float64
 	// Trials and Seed control replication.
@@ -158,12 +158,6 @@ func (s Scenario) withDefaults() Scenario {
 	}
 	if s.NumTargets == 0 {
 		s.NumTargets = DefaultTargets
-	}
-	if s.ManipFraction == 0 {
-		s.ManipFraction = DefaultManipFraction
-	}
-	if s.NumAttackers == 0 {
-		s.NumAttackers = DefaultAttackers
 	}
 	if s.Trials == 0 {
 		s.Trials = DefaultTrials
@@ -220,7 +214,7 @@ func (s Scenario) buildAttack(r *rng.Rand, d int) (attack.Attack, []int, error) 
 	case NoAttack:
 		return nil, nil, nil
 	case ManipAttack:
-		a, err := attack.NewManip(s.ManipFraction, r.Uint64())
+		a, err := attack.NewManip(DefaultManipFraction, r.Uint64())
 		return a, nil, err
 	case MGAAttack:
 		targets, err := attack.RandomTargets(r, d, s.NumTargets)
@@ -240,7 +234,7 @@ func (s Scenario) buildAttack(r *rng.Rand, d int) (attack.Attack, []int, error) 
 		a, err := attack.NewMGAIPA(targets, d)
 		return a, targets, err
 	case MultiAAAttack:
-		a, err := attack.NewMultiAdaptive(r, s.NumAttackers, d)
+		a, err := attack.NewMultiAdaptive(r, DefaultAttackers, d)
 		return a, nil, err
 	default:
 		return nil, nil, fmt.Errorf("experiment: unknown attack kind %d", int(s.Attack))

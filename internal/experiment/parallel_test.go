@@ -5,41 +5,50 @@ import (
 	"testing"
 )
 
-// TestRunGridMatchesSequential: cell-level parallelism must not change a
-// single digit of any figure — every cell is seeded independently, so
-// the grid's output is schedule-invariant.
+// TestRunGridMatchesSequential: running a grid's trials on one shared
+// pool must not change a single digit of any figure — every cell is
+// seeded independently and accumulates its trials in trial order, so the
+// grid's output is schedule-invariant. The second grid mixes per-cell
+// trial counts, so one cell's trials interleave with another's.
 func TestRunGridMatchesSequential(t *testing.T) {
 	ds := testDataset(t)
-	mk := func(seed uint64, proto ProtocolKind) Scenario {
+	mk := func(seed uint64, proto ProtocolKind, trials int) Scenario {
 		return Scenario{
 			Dataset:  ds,
 			Protocol: proto,
 			Attack:   MGAAttack,
-			Trials:   2,
+			Trials:   trials,
 			Seed:     seed,
 		}
 	}
-	var cells []*gridCell
+	var uniform, mixed []*gridCell
 	for i := 0; i < 6; i++ {
-		cells = append(cells, &gridCell{
+		uniform = append(uniform, &gridCell{
 			tag: "grid-test",
-			scn: mk(uint64(i+1), AllProtocols[i%len(AllProtocols)]),
+			scn: mk(uint64(i+1), AllProtocols[i%len(AllProtocols)], 2),
 		})
 	}
-	if err := runGrid(cells); err != nil {
-		t.Fatal(err)
+	for i, trials := range []int{1, 2, 3} {
+		mixed = append(mixed, &gridCell{
+			tag: "grid-test-mixed",
+			scn: mk(uint64(i+11), AllProtocols[i%len(AllProtocols)], trials),
+		})
 	}
-	for i, c := range cells {
-		want, err := Run(c.scn)
-		if err != nil {
+	for _, cells := range [][]*gridCell{uniform, mixed} {
+		if err := runGrid(cells); err != nil {
 			t.Fatal(err)
 		}
-		if c.m == nil {
-			t.Fatalf("cell %d has no metrics", i)
-		}
-		if c.m.MSEBefore != want.MSEBefore || c.m.MSEAfter != want.MSEAfter ||
-			c.m.FGBefore != want.FGBefore {
-			t.Fatalf("cell %d diverged from sequential Run: %+v vs %+v", i, c.m, want)
+		for i, c := range cells {
+			want, err := Run(c.scn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.m == nil {
+				t.Fatalf("%s cell %d has no metrics", c.tag, i)
+			}
+			if *c.m != *want {
+				t.Fatalf("%s cell %d diverged from sequential Run: %+v vs %+v", c.tag, i, c.m, want)
+			}
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-	"runtime"
-	"sync"
-
 	"ldprecover/internal/core"
 	"ldprecover/internal/detect"
 	"ldprecover/internal/ldp"
@@ -45,60 +41,16 @@ type Metrics struct {
 	HasRecovery, HasStar, HasFG, HasDetect, HasKM, HasMal bool
 }
 
-// Run evaluates the scenario and returns trial-mean metrics. Trials are
-// independent (each derives its own generator from Seed and the trial
-// index) and run in parallel; results accumulate in trial order, so the
-// output is bit-identical to a sequential run.
+// Run evaluates the scenario and returns trial-mean metrics: a one-cell
+// runGrid. Trials are independent (each derives its own generator from
+// Seed and the trial index) and run in parallel; results accumulate in
+// trial order, so the output is bit-identical to a sequential run.
 func Run(s Scenario) (*Metrics, error) {
-	s = s.withDefaults()
-	if err := s.validate(); err != nil {
+	c := &gridCell{scn: s}
+	if err := runGrid([]*gridCell{c}); err != nil {
 		return nil, err
 	}
-	results := make([]*Metrics, s.Trials)
-	errs := make([]error, s.Trials)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > s.Trials {
-		workers = s.Trials
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for trial := range next {
-				results[trial], errs[trial] = s.runTrial(trial)
-			}
-		}()
-	}
-	for trial := 0; trial < s.Trials; trial++ {
-		next <- trial
-	}
-	close(next)
-	wg.Wait()
-
-	var acc Metrics
-	for trial := 0; trial < s.Trials; trial++ {
-		if errs[trial] != nil {
-			return nil, fmt.Errorf("experiment: trial %d: %w", trial, errs[trial])
-		}
-		accumulate(&acc, results[trial], trial == 0)
-	}
-	scale := 1 / float64(s.Trials)
-	acc.MSEBefore *= scale
-	acc.MSEAfter *= scale
-	acc.MSEStar *= scale
-	acc.MSEDetect *= scale
-	acc.MSEGenuine *= scale
-	acc.FGBefore *= scale
-	acc.FGAfter *= scale
-	acc.FGStar *= scale
-	acc.FGDetect *= scale
-	acc.MSEMalNK *= scale
-	acc.MSEMalPK *= scale
-	acc.MSEKMeans *= scale
-	acc.MSEKM *= scale
-	return &acc, nil
+	return c.m, nil
 }
 
 func accumulate(acc *Metrics, m *Metrics, first bool) {

@@ -40,14 +40,11 @@ type StreamScenario struct {
 	Epochs      int
 	AttackStart int
 	RampEpochs  int
-	// Window and History configure the epoch manager (stream.Config
-	// semantics); StableAfter and MinHistory tune target stabilization.
-	Window      int
-	History     int
+	// StableAfter tunes target stabilization (stream.Config semantics).
+	// The epoch manager estimates over a one-epoch window, keeps the
+	// whole stream as history, takes the stream package's default
+	// minimum history and recovers at η = DefaultEta.
 	StableAfter int
-	MinHistory  int
-	// Eta is LDPRecover's assumed malicious/genuine ratio.
-	Eta float64
 	// Seed drives the whole stream deterministically.
 	Seed uint64
 }
@@ -64,9 +61,6 @@ func (s StreamScenario) withDefaults() StreamScenario {
 	if s.NumTargets == 0 {
 		s.NumTargets = DefaultTargets
 	}
-	if s.Eta == 0 {
-		s.Eta = DefaultEta
-	}
 	if s.Epochs == 0 {
 		s.Epochs = 20
 	}
@@ -75,12 +69,6 @@ func (s StreamScenario) withDefaults() StreamScenario {
 	}
 	if s.RampEpochs == 0 {
 		s.RampEpochs = 3
-	}
-	if s.Window == 0 {
-		s.Window = 1
-	}
-	if s.History == 0 {
-		s.History = s.Epochs
 	}
 	return s
 }
@@ -165,12 +153,11 @@ func RunStream(s StreamScenario) (*StreamMetrics, error) {
 	}
 	mgr, err := stream.NewEpochManager(stream.Config{
 		Params:      proto.Params(),
-		Window:      s.Window,
-		History:     s.History,
-		Eta:         s.Eta,
+		Window:      1,
+		History:     s.Epochs,
+		Eta:         DefaultEta,
 		TargetK:     s.NumTargets,
 		StableAfter: s.StableAfter,
-		MinHistory:  s.MinHistory,
 	})
 	if err != nil {
 		return nil, err

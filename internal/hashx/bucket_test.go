@@ -20,7 +20,7 @@ func TestBucketIntervalMatchesRangeReduction(t *testing.T) {
 			lo, width := BucketInterval(value, g)
 			zs := []uint64{lo - 1, lo, lo + width - 1, lo + width, 0, math.MaxUint64}
 			for i := 0; i < 2000; i++ {
-				zs = append(zs, Hash64(gu, uint64(value)<<32|uint64(i)))
+				zs = append(zs, Premix(gu).Hash64(uint64(value)<<32|uint64(i)))
 			}
 			for _, z := range zs {
 				bucket, _ := bits.Mul64(z, gu)

@@ -2,22 +2,12 @@ package hashx
 
 import "testing"
 
-// Golden vectors pin both hash families bit-for-bit. OLH reports are
-// (seed, value) pairs whose meaning depends on every aggregator hashing
-// identically, and serialized reports outlive any one process — so a
-// change to either family is a wire-format break and must fail here
-// loudly (bump the family version instead of editing the vectors).
-
-var goldenV1 = []struct{ seed, x, want uint64 }{
-	{0x0, 0x0, 0x9474f0eb06d79fd8},
-	{0x0, 0x1, 0x1f72637756819f47},
-	{0x1, 0x0, 0xbf2f3d7baa2abe7c},
-	{0x1, 0x1, 0xecc4bd356ecae20d},
-	{0x2a, 0x7, 0x130ce054475a047c},
-	{0xdeadbeef, 0x75bcd15, 0xf2612b017fe0ae4a},
-	{0xffffffffffffffff, 0xffffffffffffffff, 0x73432408bb46c5c8},
-	{0x9e3779b97f4a7c15, 0xc4ceb9fe1a85ec53, 0xceb0aa530c1192e1},
-}
+// Golden vectors pin the v2 hash family (Premix and Premixed.Hash64)
+// bit-for-bit. OLH reports are (seed, value) pairs whose meaning depends
+// on every aggregator hashing identically, and serialized reports outlive
+// any one process — so a change to the family is a wire-format break and
+// must fail here loudly (bump the family version instead of editing the
+// vectors). The v1 family is retired: its wire tag is rejected on decode.
 
 var goldenPremix = []struct{ seed, want uint64 }{
 	{0x0, 0x0},
@@ -37,14 +27,6 @@ var goldenV2 = []struct{ seed, x, want uint64 }{
 	{0xdeadbeef, 0x75bcd15, 0x2343cfc7043cc3c0},
 	{0xffffffffffffffff, 0xffffffffffffffff, 0xe9f922cb5c739a99},
 	{0x9e3779b97f4a7c15, 0xc4ceb9fe1a85ec53, 0x464a3ef50ef28312},
-}
-
-func TestGoldenV1(t *testing.T) {
-	for _, g := range goldenV1 {
-		if got := Hash64(g.seed, g.x); got != g.want {
-			t.Errorf("Hash64(%#x, %#x) = %#x, want %#x", g.seed, g.x, got, g.want)
-		}
-	}
 }
 
 func TestGoldenPremix(t *testing.T) {

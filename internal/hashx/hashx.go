@@ -6,38 +6,15 @@
 // value H(v) is uniform over {0, ..., g-1} and approximately independent
 // across items. The paper uses xxhash; any family with those statistical
 // properties is equivalent (the protocol's estimator only depends on the
-// marginal support probabilities p and q=1/g). Two versioned families are
-// provided: Hash64/HashToRange (v1) is a keyed splitmix64-style finalizer
-// evaluated from scratch per (seed, item) pair, and Premixed (v2) splits
-// the work into a once-per-seed premix plus a cheap two-multiply per-item
-// stage, which is what makes report-level OLH aggregation fast. Both are
-// statistically validated in the package tests and pinned by golden
-// vectors; OLH uses v2.
+// marginal support probabilities p and q=1/g). The package provides one
+// family, Premixed (v2): a once-per-seed premix plus a cheap two-multiply
+// per-item stage, which is what makes report-level OLH aggregation fast.
+// It is statistically validated in the package tests and pinned by golden
+// vectors. The v1 family is retired; the report codec rejects v1-tagged
+// OLH reports on decode.
 package hashx
 
 import "math/bits"
-
-// Hash64 returns a 64-bit hash of x under the function indexed by seed.
-// Distinct seeds index (statistically) independent functions.
-func Hash64(seed, x uint64) uint64 {
-	z := x + seed*0x9e3779b97f4a7c15 + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	// Second round keyed by the seed to decorrelate the family across
-	// seeds that differ in few bits.
-	z ^= seed
-	z = (z ^ (z >> 33)) * 0xff51afd7ed558ccd
-	z = (z ^ (z >> 33)) * 0xc4ceb9fe1a85ec53
-	return z ^ (z >> 33)
-}
-
-// HashToRange maps x to {0, ..., g-1} under the function indexed by seed
-// using fixed-point range reduction (unbiased up to 2^-64).
-func HashToRange(seed, x uint64, g int) int {
-	hi, _ := bits.Mul64(Hash64(seed, x), uint64(g))
-	return int(hi)
-}
 
 // Premixed is the two-stage ("v2") hash family: the expensive seed
 // finalization runs ONCE per hash function (Premix), and the per-item
@@ -45,11 +22,8 @@ func HashToRange(seed, x uint64, g int) int {
 // against a domain of d items therefore costs one premix plus d cheap
 // mixes, instead of d full five-multiply hashes.
 //
-// The family is versioned: v2 is a different function family than
-// Hash64/HashToRange (v1), with the same statistical contract (uniform
-// marginals, seed independence, avalanche — validated by the same test
-// battery), and its outputs are pinned by golden vectors so they can
-// never drift silently. Callers choose a family; OLH uses v2.
+// The family is versioned as v2, and its outputs are pinned by golden
+// vectors so they can never drift silently.
 type Premixed uint64
 
 // Premix finalizes a seed into a v2 hash function. The mix is the
@@ -65,7 +39,7 @@ func Premix(seed uint64) Premixed {
 // fmix64 finalizer applied to x·φ + premixed: the odd-constant multiply
 // decorrelates adjacent items, the premixed offset selects the function,
 // and fmix64 provides avalanche. Two multiplies for the offset-and-mix
-// pipeline's hot loop vs five in the v1 family.
+// pipeline's hot loop.
 func (p Premixed) Hash64(x uint64) uint64 {
 	z := x*0x9e3779b97f4a7c15 + uint64(p)
 	z = (z ^ (z >> 33)) * 0xff51afd7ed558ccd
@@ -73,8 +47,8 @@ func (p Premixed) Hash64(x uint64) uint64 {
 	return z ^ (z >> 33)
 }
 
-// ToRange maps x to {0, ..., g-1} under the premixed function using the
-// same fixed-point range reduction as v1.
+// ToRange maps x to {0, ..., g-1} under the premixed function using
+// fixed-point range reduction (unbiased up to 2^-64).
 func (p Premixed) ToRange(x uint64, g int) int {
 	hi, _ := bits.Mul64(p.Hash64(x), uint64(g))
 	return int(hi)

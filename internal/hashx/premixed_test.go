@@ -7,8 +7,9 @@ import (
 	"testing/quick"
 )
 
-// The v2 (Premixed) family must satisfy the same statistical contract as
-// v1: these tests mirror hashx_test.go for the two-stage pipeline.
+// The v2 (Premixed) family's statistical contract: determinism, seed and
+// input sensitivity, avalanche, uniform range reduction, pairwise
+// independence and per-item uniformity across seeds.
 
 func TestPremixedDeterministic(t *testing.T) {
 	if Premix(1).Hash64(2) != Premix(1).Hash64(2) {
@@ -82,8 +83,8 @@ func TestPremixedSeedAvalanche(t *testing.T) {
 	}
 }
 
-// TestPremixedToRangeUniform mirrors TestHashToRangeUniform: chi-square
-// uniformity over small g for sequential item ids, OLH's access pattern.
+// TestPremixedToRangeUniform checks chi-square uniformity over small g
+// for sequential item ids, OLH's access pattern.
 func TestPremixedToRangeUniform(t *testing.T) {
 	for _, g := range []int{2, 3, 5, 8, 16} {
 		const n = 120000

@@ -21,9 +21,6 @@ func (b *Bitset) Len() int { return b.n }
 // via the slice bounds check.
 func (b *Bitset) Set(i int) { b.words[i>>6] |= 1 << uint(i&63) }
 
-// Clear sets bit i to 0.
-func (b *Bitset) Clear(i int) { b.words[i>>6] &^= 1 << uint(i&63) }
-
 // Get reports whether bit i is 1.
 func (b *Bitset) Get(i int) bool {
 	if i < 0 || i >= b.n {
@@ -39,20 +36,4 @@ func (b *Bitset) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// ForEachSet calls fn for every set bit index in increasing order.
-func (b *Bitset) ForEachSet(fn func(i int)) {
-	for wi, w := range b.words {
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			fn(wi<<6 + tz)
-			w &= w - 1
-		}
-	}
-}
-
-// Clone returns an independent copy.
-func (b *Bitset) Clone() *Bitset {
-	return &Bitset{words: append([]uint64(nil), b.words...), n: b.n}
 }

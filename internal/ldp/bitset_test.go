@@ -25,47 +25,12 @@ func TestBitsetBasic(t *testing.T) {
 	if b.Get(1) || b.Get(128) {
 		t.Fatal("unset bit reads true")
 	}
-	b.Clear(63)
-	if b.Get(63) || b.Count() != 3 {
-		t.Fatal("clear failed")
-	}
 }
 
 func TestBitsetGetOutOfRange(t *testing.T) {
 	b := NewBitset(10)
 	if b.Get(-1) || b.Get(10) || b.Get(1000) {
 		t.Fatal("out-of-range Get returned true")
-	}
-}
-
-func TestBitsetForEachSetOrder(t *testing.T) {
-	b := NewBitset(200)
-	want := []int{3, 64, 65, 127, 128, 199}
-	for _, i := range want {
-		b.Set(i)
-	}
-	var got []int
-	b.ForEachSet(func(i int) { got = append(got, i) })
-	if len(got) != len(want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
-		}
-	}
-}
-
-func TestBitsetCloneIndependent(t *testing.T) {
-	b := NewBitset(70)
-	b.Set(5)
-	c := b.Clone()
-	c.Set(6)
-	if b.Get(6) {
-		t.Fatal("clone aliases original")
-	}
-	if !c.Get(5) {
-		t.Fatal("clone lost bit")
 	}
 }
 

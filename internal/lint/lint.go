@@ -110,18 +110,6 @@ func inspectStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 	})
 }
 
-// mentionsObj reports whether expr references obj.
-func mentionsObj(info *types.Info, expr ast.Expr, obj types.Object) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 // receiverObj returns the receiver variable of a method declaration,
 // or nil.
 func receiverObj(info *types.Info, fd *ast.FuncDecl) *types.Var {

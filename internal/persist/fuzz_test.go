@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -22,7 +23,7 @@ func walRecord(lsn uint64, payload []byte) []byte {
 }
 
 // FuzzWALOpen: a segment holding arbitrary bytes — torn tails, flipped
-// bits, hostile length fields — must never panic OpenWAL or Replay,
+// bits, hostile length fields — must never panic OpenWAL or replay,
 // only error or truncate cleanly. When the log does open, the surviving
 // prefix must replay with each worker's LSNs monotone and none twice,
 // and the log must accept new appends that land after everything
@@ -59,7 +60,7 @@ func FuzzWALOpen(f *testing.F) {
 		perWorker := make(map[int]uint64)
 		seen := make(map[uint64]bool)
 		var last uint64
-		err = w.Replay(0, func(worker int, lsn uint64, payload []byte) error {
+		err = w.replay(0, runtime.GOMAXPROCS(0), func(worker int, lsn uint64, payload []byte) error {
 			mu.Lock()
 			defer mu.Unlock()
 			if prev, ok := perWorker[worker]; ok && lsn <= prev {

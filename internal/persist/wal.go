@@ -38,7 +38,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -109,7 +108,7 @@ type walSegment struct {
 }
 
 // WAL is a segmented write-ahead log. Append is safe for concurrent use;
-// Replay is meant for boot time, before appending resumes.
+// replay is meant for boot time, before appending resumes.
 type WAL struct {
 	dir  string
 	opts WALOptions
@@ -145,7 +144,7 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 		return w, nil
 	}
 	// Scan the final segment for its valid extent; earlier segments are
-	// verified lazily by Replay (corruption there is a hard error, not a
+	// verified lazily by replay (corruption there is a hard error, not a
 	// torn tail).
 	last := segs[len(segs)-1]
 	var r segmentReader
@@ -307,13 +306,13 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// Replay streams every record with LSN > after to fn, spread over
-// runtime.GOMAXPROCS(0) workers (never more than there are segments).
-// Each worker claims whole segments in
-// ascending order and hands their records to fn with its own worker
-// index, so one worker's records arrive in ascending LSN order while
-// different workers run concurrently; fn must be safe for that, and the
-// payload it is given is only valid for the duration of the call.
+// replay streams every record with LSN > after to fn, spread over
+// workers goroutines (never more than there are segments); worker
+// indices passed to fn are below workers. Each worker claims whole
+// segments in ascending order and hands their records to fn with its own
+// worker index, so one worker's records arrive in ascending LSN order
+// while different workers run concurrently; fn must be safe for that, and
+// the payload it is given is only valid for the duration of the call.
 //
 // A torn tail — a final record the crash cut short — ends replay
 // cleanly; corruption anywhere else (or in a non-final segment) is an
@@ -322,14 +321,8 @@ func (w *WAL) Close() error {
 // fail (corruption, an I/O error, or an error from fn), the error of the
 // lowest one is returned, so the failure reported is always the one
 // nearest the start of the log; records of later segments may still
-// have reached fn. Replay is a boot-time operation: run it before
+// have reached fn. replay is a boot-time operation: run it before
 // appending resumes.
-func (w *WAL) Replay(after uint64, fn func(worker int, lsn uint64, payload []byte) error) error {
-	return w.replay(after, runtime.GOMAXPROCS(0), fn)
-}
-
-// replay is Replay over a fixed worker count; worker indices passed to
-// fn are below workers.
 func (w *WAL) replay(after uint64, workers int, fn func(worker int, lsn uint64, payload []byte) error) error {
 	w.mu.Lock()
 	segs := append([]walSegment(nil), w.segments...)

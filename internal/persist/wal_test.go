@@ -12,7 +12,7 @@ import (
 )
 
 // collect replays everything after `after` into memory, in LSN order.
-// It checks Replay's ordering contract on the way: worker indices stay
+// It checks replay's ordering contract on the way: worker indices stay
 // below GOMAXPROCS, each worker's records arrive in strictly ascending
 // LSN order, and no LSN reaches fn twice.
 func collect(t *testing.T, w *WAL, after uint64) (lsns []uint64, payloads [][]byte) {
@@ -24,7 +24,7 @@ func collect(t *testing.T, w *WAL, after uint64) (lsns []uint64, payloads [][]by
 	workers := runtime.GOMAXPROCS(0)
 	var mu sync.Mutex
 	perWorker := make(map[int][]record)
-	err := w.Replay(after, func(worker int, lsn uint64, payload []byte) error {
+	err := w.replay(after, runtime.GOMAXPROCS(0), func(worker int, lsn uint64, payload []byte) error {
 		mu.Lock()
 		defer mu.Unlock()
 		if worker < 0 || worker >= workers {
@@ -243,7 +243,7 @@ func TestWALMidLogCorruption(t *testing.T) {
 	if err := os.WriteFile(segs[0].path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Replay(0, func(int, uint64, []byte) error { return nil }); err == nil {
+	if err := w.replay(0, runtime.GOMAXPROCS(0), func(int, uint64, []byte) error { return nil }); err == nil {
 		t.Fatal("mid-log corruption replayed silently")
 	}
 	w.Close()

@@ -73,25 +73,3 @@ func SampleVariance(xs []float64) float64 {
 	}
 	return Variance(xs) * float64(n) / float64(n-1)
 }
-
-// Min returns the minimum of xs; +Inf for empty input.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs; -Inf for empty input.
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -56,16 +57,6 @@ func TestVarianceDegenerate(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -2, 7, 0}
-	if Min(xs) != -2 || Max(xs) != 7 {
-		t.Fatalf("min/max wrong: %v %v", Min(xs), Max(xs))
-	}
-	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
-		t.Fatal("empty min/max not infinities")
-	}
-}
-
 func TestVarianceNonNegativeProperty(t *testing.T) {
 	f := func(xs []float64) bool {
 		for _, x := range xs {
@@ -91,7 +82,7 @@ func TestMeanBoundedByMinMaxProperty(t *testing.T) {
 			}
 		}
 		m := Mean(xs)
-		return m >= Min(xs)-1e-9 && m <= Max(xs)+1e-9
+		return m >= slices.Min(xs)-1e-9 && m <= slices.Max(xs)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

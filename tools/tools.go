@@ -10,12 +10,12 @@
 //
 // form, and this file is the single source of truth for <version>:
 // the Makefile extracts the constants below with sed, so bumping a
-// pin is a one-line change that code review sees. On an offline
-// builder `go run pkg@version` cannot download the tool; the Makefile
-// probes for availability first and skips (staticcheck) or reports
-// without failing (govulncheck) when the proxy is unreachable —
-// ldplint and go vet, which are fully in-tree, still run and still
-// gate.
+// pin is a one-line change that code review sees. `go run pkg@version`
+// downloads a tool it has not cached, so the Makefile probes a tool only
+// in CI or when its module is already in the local module cache, and
+// skips (staticcheck) or reports without failing (govulncheck) when the
+// probe is not run or fails — ldplint and go vet, which are fully
+// in-tree, still run and still gate.
 package tools
 
 const (
