@@ -63,23 +63,30 @@ func (s *streamServer) writeEstimate(w http.ResponseWriter, est *ldprecover.Wind
 
 // encodeEstimate returns est's JSON body with a trailing newline: the
 // bytes json.NewEncoder writes for estimateResponse(*est), written
-// directly into one buffer sized for the whole body (about 24 bytes a
-// float). Floats go through appendJSONFloat, which matches
-// encoding/json's float64 text byte for byte. A NaN or ±Inf, which JSON
-// cannot represent, is refused with an error naming the first by field
-// and index.
+// directly into one buffer sized for the whole body (2 bytes for a
+// zero with its comma, 24 for any other float: LDPRecover's simplex
+// projection leaves many recovered values at 0). Floats go through
+// appendJSONFloat, which matches encoding/json's float64 text byte for
+// byte. A NaN or ±Inf, which JSON cannot represent, is refused with an
+// error naming the first by field and index.
 func encodeEstimate(est *ldprecover.WindowEstimate) ([]byte, error) {
+	size := 96 + 8*len(est.Targets)
 	for _, vec := range []struct {
 		field string
 		vs    []float64
 	}{{"poisoned", est.Poisoned}, {"recovered", est.Recovered}} {
 		for i, f := range vec.vs {
-			if math.IsNaN(f) || math.IsInf(f, 0) {
+			switch {
+			case f == 0:
+				size += 2
+			case math.IsNaN(f) || math.IsInf(f, 0):
 				return nil, fmt.Errorf("%s[%d] is %v, which JSON cannot represent", vec.field, i, f)
+			default:
+				size += 24
 			}
 		}
 	}
-	b := make([]byte, 0, 96+24*(len(est.Poisoned)+len(est.Recovered))+8*len(est.Targets))
+	b := make([]byte, 0, size)
 	b = append(b, `{"seq":`...)
 	b = strconv.AppendInt(b, int64(est.Seq), 10)
 	b = append(b, `,"epochs":`...)

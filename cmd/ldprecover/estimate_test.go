@@ -380,7 +380,7 @@ func TestEncodeEstimateEdgeCases(t *testing.T) {
 // otherwise; each epoch folds 20 partials of 4096 Zipf(1.0) users, 205
 // of them MGA from epoch 10. It is sealed until LDPRecover* engages, and
 // addEpoch folds one more attacked epoch.
-func sealBenchServer(b *testing.B) (srv *streamServer, h http.Handler, addEpoch func(i int)) {
+func sealBenchServer(b testing.TB) (srv *streamServer, h http.Handler, addEpoch func(i int)) {
 	b.Helper()
 	const (
 		d        = 4096
@@ -451,6 +451,21 @@ func sealBenchServer(b *testing.B) (srv *streamServer, h http.Handler, addEpoch 
 		b.Fatal("LDPRecover* never engaged")
 	}
 	return srv, h, func(i int) { add(1, i) }
+}
+
+// TestEncodeEstimateCapacity: at the partial-seal workload's shape
+// (sealBenchServer), where about half the estimate's floats are zeros,
+// the cached serving body holds at most a quarter more capacity than
+// its length. A flat 24 bytes a float reserves about 1.9 times it.
+func TestEncodeEstimateCapacity(t *testing.T) {
+	srv, _, _ := sealBenchServer(t)
+	body, err := encodeEstimate(srv.mgr.Latest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(body) > len(body)+len(body)/4 {
+		t.Fatalf("%d-byte body holds %d bytes of capacity", len(body), cap(body))
+	}
 }
 
 // BenchmarkServeSeal times POST /v1/seal through the handler at the

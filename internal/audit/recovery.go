@@ -23,6 +23,8 @@ const (
 	// below fgHalving times the poisoned gain (recovery must claw back
 	// at least half of what the attacker gained).
 	fgHalving = 0.5
+	// numTargets is the MGA target-set size.
+	numTargets = 5
 	// engageLag bounds when cross-epoch detection must engage
 	// LDPRecover*: no later than engageLag epochs after the ramp
 	// completes, and never before the attack starts.
@@ -55,8 +57,6 @@ type RecoveryConfig struct {
 	// Epochs is the stream length (default 16, attacked from the middle
 	// with a 3-epoch ramp, matching the stream acceptance test).
 	Epochs int
-	// NumTargets is the MGA target-set size (default 5).
-	NumTargets int
 	// Confidence is the level of the one-sided Clopper-Pearson upper
 	// bound on the violation rate (default 0.95).
 	Confidence float64
@@ -83,9 +83,6 @@ func (c RecoveryConfig) withDefaults() RecoveryConfig {
 	}
 	if c.Epochs == 0 {
 		c.Epochs = 16
-	}
-	if c.NumTargets == 0 {
-		c.NumTargets = 5
 	}
 	if c.Confidence == 0 {
 		c.Confidence = 0.95
@@ -168,7 +165,7 @@ func RunRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 				Protocol:    kind,
 				Epsilon:     cfg.Epsilon,
 				Beta:        beta,
-				NumTargets:  cfg.NumTargets,
+				NumTargets:  numTargets,
 				Epochs:      cfg.Epochs,
 				AttackStart: attackStart,
 				RampEpochs:  rampEpochs,

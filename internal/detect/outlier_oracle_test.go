@@ -137,18 +137,17 @@ func randomZScoreCase(r *rng.Rand, d, periods int) ([][]float64, []float64) {
 	return history, current
 }
 
-// TestZScoreOutliersMatchesReference: the row-major, pruned scan
-// returns the reference's items in the reference's order for random
-// histories at every threshold and floor, including domains that are
-// not a multiple of the block size.
+// TestZScoreOutliersMatchesReference: the screened scan returns the
+// reference's items in the reference's order for random histories at
+// every threshold and floor.
 func TestZScoreOutliersMatchesReference(t *testing.T) {
 	r := rng.New(23)
 	minZs := []float64{0, 0.5, 1, 3}
 	minSDs := []float64{0, 1e-4, 0.01, 0.5}
 	for trial := 0; trial < 120; trial++ {
 		d := 1 + r.Intn(700)
-		if trial < 4 {
-			d = []int{1, zBlock - 1, zBlock, zBlock + 1}[trial]
+		if trial < 2 {
+			d = trial + 1
 		}
 		periods := 2 + r.Intn(17)
 		history, current := randomZScoreCase(r, d, periods)
@@ -191,6 +190,13 @@ func FuzzZScoreOutliersMinSD(f *testing.F) {
 	f.Add([]byte{232, 233, 202, 100}, uint8(0), uint8(1), uint16(1), uint8(0), uint8(3))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 200, 201, 240, 255}, uint8(16), uint8(255), uint16(9), uint8(2), uint8(1))
 	f.Add([]byte{100}, uint8(1), uint8(0), uint16(0), uint8(1), uint8(0))
+	// The screen's range edges: 0, -0, 1 and the subnormals are in
+	// [0, 1], Nextafter(1, 2) is just outside it, and 2^-41 has a zero
+	// fixed-point term. Thresholds and floors keep the screen on.
+	f.Add([]byte{100, 201, 104, 214, 202, 211, 215}, uint8(5), uint8(6), uint16(3), uint8(1), uint8(1))
+	f.Add([]byte{104, 104, 104, 214, 104, 104, 104, 200}, uint8(2), uint8(7), uint16(2), uint8(2), uint8(2))
+	f.Add([]byte{211, 202, 215, 100, 201, 211, 202, 104}, uint8(14), uint8(0), uint16(1), uint8(3), uint8(4))
+	f.Add([]byte{104, 100, 104, 100, 105, 214}, uint8(0), uint8(2), uint16(5), uint8(5), uint8(3))
 	f.Fuzz(func(t *testing.T, raw []byte, periodsRaw, dRaw uint8, k uint16, zSel, sdSel uint8) {
 		if len(raw) == 0 {
 			return
@@ -206,7 +212,7 @@ func FuzzZScoreOutliersMinSD(f *testing.F) {
 			}
 			specials := []float64{0, math.Copysign(0, -1), 1e-310, -1e-310, 1e20, -1e20,
 				math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64,
-				math.SmallestNonzeroFloat64, 1e-3, 0.1}
+				math.SmallestNonzeroFloat64, 1e-3, 0.1, math.Nextafter(1, 2), 0x1p-41}
 			return specials[int(b-200)%len(specials)]
 		}
 		history := make([][]float64, periods)
@@ -224,6 +230,106 @@ func FuzzZScoreOutliersMinSD(f *testing.F) {
 		minSD := []float64{0, 1e-4, 0.01, 0.5, math.SmallestNonzeroFloat64, 1e300}[int(sdSel)%6]
 		checkZScoreAgainstRef(t, history, current, int(k), minZ, minSD)
 	})
+}
+
+// TestZScoreOutliersScreenRounding scores items whose fixed-point sum
+// is exact (one value k·2^-40, the others 0) at the threshold their
+// score lands on exactly, for every (k, n) where the unshrunk bound
+// float64(k)·fl(2^-40/n) rounds above the mean stats.Mean computes.
+// There a screen without its shrink factor would drop an item the
+// reference flags.
+func TestZScoreOutliersScreenRounding(t *testing.T) {
+	cases := 0
+	for n := 3; n <= 16; n++ {
+		for k := 1; k <= 500; k++ {
+			series := make([]float64, n)
+			series[n-1] = float64(k) * 0x1p-40
+			history := make([][]float64, n)
+			for i, x := range series {
+				history[i] = []float64{x}
+			}
+			mu := stats.Mean(series)
+			if float64(k)*(0x1p-40/float64(n)) <= mu {
+				continue
+			}
+			cases++
+			// c - mu is exact (Sterbenz), and with minSD = 1 above the
+			// series' deviation the score is exactly c - mu.
+			c := 1.5 * mu
+			checkZScoreAgainstRef(t, history, []float64{c}, 1, c-mu, 1)
+		}
+	}
+	if cases == 0 {
+		t.Fatal("no (k, n) rounds the unshrunk bound above the mean")
+	}
+}
+
+// TestHistoryMatchesRebuild pushes random periods through a History,
+// evicting past its retention, and after every push requires the
+// running sums to equal a rebuild from the retained rows and the
+// stateful scan to return the reference's items and errors. The rows
+// mix values in [0, 1] with negatives, values above 1 and NaN, so
+// items enter and leave the screen as periods are evicted.
+func TestHistoryMatchesRebuild(t *testing.T) {
+	r := rng.New(29)
+	for trial := 0; trial < 40; trial++ {
+		d := 1 + r.Intn(300)
+		keep := 1 + r.Intn(18)
+		h, err := NewHistory(d, keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, current := randomZScoreCase(r, d, 3*keep+2)
+		for i, row := range rows {
+			if i%5 == 4 {
+				row[r.Intn(d)] = []float64{math.NaN(), math.Nextafter(1, 2), 1, 0x1p-41}[r.Intn(4)]
+			}
+			h.Push(append([]float64(nil), row...))
+			want := rows[max(0, i+1-keep) : i+1]
+			sameBits := func(a, b []float64) bool {
+				return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+			}
+			if h.Len() != len(want) || !slices.EqualFunc(h.Rows(), want, sameBits) {
+				t.Fatalf("trial %d push %d: history holds %d rows, want the newest %d", trial, i, h.Len(), len(want))
+			}
+			rebuilt := newHistoryOf(h.Rows(), d)
+			if !slices.Equal(h.sums, rebuilt.sums) || !slices.Equal(h.odd, rebuilt.odd) {
+				t.Fatalf("trial %d push %d: running sums differ from a rebuild", trial, i)
+			}
+			for _, minZ := range []float64{0, 1, 3} {
+				for _, minSD := range []float64{0, 1e-4, 0.01} {
+					k := 1 + r.Intn(d+2)
+					got, gotErr := h.ZScoreOutliersMinSD(current, k, minZ, minSD)
+					want, wantErr := zscoreOutliersRef(h.Rows(), current, k, minZ, minSD)
+					if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
+						t.Fatalf("trial %d push %d minZ=%v minSD=%v: %v (%v), reference %v (%v)",
+							trial, i, minZ, minSD, got, gotErr, want, wantErr)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHistoryValidation: a history needs a domain and a retention, and
+// refuses a period of the wrong length.
+func TestHistoryValidation(t *testing.T) {
+	if _, err := NewHistory(0, 4); err == nil {
+		t.Fatal("empty domain accepted")
+	}
+	if _, err := NewHistory(4, 0); err == nil {
+		t.Fatal("zero retention accepted")
+	}
+	h, err := NewHistory(2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("pushing a 3-item period onto a 2-item history did not panic")
+		}
+	}()
+	h.Push([]float64{0, 0, 0})
 }
 
 // BenchmarkZScoreOutliers scores one fresh estimate against a 16-epoch

@@ -19,23 +19,15 @@ import "math"
 func Sum(xs []float64) float64 {
 	var sum, comp float64
 	for _, x := range xs {
-		sum, comp = SumStep(sum, comp, x)
+		t := sum + x
+		if math.Abs(sum) >= math.Abs(x) {
+			comp += (sum - t) + x
+		} else {
+			comp += (x - t) + sum
+		}
+		sum = t
 	}
 	return sum + comp
-}
-
-// SumStep is one step of Sum: it adds x to the running sum and folds
-// the rounding error into the compensation. Sum(xs) is sum + comp after
-// stepping from zero through xs in order, so a caller that runs many
-// sums side by side gets Sum's result bit for bit.
-func SumStep(sum, comp, x float64) (float64, float64) {
-	t := sum + x
-	if math.Abs(sum) >= math.Abs(x) {
-		comp += (sum - t) + x
-	} else {
-		comp += (x - t) + sum
-	}
-	return t, comp
 }
 
 // Mean returns the arithmetic mean of xs (0 for empty input).

@@ -59,9 +59,9 @@ func (m *EpochManager) SnapshotState() ManagerState {
 		st.Ring[i] = Epoch{Seq: ep.Seq, Total: ep.Total,
 			Counts: append([]int64(nil), ep.Counts...)}
 	}
-	if m.history != nil {
-		st.History = make([][]float64, len(m.history))
-		for i, h := range m.history {
+	if rows := m.history.Rows(); len(rows) > 0 {
+		st.History = make([][]float64, len(rows))
+		for i, h := range rows {
 			st.History[i] = append([]float64(nil), h...)
 		}
 	}
@@ -140,10 +140,14 @@ func (m *EpochManager) RestoreState(st ManagerState) error {
 	copy(m.winCounts, st.WinCounts)
 	m.winTotal = st.WinTotal
 	m.winEpochs = st.WinEpochs
-	m.history = nil
-	for _, h := range st.History {
-		m.history = append(m.history, append([]float64(nil), h...))
+	history, err := detect.NewHistory(d, m.cfg.History)
+	if err != nil {
+		return err
 	}
+	for _, h := range st.History {
+		history.Push(append([]float64(nil), h...))
+	}
+	m.history = history
 	if err := m.tracker.SetState(st.Tracker); err != nil {
 		return err
 	}

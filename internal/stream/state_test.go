@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"ldprecover/internal/detect"
 	"ldprecover/internal/ldp"
 	"ldprecover/internal/rng"
 )
@@ -139,6 +140,76 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	if engaged != 5 {
 		t.Fatalf("LDPRecover* engaged at epoch %d, want 5 (streak resumed mid-hysteresis)", engaged)
+	}
+}
+
+// TestHistorySumsMatchRebuild checks the recovered history's running
+// fixed-point sums after every seal against a history rebuilt from its
+// retained rows: through eviction (more quiet epochs than History),
+// the attacked epoch that is flagged before the target set is stable
+// and so is left out of the history, the promoted epochs that extend
+// it again, and a SnapshotState → RestoreState round trip.
+func TestHistorySumsMatchRebuild(t *testing.T) {
+	const d = 12
+	cfg, proto := spikeConfig(t, d)
+	m, err := NewEpochManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(43)
+	check := func(e int, m *EpochManager) {
+		t.Helper()
+		rebuilt, err := detect.NewHistory(d, cfg.History)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range m.history.Rows() {
+			rebuilt.Push(append([]float64(nil), row...))
+		}
+		if !reflect.DeepEqual(m.history, rebuilt) {
+			t.Fatalf("epoch %d: running history sums differ from a rebuild of its %d rows", e, m.history.Len())
+		}
+	}
+	// extended reports whether est's recovered estimate became the
+	// history's newest row.
+	extended := func(m *EpochManager, est *WindowEstimate) bool {
+		rows := m.history.Rows()
+		return len(rows) > 0 && &rows[len(rows)-1][0] == &est.Recovered[0]
+	}
+	for e := 0; e < cfg.History+4; e++ {
+		est := sealEpoch(t, m, proto, r, -1)
+		if !extended(m, est) {
+			t.Fatalf("quiet epoch %d did not extend the history", e)
+		}
+		check(e, m)
+	}
+	if m.history.Len() != cfg.History {
+		t.Fatalf("history holds %d rows after eviction, want %d", m.history.Len(), cfg.History)
+	}
+	skipped, promoted := 0, 0
+	for e := cfg.History + 4; e < cfg.History+10; e++ {
+		est := sealEpoch(t, m, proto, r, 5)
+		switch {
+		case !est.PartialKnowledge && !extended(m, est):
+			skipped++
+		case est.PartialKnowledge && extended(m, est):
+			promoted++
+		}
+		if e == cfg.History+6 {
+			b, err := NewEpochManager(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.RestoreState(m.SnapshotState()); err != nil {
+				t.Fatal(err)
+			}
+			m = b
+		}
+		check(e, m)
+	}
+	if skipped == 0 || promoted == 0 {
+		t.Fatalf("%d flagged epochs left out of the history, %d LDPRecover* epochs extended it: want both",
+			skipped, promoted)
 	}
 }
 

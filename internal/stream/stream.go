@@ -207,8 +207,8 @@ type EpochManager struct {
 	seq       int     // next epoch's sequence number
 	winCounts []int64 // incremental sum over the window's epochs
 	winTotal  int64
-	winEpochs int         // epochs currently merged into winCounts
-	history   [][]float64 // rolling recovered estimates, oldest first
+	winEpochs int             // epochs currently merged into winCounts
+	history   *detect.History // rolling recovered estimates, oldest first
 	tracker   *detect.TargetTracker
 	sealed    int64 // reports in sealed epochs (for IngestedTotal)
 	latest    *WindowEstimate
@@ -234,10 +234,15 @@ func NewEpochManager(cfg Config) (*EpochManager, error) {
 	if err != nil {
 		return nil, err
 	}
+	history, err := detect.NewHistory(cfg.Params.Domain, cfg.History)
+	if err != nil {
+		return nil, err
+	}
 	return &EpochManager{
 		cfg:       cfg,
 		live:      live,
 		winCounts: make([]int64, cfg.Params.Domain),
+		history:   history,
 		tracker:   tracker,
 	}, nil
 }
@@ -419,10 +424,10 @@ func (m *EpochManager) estimateLocked(counts []int64, total int64, seq, epochs i
 		// f-independent term): the recovered history of a tail item the
 		// simplex refinement clips to zero is degenerate, and without the
 		// floor its ordinary LDP noise would out-score every real target.
-		if len(m.history) >= m.cfg.MinHistory {
+		if m.history.Len() >= m.cfg.MinHistory {
 			pq := m.cfg.Params.P - m.cfg.Params.Q
 			minSD := math.Sqrt(m.cfg.Params.Q*(1-m.cfg.Params.Q)/float64(total)) / pq
-			flagged, err = detect.ZScoreOutliersMinSD(m.history, poisoned, m.cfg.TargetK, m.cfg.MinZ, minSD)
+			flagged, err = m.history.ZScoreOutliersMinSD(poisoned, m.cfg.TargetK, m.cfg.MinZ, minSD)
 			if err != nil {
 				return nil, err
 			}
@@ -450,10 +455,7 @@ func (m *EpochManager) estimateLocked(counts []int64, total int64, seq, epochs i
 	// estimate is the cleaned one). Flagged-but-not-yet-stable epochs —
 	// the transition — are left out entirely.
 	if advance && (len(flagged) == 0 || est.PartialKnowledge) {
-		m.history = append(m.history, rec.Frequencies)
-		if len(m.history) > m.cfg.History {
-			m.history = m.history[1:]
-		}
+		m.history.Push(rec.Frequencies)
 	}
 	return est, nil
 }
