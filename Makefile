@@ -62,7 +62,7 @@ check-ci-tests:
 # frames, sealed-tally frames, and WAL segment recovery — plus the OLH
 # sweep kernels, the z-score outlier scan and the KKT refinement against
 # their one-at-a-time references, and the estimate body's float formatter
-# against encoding/json. Each target gets a short
+# and its repeat memo against encoding/json. Each target gets a short
 # FUZZTIME budget (go's fuzzer accepts one target per invocation);
 # corrupt input must error, never panic. Seed corpora are committed
 # under testdata/fuzz/ and also run in plain `make test`.
@@ -78,6 +78,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzZScoreOutliersMinSD$$'  -fuzztime $(FUZZTIME) ./internal/detect
 	$(GO) test -run '^$$' -fuzz 'FuzzRefineKKT$$'            -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzJSONFloat$$'            -fuzztime $(FUZZTIME) ./cmd/ldprecover
+	$(GO) test -run '^$$' -fuzz 'FuzzEncodeFloatArray$$'     -fuzztime $(FUZZTIME) ./cmd/ldprecover
 
 # One iteration of every benchmark: catches bit-rot in the paper figure
 # generators and the ingest benchmarks without burning CI minutes.

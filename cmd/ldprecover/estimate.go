@@ -3,8 +3,10 @@ package main
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"ldprecover"
 )
@@ -67,8 +69,9 @@ func (s *streamServer) writeEstimate(w http.ResponseWriter, est *ldprecover.Wind
 // zero with its comma, 24 for any other float: LDPRecover's simplex
 // projection leaves many recovered values at 0). Floats go through
 // appendJSONFloat, which matches encoding/json's float64 text byte for
-// byte. A NaN or ±Inf, which JSON cannot represent, is refused with an
-// error naming the first by field and index.
+// byte, once per distinct value of a vector (appendFloatArray). A NaN or
+// ±Inf, which JSON cannot represent, is refused with an error naming
+// the first by field and index.
 func encodeEstimate(est *ldprecover.WindowEstimate) ([]byte, error) {
 	size := 96 + 8*len(est.Targets)
 	for _, vec := range []struct {
@@ -93,8 +96,10 @@ func encodeEstimate(est *ldprecover.WindowEstimate) ([]byte, error) {
 	b = strconv.AppendInt(b, int64(est.Epochs), 10)
 	b = append(b, `,"total":`...)
 	b = strconv.AppendInt(b, est.Total, 10)
-	b = appendFloatArray(b, `,"poisoned":`, est.Poisoned)
-	b = appendFloatArray(b, `,"recovered":`, est.Recovered)
+	memo := floatMemos.Get().(*floatMemo)
+	b = appendFloatArray(b, `,"poisoned":`, est.Poisoned, memo)
+	b = appendFloatArray(b, `,"recovered":`, est.Recovered, memo)
+	floatMemos.Put(memo)
 	if len(est.Targets) > 0 {
 		b = append(b, `,"targets":[`...)
 		for i, v := range est.Targets {
@@ -112,17 +117,90 @@ func encodeEstimate(est *ldprecover.WindowEstimate) ([]byte, error) {
 
 // appendFloatArray appends key and vs as a JSON array, or nothing for an
 // empty vs, as omitempty does.
-func appendFloatArray(b []byte, key string, vs []float64) []byte {
+//
+// Each distinct value is formatted once: a repeat copies the text
+// written at the value's first occurrence, which is exact because
+// appendJSONFloat is a function of the bits alone. Repeats are the norm
+// in an estimate: Eq. 11 maps integer support counts affinely, and at
+// d ≫ √n most items' counts fall in a band a few standard deviations
+// wide, so at the partial-seal workload's shape a 4096-item poisoned
+// vector holds about 1,200 distinct values.
+func appendFloatArray(b []byte, key string, vs []float64, memo *floatMemo) []byte {
 	if len(vs) == 0 {
 		return b
 	}
 	b = append(b, key...)
 	b = append(b, '[')
+	memo.reset(len(vs))
 	for i, f := range vs {
 		if i > 0 {
 			b = append(b, ',')
 		}
+		if f == 0 && !math.Signbit(f) {
+			b = append(b, '0')
+			continue
+		}
+		fb := math.Float64bits(f)
+		slot, text := memo.find(fb)
+		if text != nil {
+			b = append(b, b[text.off:text.end]...)
+			continue
+		}
+		off := len(b)
 		b = appendJSONFloat(b, f)
+		memo.texts = append(memo.texts, memoText{key: fb, off: off, end: len(b)})
+		*slot = uint32(len(memo.texts))
 	}
 	return append(b, ']')
+}
+
+// floatMemo maps a float64's bits to where appendFloatArray wrote its
+// text: texts lists the vector's distinct values in order of first
+// occurrence, and slots is an open-addressing index into it (Fibonacci
+// hash, linear probing), 1-based so that 0 marks an empty slot. A slot
+// is 4 bytes and there are at least two slots a value, so at d=4096 the
+// memory a lookup can touch is 32 KiB of slots plus 24 bytes a distinct
+// value: little enough to stay in cache between the ingest requests
+// that precede a seal.
+type floatMemo struct {
+	slots []uint32
+	texts []memoText
+	shift uint // 64 - log2(len(slots))
+}
+
+type memoText struct {
+	key      uint64
+	off, end int // the text's bytes in the buffer
+}
+
+// floatMemos lends tables to concurrent encodes.
+var floatMemos = sync.Pool{New: func() any { return new(floatMemo) }}
+
+// reset empties the memo for a vector of n values, with at least 2n
+// slots.
+func (m *floatMemo) reset(n int) {
+	size := 1 << bits.Len(uint(max(16, 2*n)-1))
+	if cap(m.slots) < size {
+		m.slots = make([]uint32, size)
+	} else {
+		m.slots = m.slots[:size]
+		clear(m.slots)
+	}
+	m.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	m.texts = m.texts[:0]
+}
+
+// find returns key's slot and its text, or the empty slot where it
+// belongs and nil.
+func (m *floatMemo) find(key uint64) (*uint32, *memoText) {
+	mask := len(m.slots) - 1
+	for i := int(key * 0x9e3779b97f4a7c15 >> m.shift); ; i = (i + 1) & mask {
+		s := &m.slots[i]
+		if *s == 0 {
+			return s, nil
+		}
+		if t := &m.texts[*s-1]; t.key == key {
+			return s, t
+		}
+	}
 }

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -375,6 +377,157 @@ func TestEncodeEstimateEdgeCases(t *testing.T) {
 	}
 }
 
+// checkFloatArray fails unless appendFloatArray, through memo and after
+// the bytes already in b, writes key and encoding/json's array for vs,
+// or nothing for an empty vs (omitempty).
+func checkFloatArray(t testing.TB, b []byte, vs []float64, memo *floatMemo) {
+	t.Helper()
+	arr, err := json.Marshal(vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(append([]byte(string(b)), `,"v":`...), arr...)
+	if len(vs) == 0 {
+		want = want[:len(b)]
+	}
+	if got := appendFloatArray(b, `,"v":`, vs, memo); !bytes.Equal(got, want) {
+		t.Fatalf("%d values: appendFloatArray differs from encoding/json:\n got %s\nwant %s", len(vs), got, want)
+	}
+}
+
+// textLengthPool returns one float64 for each JSON text length from 1 to
+// 24 bytes: integers, negatives, 17-digit mantissas and 'e' forms.
+func textLengthPool(t testing.TB) []float64 {
+	t.Helper()
+	var byLen [25]float64
+	for _, base := range []float64{1, 0.1, 1.0 / 3, 2.0 / 3, 1e-7 / 3, 1e-300 / 3, 1e21, 1e300 / 3} {
+		for e := -8; e <= 30; e++ {
+			for _, f := range []float64{base * math.Pow(10, float64(e)), -base * math.Pow(10, float64(e))} {
+				text, err := json.Marshal(f)
+				if err != nil {
+					continue
+				}
+				if n := len(text); n <= 24 && byLen[n] == 0 {
+					byLen[n] = f
+				}
+			}
+		}
+	}
+	for n := 1; n <= 24; n++ {
+		if byLen[n] == 0 {
+			t.Fatalf("no pool value has a %d-byte text", n)
+		}
+	}
+	return byLen[1:]
+}
+
+// TestEncodeEstimateRepeatedValues holds the memoized float arrays to
+// encoding/json where the memo matters: repeats at every text length,
+// each beside its neighbouring float, with -0 and zeros between them; a
+// repeat as the last value with the buffer's capacity ending at every
+// byte of it; one table carried from a d=4096 vector to a d=8 one and to
+// a different d=4096 one, so no stale entry can answer.
+func TestEncodeEstimateRepeatedValues(t *testing.T) {
+	pool := textLengthPool(t)
+	negZero := math.Copysign(0, -1)
+	var vs []float64
+	for round := range 3 {
+		for i := range pool {
+			p := pool[(i*7+round*5)%len(pool)]
+			vs = append(vs, p, 0, math.Nextafter(p, math.Inf(1))) // keys one bit apart
+		}
+		vs = append(vs, negZero, negZero)
+	}
+	memo := new(floatMemo)
+	checkFloatArray(t, nil, vs, memo)
+	est := &ldprecover.WindowEstimate{Seq: 1, Epochs: 1, Total: 9, Poisoned: vs, Recovered: reversed(vs)}
+	if got, want := mustEncode(t, est), referenceJSON(t, est); !bytes.Equal(got, want) {
+		t.Fatalf("body differs from encoding/json:\n got %s\nwant %s", got, want)
+	}
+
+	// The last value is a repeat of the longest text; the buffer's
+	// capacity ends at each byte from before its comma to the ']'.
+	last := []float64{pool[23], 0.5, pool[23], pool[23]}
+	arr, _ := json.Marshal(last)
+	full := len(`,"v":`) + len(arr)
+	for room := full - 27; room <= full; room++ {
+		checkFloatArray(t, make([]byte, 3, 3+room), last, memo)
+	}
+
+	r := rand.New(rand.NewPCG(30, 4096))
+	vec := func(d, distinct int) []float64 {
+		vals := make([]float64, distinct)
+		for i := range vals {
+			vals[i] = float64(r.IntN(1<<20)-1<<19) / 3e6
+		}
+		out := make([]float64, d)
+		for v := range out {
+			out[v] = vals[r.IntN(distinct)]
+		}
+		return out
+	}
+	a := vec(4096, 1200)
+	c := slices.Clone(a)
+	r.Shuffle(len(c), func(i, j int) { c[i], c[j] = c[j], c[i] })
+	c = append(c[:2048], vec(2048, 300)...)
+	checkFloatArray(t, nil, a, memo)
+	if len(memo.texts) > 1200 {
+		t.Fatalf("%d texts memoized for 1200 distinct values", len(memo.texts))
+	}
+	for _, vs := range [][]float64{a, vec(8, 3), c, a[:8], c} {
+		checkFloatArray(t, nil, vs, memo)
+		est := &ldprecover.WindowEstimate{Seq: 2, Epochs: 4, Total: 1, Poisoned: vs, Recovered: reversed(vs)}
+		if got, want := mustEncode(t, est), referenceJSON(t, est); !bytes.Equal(got, want) {
+			t.Fatalf("d=%d through the pooled table: body differs from encoding/json", len(vs))
+		}
+	}
+}
+
+// reversed returns a reversed copy of vs.
+func reversed(vs []float64) []float64 {
+	out := slices.Clone(vs)
+	slices.Reverse(out)
+	return out
+}
+
+// mustEncode is encodeEstimate, failing t on an error.
+func mustEncode(t testing.TB, est *ldprecover.WindowEstimate) []byte {
+	t.Helper()
+	body, err := encodeEstimate(est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// FuzzEncodeFloatArray holds appendFloatArray to encoding/json on
+// vectors built byte by byte so that values repeat: a byte below 32
+// picks from a pool of one value per text length plus ±0 and 'e' forms,
+// one below 128 repeats an earlier distinct value, any other makes a new
+// distinct value. The vector and its reverse share one table.
+func FuzzEncodeFloatArray(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 0, 1, 2, 30, 31, 30})
+	f.Add([]byte{200, 201, 33, 34, 32, 200, 0, 31})
+	pool := append(textLengthPool(f), 0, math.Copysign(0, -1), 1e-7, 5e-324, -1e21, 1e-6, math.MaxFloat64, 0.1)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var vs, made []float64
+		for _, b := range raw {
+			switch {
+			case b < 32:
+				vs = append(vs, pool[int(b)%len(pool)])
+			case b < 128 && len(made) > 0:
+				vs = append(vs, made[len(made)-1-int(b-32)%len(made)])
+			default:
+				made = append(made, 1/4096.0+float64(len(made))*1.2345678901e-9)
+				vs = append(vs, made[len(made)-1])
+			}
+		}
+		memo := new(floatMemo)
+		checkFloatArray(t, nil, vs, memo)
+		checkFloatArray(t, []byte("{"), reversed(vs), memo)
+	})
+}
+
 // sealBenchServer is a server at the partial-seal benchmark workload's
 // shape: OUE d=4096, ε=0.5, window 4, history 16 and serve's defaults
 // otherwise; each epoch folds 20 partials of 4096 Zipf(1.0) users, 205
@@ -491,11 +644,12 @@ func BenchmarkServeSeal(b *testing.B) {
 }
 
 // BenchmarkEncodeEstimate times encodeEstimate on a sealed estimate at
-// the partial-seal workload's shape, LDPRecover* engaged.
+// the partial-seal workload's shape, LDPRecover* engaged ("d=4096"),
+// and on one whose 2×4096 values are all distinct ("distinct/d=4096":
+// 1/d plus uniform noise, texts as long as a real estimate's), the
+// formatter's worst case, where no value repeats.
 func BenchmarkEncodeEstimate(b *testing.B) {
-	b.Run("d=4096", func(b *testing.B) {
-		srv, _, _ := sealBenchServer(b)
-		est := srv.mgr.Latest()
+	run := func(b *testing.B, est *ldprecover.WindowEstimate) {
 		body, err := encodeEstimate(est)
 		if err != nil {
 			b.Fatal(err)
@@ -507,5 +661,20 @@ func BenchmarkEncodeEstimate(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+	b.Run("d=4096", func(b *testing.B) {
+		srv, _, _ := sealBenchServer(b)
+		run(b, srv.mgr.Latest())
+	})
+	b.Run("distinct/d=4096", func(b *testing.B) {
+		const d = 4096
+		r := rand.New(rand.NewPCG(4096, 30))
+		est := &ldprecover.WindowEstimate{Seq: 30, Epochs: 4, Total: 327680,
+			Poisoned: make([]float64, d), Recovered: make([]float64, d)}
+		for v := range d {
+			est.Poisoned[v] = 1/float64(d) + 0.01*(r.Float64()-0.5)
+			est.Recovered[v] = 1/float64(d) + 1e-4*r.Float64()
+		}
+		run(b, est)
 	})
 }

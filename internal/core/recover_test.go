@@ -34,6 +34,56 @@ func TestRecoverValidation(t *testing.T) {
 	}
 }
 
+// TestRecoverRefusesNonFinite: Recover refuses each non-finite value in
+// poisoned and in a malicious override, at every position and in every
+// mode, with that input's own error. Values that only turn non-finite
+// inside recovery — a malicious share that overflows, an estimate that
+// overflows — get the estimator's and the refiner's errors.
+func TestRecoverRefusesNonFinite(t *testing.T) {
+	const d = 5
+	pr := grrParams(d, 0.5)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for i := range d {
+			vec := []float64{0.3, 0.2, 0.1, 0.25, 0.15}
+			vec[i] = bad
+			for _, opts := range []Options{{}, {Targets: []int{1}}, {SkipRefine: true}, {MaliciousOverride: make([]float64, d)}} {
+				if _, err := Recover(vec, pr, opts); err == nil || err.Error() != "core: poisoned vector contains NaN or Inf" {
+					t.Fatalf("poisoned %v with %+v: error %v", vec, opts, err)
+				}
+			}
+			if _, err := Recover(make([]float64, d), pr, Options{MaliciousOverride: vec}); err == nil ||
+				err.Error() != "core: malicious override contains NaN or Inf" {
+				t.Fatalf("override %v: error %v", vec, err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name     string
+		poisoned []float64
+		pr       Params
+		opts     Options
+		err      string // "" for success
+	}{
+		// p - q is subnormal, so Eq. 21's sum and every share overflow.
+		{"malicious overflow", []float64{0.5, 0.3, 0.2}, Params{P: 5e-324, Domain: 3}, Options{}, "core: non-finite frequencies"},
+		{"target share overflow", []float64{0.5, 0.3, 0.2}, Params{P: 5e-324, Domain: 3}, Options{Targets: []int{0}}, "core: non-finite frequencies"},
+		{"invalid eta", []float64{0.5, 0.3, 0.2, 0, 0}, pr, Options{Eta: math.NaN()}, "core: invalid eta NaN"},
+		// (1+η)·f̃_Z overflows for a finite f̃_Z.
+		{"estimate overflow", []float64{math.MaxFloat64, 0, 0, 0, 0}, pr, Options{}, "core: refinement: core: refine on non-finite vector"},
+		{"estimate overflow, override", []float64{math.MaxFloat64, 0, 0, 0, 0}, pr, Options{MaliciousOverride: make([]float64, d)}, "core: refinement: core: refine on non-finite vector"},
+		{"estimate overflow, unrefined", []float64{math.MaxFloat64, 0, 0, 0, 0}, pr, Options{SkipRefine: true}, ""},
+	} {
+		res, err := Recover(c.poisoned, c.pr, c.opts)
+		if c.err == "" {
+			if err != nil || !math.IsInf(res.Frequencies[0], 1) {
+				t.Fatalf("%s: error %v, result %+v", c.name, err, res)
+			}
+		} else if err == nil || err.Error() != c.err {
+			t.Fatalf("%s: error %v, want %q", c.name, err, c.err)
+		}
+	}
+}
+
 func TestRecoverOutputOnSimplex(t *testing.T) {
 	pr := grrParams(8, 0.5)
 	poisoned := []float64{0.4, -0.05, 0.2, 0.3, 0.05, 0.02, 0.05, 0.03}

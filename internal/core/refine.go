@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"ldprecover/internal/stats"
@@ -35,28 +36,37 @@ func RefineKKT(estimate []float64) ([]float64, error) {
 		active[v] = v
 	}
 	out := make([]float64, d)
+	var sum float64
+	for _, f := range estimate {
+		sum += f
+	}
 	for iter := 0; iter < d; iter++ {
 		// Eq. 34–35: mu/2 = (Σ_{D*} f̃ - 1)/|D*|; f'(v) = f̃(v) - mu/2.
-		var sum float64
-		for _, v := range active {
-			sum += estimate[v]
-		}
 		shift := (sum - 1) / float64(len(active))
-		kept := active[:0]
+		// One pass without a branch: a demoted item's output and its
+		// share of the next round's sum are masked to +0, and it is
+		// overwritten in active by the next item. The masked sum is the
+		// kept items' sum bit for bit: it starts at +0 and so is never
+		// -0, and adding +0 to anything else leaves it unchanged.
+		n := 0
+		var next float64
 		for _, v := range active {
 			f := estimate[v] - shift
-			if f < 0 {
-				out[v] = 0
-				continue
+			keep := 0
+			if !(f < 0) {
+				keep = 1
 			}
-			out[v] = f
-			kept = append(kept, v)
+			mask := -uint64(keep)
+			out[v] = math.Float64frombits(math.Float64bits(f) & mask)
+			next += math.Float64frombits(math.Float64bits(estimate[v]) & mask)
+			active[n] = v
+			n += keep
 		}
-		if len(kept) == len(active) {
+		if n == len(active) {
 			return out, nil
 		}
-		active = kept
-		if len(active) == 0 {
+		active, sum = active[:n], next
+		if n == 0 {
 			// Unreachable for finite input (a singleton active set yields
 			// exactly 1), but guard against float pathologies.
 			return nil, errors.New("core: refinement emptied the active set")

@@ -223,3 +223,96 @@ func TestShardedReadsAfterMutation(t *testing.T) {
 		t.Fatalf("item 2 after reset: %d", got)
 	}
 }
+
+// TestSealEpochReusesTallies: a seal takes the zeroed tallies the last
+// one swapped out as its replacement set, so in steady state it
+// allocates only the sealed aggregate (the Accumulator and its counts).
+// Reuse must never reach a published epoch: each sealed aggregate keeps
+// its counts through later ingest and seals, and concurrent sealers,
+// which race for one spare set, still conserve every count.
+func TestSealEpochReusesTallies(t *testing.T) {
+	const d = 64
+	sa, err := NewShardedAccumulator(d, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]int64, d)
+	for v := range counts {
+		counts[v] = int64(v + 1)
+	}
+	sa.SealEpoch()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := sa.AddCounts(counts, 5); err != nil {
+			t.Fatal(err)
+		}
+		sa.SealEpoch()
+	}); allocs > 2 {
+		t.Fatalf("AddCounts + SealEpoch: %v allocs, want the sealed aggregate's 2", allocs)
+	}
+
+	var sealed []*Accumulator
+	for i := range 6 {
+		for range i + 1 {
+			if err := sa.AddCounts(counts, 5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sealed = append(sealed, sa.SealEpoch())
+	}
+	for i, ep := range sealed {
+		if ep.total != int64(5*(i+1)) {
+			t.Fatalf("epoch %d: total %d after later seals", i, ep.total)
+		}
+		for v, c := range ep.counts {
+			if c != int64((i+1)*(v+1)) {
+				t.Fatalf("epoch %d item %d: %d after later seals, want %d", i, v, c, (i+1)*(v+1))
+			}
+		}
+	}
+
+	const sealers, rounds = 4, 200
+	var wg sync.WaitGroup
+	sums := make([][]int64, sealers)
+	totals := make([]int64, sealers)
+	for g := range sealers + 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g == sealers {
+				for range rounds {
+					if err := sa.AddCounts(counts, 5); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				return
+			}
+			sums[g] = make([]int64, d)
+			for range rounds / 4 {
+				ep := sa.SealEpoch()
+				for v, c := range ep.counts {
+					sums[g][v] += c
+				}
+				totals[g] += ep.total
+			}
+		}()
+	}
+	wg.Wait()
+	last := sa.SealEpoch()
+	for v := range d {
+		got := last.counts[v]
+		for g := range sealers {
+			got += sums[g][v]
+		}
+		if got != int64(rounds*(v+1)) {
+			t.Fatalf("item %d: concurrent seals hold %d, want %d", v, got, rounds*(v+1))
+		}
+	}
+	total := last.total
+	for _, n := range totals {
+		total += n
+	}
+	if total != 5*rounds {
+		t.Fatalf("concurrent seals hold total %d, want %d", total, 5*rounds)
+	}
+}

@@ -40,6 +40,11 @@ type ShardedAccumulator struct {
 	// the shard lock is released, so a reader that observes a bump also
 	// observes the mutation itself when it locks the shards.
 	gen atomic.Uint64
+
+	// spare holds zeroed tallies, one per shard, that the last SealEpoch
+	// swapped out; the next takes them as its fresh set. A seal that
+	// finds none (the first, or one racing another) allocates.
+	spare atomic.Pointer[[][]int64]
 }
 
 // accShard pads each shard to its own cache lines so mutexes and totals
@@ -205,29 +210,36 @@ func (sa *ShardedAccumulator) Snapshot() *Accumulator {
 // Counts are conserved exactly — the sum of sealed epochs plus the live
 // tally always equals everything ingested.
 func (sa *ShardedAccumulator) SealEpoch() *Accumulator {
-	// Allocate replacement tallies outside the locks so each shard is
-	// held only for the swap itself.
-	fresh := make([][]int64, len(sa.shards))
-	for i := range fresh {
-		fresh[i] = make([]int64, sa.domain)
+	// Take the replacement tallies outside the locks so each shard is
+	// held only for the swap itself. The set is ours alone: Swap hands
+	// it to exactly one seal.
+	spare := sa.spare.Swap(nil)
+	if spare == nil {
+		fresh := make([][]int64, len(sa.shards))
+		for i := range fresh {
+			fresh[i] = make([]int64, sa.domain)
+		}
+		spare = &fresh
 	}
-	sealed := make([][]int64, len(sa.shards))
+	tallies := *spare
 	out := &Accumulator{counts: make([]int64, sa.domain)}
 	for i := range sa.shards {
 		sh := &sa.shards[i]
 		sh.mu.Lock()
-		sealed[i] = sh.acc.counts
-		sh.acc.counts = fresh[i]
+		tallies[i], sh.acc.counts = sh.acc.counts, tallies[i]
 		out.total += sh.acc.total
 		sh.acc.total = 0
 		sh.mu.Unlock()
 	}
 	// Merge outside the locks: the swapped slices are exclusively ours.
-	for _, counts := range sealed {
+	// Zeroed, they become the next seal's replacement set.
+	for _, counts := range tallies {
 		for v, c := range counts {
 			out.counts[v] += c
 		}
+		clear(counts)
 	}
+	sa.spare.Store(spare)
 	sa.gen.Add(1)
 	return out
 }

@@ -31,11 +31,11 @@ func MSE(a, b []float64) (float64, error) {
 }
 
 // AllFinite reports whether every element of x is finite (no NaN/Inf).
+// It scans without a branch: v - v is +0 for finite v and NaN otherwise.
 func AllFinite(x []float64) bool {
+	var nonFinite uint64
 	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
+		nonFinite |= math.Float64bits(v - v)
 	}
-	return true
+	return nonFinite == 0
 }

@@ -39,6 +39,19 @@ func TestAllFinite(t *testing.T) {
 	if !AllFinite(nil) {
 		t.Fatal("empty vector rejected")
 	}
+	edges := []float64{math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0, -1e-300}
+	if !AllFinite(edges) {
+		t.Fatal("finite extremes rejected")
+	}
+	for i := range edges {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			x := append([]float64(nil), edges...)
+			x[i] = bad
+			if AllFinite(x) {
+				t.Fatalf("%v at index %d accepted", bad, i)
+			}
+		}
+	}
 }
 
 func TestMSESymmetricProperty(t *testing.T) {
