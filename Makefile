@@ -20,7 +20,7 @@ TOOL_CACHE = $(shell $(GO) env GOMODCACHE)/cache/download
 STATICCHECK_CACHED = $(wildcard $(TOOL_CACHE)/honnef.co/go/tools/@v/$(STATICCHECK_VERSION).zip)
 GOVULNCHECK_CACHED = $(wildcard $(TOOL_CACHE)/golang.org/x/vuln/@v/$(GOVULNCHECK_VERSION).zip)
 
-.PHONY: all build test test-full race check-ci-tests bench-smoke bench-json bench-ingest bench-merge vet lint vulncheck fuzz audit ci
+.PHONY: all build test test-full race check-ci-tests bench-smoke bench-json bench-ingest bench-merge vet lint ldpload-vet vulncheck fuzz audit ci
 
 all: build test
 
@@ -176,6 +176,13 @@ lint: vet
 		echo "staticcheck $(STATICCHECK_VERSION) unavailable (offline toolchain); ldplint and go vet still gate"; \
 	fi
 
+# cmd/ldpload is a module of its own that imports internal/ldp,
+# internal/stream and internal/persist, so the root `go build ./...` and
+# `go vet ./...` skip it: without this target a change to those packages
+# could break the load generator unnoticed.
+ldpload-vet:
+	cd cmd/ldpload && $(GO) vet ./...
+
 # Known-vulnerability scan, pinned like staticcheck. Informational by
 # design: new CVE disclosures in dependencies must not brick unrelated
 # CI runs, so findings are reported but never fail the build.
@@ -188,4 +195,4 @@ vulncheck:
 		echo "govulncheck $(GOVULNCHECK_VERSION) unavailable (offline toolchain); skipping"; \
 	fi
 
-ci: build lint test race fuzz audit
+ci: build lint ldpload-vet test race fuzz audit

@@ -196,7 +196,7 @@ func BenchmarkEndToEndPipeline_OLH(b *testing.B) {
 		return mga.CraftReports(r, proto, m)
 	}
 	finish := func(all []ldprecover.Report, counts []int64) error {
-		poisoned, err := ldprecover.Unbias(counts, int64(len(all)), proto.Params())
+		poisoned, err := ldp.Unbias(counts, int64(len(all)), proto.Params())
 		if err != nil {
 			return err
 		}
@@ -531,11 +531,11 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, err := ldprecover.MarshalReport(rep)
+		buf, err := ldp.MarshalReport(rep)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ldprecover.UnmarshalReport(buf); err != nil {
+		if _, err := ldp.UnmarshalReport(buf); err != nil {
 			b.Fatal(err)
 		}
 	}

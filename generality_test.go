@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ldprecover"
+	"ldprecover/internal/ldp"
 )
 
 // TestRecoveryGeneralityAcrossProtocols verifies the paper's claim that
@@ -27,8 +28,8 @@ func TestRecoveryGeneralityAcrossProtocols(t *testing.T) {
 		{"GRR", func() (ldprecover.Protocol, error) { return ldprecover.NewGRR(d, eps) }},
 		{"OUE", func() (ldprecover.Protocol, error) { return ldprecover.NewOUE(d, eps) }},
 		{"OLH", func() (ldprecover.Protocol, error) { return ldprecover.NewOLH(d, eps) }},
-		{"SUE", func() (ldprecover.Protocol, error) { return ldprecover.NewSUE(d, eps) }},
-		{"BLH", func() (ldprecover.Protocol, error) { return ldprecover.NewBLH(d, eps) }},
+		{"SUE", func() (ldprecover.Protocol, error) { return ldp.NewSUE(d, eps) }},
+		{"BLH", func() (ldprecover.Protocol, error) { return ldp.NewBLH(d, eps) }},
 	}
 	for _, b := range build {
 		b := b
@@ -132,16 +133,9 @@ func ExampleMaliciousSum() {
 	// Output: GRR malicious frequency summation: 1.000
 }
 
-// ExampleProjectSimplex shows the refinement step in isolation.
-func ExampleProjectSimplex() {
-	out, _ := ldprecover.ProjectSimplex([]float64{0.9, -0.2, 0.5})
-	fmt.Printf("%.2f %.2f %.2f\n", out[0], out[1], out[2])
-	// Output: 0.70 0.00 0.30
-}
-
 // TestWireAndStreamingPipeline runs client-side perturbation, wire
-// serialization, streaming sharded aggregation and recovery end to end
-// through the facade — the deployment shape a real collector would use.
+// serialization (the per-report codec), streaming sharded aggregation and
+// recovery end to end — the deployment shape a real collector would use.
 func TestWireAndStreamingPipeline(t *testing.T) {
 	const d, eps = 16, 0.8
 	proto, err := ldprecover.NewOLH(d, eps)
@@ -165,11 +159,11 @@ func TestWireAndStreamingPipeline(t *testing.T) {
 		}
 	}
 	for i, rep := range reports {
-		buf, err := ldprecover.MarshalReport(rep)
+		buf, err := ldp.MarshalReport(rep)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := ldprecover.UnmarshalReport(buf)
+		back, err := ldp.UnmarshalReport(buf)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -218,4 +219,11 @@ func distSq(a, b []float64) float64 {
 		s += d * d
 	}
 	return s
+}
+
+// ExampleProjectSimplex shows the refinement step in isolation.
+func ExampleProjectSimplex() {
+	out, _ := ProjectSimplex([]float64{0.9, -0.2, 0.5})
+	fmt.Printf("%.2f %.2f %.2f\n", out[0], out[1], out[2])
+	// Output: 0.70 0.00 0.30
 }

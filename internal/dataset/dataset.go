@@ -1,7 +1,7 @@
 // Package dataset provides the item-frequency datasets used by the
 // reproduction: the Dataset type, deterministic synthetic generators
 // (including the IPUMS and Fire surrogates described in DESIGN.md §3),
-// CSV persistence, and historical-series generation for the outlier-based
+// and historical-series generation for the outlier-based
 // target-identification substrate.
 package dataset
 
@@ -65,38 +65,6 @@ func (d *Dataset) Frequencies() []float64 {
 		fs[v] = float64(c) / n
 	}
 	return fs
-}
-
-// TopK returns the indices of the k most frequent items, most frequent
-// first (ties broken by item id for determinism).
-func (d *Dataset) TopK(k int) []int {
-	idx := make([]int, len(d.Counts))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if d.Counts[ia] != d.Counts[ib] {
-			return d.Counts[ia] > d.Counts[ib]
-		}
-		return ia < ib
-	})
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
-}
-
-// Entropy returns the Shannon entropy (nats) of the frequency vector, a
-// convenient skew summary for reports.
-func (d *Dataset) Entropy() float64 {
-	var h float64
-	for _, f := range d.Frequencies() {
-		if f > 0 {
-			h -= f * math.Log(f)
-		}
-	}
-	return h
 }
 
 // Scaled returns a copy with user counts scaled by factor (0 < factor),

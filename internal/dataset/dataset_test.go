@@ -39,28 +39,6 @@ func TestFrequenciesSumToOne(t *testing.T) {
 	}
 }
 
-func TestTopK(t *testing.T) {
-	ds, _ := New("x", []int64{5, 9, 1, 9, 3})
-	top := ds.TopK(3)
-	// Ties (items 1 and 3 both have 9) break by id.
-	want := []int{1, 3, 0}
-	for i := range want {
-		if top[i] != want[i] {
-			t.Fatalf("TopK = %v want %v", top, want)
-		}
-	}
-	if got := ds.TopK(100); len(got) != 5 {
-		t.Fatalf("TopK(100) length %d", len(got))
-	}
-}
-
-func TestEntropyUniformIsLogD(t *testing.T) {
-	ds, _ := Uniform("u", 64, 64000)
-	if h := ds.Entropy(); math.Abs(h-math.Log(64)) > 1e-6 {
-		t.Fatalf("uniform entropy %v want %v", h, math.Log(64))
-	}
-}
-
 func TestFromFrequenciesExactTotal(t *testing.T) {
 	freqs := []float64{0.15, 0.25, 0.6}
 	ds, err := FromFrequencies("x", freqs, 1001)

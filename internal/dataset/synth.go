@@ -18,11 +18,6 @@ func Zipf(name string, d int, n int64, s float64) (*Dataset, error) {
 	return FromFrequencies(name, pmf, n)
 }
 
-// Uniform builds a dataset where every item has (nearly) equal counts.
-func Uniform(name string, d int, n int64) (*Dataset, error) {
-	return Zipf(name, d, n, 0)
-}
-
 // Paper-scale constants (§VI-A.1).
 const (
 	// IPUMSDomain and IPUMSUsers match the paper's IPUMS 2017 "city"

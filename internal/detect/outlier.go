@@ -1,11 +1,11 @@
 package detect
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"ldprecover/internal/stats"
 )
@@ -219,11 +219,11 @@ func (h *History) outliers(current []float64, k int, minZ, minSD float64) []int 
 			out = append(out, scored{v, z})
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].z != out[b].z {
-			return out[a].z > out[b].z
+	slices.SortFunc(out, func(a, b scored) int {
+		if c := cmp.Compare(b.z, a.z); c != 0 {
+			return c
 		}
-		return out[a].item < out[b].item
+		return cmp.Compare(a.item, b.item)
 	})
 	if len(out) > k {
 		out = out[:k]
@@ -253,13 +253,11 @@ func TopIncrease(before, after []float64, k int) ([]int, error) {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		da := after[idx[a]] - before[idx[a]]
-		db := after[idx[b]] - before[idx[b]]
-		if da != db {
-			return da > db
+	slices.SortFunc(idx, func(a, b int) int {
+		if c := cmp.Compare(after[b]-before[b], after[a]-before[a]); c != 0 {
+			return c
 		}
-		return idx[a] < idx[b]
+		return cmp.Compare(a, b)
 	})
 	return idx[:k], nil
 }

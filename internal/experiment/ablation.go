@@ -9,8 +9,8 @@ import (
 	"ldprecover/internal/dataset"
 	"ldprecover/internal/detect"
 	"ldprecover/internal/ldp"
-	"ldprecover/internal/metrics"
 	"ldprecover/internal/rng"
+	"ldprecover/internal/stats"
 )
 
 // This file implements the ablation studies DESIGN.md §4 calls out beyond
@@ -55,11 +55,11 @@ func AblationRefiner(cfg Config) ([]*Table, error) {
 				return nil, err
 			}
 			trueF := ds.Frequencies()
-			mk, err := metrics.MSE(recK.Frequencies, trueF)
+			mk, err := stats.MSE(recK.Frequencies, trueF)
 			if err != nil {
 				return nil, err
 			}
-			mp, err := metrics.MSE(recP.Frequencies, trueF)
+			mp, err := stats.MSE(recP.Frequencies, trueF)
 			if err != nil {
 				return nil, err
 			}
@@ -144,7 +144,7 @@ func AblationDetectionRule(cfg Config) ([]*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				mse, err := metrics.MSE(res.Frequencies, trueF)
+				mse, err := stats.MSE(res.Frequencies, trueF)
 				if err != nil {
 					return nil, err
 				}

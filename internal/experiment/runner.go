@@ -4,8 +4,8 @@ import (
 	"ldprecover/internal/core"
 	"ldprecover/internal/detect"
 	"ldprecover/internal/ldp"
-	"ldprecover/internal/metrics"
 	"ldprecover/internal/rng"
+	"ldprecover/internal/stats"
 )
 
 // Metrics aggregates one scenario's evaluation outputs (trial means).
@@ -160,11 +160,11 @@ func (s Scenario) runTrial(trial int) (*Metrics, error) {
 	}
 
 	out := &Metrics{}
-	out.MSEBefore, err = metrics.MSE(poisoned, trueF)
+	out.MSEBefore, err = stats.MSE(poisoned, trueF)
 	if err != nil {
 		return nil, err
 	}
-	out.MSEGenuine, err = metrics.MSE(genuineEst, trueF)
+	out.MSEGenuine, err = stats.MSE(genuineEst, trueF)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +189,7 @@ func (s Scenario) runTrial(trial int) (*Metrics, error) {
 			return nil, err
 		}
 		out.HasRecovery = true
-		out.MSEAfter, err = metrics.MSE(rec.Frequencies, trueF)
+		out.MSEAfter, err = stats.MSE(rec.Frequencies, trueF)
 		if err != nil {
 			return nil, err
 		}
@@ -199,30 +199,30 @@ func (s Scenario) runTrial(trial int) (*Metrics, error) {
 				return nil, err
 			}
 			out.HasStar = true
-			out.MSEStar, err = metrics.MSE(recStar.Frequencies, trueF)
+			out.MSEStar, err = stats.MSE(recStar.Frequencies, trueF)
 			if err != nil {
 				return nil, err
 			}
 			if trueMalicious != nil {
 				out.HasMal = true
-				out.MSEMalNK, err = metrics.MSE(rec.Malicious, trueMalicious)
+				out.MSEMalNK, err = stats.MSE(rec.Malicious, trueMalicious)
 				if err != nil {
 					return nil, err
 				}
-				out.MSEMalPK, err = metrics.MSE(recStar.Malicious, trueMalicious)
+				out.MSEMalPK, err = stats.MSE(recStar.Malicious, trueMalicious)
 				if err != nil {
 					return nil, err
 				}
 			}
 			if trueTargets != nil {
 				out.HasFG = true
-				if out.FGBefore, err = metrics.FrequencyGain(poisoned, genuineEst, trueTargets); err != nil {
+				if out.FGBefore, err = stats.FrequencyGain(poisoned, genuineEst, trueTargets); err != nil {
 					return nil, err
 				}
-				if out.FGAfter, err = metrics.FrequencyGain(rec.Frequencies, genuineEst, trueTargets); err != nil {
+				if out.FGAfter, err = stats.FrequencyGain(rec.Frequencies, genuineEst, trueTargets); err != nil {
 					return nil, err
 				}
-				if out.FGStar, err = metrics.FrequencyGain(recStar.Frequencies, genuineEst, trueTargets); err != nil {
+				if out.FGStar, err = stats.FrequencyGain(recStar.Frequencies, genuineEst, trueTargets); err != nil {
 					return nil, err
 				}
 			}
@@ -239,12 +239,12 @@ func (s Scenario) runTrial(trial int) (*Metrics, error) {
 			return nil, err
 		}
 		out.HasDetect = true
-		out.MSEDetect, err = metrics.MSE(det.Frequencies, trueF)
+		out.MSEDetect, err = stats.MSE(det.Frequencies, trueF)
 		if err != nil {
 			return nil, err
 		}
 		if trueTargets != nil {
-			if out.FGDetect, err = metrics.FrequencyGain(det.Frequencies, genuineEst, trueTargets); err != nil {
+			if out.FGDetect, err = stats.FrequencyGain(det.Frequencies, genuineEst, trueTargets); err != nil {
 				return nil, err
 			}
 		}
@@ -265,7 +265,7 @@ func (s Scenario) runTrial(trial int) (*Metrics, error) {
 			return nil, err
 		}
 		out.HasKM = true
-		out.MSEKMeans, err = metrics.MSE(km.Genuine, trueF)
+		out.MSEKMeans, err = stats.MSE(km.Genuine, trueF)
 		if err != nil {
 			return nil, err
 		}
@@ -273,7 +273,7 @@ func (s Scenario) runTrial(trial int) (*Metrics, error) {
 		if err != nil {
 			return nil, err
 		}
-		out.MSEKM, err = metrics.MSE(recKM.Frequencies, trueF)
+		out.MSEKM, err = stats.MSE(recKM.Frequencies, trueF)
 		if err != nil {
 			return nil, err
 		}

@@ -6,8 +6,8 @@ import (
 
 	"ldprecover/internal/attack"
 	"ldprecover/internal/dataset"
-	"ldprecover/internal/metrics"
 	"ldprecover/internal/rng"
+	"ldprecover/internal/stats"
 	"ldprecover/internal/stream"
 )
 
@@ -195,10 +195,10 @@ func RunStream(s StreamScenario) (*StreamMetrics, error) {
 			PartialKnowledge: est.PartialKnowledge,
 			Targets:          est.Targets,
 		}
-		if pt.MSEBefore, err = metrics.MSE(est.Poisoned, trueF); err != nil {
+		if pt.MSEBefore, err = stats.MSE(est.Poisoned, trueF); err != nil {
 			return nil, err
 		}
-		if pt.MSEAfter, err = metrics.MSE(est.Recovered, trueF); err != nil {
+		if pt.MSEAfter, err = stats.MSE(est.Recovered, trueF); err != nil {
 			return nil, err
 		}
 		// Frequency gain needs a genuine reference estimate; the first
@@ -207,10 +207,10 @@ func RunStream(s StreamScenario) (*StreamMetrics, error) {
 		if cleanEst == nil {
 			cleanEst = est.Poisoned
 		}
-		if pt.FGBefore, err = metrics.FrequencyGain(est.Poisoned, cleanEst, targets); err != nil {
+		if pt.FGBefore, err = stats.FrequencyGain(est.Poisoned, cleanEst, targets); err != nil {
 			return nil, err
 		}
-		if pt.FGAfter, err = metrics.FrequencyGain(est.Recovered, cleanEst, targets); err != nil {
+		if pt.FGAfter, err = stats.FrequencyGain(est.Recovered, cleanEst, targets); err != nil {
 			return nil, err
 		}
 		if est.PartialKnowledge && out.StarEngagedAt < 0 {

@@ -130,6 +130,56 @@ func TestSealLogAppendReplayAndTornTail(t *testing.T) {
 	}
 }
 
+// TestSealLogFailedWriteStopsAppends is the seal-log's case of
+// TestWALFailedWriteStopsAppends: after a write fails part-way, later
+// appends must fail rather than land behind a torn frame, where reopening
+// would silently end the log before them.
+func TestSealLogFailedWriteStopsAppends(t *testing.T) {
+	dir := t.TempDir()
+	log, err := OpenSealLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := SealRecord{Kind: SealRecordSeal, Epoch: 0, Members: []string{"fe-0", "fe-1"}}
+	if err := log.Append(first); err != nil {
+		t.Fatal(err)
+	}
+	// The failed append: 7 bytes of its frame reach the file, then the
+	// write fails (a read-only handle on the file refuses it).
+	if _, err := log.f.Write(make([]byte, 7)); err != nil {
+		t.Fatal(err)
+	}
+	live := log.f
+	ro, err := os.Open(filepath.Join(dir, sealLogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	log.f = ro
+	if err := log.Append(SealRecord{Kind: SealRecordSeal, Epoch: 1, Members: first.Members}); err == nil {
+		t.Fatal("append through a read-only seal-log succeeded")
+	}
+	// The fault clears: the file is writable again.
+	log.f = live
+	for epoch := 2; epoch <= 3; epoch++ {
+		join := SealRecord{Kind: SealRecordMember, Epoch: epoch, Node: "fe-2", Join: true,
+			Members: []string{"fe-0", "fe-1", "fe-2"}}
+		if err := log.Append(join); err == nil {
+			t.Fatalf("append at epoch %d after a failed write was acknowledged", epoch)
+		}
+	}
+	if members, _, ok := log.Membership(); !ok || !reflect.DeepEqual(members, first.Members) {
+		t.Fatalf("in-memory membership after failed appends: %v %v", members, ok)
+	}
+	if err := log.Close(); err == nil {
+		t.Fatal("Close after a failed write succeeded")
+	}
+	members, _, ok, err := ReadSealLogMembership(dir)
+	if err != nil || !ok || !reflect.DeepEqual(members, first.Members) {
+		t.Fatalf("membership after reopen: %v %v %v", members, ok, err)
+	}
+}
+
 func TestLeaseAcquireRefuseRefreshRelease(t *testing.T) {
 	dir := t.TempDir()
 	const stale = 250 * time.Millisecond

@@ -69,6 +69,10 @@ type SealLog struct {
 	dir    string
 	closed bool
 	last   *SealRecord // most recent valid record, nil on a fresh log
+	// failed is the first write or fsync error, returned by every later
+	// Append and by Close, as the WAL's is: a torn frame on disk would
+	// end the log at reopen, silently dropping any record after it.
+	failed error
 }
 
 // OpenSealLog opens (creating if absent) dir's seal-log, truncates any
@@ -127,15 +131,25 @@ func (l *SealLog) Append(rec SealRecord) error {
 	if l.closed {
 		return errors.New("persist: seal-log is closed")
 	}
+	if l.failed != nil {
+		return l.failed
+	}
 	if _, err := l.f.Write(frame); err != nil {
-		return err
+		return l.fail(err)
 	}
 	if err := l.f.Sync(); err != nil {
-		return err
+		return l.fail(err)
 	}
 	clone := rec
 	l.last = &clone
 	return nil
+}
+
+// fail records err as the log's first failure and returns it. The
+// caller holds l.mu.
+func (l *SealLog) fail(err error) error {
+	l.failed = fmt.Errorf("persist: seal-log failed, appends stopped: %w", err)
+	return l.failed
 }
 
 // Membership returns the membership state of the last record, ok=false
@@ -157,7 +171,10 @@ func (l *SealLog) Close() error {
 		return nil
 	}
 	l.closed = true
-	err := l.f.Sync()
+	err := l.failed
+	if err == nil {
+		err = l.f.Sync()
+	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}

@@ -120,6 +120,11 @@ type WAL struct {
 	nextLSN  uint64       // LSN the next append receives
 	unsynced int          // appends since the last fsync
 	rec      []byte       // reusable record scratch, guarded by mu
+	// failed is the first write, fsync or rotation error. A failed
+	// write can leave a partial record in the segment, and a failed
+	// fsync can drop written pages, so nothing later is known durable:
+	// every later Append, Sync, rotation and Close returns it.
+	failed error
 }
 
 // OpenWAL opens (or creates) the write-ahead log in dir. The final
@@ -191,7 +196,8 @@ func (w *WAL) createSegmentLocked() error {
 }
 
 // Append writes one record and returns its LSN. The payload is typically
-// an ldp batch codec frame, but the WAL is payload-agnostic.
+// an ldp batch codec frame, but the WAL is payload-agnostic. After a
+// failed write, fsync or rotation, Append returns that first error.
 func (w *WAL) Append(payload []byte) (uint64, error) {
 	if len(payload) > walMaxPayload {
 		return 0, fmt.Errorf("persist: WAL payload of %d bytes exceeds cap %d", len(payload), walMaxPayload)
@@ -200,6 +206,9 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return 0, errors.New("persist: WAL is closed")
+	}
+	if w.failed != nil {
+		return 0, w.failed
 	}
 	lsn := w.nextLSN
 	// The record scratch is reused across appends (the ingest hot path
@@ -216,16 +225,15 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	crc = crc32.Update(crc, crcTable, payload)
 	binary.LittleEndian.PutUint32(rec[12:], crc)
 	if _, err := w.f.Write(rec); err != nil {
-		return 0, err
+		return 0, w.fail(err)
 	}
 	w.nextLSN++
 	w.size += int64(len(rec))
 	w.unsynced++
 	if w.opts.SyncEvery > 0 && w.unsynced >= w.opts.SyncEvery {
-		if err := w.f.Sync(); err != nil {
+		if err := w.syncLocked(); err != nil {
 			return 0, err
 		}
-		w.unsynced = 0
 	}
 	if w.size >= w.opts.SegmentBytes {
 		if err := w.rotateLocked(); err != nil {
@@ -235,16 +243,39 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	return lsn, nil
 }
 
+// fail records err as the WAL's first failure and returns it. The
+// caller holds w.mu.
+func (w *WAL) fail(err error) error {
+	w.failed = fmt.Errorf("persist: WAL failed, appends stopped: %w", err)
+	return w.failed
+}
+
+// syncLocked fsyncs the live segment. A failed fsync is never retried:
+// the kernel may already have dropped the dirty pages it could not
+// write, so a later success would vouch for lost records.
+func (w *WAL) syncLocked() error {
+	if w.failed != nil {
+		return w.failed
+	}
+	if err := w.f.Sync(); err != nil {
+		return w.fail(err)
+	}
+	w.unsynced = 0
+	return nil
+}
+
 // rotateLocked syncs and closes the live segment and starts a new one.
 func (w *WAL) rotateLocked() error {
-	if err := w.f.Sync(); err != nil {
+	if err := w.syncLocked(); err != nil {
 		return err
 	}
 	if err := w.f.Close(); err != nil {
-		return err
+		return w.fail(err)
 	}
-	w.unsynced = 0
-	return w.createSegmentLocked()
+	if err := w.createSegmentLocked(); err != nil {
+		return w.fail(err)
+	}
+	return nil
 }
 
 // LastLSN returns the LSN of the newest appended record, 0 when the log
@@ -286,8 +317,7 @@ func (w *WAL) Sync() error {
 	if w.f == nil {
 		return nil
 	}
-	w.unsynced = 0
-	return w.f.Sync()
+	return w.syncLocked()
 }
 
 // Close syncs and closes the live segment. The WAL rejects appends
@@ -298,7 +328,7 @@ func (w *WAL) Close() error {
 	if w.f == nil {
 		return nil
 	}
-	err := w.f.Sync()
+	err := w.syncLocked()
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}

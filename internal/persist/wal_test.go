@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -200,6 +201,100 @@ func TestWALTornTail(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWALFailedWriteStopsAppends: a write that fails part-way leaves
+// the start of a record header in the live segment. Had the WAL kept
+// appending after it, reopening would take those bytes for a torn tail,
+// truncate there and silently drop every record appended after them.
+// So once a write has failed, every later Append, Sync, rotation and
+// Close must fail, and replay must return exactly the acknowledged
+// records.
+func TestWALFailedWriteStopsAppends(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append(payload(1)); err != nil {
+		t.Fatal(err)
+	}
+	// The failed append: 7 bytes of its header reach the segment, then
+	// the write fails (a read-only handle on the segment refuses it).
+	hdr := make([]byte, walHeaderSize)
+	binary.LittleEndian.PutUint32(hdr, uint32(len(payload(2))))
+	binary.LittleEndian.PutUint64(hdr[4:], 2)
+	if _, err := w.f.Write(hdr[:7]); err != nil {
+		t.Fatal(err)
+	}
+	live := w.f
+	ro, err := os.Open(lastSegment(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	w.f = ro
+	if _, err := w.Append(payload(2)); err == nil {
+		t.Fatal("append through a read-only segment succeeded")
+	}
+	// The fault clears: the segment is writable again.
+	w.f = live
+	for i := 3; i <= 4; i++ {
+		if lsn, err := w.Append(payload(i)); err == nil {
+			t.Fatalf("append %d after a failed write was acknowledged as LSN %d", i, lsn)
+		}
+	}
+	if err := w.Sync(); err == nil {
+		t.Fatal("Sync after a failed write succeeded")
+	}
+	if err := w.TruncateThrough(1); err == nil {
+		t.Fatal("rotation after a failed write succeeded")
+	}
+	if err := w.Close(); err == nil {
+		t.Fatal("Close after a failed write succeeded")
+	}
+
+	w2, err := OpenWAL(dir, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	lsns, payloads := collect(t, w2, 0)
+	if len(lsns) != 1 || lsns[0] != 1 || !bytes.Equal(payloads[0], payload(1)) {
+		t.Fatalf("replay returned LSNs %v, want only the acknowledged LSN 1", lsns)
+	}
+}
+
+// TestWALFailedSyncIsNotRetried: after a failed fsync the kernel may
+// have dropped the pages it could not write, so a retry that succeeds
+// would vouch for lost records. The WAL never retries one.
+func TestWALFailedSyncIsNotRetried(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, WALOptions{SyncEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append(payload(1)); err != nil {
+		t.Fatal(err)
+	}
+	live := w.f
+	closed, err := os.Open(lastSegment(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	w.f = closed // fsync on a closed handle fails
+	if err := w.Sync(); err == nil {
+		t.Fatal("Sync on a closed handle succeeded")
+	}
+	w.f = live
+	if err := w.Sync(); err == nil {
+		t.Fatal("Sync retried after a failed fsync")
+	}
+	if _, err := w.Append(payload(2)); err == nil {
+		t.Fatal("append after a failed fsync succeeded")
+	}
+	w.Close()
 }
 
 // chop truncates the last n bytes off a file.

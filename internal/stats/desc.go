@@ -1,8 +1,8 @@
 // Package stats provides the numerical substrate for the LDPRecover
-// reproduction: compensated summation, descriptive moments, the MSE error
-// metric, the normal distribution, the Kolmogorov–Smirnov test, binomial
-// confidence bounds, and the Berry–Esseen bound used by the paper's
-// Theorems 4–5.
+// reproduction: compensated summation, descriptive moments, the paper's
+// evaluation metrics (MSE, Eq. 36; frequency gain, Eq. 37), the normal
+// distribution, the Kolmogorov–Smirnov test, binomial confidence bounds,
+// and the Berry–Esseen bound used by the paper's Theorems 4–5.
 //
 // The LDP literature's numerical needs are thin but exacting: frequency
 // vectors mix large positive and negative unbiased estimates, so naive

@@ -26,6 +26,31 @@ func TestMSEErrors(t *testing.T) {
 	}
 }
 
+func TestFrequencyGain(t *testing.T) {
+	est := []float64{0.5, 0.3, 0.2}
+	gen := []float64{0.4, 0.4, 0.2}
+	fg, err := FrequencyGain(est, gen, []int{0})
+	if err != nil || math.Abs(fg-0.1) > 1e-12 {
+		t.Fatalf("fg %v (err %v)", fg, err)
+	}
+	fg, err = FrequencyGain(est, gen, []int{0, 1})
+	if err != nil || math.Abs(fg) > 1e-12 {
+		t.Fatalf("fg %v (err %v)", fg, err)
+	}
+}
+
+func TestFrequencyGainValidation(t *testing.T) {
+	if _, err := FrequencyGain([]float64{1}, []float64{1, 2}, []int{0}); err == nil {
+		t.Fatal("length mismatch accepted")
+	}
+	if _, err := FrequencyGain([]float64{1}, []float64{1}, nil); err == nil {
+		t.Fatal("no targets accepted")
+	}
+	if _, err := FrequencyGain([]float64{1}, []float64{1}, []int{5}); err == nil {
+		t.Fatal("out-of-range target accepted")
+	}
+}
+
 func TestAllFinite(t *testing.T) {
 	if !AllFinite([]float64{1, -2, 0}) {
 		t.Fatal("finite vector rejected")

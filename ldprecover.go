@@ -42,9 +42,9 @@ import (
 	"ldprecover/internal/detect"
 	"ldprecover/internal/harmony"
 	"ldprecover/internal/ldp"
-	"ldprecover/internal/metrics"
 	"ldprecover/internal/persist"
 	"ldprecover/internal/rng"
+	"ldprecover/internal/stats"
 	"ldprecover/internal/stream"
 )
 
@@ -62,9 +62,6 @@ type (
 	OUE = ldp.OUE
 	// OLH is Optimized Local Hashing.
 	OLH = ldp.OLH
-	// SUE is Symmetric Unary Encoding (basic RAPPOR) — not part of the
-	// paper's evaluation, included to demonstrate recovery generality.
-	SUE = ldp.SUE
 )
 
 // Re-exported recovery types (paper §V).
@@ -131,12 +128,6 @@ func NewOUE(d int, epsilon float64) (*OUE, error) { return ldp.NewOUE(d, epsilon
 // NewOLH constructs Optimized Local Hashing with g = ⌈e^ε+1⌉.
 func NewOLH(d int, epsilon float64) (*OLH, error) { return ldp.NewOLH(d, epsilon) }
 
-// NewSUE constructs Symmetric Unary Encoding (basic RAPPOR).
-func NewSUE(d int, epsilon float64) (*SUE, error) { return ldp.NewSUE(d, epsilon) }
-
-// NewBLH constructs Binary Local Hashing (OLH with a 2-value hash range).
-func NewBLH(d int, epsilon float64) (*OLH, error) { return ldp.NewBLH(d, epsilon) }
-
 // EstimateFrequencies aggregates reports into unbiased frequency
 // estimates (Eq. 11–13).
 func EstimateFrequencies(reports []Report, pr Params) ([]float64, error) {
@@ -162,19 +153,9 @@ func NewShardedAccumulator(d, shards int) (*ShardedAccumulator, error) {
 	return ldp.NewShardedAccumulator(d, shards)
 }
 
-// MarshalReport serializes a report to the library's wire format, so
-// clients and servers built on this package can exchange perturbed data.
-func MarshalReport(rep Report) ([]byte, error) { return ldp.MarshalReport(rep) }
-
-// UnmarshalReport parses a wire-format report.
-func UnmarshalReport(data []byte) (Report, error) { return ldp.UnmarshalReport(data) }
-
 // MarshalReportBatch frames many reports into one wire batch, the unit
 // the serving layer ingests per HTTP request.
 func MarshalReportBatch(reps []Report) ([]byte, error) { return ldp.MarshalReportBatch(reps) }
-
-// UnmarshalReportBatch parses a wire-format report batch.
-func UnmarshalReportBatch(data []byte) ([]Report, error) { return ldp.UnmarshalReportBatch(data) }
 
 // MaxBatchReports is the decoder's hard cap on a batch frame's report
 // count; servers enforce their own smaller limits on top.
@@ -198,9 +179,6 @@ type (
 	WindowEstimate = stream.WindowEstimate
 	// StreamStats is a point-in-time manager summary.
 	StreamStats = stream.Stats
-	// TargetTracker is the promote/demote hysteresis behind the
-	// LDPRecover → LDPRecover* upgrade.
-	TargetTracker = detect.TargetTracker
 )
 
 // NewEpochManager builds a streaming epoch manager.
@@ -224,7 +202,7 @@ type (
 	// ManagerState is the exportable cross-epoch state of an
 	// EpochManager, the unit snapshots carry.
 	ManagerState = stream.ManagerState
-	// TrackerState is the exportable TargetTracker hysteresis state.
+	// TrackerState is the exportable target-tracker hysteresis state.
 	TrackerState = detect.TrackerState
 )
 
@@ -254,9 +232,6 @@ type (
 	// fold reports locally (through the same fast paths the server
 	// uses), Flush frames the partial tally for POST /v1/partial.
 	Collector = ldp.Collector
-	// PartialTally is an edge-aggregated partial tally frame's decoded
-	// form: node id, advisory epoch hint, support counts, user count.
-	PartialTally = ldp.PartialTally
 	// CountFrame is a validated view of a partial or sealed tally frame:
 	// node id, epoch and total decoded, the counts left as the frame's
 	// bytes. It is valid only while those bytes are.
@@ -277,22 +252,14 @@ var ErrStalePartial = stream.ErrStalePartial
 // identified to the server as nodeID.
 func NewCollector(nodeID string, d int) (*Collector, error) { return ldp.NewCollector(nodeID, d) }
 
-// MarshalPartial frames a partial tally for the wire; like the tally
-// and WAL codecs the frame carries its own CRC-32C.
-func MarshalPartial(p *PartialTally) ([]byte, error) { return ldp.MarshalPartial(p) }
-
-// UnmarshalPartial parses and checksums a wire-format partial tally.
-func UnmarshalPartial(data []byte) (*PartialTally, error) { return ldp.UnmarshalPartial(data) }
-
-// ValidatePartialFrame checks a wire-format partial tally in place —
-// exactly the frames UnmarshalPartial accepts — and returns a view the
-// partial lane folds from the wire bytes, with no []int64 decoded.
+// ValidatePartialFrame checks a wire-format partial tally (a Collector's
+// Flush output) in place, CRC included, and returns a view the partial
+// lane folds from the wire bytes, with no []int64 decoded.
 func ValidatePartialFrame(frame []byte) (CountFrame, error) { return ldp.ValidatePartialFrame(frame) }
 
 // ValidateReportBatchFrame structurally validates a report batch frame
 // without decoding it, returning the view the zero-copy ingest lane
-// queues, logs and folds — its one admission check. It accepts exactly
-// the frames UnmarshalReportBatch accepts.
+// queues, logs and folds — its one admission check.
 func ValidateReportBatchFrame(frame []byte) (ReportFrame, error) {
 	return ldp.ValidateReportBatchFrame(frame)
 }
@@ -327,11 +294,8 @@ type (
 // frame carries its own CRC-32C like the WAL records it derives from.
 func MarshalTally(t *Tally) ([]byte, error) { return ldp.MarshalTally(t) }
 
-// UnmarshalTally parses and checksums a wire-format sealed tally.
-func UnmarshalTally(data []byte) (*Tally, error) { return ldp.UnmarshalTally(data) }
-
-// ValidateTallyFrame checks a wire-format sealed tally in place, as
-// UnmarshalTally does, for SealedMerger.MergeFrame to merge.
+// ValidateTallyFrame checks a wire-format sealed tally in place, CRC
+// included, for SealedMerger.MergeFrame to merge.
 func ValidateTallyFrame(frame []byte) (CountFrame, error) { return ldp.ValidateTallyFrame(frame) }
 
 // NewSealedMerger wraps an EpochManager with an epoch barrier over the
@@ -361,8 +325,6 @@ type (
 	SealRecord = persist.SealRecord
 	// Lease is the root data directory's split-brain guard.
 	Lease = persist.Lease
-	// LeaseInfo describes a lease file's owner and age.
-	LeaseInfo = persist.LeaseInfo
 	// StandbyTailer keeps a warm copy of the root's merged state.
 	StandbyTailer = persist.StandbyTailer
 )
@@ -389,20 +351,11 @@ func UnmarshalAnnounce(data []byte) (*Announce, error) { return ldp.UnmarshalAnn
 // torn tail from a crash mid-append.
 func OpenSealLog(dir string) (*SealLog, error) { return persist.OpenSealLog(dir) }
 
-// ReadSealLogMembership scans dir's seal-log read-only and returns the
-// last record's membership state.
-func ReadSealLogMembership(dir string) (members []string, sched []MemberChange, ok bool, err error) {
-	return persist.ReadSealLogMembership(dir)
-}
-
 // AcquireLease takes dir's root lease for owner, refusing while another
 // owner's lease is fresher than staleAfter.
 func AcquireLease(dir, owner string, staleAfter time.Duration) (*Lease, error) {
 	return persist.AcquireLease(dir, owner, staleAfter)
 }
-
-// InspectLease reads dir's lease without taking it.
-func InspectLease(dir string) (LeaseInfo, error) { return persist.InspectLease(dir) }
 
 // NewStandbyTailer tails a root data directory, keeping a warm restored
 // manager ready for promotion. newMgr builds an empty manager with the
@@ -419,19 +372,6 @@ func NewStandbyTailer(dir string, newMgr func() (*EpochManager, error)) (*Standb
 // report-level WAL.
 func AttachSnapshotStore(dir string, mgr *EpochManager) (*SnapshotStore, error) {
 	return persist.AttachSnapshotStore(dir, mgr)
-}
-
-// NewTargetTracker returns a tracker that promotes or demotes a target
-// set after stableAfter consecutive identical outlier observations.
-func NewTargetTracker(stableAfter int) (*TargetTracker, error) {
-	return detect.NewTargetTracker(stableAfter)
-}
-
-// ConfidenceInterval returns the two-sided (1-alpha) CLT confidence
-// interval for an item's estimated frequency under the protocol's
-// theoretical variance.
-func ConfidenceInterval(p Protocol, f float64, n int64, alpha float64) (lo, hi float64, err error) {
-	return ldp.ConfidenceInterval(p, f, n, alpha)
 }
 
 // coreParams converts protocol params to the recovery core's triple.
@@ -459,18 +399,6 @@ func MaliciousSum(pr Params) (float64, error) {
 	return core.MaliciousSum(coreParams(pr))
 }
 
-// ProjectSimplex is the exact Euclidean projection onto the probability
-// simplex; RefineKKT is the paper's Algorithm 1 (they compute the same
-// point).
-func ProjectSimplex(estimate []float64) ([]float64, error) {
-	return core.ProjectSimplex(estimate)
-}
-
-// RefineKKT is Algorithm 1's iterative KKT refinement.
-func RefineKKT(estimate []float64) ([]float64, error) {
-	return core.RefineKKT(estimate)
-}
-
 // NewManip constructs the untargeted Manip attack.
 func NewManip(subsetFraction float64, subsetSeed uint64) (*Manip, error) {
 	return attack.NewManip(subsetFraction, subsetSeed)
@@ -478,10 +406,6 @@ func NewManip(subsetFraction float64, subsetSeed uint64) (*Manip, error) {
 
 // NewMGA constructs the targeted maximal gain attack.
 func NewMGA(targets []int) (*MGA, error) { return attack.NewMGA(targets) }
-
-// NewAdaptive constructs the adaptive attack from an attacker-designed
-// distribution; NewRandomAdaptive draws that distribution at random.
-func NewAdaptive(dist []float64) (*Adaptive, error) { return attack.NewAdaptive(dist) }
 
 // NewRandomAdaptive draws a random attacker-designed distribution over a
 // domain of size d.
@@ -529,19 +453,14 @@ func ZScoreOutliers(history [][]float64, current []float64, k int, minZ float64)
 	return detect.ZScoreOutliers(history, current, k, minZ)
 }
 
-// TopIncrease returns the k items with the largest frequency increase.
-func TopIncrease(before, after []float64, k int) ([]int, error) {
-	return detect.TopIncrease(before, after, k)
-}
-
 // MSE is the paper's accuracy metric (Eq. 36).
 func MSE(estimate, reference []float64) (float64, error) {
-	return metrics.MSE(estimate, reference)
+	return stats.MSE(estimate, reference)
 }
 
 // FrequencyGain is the targeted-attack metric (Eq. 37).
 func FrequencyGain(estimate, genuine []float64, targets []int) (float64, error) {
-	return metrics.FrequencyGain(estimate, genuine, targets)
+	return stats.FrequencyGain(estimate, genuine, targets)
 }
 
 // SyntheticIPUMS and SyntheticFire return the paper-scale dataset
@@ -579,12 +498,6 @@ func PerturbAllInto(p Protocol, r *Rand, trueCounts []int64, s *PerturbScratch) 
 // sorted support list; Perturb returns it instead of a dense bitset
 // report when q is small enough that only generating the set bits wins.
 type SparseUnaryReport = ldp.SparseUnaryReport
-
-// Unbias converts raw support counts from total reports into unbiased
-// frequency estimates via Eq. (11).
-func Unbias(counts []int64, total int64, pr Params) ([]float64, error) {
-	return ldp.Unbias(counts, total, pr)
-}
 
 // GenerateHistory synthesizes historical genuine frequency series for
 // outlier-based target identification.

@@ -2,10 +2,21 @@ package ldprecover_test
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"ldprecover"
+	"ldprecover/internal/core"
+	"ldprecover/internal/detect"
+	"ldprecover/internal/ldp"
 )
 
 // TestFacadeEndToEnd exercises the public API exactly as a downstream
@@ -176,11 +187,11 @@ func TestFacadeMaliciousSum(t *testing.T) {
 
 func TestFacadeRefiners(t *testing.T) {
 	in := []float64{0.8, -0.2, 0.6}
-	a, err := ldprecover.RefineKKT(in)
+	a, err := core.RefineKKT(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ldprecover.ProjectSimplex(in)
+	b, err := core.ProjectSimplex(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +222,7 @@ func TestFacadeOutlierPipeline(t *testing.T) {
 	if len(found) != 1 || found[0] != 11 {
 		t.Fatalf("outliers %v want [11]", found)
 	}
-	top, err := ldprecover.TopIncrease(small.Frequencies(), current, 1)
+	top, err := detect.TopIncrease(small.Frequencies(), current, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +287,7 @@ func TestFacadeStreamingPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		decoded, err := ldprecover.UnmarshalReportBatch(frame)
+		decoded, err := ldp.UnmarshalReportBatch(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,13 +323,63 @@ func TestFacadeStreamingPipeline(t *testing.T) {
 	if mgr.Latest() == nil {
 		t.Fatal("no latest window estimate")
 	}
-	// The tracker hysteresis is reachable through the facade too.
-	tr, err := ldprecover.NewTargetTracker(2)
+	// The tracker hysteresis behind the LDPRecover* upgrade.
+	tr, err := detect.NewTargetTracker(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr.Observe([]int{3})
 	if got := tr.Observe([]int{3}); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("tracker stable set %v", got)
+	}
+}
+
+// TestFacadeFunctionsHaveCallers keeps the facade to what something
+// reaches: each exported function in ldprecover.go needs a
+// ldprecover.<Name> use in a program under cmd/ or examples/ (test
+// files do not count) or in README.md, which shows the client-side API
+// to code outside this module. A function nothing reaches belongs in
+// its internal package, not here.
+func TestFacadeFunctionsHaveCallers(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "ldprecover.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	use := regexp.MustCompile(`\bldprecover\.([A-Z]\w*)`)
+	reached := map[string]bool{}
+	collect := func(path string) error {
+		src, err := os.ReadFile(path)
+		for _, m := range use.FindAllSubmatch(src, -1) {
+			reached[string(m[1])] = true
+		}
+		return err
+	}
+	if err := collect("README.md"); err != nil {
+		t.Fatal(err)
+	}
+	for _, root := range []string{"cmd", "examples"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			return collect(path)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var funcs int
+	for _, decl := range file.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Recv != nil || !fn.Name.IsExported() {
+			continue
+		}
+		funcs++
+		if !reached[fn.Name.Name] {
+			t.Errorf("facade function %s has no caller in cmd/, examples/ or README.md", fn.Name.Name)
+		}
+	}
+	if funcs == 0 {
+		t.Fatal("found no exported functions in ldprecover.go")
 	}
 }
