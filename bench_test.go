@@ -558,8 +558,7 @@ func BenchmarkSealEpoch(b *testing.B) {
 		if err := sa.AddCounts(counts, 1<<20); err != nil {
 			b.Fatal(err)
 		}
-		ep := sa.SealEpoch()
-		if ep.Total() != 1<<20 {
+		if _, total := sa.SealEpoch(); total != 1<<20 {
 			b.Fatal("lost reports across seal")
 		}
 	}
@@ -684,12 +683,12 @@ func BenchmarkDurableIngest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	partial, err := ldprecover.ValidatePartialFrame(pframe)
+	partial, err := ldp.ValidatePartialFrame(pframe)
 	if err != nil {
 		b.Fatal(err)
 	}
 
-	newStore := func(b *testing.B) *ldprecover.DurableStore {
+	newStore := func(b *testing.B) *persist.Store {
 		b.Helper()
 		mgr, err := ldprecover.NewEpochManager(ldprecover.StreamConfig{
 			Params: proto.Params(), TargetK: -1,
@@ -697,8 +696,8 @@ func BenchmarkDurableIngest(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		store, err := ldprecover.OpenDurableStore(b.TempDir(), mgr,
-			ldprecover.DurableOptions{SyncEvery: -1})
+		store, err := persist.Open(b.TempDir(), mgr,
+			persist.Options{SyncEvery: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -713,7 +712,7 @@ func BenchmarkDurableIngest(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, frame := range frames {
-				f, err := ldprecover.ValidateReportBatchFrame(frame)
+				f, err := ldp.ValidateReportBatchFrame(frame)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -730,7 +729,7 @@ func BenchmarkDurableIngest(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p, err := ldprecover.ValidatePartialFrame(pframe)
+			p, err := ldp.ValidatePartialFrame(pframe)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -788,7 +787,7 @@ func benchStoreOpenReplay(b *testing.B, perFrame, mal, numFrames int, segmentByt
 	for v := range trueCounts {
 		trueCounts[v] = int64(perFrame / d)
 	}
-	frames := make([]ldprecover.ReportFrame, distinct)
+	frames := make([]ldp.ReportFrame, distinct)
 	for i := range frames {
 		reps, err := ldprecover.PerturbAll(proto, r, trueCounts)
 		if err != nil {
@@ -805,18 +804,18 @@ func benchStoreOpenReplay(b *testing.B, perFrame, mal, numFrames int, segmentByt
 		if err != nil {
 			b.Fatal(err)
 		}
-		if frames[i], err = ldprecover.ValidateReportBatchFrame(frame); err != nil {
+		if frames[i], err = ldp.ValidateReportBatchFrame(frame); err != nil {
 			b.Fatal(err)
 		}
 	}
 	cfg := ldprecover.StreamConfig{Params: proto.Params(), TargetK: -1}
-	opts := ldprecover.DurableOptions{SegmentBytes: segmentBytes, SyncEvery: -1}
+	opts := persist.Options{SegmentBytes: segmentBytes, SyncEvery: -1}
 	dir := b.TempDir()
 	mgr, err := ldprecover.NewEpochManager(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	store, err := ldprecover.OpenDurableStore(dir, mgr, opts)
+	store, err := persist.Open(dir, mgr, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -838,7 +837,7 @@ func benchStoreOpenReplay(b *testing.B, perFrame, mal, numFrames int, segmentByt
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		store, err := ldprecover.OpenDurableStore(dir, mgr, opts)
+		store, err := persist.Open(dir, mgr, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -14,7 +14,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ldprecover"
+	"ldprecover/internal/ldp"
+	"ldprecover/internal/persist"
+	"ldprecover/internal/stream"
 )
 
 // The cluster parts (DESIGN.md §7, §9) a server composes around its
@@ -111,13 +113,13 @@ type tallyPusher struct {
 	flushTimeout time.Duration // bound on the shutdown flush (tests shrink it)
 
 	mu         sync.Mutex
-	pending    []ldprecover.Epoch // unacked sealed epochs, ascending
-	dropped    int64              // tallies evicted past maxPending
-	rootSeen   int                // highest sealed watermark any answer carried
-	lastErr    error              // most recent push failure, for stats/logs
-	active     int                // index into urls currently delivered to
-	failStreak int                // consecutive failed passes on the active url
-	failovers  int64              // times the active url rotated
+	pending    []stream.Epoch // unacked sealed epochs, ascending
+	dropped    int64          // tallies evicted past maxPending
+	rootSeen   int            // highest sealed watermark any answer carried
+	lastErr    error          // most recent push failure, for stats/logs
+	active     int            // index into urls currently delivered to
+	failStreak int            // consecutive failed passes on the active url
+	failovers  int64          // times the active url rotated
 
 	// backoffRng drives the decorrelated retry jitter. Seeded from the
 	// node id so each pusher's schedule is deterministic per node yet
@@ -166,13 +168,13 @@ func (p *tallyPusher) url() string {
 
 // enqueue queues one sealed epoch as this node's tally and wakes the
 // loop, evicting the oldest pending tallies beyond the retention bound.
-func (p *tallyPusher) enqueue(ep ldprecover.Epoch) {
+func (p *tallyPusher) enqueue(ep stream.Epoch) {
 	p.mu.Lock()
 	p.pending = append(p.pending, ep)
 	var evicted int
 	if p.maxPending > 0 && len(p.pending) > p.maxPending {
 		evicted = len(p.pending) - p.maxPending
-		p.pending = append([]ldprecover.Epoch(nil), p.pending[evicted:]...)
+		p.pending = append([]stream.Epoch(nil), p.pending[evicted:]...)
 		p.dropped += int64(evicted)
 	}
 	p.mu.Unlock()
@@ -278,7 +280,7 @@ func (p *tallyPusher) finalFlush() {
 // passes.
 func (p *tallyPusher) pushAll(ctx context.Context) bool {
 	p.mu.Lock()
-	batch := append([]ldprecover.Epoch(nil), p.pending...)
+	batch := append([]stream.Epoch(nil), p.pending...)
 	p.mu.Unlock()
 	ok := true
 	watermark := -1
@@ -304,7 +306,7 @@ func (p *tallyPusher) pushAll(ctx context.Context) bool {
 				kept = append(kept, ep)
 			}
 		}
-		p.pending = append([]ldprecover.Epoch(nil), kept...)
+		p.pending = append([]stream.Epoch(nil), kept...)
 		if watermark > p.rootSeen {
 			p.rootSeen = watermark
 		}
@@ -351,8 +353,8 @@ func (p *tallyPusher) noteWatermark(w int) {
 
 // pushOne POSTs sealed epoch ep to the active root as this node's
 // tally frame.
-func (p *tallyPusher) pushOne(ctx context.Context, ep ldprecover.Epoch) (*tallyResponse, error) {
-	frame, err := ldprecover.MarshalTally(&ldprecover.Tally{NodeID: p.nodeID, Epoch: ep.Seq, Counts: ep.Counts, Total: ep.Total})
+func (p *tallyPusher) pushOne(ctx context.Context, ep stream.Epoch) (*tallyResponse, error) {
+	frame, err := ldp.MarshalTally(&ldp.Tally{NodeID: p.nodeID, Epoch: ep.Seq, Counts: ep.Counts, Total: ep.Total})
 	if err != nil {
 		return nil, err
 	}
@@ -366,8 +368,8 @@ func (p *tallyPusher) pushOne(ctx context.Context, ep ldprecover.Epoch) (*tallyR
 // announce sends a join/leave announcement to the active root. epoch is
 // the requested boundary (leave: the first epoch this node will not
 // contribute); the answer carries the boundary the root assigned.
-func (p *tallyPusher) announce(ctx context.Context, kind ldprecover.AnnounceKind, epoch int) (*announceResponse, error) {
-	frame, err := ldprecover.MarshalAnnounce(&ldprecover.Announce{NodeID: p.nodeID, Kind: kind, Epoch: epoch})
+func (p *tallyPusher) announce(ctx context.Context, kind ldp.AnnounceKind, epoch int) (*announceResponse, error) {
+	frame, err := ldp.MarshalAnnounce(&ldp.Announce{NodeID: p.nodeID, Kind: kind, Epoch: epoch})
 	if err != nil {
 		return nil, err
 	}
@@ -451,7 +453,7 @@ func (s *streamServer) openUplink(cfg streamServerConfig) error {
 	// would dedupe forever (the skipped indices have no epoch from this
 	// node, which is the truth).
 	base := s.sealFn
-	s.sealFn = func() (*ldprecover.WindowEstimate, error) {
+	s.sealFn = func() (*stream.WindowEstimate, error) {
 		s.mgr.AdvanceEpochTo(s.pusher.rootWatermark())
 		est, err := base()
 		if err == nil {
@@ -483,7 +485,7 @@ func (s *streamServer) join(cfg streamServerConfig) error {
 	deadline := time.Now().Add(jt)
 	for {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		ar, err := s.pusher.announce(ctx, ldprecover.AnnounceJoin, 0)
+		ar, err := s.pusher.announce(ctx, ldp.AnnounceJoin, 0)
 		cancel()
 		if err == nil {
 			s.mgr.AdvanceEpochTo(ar.Effective)
@@ -516,10 +518,10 @@ func (s *streamServer) pushSealed(seq int) {
 // empty: joins and leaves acked before a restart must survive it), then
 // the snapshot store and seal-log every merged seal persists through.
 // tailer is a standby's warm one; nil restores into mgr.
-func openBarrier(cfg streamServerConfig, owner string, mgr *ldprecover.EpochManager,
-	tailer *ldprecover.StandbyTailer, fatal func(error)) (*rootMerge, error) {
+func openBarrier(cfg streamServerConfig, owner string, mgr *stream.EpochManager,
+	tailer *persist.StandbyTailer, fatal func(error)) (*rootMerge, error) {
 	if cfg.DataDir == "" {
-		merger, err := ldprecover.NewSealedMerger(mgr, cfg.Nodes)
+		merger, err := stream.NewSealedMerger(mgr, cfg.Nodes)
 		if err != nil {
 			return nil, err
 		}
@@ -530,25 +532,25 @@ func openBarrier(cfg streamServerConfig, owner string, mgr *ldprecover.EpochMana
 	}
 	if tailer == nil {
 		var err error
-		tailer, err = ldprecover.NewStandbyTailer(cfg.DataDir, func() (*ldprecover.EpochManager, error) { return mgr, nil })
+		tailer, err = persist.NewStandbyTailer(cfg.DataDir, func() (*stream.EpochManager, error) { return mgr, nil })
 		if err != nil {
 			return nil, dataErr(err)
 		}
 	}
-	lease, err := ldprecover.AcquireLease(cfg.DataDir, owner, cfg.PromoteAfter)
+	lease, err := persist.AcquireLease(cfg.DataDir, owner, cfg.PromoteAfter)
 	if err != nil {
 		return nil, dataErr(err)
 	}
 	merger, err := tailer.Promote(cfg.Nodes)
 	var (
-		snaps *ldprecover.SnapshotStore
-		slog  *ldprecover.SealLog
+		snaps *persist.SnapshotStore
+		slog  *persist.SealLog
 	)
 	if err == nil {
-		snaps, err = ldprecover.AttachSnapshotStore(cfg.DataDir, merger.Manager())
+		snaps, err = persist.AttachSnapshotStore(cfg.DataDir, merger.Manager())
 	}
 	if err == nil {
-		slog, err = ldprecover.OpenSealLog(cfg.DataDir)
+		slog, err = persist.OpenSealLog(cfg.DataDir)
 	}
 	if err != nil {
 		return nil, dataErr(errors.Join(err, lease.Release()))
@@ -566,10 +568,10 @@ func openBarrier(cfg streamServerConfig, owner string, mgr *ldprecover.EpochMana
 // directory's lease, and fail-stops the server when persistence breaks
 // (the PR 4 durability policy).
 type rootMerge struct {
-	merger  *ldprecover.SealedMerger
-	snaps   *ldprecover.SnapshotStore // nil when the root is in-memory
-	slog    *ldprecover.SealLog       // nil when the root is in-memory
-	timeout time.Duration             // 0: wait for stragglers forever
+	merger  *stream.SealedMerger
+	snaps   *persist.SnapshotStore // nil when the root is in-memory
+	slog    *persist.SealLog       // nil when the root is in-memory
+	timeout time.Duration          // 0: wait for stragglers forever
 	fatal   func(error)
 
 	// onSealed, when set, is invoked under r.mu for every epoch this
@@ -583,13 +585,13 @@ type rootMerge struct {
 	timer     *time.Timer
 	persisted int // durably sealed watermark (== merger's when snaps == nil)
 
-	lease     *ldprecover.Lease
+	lease     *persist.Lease
 	leaseStop chan struct{}
 	leaseWG   sync.WaitGroup
 }
 
-func newRootMerge(merger *ldprecover.SealedMerger, snaps *ldprecover.SnapshotStore,
-	slog *ldprecover.SealLog, timeout time.Duration, fatal func(error)) *rootMerge {
+func newRootMerge(merger *stream.SealedMerger, snaps *persist.SnapshotStore,
+	slog *persist.SealLog, timeout time.Duration, fatal func(error)) *rootMerge {
 	return &rootMerge{merger: merger, snaps: snaps, slog: slog, timeout: timeout, fatal: fatal,
 		persisted: merger.SealedThrough()}
 }
@@ -597,7 +599,7 @@ func newRootMerge(merger *ldprecover.SealedMerger, snaps *ldprecover.SnapshotSto
 // startLease begins heartbeating the held lease. A failed heartbeat
 // means this root was superseded (a standby promoted over it) — the
 // only safe move is to fail-stop before merging anything more.
-func (r *rootMerge) startLease(l *ldprecover.Lease, interval time.Duration) {
+func (r *rootMerge) startLease(l *persist.Lease, interval time.Duration) {
 	r.lease = l
 	r.leaseStop = make(chan struct{})
 	r.leaseWG.Add(1)
@@ -631,7 +633,7 @@ func (e rootSealError) Unwrap() error { return e.err }
 // onTally folds one pushed tally's validated frame, sealing through the
 // barrier when the tally completes it and arming the straggler timer
 // when it starts a new partial epoch.
-func (r *rootMerge) onTally(f ldprecover.CountFrame) (tallyResponse, error) {
+func (r *rootMerge) onTally(f ldp.CountFrame) (tallyResponse, error) {
 	res, err := r.merger.MergeFrame(f)
 	if err != nil {
 		return tallyResponse{}, err
@@ -654,16 +656,16 @@ func (r *rootMerge) onTally(f ldprecover.CountFrame) (tallyResponse, error) {
 // acked — a joiner that got its effective epoch must still be expected
 // after a root restart. A leave that removes the barrier's last
 // straggler seals through it.
-func (r *rootMerge) onAnnounce(a *ldprecover.Announce) (announceResponse, error) {
+func (r *rootMerge) onAnnounce(a *ldp.Announce) (announceResponse, error) {
 	var (
 		eff   int
 		ready bool
 		err   error
 	)
 	switch a.Kind {
-	case ldprecover.AnnounceJoin:
+	case ldp.AnnounceJoin:
 		eff, err = r.merger.Join(a.NodeID)
-	case ldprecover.AnnounceLeave:
+	case ldp.AnnounceLeave:
 		eff, ready, err = r.merger.Leave(a.NodeID, a.Epoch)
 	default:
 		err = fmt.Errorf("unknown announce kind %v", a.Kind)
@@ -673,9 +675,9 @@ func (r *rootMerge) onAnnounce(a *ldprecover.Announce) (announceResponse, error)
 	}
 	if r.slog != nil {
 		members, sched := r.merger.Membership()
-		if err := r.slog.Append(ldprecover.SealRecord{
-			Kind: ldprecover.SealRecordMember, Epoch: eff,
-			Node: a.NodeID, Join: a.Kind == ldprecover.AnnounceJoin,
+		if err := r.slog.Append(persist.SealRecord{
+			Kind: persist.SealRecordMember, Epoch: eff,
+			Node: a.NodeID, Join: a.Kind == ldp.AnnounceJoin,
 			Members: members, Sched: sched,
 		}); err != nil {
 			err = fmt.Errorf("journaling membership change for %q: %w", a.NodeID, err)
@@ -735,8 +737,8 @@ func (r *rootMerge) seal(forceEpoch int) error {
 		}
 		if r.slog != nil {
 			members, sched := r.merger.Membership()
-			if err := r.slog.Append(ldprecover.SealRecord{
-				Kind: ldprecover.SealRecordSeal, Epoch: info.Epoch,
+			if err := r.slog.Append(persist.SealRecord{
+				Kind: persist.SealRecordSeal, Epoch: info.Epoch,
 				Nodes: info.Nodes, Missing: info.Missing,
 				Members: members, Sched: sched,
 			}); err != nil {
@@ -809,7 +811,7 @@ var errNothingToSeal = errors.New("no tallies at the barrier and no merged epoch
 // estimate. With nothing pending it never invents an empty epoch —
 // root epochs close on the frontends' clock, and advancing the barrier
 // past tallies still en route would discard them as stale.
-func (r *rootMerge) forceSeal() (*ldprecover.WindowEstimate, error) {
+func (r *rootMerge) forceSeal() (*stream.WindowEstimate, error) {
 	if err := r.seal(r.merger.SealedThrough()); err != nil {
 		return nil, err
 	}
@@ -856,7 +858,7 @@ var errStandbyNotPromoted = errors.New("this standby has not been promoted; the 
 type standbyControl struct {
 	cfg    streamServerConfig // DataDir, RootAddr, Nodes (fallback), PromoteAfter, StandbyPoll, TallyTimeout
 	owner  string
-	tailer *ldprecover.StandbyTailer
+	tailer *persist.StandbyTailer
 	client *http.Client
 	srv    *streamServer
 
@@ -870,14 +872,14 @@ type standbyControl struct {
 // tailed read-only until promotion, never a report WAL — and it seals
 // nothing until it has been promoted.
 func (s *streamServer) openStandby(cfg streamServerConfig, owner string) error {
-	tailer, err := ldprecover.NewStandbyTailer(cfg.DataDir, func() (*ldprecover.EpochManager, error) {
-		return ldprecover.NewEpochManager(cfg.Stream)
+	tailer, err := persist.NewStandbyTailer(cfg.DataDir, func() (*stream.EpochManager, error) {
+		return stream.NewEpochManager(cfg.Stream)
 	})
 	if err != nil {
 		return err
 	}
 	s.standby = &standbyControl{cfg: cfg, owner: owner, tailer: tailer, client: &http.Client{}, srv: s}
-	s.sealFn = func() (*ldprecover.WindowEstimate, error) { return nil, errStandbyNotPromoted }
+	s.sealFn = func() (*stream.WindowEstimate, error) { return nil, errStandbyNotPromoted }
 	s.standby.start()
 	return nil
 }
@@ -1024,7 +1026,7 @@ func (s *streamServer) handleTally(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.putBuf(body)
-	tally, err := ldprecover.ValidateTallyFrame(body)
+	tally, err := ldp.ValidateTallyFrame(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "decoding tally: %v", err)
 		return
@@ -1060,7 +1062,7 @@ func (s *streamServer) handleMembership(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	defer s.putBuf(body)
-	a, err := ldprecover.UnmarshalAnnounce(body)
+	a, err := ldp.UnmarshalAnnounce(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "decoding announce: %v", err)
 		return

@@ -15,14 +15,18 @@ import (
 	"testing"
 	"time"
 
-	"ldprecover"
+	"ldprecover/internal/attack"
+	"ldprecover/internal/ldp"
+	"ldprecover/internal/persist"
+	"ldprecover/internal/rng"
+	"ldprecover/internal/stream"
 )
 
 // clusterStreamConfig is the serving configuration both sides of the
 // equivalence test run: small windows and thresholds so the MGA ramp
 // engages LDPRecover* within a short stream.
-func clusterStreamConfig(params ldprecover.Params) ldprecover.StreamConfig {
-	return ldprecover.StreamConfig{
+func clusterStreamConfig(params ldp.Params) stream.Config {
+	return stream.Config{
 		Params:      params,
 		Window:      2,
 		History:     8,
@@ -34,7 +38,7 @@ func clusterStreamConfig(params ldprecover.Params) ldprecover.StreamConfig {
 }
 
 // postAll ships reports to a frontend in small wire batches.
-func postAll(t *testing.T, url string, reps []ldprecover.Report) {
+func postAll(t *testing.T, url string, reps []ldp.Report) {
 	t.Helper()
 	const batch = 200
 	for lo := 0; lo < len(reps); lo += batch {
@@ -133,14 +137,14 @@ func TestClusterEquivalenceE2E(t *testing.T) {
 		epochs   = 8
 		attackAt = 4 // first attacked epoch
 	)
-	proto, err := ldprecover.NewOUE(d, eps)
+	proto, err := ldp.NewOUE(d, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	streamCfg := clusterStreamConfig(proto.Params())
 
 	// The single-node reference pipeline over the union of reports.
-	ref, err := ldprecover.NewEpochManager(streamCfg)
+	ref, err := stream.NewEpochManager(streamCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +207,8 @@ func TestClusterEquivalenceE2E(t *testing.T) {
 	// Deterministic population: genuine users each epoch, an MGA ramp
 	// on fixed targets from attackAt on. Reports are partitioned across
 	// frontends round-robin — disjoint by construction.
-	r := ldprecover.NewRand(29)
-	mga, err := ldprecover.NewMGA([]int{3, 11})
+	r := rng.New(29)
+	mga, err := attack.NewMGA([]int{3, 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +220,7 @@ func TestClusterEquivalenceE2E(t *testing.T) {
 	engagedRef, engagedRoot := -1, -1
 	ingested := make([]int64, nFront) // cumulative per-frontend report totals
 	for e := 0; e < epochs; e++ {
-		genuine, err := ldprecover.PerturbAll(proto, r, trueCounts)
+		genuine, err := ldp.PerturbAll(proto, r, trueCounts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,9 +230,9 @@ func TestClusterEquivalenceE2E(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			union = append(append([]ldprecover.Report(nil), genuine...), malicious...)
+			union = append(append([]ldp.Report(nil), genuine...), malicious...)
 		}
-		parts := make([][]ldprecover.Report, nFront)
+		parts := make([][]ldp.Report, nFront)
 		for i, rep := range union {
 			parts[i%nFront] = append(parts[i%nFront], rep)
 		}
@@ -295,11 +299,11 @@ func TestClusterEquivalenceE2E(t *testing.T) {
 			before := getEstimate(t, rootHS.URL)
 			epochsBefore := rootSrv.mgr.Stats().Epochs
 			feEpochs := feSrv[0].mgr.Epochs()
-			dup := &ldprecover.Tally{
+			dup := &ldp.Tally{
 				NodeID: nodeIDs[0], Epoch: feEpochs[0].Seq,
 				Counts: feEpochs[0].Counts, Total: feEpochs[0].Total,
 			}
-			frame, err := ldprecover.MarshalTally(dup)
+			frame, err := ldp.MarshalTally(dup)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -359,12 +363,12 @@ func TestClusterEquivalenceE2E(t *testing.T) {
 // nodes merged and which were missing, and the straggler's late tally
 // dedupes to a no-op (idempotence at the HTTP layer).
 func TestRootStragglerTimeoutHTTP(t *testing.T) {
-	proto, err := ldprecover.NewGRR(16, 0.5)
+	proto, err := ldp.NewGRR(16, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rootSrv, rootHS := testServer(t, streamServerConfig{
-		Stream:       ldprecover.StreamConfig{Params: proto.Params(), TargetK: -1},
+		Stream:       stream.Config{Params: proto.Params(), TargetK: -1},
 		QueueLen:     4,
 		Ingesters:    1,
 		MaxBody:      1 << 20,
@@ -372,11 +376,11 @@ func TestRootStragglerTimeoutHTTP(t *testing.T) {
 		Nodes:        []string{"fe-0", "fe-1"},
 		TallyTimeout: 50 * time.Millisecond,
 	})
-	tally := &ldprecover.Tally{NodeID: "fe-0", Epoch: 0, Counts: make([]int64, 16), Total: 40}
+	tally := &ldp.Tally{NodeID: "fe-0", Epoch: 0, Counts: make([]int64, 16), Total: 40}
 	tally.Counts[2] = 40
-	push := func(tl *ldprecover.Tally) tallyResponse {
+	push := func(tl *ldp.Tally) tallyResponse {
 		t.Helper()
-		frame, err := ldprecover.MarshalTally(tl)
+		frame, err := ldp.MarshalTally(tl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,7 +414,7 @@ func TestRootStragglerTimeoutHTTP(t *testing.T) {
 	// The straggler's late tally and a re-send of the merged one are
 	// both deduped without moving anything.
 	before := rootSrv.mgr.Stats()
-	late := &ldprecover.Tally{NodeID: "fe-1", Epoch: 0, Counts: make([]int64, 16), Total: 7}
+	late := &ldp.Tally{NodeID: "fe-1", Epoch: 0, Counts: make([]int64, 16), Total: 7}
 	if tr := push(late); !tr.Duplicate || tr.SealedThrough != 1 {
 		t.Fatalf("late tally: %+v", tr)
 	}
@@ -430,23 +434,23 @@ func TestRootStragglerTimeoutHTTP(t *testing.T) {
 // bounce off anything that is not a root, and garbage tally frames are
 // rejected.
 func TestClusterEndpointRouting(t *testing.T) {
-	proto, err := ldprecover.NewGRR(8, 0.5)
+	proto, err := ldp.NewGRR(8, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, rootHS := testServer(t, streamServerConfig{
-		Stream:    ldprecover.StreamConfig{Params: proto.Params(), TargetK: -1},
+		Stream:    stream.Config{Params: proto.Params(), TargetK: -1},
 		QueueLen:  4,
 		Ingesters: 1,
 		MaxBody:   1 << 20,
 		Role:      roleRoot,
 		Nodes:     []string{"fe-0"},
 	})
-	rep, err := proto.Perturb(ldprecover.NewRand(1), 3)
+	rep, err := proto.Perturb(rng.New(1), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := postBatch(t, rootHS.URL, []ldprecover.Report{rep})
+	resp := postBatch(t, rootHS.URL, []ldp.Report{rep})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("report batch on a root: status %d", resp.StatusCode)
 	}
@@ -460,8 +464,8 @@ func TestClusterEndpointRouting(t *testing.T) {
 	}
 	resp.Body.Close()
 	// A tally from a node outside the barrier set is an error, not a seal.
-	outsider := &ldprecover.Tally{NodeID: "rogue", Epoch: 0, Counts: make([]int64, 8), Total: 1}
-	frame, err := ldprecover.MarshalTally(outsider)
+	outsider := &ldp.Tally{NodeID: "rogue", Epoch: 0, Counts: make([]int64, 8), Total: 1}
+	frame, err := ldp.MarshalTally(outsider)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +480,7 @@ func TestClusterEndpointRouting(t *testing.T) {
 
 	// A single node is not a tally sink.
 	_, plainHS := testServer(t, streamServerConfig{
-		Stream:    ldprecover.StreamConfig{Params: proto.Params()},
+		Stream:    stream.Config{Params: proto.Params()},
 		QueueLen:  4,
 		Ingesters: 1,
 		MaxBody:   1 << 20,
@@ -572,23 +576,23 @@ func TestServeClusterFlagValidation(t *testing.T) {
 // sealed tallies and cannot replay report batch frames.
 func TestServeRootRejectsReportWAL(t *testing.T) {
 	dir := t.TempDir()
-	proto, err := ldprecover.NewGRR(8, 0.5)
+	proto, err := ldp.NewGRR(8, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := ldprecover.NewEpochManager(ldprecover.StreamConfig{Params: proto.Params()})
+	mgr, err := stream.NewEpochManager(stream.Config{Params: proto.Params()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := ldprecover.OpenDurableStore(dir, mgr, ldprecover.DurableOptions{})
+	store, err := persist.Open(dir, mgr, persist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := proto.Perturb(ldprecover.NewRand(2), 1)
+	rep, err := proto.Perturb(rng.New(2), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.AppendBatchFrame(mustView(t, []ldprecover.Report{rep})); err != nil {
+	if err := store.AppendBatchFrame(mustView(t, []ldp.Report{rep})); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Close(); err != nil {
@@ -618,15 +622,15 @@ func TestServeRootRejectsReportWAL(t *testing.T) {
 // must not invent an empty next epoch, which would advance the barrier
 // past tallies still en route and discard them as stale duplicates.
 func TestRootForceSealStaleGuard(t *testing.T) {
-	proto, err := ldprecover.NewGRR(8, 0.5)
+	proto, err := ldp.NewGRR(8, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := ldprecover.NewEpochManager(ldprecover.StreamConfig{Params: proto.Params(), TargetK: -1})
+	mgr, err := stream.NewEpochManager(stream.Config{Params: proto.Params(), TargetK: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	merger, err := ldprecover.NewSealedMerger(mgr, []string{"a", "b"})
+	merger, err := stream.NewSealedMerger(mgr, []string{"a", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -640,14 +644,14 @@ func TestRootForceSealStaleGuard(t *testing.T) {
 		t.Fatal("empty force seal sealed an epoch")
 	}
 
-	tally := func(node string, epoch int) ldprecover.CountFrame {
-		tl := &ldprecover.Tally{NodeID: node, Epoch: epoch, Counts: make([]int64, 8), Total: 5}
+	tally := func(node string, epoch int) ldp.CountFrame {
+		tl := &ldp.Tally{NodeID: node, Epoch: epoch, Counts: make([]int64, 8), Total: 5}
 		tl.Counts[1] = 5
-		frame, err := ldprecover.MarshalTally(tl)
+		frame, err := ldp.MarshalTally(tl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		view, err := ldprecover.ValidateTallyFrame(frame)
+		view, err := ldp.ValidateTallyFrame(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -699,12 +703,12 @@ func TestRootForceSealStaleGuard(t *testing.T) {
 // empty barrier answers 409 — an ordinary condition, not the fail-stop
 // kind of seal failure — and the server keeps merging afterwards.
 func TestRootSealEndpointEmptyBarrier(t *testing.T) {
-	proto, err := ldprecover.NewGRR(8, 0.5)
+	proto, err := ldp.NewGRR(8, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rootSrv, rootHS := testServer(t, streamServerConfig{
-		Stream:    ldprecover.StreamConfig{Params: proto.Params(), TargetK: -1},
+		Stream:    stream.Config{Params: proto.Params(), TargetK: -1},
 		QueueLen:  4,
 		Ingesters: 1,
 		MaxBody:   1 << 20,
@@ -725,8 +729,8 @@ func TestRootSealEndpointEmptyBarrier(t *testing.T) {
 	default:
 	}
 	// The root still merges and seals normally.
-	tl := &ldprecover.Tally{NodeID: "fe-0", Epoch: 0, Counts: make([]int64, 8), Total: 3}
-	frame, err := ldprecover.MarshalTally(tl)
+	tl := &ldp.Tally{NodeID: "fe-0", Epoch: 0, Counts: make([]int64, 8), Total: 3}
+	frame, err := ldp.MarshalTally(tl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -752,7 +756,7 @@ func TestTallyPusherQueueBound(t *testing.T) {
 		}
 	}()
 	for e := 0; e < 5; e++ {
-		p.enqueue(ldprecover.Epoch{Seq: e, Counts: make([]int64, 4), Total: 1})
+		p.enqueue(stream.Epoch{Seq: e, Counts: make([]int64, 4), Total: 1})
 	}
 	if got := p.pendingCount(); got != 3 {
 		t.Fatalf("pending %d tallies, bound is 3", got)
@@ -773,11 +777,11 @@ func TestTallyPusherQueueBound(t *testing.T) {
 // fast-forwards to the root's watermark at its next seal, so its
 // tallies merge again instead of being deduped as stale forever.
 func TestFrontendRejoinsSharedClock(t *testing.T) {
-	proto, err := ldprecover.NewGRR(8, 0.5)
+	proto, err := ldp.NewGRR(8, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamCfg := ldprecover.StreamConfig{Params: proto.Params(), TargetK: -1, History: 8}
+	streamCfg := stream.Config{Params: proto.Params(), TargetK: -1, History: 8}
 	rootSrv, rootHS := testServer(t, streamServerConfig{
 		Stream:    streamCfg,
 		QueueLen:  4,
@@ -798,7 +802,7 @@ func TestFrontendRejoinsSharedClock(t *testing.T) {
 	})
 	pushGhost := func(epoch int) {
 		t.Helper()
-		frame, err := ldprecover.MarshalTally(&ldprecover.Tally{
+		frame, err := ldp.MarshalTally(&ldp.Tally{
 			NodeID: "ghost", Epoch: epoch, Counts: make([]int64, 8), Total: 1,
 		})
 		if err != nil {

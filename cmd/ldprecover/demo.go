@@ -4,11 +4,21 @@ import (
 	"fmt"
 	"strings"
 
-	"ldprecover"
+	"ldprecover/internal/dataset"
+	"ldprecover/internal/experiment"
 )
 
+// demoAttacks maps the demo's -attack names onto the harness's attacks.
+var demoAttacks = map[string]experiment.AttackKind{
+	"manip":   experiment.ManipAttack,
+	"mga":     experiment.MGAAttack,
+	"aa":      experiment.AAAttack,
+	"mga-ipa": experiment.MGAIPAAttack,
+}
+
 // runDemo simulates the full pipeline: dataset -> LDP collection ->
-// poisoning attack -> LDPRecover / LDPRecover* -> metrics report.
+// poisoning attack -> LDPRecover / LDPRecover* -> metrics report. It is
+// one report-level trial of the experiment harness's scenario.
 func runDemo(args []string) error {
 	fs := newFlagSet("demo")
 	var (
@@ -21,7 +31,7 @@ func runDemo(args []string) error {
 		attackN = fs.String("attack", "mga", "attack: manip, mga, aa, mga-ipa")
 		eps     = fs.Float64("epsilon", 0.5, "privacy budget")
 		beta    = fs.Float64("beta", 0.05, "fraction of malicious users m/(n+m)")
-		eta     = fs.Float64("eta", ldprecover.DefaultEta, "assumed malicious/genuine ratio")
+		eta     = fs.Float64("eta", experiment.DefaultEta, "assumed malicious/genuine ratio")
 		r       = fs.Int("r", 10, "number of target items (targeted attacks)")
 		seed    = fs.Uint64("seed", 1, "random seed")
 	)
@@ -30,16 +40,16 @@ func runDemo(args []string) error {
 	}
 
 	var (
-		ds  *ldprecover.Dataset
+		ds  *dataset.Dataset
 		err error
 	)
 	switch *corpus {
 	case "ipums":
-		ds = ldprecover.SyntheticIPUMS()
+		ds = dataset.SyntheticIPUMS()
 	case "fire":
-		ds = ldprecover.SyntheticFire()
+		ds = dataset.SyntheticFire()
 	case "zipf":
-		ds, err = ldprecover.ZipfDataset("zipf", *d, *n, *zs)
+		ds, err = dataset.Zipf("zipf", *d, *n, *zs)
 	default:
 		return fmt.Errorf("unknown corpus %q", *corpus)
 	}
@@ -51,128 +61,52 @@ func runDemo(args []string) error {
 			return err
 		}
 	}
-
-	rand := ldprecover.NewRand(*seed)
-	proto, err := buildProtocol(*protoN, ds.Domain(), *eps)
+	kind, err := experiment.ParseProtocol(*protoN)
 	if err != nil {
 		return err
+	}
+	atk, ok := demoAttacks[strings.ToLower(*attackN)]
+	if !ok {
+		return fmt.Errorf("unknown attack %q (want manip, mga, aa, mga-ipa)", *attackN)
 	}
 
-	// Genuine collection.
-	genuine, err := ldprecover.PerturbAll(proto, rand, ds.Counts)
-	if err != nil {
-		return err
-	}
-	genuineEst, err := ldprecover.EstimateFrequencies(genuine, proto.Params())
-	if err != nil {
-		return err
-	}
-
-	// Attack.
-	nUsers := ds.N()
-	m := int64(float64(nUsers) * *beta / (1 - *beta))
-	atk, targets, err := buildAttack(rand, strings.ToLower(*attackN), ds.Domain(), *r)
-	if err != nil {
-		return err
-	}
-	malicious, err := atk.CraftReports(rand, proto, m)
-	if err != nil {
-		return err
-	}
-	all := append(append([]ldprecover.Report{}, genuine...), malicious...)
-	poisoned, err := ldprecover.EstimateFrequencies(all, proto.Params())
+	met, err := experiment.Run(experiment.Scenario{
+		Dataset:     ds,
+		Protocol:    kind,
+		Epsilon:     *eps,
+		Attack:      atk,
+		Beta:        *beta,
+		NumTargets:  *r,
+		Eta:         *eta,
+		Trials:      1,
+		Seed:        *seed,
+		ReportLevel: true,
+	})
 	if err != nil {
 		return err
 	}
 
-	// Recovery.
-	res, err := ldprecover.Recover(poisoned, proto.Params(), ldprecover.Options{Eta: *eta})
-	if err != nil {
-		return err
-	}
-	var resStar *ldprecover.Result
-	if targets != nil {
-		if resStar, err = ldprecover.RecoverWithTargets(poisoned, proto.Params(), targets, *eta); err != nil {
-			return err
-		}
-	}
-
-	// Report.
-	trueF := ds.Frequencies()
-	report := func(label string, est []float64) error {
-		mse, err := ldprecover.MSE(est, trueF)
-		if err != nil {
-			return err
-		}
+	// Frequency gains (Eq. 37) exist only for targeted attacks; for an
+	// untargeted one LDPRecover* runs on the items whose estimates rose
+	// most under the attack.
+	report := func(label string, mse, fg float64) {
 		line := fmt.Sprintf("  %-22s MSE %.3E", label, mse)
-		if targets != nil {
-			fg, err := ldprecover.FrequencyGain(est, genuineEst, targets)
-			if err != nil {
-				return err
-			}
+		if met.HasFG {
 			line += fmt.Sprintf("   FG %+.4f", fg)
 		}
 		fmt.Println(line)
-		return nil
 	}
-
-	fmt.Printf("dataset %s: %d items, %d genuine users, %d malicious (beta=%g)\n",
-		ds.Name, ds.Domain(), nUsers, m, *beta)
-	fmt.Printf("protocol %s (epsilon=%g)  attack %s  eta=%g\n\n",
-		proto.Name(), *eps, atk.Name(), *eta)
-	if err := report("unpoisoned estimate", genuineEst); err != nil {
-		return err
-	}
-	if err := report("poisoned (before)", poisoned); err != nil {
-		return err
-	}
-	if err := report("LDPRecover", res.Frequencies); err != nil {
-		return err
-	}
-	if resStar != nil {
-		if err := report("LDPRecover*", resStar.Frequencies); err != nil {
-			return err
+	fmt.Printf("dataset %s: %d items, %d genuine users, beta=%g\n", ds.Name, ds.Domain(), ds.N(), *beta)
+	fmt.Printf("protocol %s (epsilon=%g)  attack %s  eta=%g\n\n", kind, *eps, atk, *eta)
+	fmt.Printf("  %-22s MSE %.3E\n", "unpoisoned estimate", met.MSEGenuine)
+	report("poisoned (before)", met.MSEBefore, met.FGBefore)
+	report("LDPRecover", met.MSEAfter, met.FGAfter)
+	if met.HasStar {
+		label := "LDPRecover*"
+		if !met.HasFG {
+			label += " (top-inc)"
 		}
+		report(label, met.MSEStar, met.FGStar)
 	}
 	return nil
-}
-
-func buildProtocol(name string, d int, eps float64) (ldprecover.Protocol, error) {
-	switch strings.ToLower(name) {
-	case "grr":
-		return ldprecover.NewGRR(d, eps)
-	case "oue":
-		return ldprecover.NewOUE(d, eps)
-	case "olh":
-		return ldprecover.NewOLH(d, eps)
-	default:
-		return nil, fmt.Errorf("unknown protocol %q (want grr, oue, olh)", name)
-	}
-}
-
-func buildAttack(rand *ldprecover.Rand, name string, d, r int) (ldprecover.Attack, []int, error) {
-	switch name {
-	case "manip":
-		a, err := ldprecover.NewManip(0.5, rand.Uint64())
-		return a, nil, err
-	case "mga":
-		targets, err := ldprecover.RandomTargets(rand, d, r)
-		if err != nil {
-			return nil, nil, err
-		}
-		a, err := ldprecover.NewMGA(targets)
-		return a, targets, err
-	case "aa":
-		a, err := ldprecover.NewRandomAdaptive(rand, d)
-		return a, nil, err
-	case "mga-ipa":
-		targets, err := ldprecover.RandomTargets(rand, d, r)
-		if err != nil {
-			return nil, nil, err
-		}
-		a, err := ldprecover.NewMGAIPA(targets, d)
-		return a, targets, err
-	default:
-		return nil, nil, fmt.Errorf("unknown attack %q (want manip, mga, aa, mga-ipa)", name)
-	}
 }

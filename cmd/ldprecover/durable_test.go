@@ -10,14 +10,17 @@ import (
 	"strings"
 	"testing"
 
-	"ldprecover"
+	"ldprecover/internal/attack"
+	"ldprecover/internal/ldp"
+	"ldprecover/internal/rng"
+	"ldprecover/internal/stream"
 )
 
 // durableStreamConfig is the serving configuration shared by both runs
 // of the crash-restart test: window > 1 so restored window sums matter,
 // hysteresis short enough that LDPRecover* engages within the stream.
-func durableStreamConfig(proto ldprecover.Protocol) ldprecover.StreamConfig {
-	return ldprecover.StreamConfig{
+func durableStreamConfig(proto ldp.Protocol) stream.Config {
+	return stream.Config{
 		Params:      proto.Params(),
 		Window:      2,
 		History:     12,
@@ -29,20 +32,20 @@ func durableStreamConfig(proto ldprecover.Protocol) ldprecover.StreamConfig {
 // durableEpochs pre-generates the whole test stream once — quiet epochs
 // to build history, then MGA-attacked epochs — split into wire batches,
 // so every server ingests byte-identical traffic.
-func durableEpochs(t *testing.T, proto ldprecover.Protocol, d, quiet, attacked int, targets []int) [][][]ldprecover.Report {
+func durableEpochs(t *testing.T, proto ldp.Protocol, d, quiet, attacked int, targets []int) [][][]ldp.Report {
 	t.Helper()
-	r := ldprecover.NewRand(21)
+	r := rng.New(21)
 	trueCounts := make([]int64, d)
 	for v := range trueCounts {
 		trueCounts[v] = 200
 	}
-	mga, err := ldprecover.NewMGA(targets)
+	mga, err := attack.NewMGA(targets)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var epochs [][][]ldprecover.Report
+	var epochs [][][]ldp.Report
 	for e := 0; e < quiet+attacked; e++ {
-		reps, err := ldprecover.PerturbAll(proto, r, trueCounts)
+		reps, err := ldp.PerturbAll(proto, r, trueCounts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +56,7 @@ func durableEpochs(t *testing.T, proto ldprecover.Protocol, d, quiet, attacked i
 			}
 			reps = append(reps, mal...)
 		}
-		var batches [][]ldprecover.Report
+		var batches [][]ldp.Report
 		const per = 1024
 		for lo := 0; lo < len(reps); lo += per {
 			hi := min(lo+per, len(reps))
@@ -66,7 +69,7 @@ func durableEpochs(t *testing.T, proto ldprecover.Protocol, d, quiet, attacked i
 
 // ingestBatches posts batches over HTTP and waits until the manager has
 // folded them all.
-func ingestBatches(t *testing.T, srv *streamServer, url string, batches [][]ldprecover.Report, expectTotal int64) {
+func ingestBatches(t *testing.T, srv *streamServer, url string, batches [][]ldp.Report, expectTotal int64) {
 	t.Helper()
 	for _, b := range batches {
 		resp := postBatch(t, url, b)
@@ -113,7 +116,7 @@ func TestServeCrashRestartE2E(t *testing.T) {
 	const d, eps = 32, 1.0
 	const quiet, attacked = 6, 6
 	targets := []int{5, 21}
-	proto, err := ldprecover.NewOUE(d, eps)
+	proto, err := ldp.NewOUE(d, eps)
 	if err != nil {
 		t.Fatal(err)
 	}

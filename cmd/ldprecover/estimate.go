@@ -8,18 +8,18 @@ import (
 	"strconv"
 	"sync"
 
-	"ldprecover"
+	"ldprecover/internal/stream"
 )
 
 // encodedEstimate pairs a window estimate with its JSON body. The body is
 // written to clients as is and never modified once published.
 type encodedEstimate struct {
-	est  *ldprecover.WindowEstimate
+	est  *stream.WindowEstimate
 	body []byte
 }
 
 // estimateResponse is the JSON shape of a window estimate: the fields
-// of ldprecover.WindowEstimate with their JSON names, so an estimate
+// of stream.WindowEstimate with their JSON names, so an estimate
 // converts to it directly (and stops compiling if the two drift apart).
 // encodeEstimate writes this shape by hand; tests hold its bytes to
 // encoding/json of this type.
@@ -41,7 +41,7 @@ type estimateResponse struct {
 // which EstimateWindow answers with the same pointer — writes those
 // bytes. Any other estimate is encoded per request. A non-finite value,
 // which JSON cannot carry, answers 500 before any header is written.
-func (s *streamServer) writeEstimate(w http.ResponseWriter, est *ldprecover.WindowEstimate) {
+func (s *streamServer) writeEstimate(w http.ResponseWriter, est *stream.WindowEstimate) {
 	prev := s.encoded.Load()
 	var body []byte
 	if prev != nil && prev.est == est {
@@ -72,7 +72,7 @@ func (s *streamServer) writeEstimate(w http.ResponseWriter, est *ldprecover.Wind
 // byte, once per distinct value of a vector (appendFloatArray). A NaN or
 // ±Inf, which JSON cannot represent, is refused with an error naming
 // the first by field and index.
-func encodeEstimate(est *ldprecover.WindowEstimate) ([]byte, error) {
+func encodeEstimate(est *stream.WindowEstimate) ([]byte, error) {
 	size := 96 + 8*len(est.Targets)
 	for _, vec := range []struct {
 		field string

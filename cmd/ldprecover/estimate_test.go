@@ -15,11 +15,15 @@ import (
 	"sync"
 	"testing"
 
-	"ldprecover"
+	"ldprecover/internal/attack"
+	"ldprecover/internal/dataset"
+	"ldprecover/internal/ldp"
+	"ldprecover/internal/rng"
+	"ldprecover/internal/stream"
 )
 
 // referenceJSON is encoding/json's body for est.
-func referenceJSON(t testing.TB, est *ldprecover.WindowEstimate) []byte {
+func referenceJSON(t testing.TB, est *stream.WindowEstimate) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(estimateResponse(*est)); err != nil {
@@ -32,19 +36,19 @@ func referenceJSON(t testing.TB, est *ldprecover.WindowEstimate) []byte {
 // NaN through the seal endpoint: the answer must be a 500 naming the
 // value, never a 200 with a truncated or empty body.
 func TestServeEstimateRejectsNonFinite(t *testing.T) {
-	proto, err := ldprecover.NewOUE(4, 1)
+	proto, err := ldp.NewOUE(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv, hs := testServer(t, streamServerConfig{
-		Stream:   ldprecover.StreamConfig{Params: proto.Params()},
+		Stream:   stream.Config{Params: proto.Params()},
 		QueueLen: 4, Ingesters: 1, MaxBody: 1 << 20,
 	})
-	for _, bad := range []*ldprecover.WindowEstimate{
+	for _, bad := range []*stream.WindowEstimate{
 		{Seq: 1, Epochs: 1, Total: 10, Poisoned: []float64{0.1, math.NaN(), 0.2, 0.3}, Recovered: make([]float64, 4)},
 		{Seq: 1, Epochs: 1, Total: 10, Poisoned: make([]float64, 4), Recovered: []float64{0, 0, math.Inf(-1), 1}},
 	} {
-		srv.sealFn = func() (*ldprecover.WindowEstimate, error) { return bad, nil }
+		srv.sealFn = func() (*stream.WindowEstimate, error) { return bad, nil }
 		resp, err := http.Post(hs.URL+"/v1/seal", "", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -67,22 +71,22 @@ func TestServeEstimateRejectsNonFinite(t *testing.T) {
 // stream engages LDPRecover* within a few seals, so bodies carry targets.
 func estimateTestServer(t *testing.T, d int) (*streamServer, *httptest.Server, func(attacked bool)) {
 	t.Helper()
-	proto, err := ldprecover.NewOUE(d, 1)
+	proto, err := ldp.NewOUE(d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv, hs := testServer(t, streamServerConfig{
-		Stream: ldprecover.StreamConfig{
+		Stream: stream.Config{
 			Params: proto.Params(), Window: 4, History: 8,
 			TargetK: 2, StableAfter: 2, MinHistory: 2,
 		},
 		QueueLen: 4, Ingesters: 1, MaxBody: 1 << 20,
 	})
-	mga, err := ldprecover.NewMGA([]int{1, d - 2})
+	mga, err := attack.NewMGA([]int{1, d - 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := ldprecover.NewRand(5)
+	r := rng.New(5)
 	trueCounts := make([]int64, d)
 	var n int64
 	for v := range trueCounts {
@@ -287,19 +291,19 @@ func TestServeEstimateCacheConcurrentReaders(t *testing.T) {
 // epoch alone (merged, recovered and encoded per request).
 func BenchmarkServeEstimate(b *testing.B) {
 	const d = 4096
-	proto, err := ldprecover.NewOUE(d, 1)
+	proto, err := ldp.NewOUE(d, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	srv, err := newStreamServer(streamServerConfig{
-		Stream:   ldprecover.StreamConfig{Params: proto.Params(), Window: 4, History: 16},
+		Stream:   stream.Config{Params: proto.Params(), Window: 4, History: 16},
 		QueueLen: 4, Ingesters: 1, MaxBody: 1 << 20,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	h := srv.handler()
-	r := ldprecover.NewRand(3)
+	r := rng.New(3)
 	trueCounts := make([]int64, d)
 	for v := range trueCounts {
 		trueCounts[v] = 250
@@ -341,7 +345,7 @@ func BenchmarkServeEstimate(b *testing.B) {
 // values that take the 'e' form and its "e-7" cleanup, -0 and negative
 // values. A NaN or ±Inf anywhere must still be refused by name.
 func TestEncodeEstimateEdgeCases(t *testing.T) {
-	for _, est := range []*ldprecover.WindowEstimate{
+	for _, est := range []*stream.WindowEstimate{
 		{},
 		{Seq: 3, Epochs: 4, Targets: []int{}},
 		{Seq: -1, Epochs: 1, Total: math.MaxInt64, Poisoned: []float64{}, Recovered: []float64{}, PartialKnowledge: true},
@@ -364,12 +368,12 @@ func TestEncodeEstimateEdgeCases(t *testing.T) {
 		}
 	}
 	for _, c := range []struct {
-		est  ldprecover.WindowEstimate
+		est  stream.WindowEstimate
 		name string
 	}{
-		{ldprecover.WindowEstimate{Poisoned: []float64{math.NaN()}}, "poisoned[0] is NaN"},
-		{ldprecover.WindowEstimate{Poisoned: []float64{0, 1}, Recovered: []float64{0, math.Inf(1)}}, "recovered[1] is +Inf"},
-		{ldprecover.WindowEstimate{Recovered: []float64{1e-9, 2, math.Inf(-1)}}, "recovered[2] is -Inf"},
+		{stream.WindowEstimate{Poisoned: []float64{math.NaN()}}, "poisoned[0] is NaN"},
+		{stream.WindowEstimate{Poisoned: []float64{0, 1}, Recovered: []float64{0, math.Inf(1)}}, "recovered[1] is +Inf"},
+		{stream.WindowEstimate{Recovered: []float64{1e-9, 2, math.Inf(-1)}}, "recovered[2] is -Inf"},
 	} {
 		if _, err := encodeEstimate(&c.est); err == nil || !strings.Contains(err.Error(), c.name) {
 			t.Fatalf("non-finite value encoded or not named %q: %v", c.name, err)
@@ -440,7 +444,7 @@ func TestEncodeEstimateRepeatedValues(t *testing.T) {
 	}
 	memo := new(floatMemo)
 	checkFloatArray(t, nil, vs, memo)
-	est := &ldprecover.WindowEstimate{Seq: 1, Epochs: 1, Total: 9, Poisoned: vs, Recovered: reversed(vs)}
+	est := &stream.WindowEstimate{Seq: 1, Epochs: 1, Total: 9, Poisoned: vs, Recovered: reversed(vs)}
 	if got, want := mustEncode(t, est), referenceJSON(t, est); !bytes.Equal(got, want) {
 		t.Fatalf("body differs from encoding/json:\n got %s\nwant %s", got, want)
 	}
@@ -476,7 +480,7 @@ func TestEncodeEstimateRepeatedValues(t *testing.T) {
 	}
 	for _, vs := range [][]float64{a, vec(8, 3), c, a[:8], c} {
 		checkFloatArray(t, nil, vs, memo)
-		est := &ldprecover.WindowEstimate{Seq: 2, Epochs: 4, Total: 1, Poisoned: vs, Recovered: reversed(vs)}
+		est := &stream.WindowEstimate{Seq: 2, Epochs: 4, Total: 1, Poisoned: vs, Recovered: reversed(vs)}
 		if got, want := mustEncode(t, est), referenceJSON(t, est); !bytes.Equal(got, want) {
 			t.Fatalf("d=%d through the pooled table: body differs from encoding/json", len(vs))
 		}
@@ -491,7 +495,7 @@ func reversed(vs []float64) []float64 {
 }
 
 // mustEncode is encodeEstimate, failing t on an error.
-func mustEncode(t testing.TB, est *ldprecover.WindowEstimate) []byte {
+func mustEncode(t testing.TB, est *stream.WindowEstimate) []byte {
 	t.Helper()
 	body, err := encodeEstimate(est)
 	if err != nil {
@@ -541,31 +545,31 @@ func sealBenchServer(b testing.TB) (srv *streamServer, h http.Handler, addEpoch 
 		users    = 4096
 		mal      = 205
 	)
-	proto, err := ldprecover.NewOUE(d, 0.5)
+	proto, err := ldp.NewOUE(d, 0.5)
 	if err != nil {
 		b.Fatal(err)
 	}
 	srv, err = newStreamServer(streamServerConfig{
-		Stream:   ldprecover.StreamConfig{Params: proto.Params(), Window: 4, History: 16},
+		Stream:   stream.Config{Params: proto.Params(), Window: 4, History: 16},
 		QueueLen: 4, Ingesters: 1, MaxBody: 1 << 20,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := ldprecover.NewRand(26)
-	targets, err := ldprecover.RandomTargets(r, d, 10)
+	r := rng.New(26)
+	targets, err := attack.RandomTargets(r, d, 10)
 	if err != nil {
 		b.Fatal(err)
 	}
-	mga, err := ldprecover.NewMGA(targets)
+	mga, err := attack.NewMGA(targets)
 	if err != nil {
 		b.Fatal(err)
 	}
-	genuine, err := ldprecover.ZipfDataset("bench", d, partials*(users-mal), 1.0)
+	genuine, err := dataset.Zipf("bench", d, partials*(users-mal), 1.0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	clean, err := ldprecover.ZipfDataset("bench", d, partials*users, 1.0)
+	clean, err := dataset.Zipf("bench", d, partials*users, 1.0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -649,7 +653,7 @@ func BenchmarkServeSeal(b *testing.B) {
 // 1/d plus uniform noise, texts as long as a real estimate's), the
 // formatter's worst case, where no value repeats.
 func BenchmarkEncodeEstimate(b *testing.B) {
-	run := func(b *testing.B, est *ldprecover.WindowEstimate) {
+	run := func(b *testing.B, est *stream.WindowEstimate) {
 		body, err := encodeEstimate(est)
 		if err != nil {
 			b.Fatal(err)
@@ -669,7 +673,7 @@ func BenchmarkEncodeEstimate(b *testing.B) {
 	b.Run("distinct/d=4096", func(b *testing.B) {
 		const d = 4096
 		r := rand.New(rand.NewPCG(4096, 30))
-		est := &ldprecover.WindowEstimate{Seq: 30, Epochs: 4, Total: 327680,
+		est := &stream.WindowEstimate{Seq: 30, Epochs: 4, Total: 327680,
 			Poisoned: make([]float64, d), Recovered: make([]float64, d)}
 		for v := range d {
 			est.Poisoned[v] = 1/float64(d) + 0.01*(r.Float64()-0.5)

@@ -9,7 +9,10 @@ import (
 	"testing"
 	"time"
 
-	"ldprecover"
+	"ldprecover/internal/attack"
+	"ldprecover/internal/ldp"
+	"ldprecover/internal/rng"
+	"ldprecover/internal/stream"
 )
 
 // TestTallyPusherShutdownBounded: the shutdown flush is bounded and
@@ -32,7 +35,7 @@ func TestTallyPusherShutdownBounded(t *testing.T) {
 	defer close(release) // deferred LIFO: unblock handlers, then Close
 	p := newTallyPusher("fe-0", []string{hang.URL}, 10*time.Millisecond, 0)
 	p.flushTimeout = 150 * time.Millisecond
-	p.enqueue(ldprecover.Epoch{Seq: 0, Counts: make([]int64, 4), Total: 1})
+	p.enqueue(stream.Epoch{Seq: 0, Counts: make([]int64, 4), Total: 1})
 	time.Sleep(50 * time.Millisecond) // let the loop start a push that will hang
 	start := time.Now()
 	err := p.close()
@@ -48,7 +51,7 @@ func TestTallyPusherShutdownBounded(t *testing.T) {
 // with the -max-body cap and answers 413, so an oversized (or endless)
 // body cannot balloon server memory.
 func TestRequestBodyCaps(t *testing.T) {
-	proto, err := ldprecover.NewGRR(8, 0.5)
+	proto, err := ldp.NewGRR(8, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +67,7 @@ func TestRequestBodyCaps(t *testing.T) {
 	}
 
 	_, plainHS := testServer(t, streamServerConfig{
-		Stream:    ldprecover.StreamConfig{Params: proto.Params()},
+		Stream:    stream.Config{Params: proto.Params()},
 		QueueLen:  4,
 		Ingesters: 1,
 		MaxBody:   64,
@@ -74,7 +77,7 @@ func TestRequestBodyCaps(t *testing.T) {
 	}
 
 	_, rootHS := testServer(t, streamServerConfig{
-		Stream:    ldprecover.StreamConfig{Params: proto.Params(), TargetK: -1},
+		Stream:    stream.Config{Params: proto.Params(), TargetK: -1},
 		QueueLen:  4,
 		Ingesters: 1,
 		MaxBody:   64,
@@ -91,9 +94,9 @@ func TestRequestBodyCaps(t *testing.T) {
 
 // announceHTTP posts one membership announcement and returns the raw
 // response.
-func announceHTTP(t *testing.T, url string, a *ldprecover.Announce) *http.Response {
+func announceHTTP(t *testing.T, url string, a *ldp.Announce) *http.Response {
 	t.Helper()
-	frame, err := ldprecover.MarshalAnnounce(a)
+	frame, err := ldp.MarshalAnnounce(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +112,12 @@ func announceHTTP(t *testing.T, url string, a *ldprecover.Announce) *http.Respon
 // 409 for membership conflicts, 404 off-role, 503 on an unpromoted
 // standby.
 func TestMembershipEndpointHTTP(t *testing.T) {
-	proto, err := ldprecover.NewGRR(8, 0.5)
+	proto, err := ldp.NewGRR(8, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rootSrv, rootHS := testServer(t, streamServerConfig{
-		Stream:    ldprecover.StreamConfig{Params: proto.Params(), TargetK: -1},
+		Stream:    stream.Config{Params: proto.Params(), TargetK: -1},
 		QueueLen:  4,
 		Ingesters: 1,
 		MaxBody:   1 << 20,
@@ -131,19 +134,19 @@ func TestMembershipEndpointHTTP(t *testing.T) {
 	resp.Body.Close()
 
 	// A stranger cannot leave; the last member cannot leave either.
-	resp = announceHTTP(t, rootHS.URL, &ldprecover.Announce{NodeID: "ghost", Kind: ldprecover.AnnounceLeave})
+	resp = announceHTTP(t, rootHS.URL, &ldp.Announce{NodeID: "ghost", Kind: ldp.AnnounceLeave})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("stranger leave: status %d, want 409", resp.StatusCode)
 	}
 	resp.Body.Close()
-	resp = announceHTTP(t, rootHS.URL, &ldprecover.Announce{NodeID: "fe-0", Kind: ldprecover.AnnounceLeave})
+	resp = announceHTTP(t, rootHS.URL, &ldp.Announce{NodeID: "fe-0", Kind: ldp.AnnounceLeave})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("last-member leave: status %d, want 409", resp.StatusCode)
 	}
 	resp.Body.Close()
 
 	// A join answers the assigned boundary; the barrier expects the node.
-	resp = announceHTTP(t, rootHS.URL, &ldprecover.Announce{NodeID: "fe-1", Kind: ldprecover.AnnounceJoin})
+	resp = announceHTTP(t, rootHS.URL, &ldp.Announce{NodeID: "fe-1", Kind: ldp.AnnounceJoin})
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
@@ -159,12 +162,12 @@ func TestMembershipEndpointHTTP(t *testing.T) {
 
 	// A single node has no membership to change.
 	_, plainHS := testServer(t, streamServerConfig{
-		Stream:    ldprecover.StreamConfig{Params: proto.Params()},
+		Stream:    stream.Config{Params: proto.Params()},
 		QueueLen:  4,
 		Ingesters: 1,
 		MaxBody:   1 << 20,
 	})
-	resp = announceHTTP(t, plainHS.URL, &ldprecover.Announce{NodeID: "x", Kind: ldprecover.AnnounceJoin})
+	resp = announceHTTP(t, plainHS.URL, &ldp.Announce{NodeID: "x", Kind: ldp.AnnounceJoin})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("announce on a single node: status %d, want 404", resp.StatusCode)
 	}
@@ -172,7 +175,7 @@ func TestMembershipEndpointHTTP(t *testing.T) {
 
 	// An unpromoted standby redirects writes back to the root with 503.
 	sbSrv, sbHS := testServer(t, streamServerConfig{
-		Stream:       ldprecover.StreamConfig{Params: proto.Params(), TargetK: -1},
+		Stream:       stream.Config{Params: proto.Params(), TargetK: -1},
 		QueueLen:     4,
 		Ingesters:    1,
 		MaxBody:      1 << 20,
@@ -182,7 +185,7 @@ func TestMembershipEndpointHTTP(t *testing.T) {
 		PromoteAfter: time.Hour, // never promotes during this test
 	})
 	defer sbSrv.close()
-	resp = announceHTTP(t, sbHS.URL, &ldprecover.Announce{NodeID: "x", Kind: ldprecover.AnnounceJoin})
+	resp = announceHTTP(t, sbHS.URL, &ldp.Announce{NodeID: "x", Kind: ldp.AnnounceJoin})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("announce on an unpromoted standby: status %d, want 503", resp.StatusCode)
 	}
@@ -230,14 +233,14 @@ func TestClusterElasticFailoverE2E(t *testing.T) {
 		leaveAt  = 5 // fe-1's first absent epoch
 		killAt   = 7 // first epoch merged by the promoted standby
 	)
-	proto, err := ldprecover.NewOUE(d, eps)
+	proto, err := ldp.NewOUE(d, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	streamCfg := clusterStreamConfig(proto.Params())
 
 	// The single-node reference pipeline over the union of reports.
-	ref, err := ldprecover.NewEpochManager(streamCfg)
+	ref, err := stream.NewEpochManager(streamCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,8 +299,8 @@ func TestClusterElasticFailoverE2E(t *testing.T) {
 
 	// Deterministic population, partitioned round-robin across whichever
 	// frontends are members of each epoch.
-	r := ldprecover.NewRand(29)
-	mga, err := ldprecover.NewMGA([]int{3, 11})
+	r := rng.New(29)
+	mga, err := attack.NewMGA([]int{3, 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +374,7 @@ func TestClusterElasticFailoverE2E(t *testing.T) {
 			// Dedupe is idempotent across the promotion: re-sending every
 			// retained sealed epoch from a frontend's ring changes nothing.
 			for _, ep := range feSrv["fe-0"].mgr.Epochs() {
-				frame, err := ldprecover.MarshalTally(&ldprecover.Tally{
+				frame, err := ldp.MarshalTally(&ldp.Tally{
 					NodeID: "fe-0", Epoch: ep.Seq, Counts: ep.Counts, Total: ep.Total,
 				})
 				if err != nil {
@@ -392,7 +395,7 @@ func TestClusterElasticFailoverE2E(t *testing.T) {
 			rootWatermark = promoted.watermark
 		}
 
-		genuine, err := ldprecover.PerturbAll(proto, r, trueCounts)
+		genuine, err := ldp.PerturbAll(proto, r, trueCounts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,13 +405,13 @@ func TestClusterElasticFailoverE2E(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			union = append(append([]ldprecover.Report(nil), genuine...), malicious...)
+			union = append(append([]ldp.Report(nil), genuine...), malicious...)
 		}
 		// Partition the union round-robin across this epoch's members and
 		// wait until every member folded its share before the clock ticks
 		// (ingest is async behind the queue; waitForIngest tracks the
 		// cumulative per-node total).
-		parts := make(map[string][]ldprecover.Report)
+		parts := make(map[string][]ldp.Report)
 		for i, rep := range union {
 			node := members[i%len(members)]
 			parts[node] = append(parts[node], rep)

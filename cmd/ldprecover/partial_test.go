@@ -10,14 +10,16 @@ import (
 	"sync"
 	"testing"
 
-	"ldprecover"
+	"ldprecover/internal/ldp"
+	"ldprecover/internal/rng"
+	"ldprecover/internal/stream"
 )
 
 // postPartial pre-aggregates reps through a Collector and posts the
 // flushed partial-tally frame.
-func postPartial(t *testing.T, url string, d, hint int, reps []ldprecover.Report) *http.Response {
+func postPartial(t *testing.T, url string, d, hint int, reps []ldp.Report) *http.Response {
 	t.Helper()
-	col, err := ldprecover.NewCollector("edge-test", d)
+	col, err := ldp.NewCollector("edge-test", d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,12 +44,12 @@ func postPartial(t *testing.T, url string, d, hint int, reps []ldprecover.Report
 // counters see both.
 func TestServePartialEndpoint(t *testing.T) {
 	const d, eps = 24, 0.8
-	proto, err := ldprecover.NewOUE(d, eps)
+	proto, err := ldp.NewOUE(d, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := streamServerConfig{
-		Stream:    ldprecover.StreamConfig{Params: proto.Params(), TargetK: -1},
+		Stream:    stream.Config{Params: proto.Params(), TargetK: -1},
 		QueueLen:  16,
 		Ingesters: 1,
 		MaxBody:   1 << 20,
@@ -55,12 +57,12 @@ func TestServePartialEndpoint(t *testing.T) {
 	refSrv, refHS := testServer(t, cfg)
 	partSrv, partHS := testServer(t, cfg)
 
-	r := ldprecover.NewRand(31)
+	r := rng.New(31)
 	trueCounts := make([]int64, d)
 	for v := range trueCounts {
 		trueCounts[v] = int64(40 + 3*v)
 	}
-	reps, err := ldprecover.PerturbAll(proto, r, trueCounts)
+	reps, err := ldp.PerturbAll(proto, r, trueCounts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,12 +118,12 @@ func TestServePartialEndpoint(t *testing.T) {
 
 // TestServePartialBadRequests: the partial lane's error taxonomy.
 func TestServePartialBadRequests(t *testing.T) {
-	proto, err := ldprecover.NewGRR(16, 0.5)
+	proto, err := ldp.NewGRR(16, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, hs := testServer(t, streamServerConfig{
-		Stream:    ldprecover.StreamConfig{Params: proto.Params()},
+		Stream:    stream.Config{Params: proto.Params()},
 		QueueLen:  4,
 		Ingesters: 1,
 		MaxBody:   1 << 20,
@@ -138,7 +140,7 @@ func TestServePartialBadRequests(t *testing.T) {
 	resp.Body.Close()
 
 	// A valid frame over the wrong domain.
-	col, err := ldprecover.NewCollector("edge", 8)
+	col, err := ldp.NewCollector("edge", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +175,12 @@ func TestServePartialBadRequests(t *testing.T) {
 // server fed the same frames one at a time.
 func TestServePartialPoolsBodies(t *testing.T) {
 	const d, clients, perClient = 64, 4, 8
-	proto, err := ldprecover.NewOUE(d, 1.0)
+	proto, err := ldp.NewOUE(d, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := streamServerConfig{
-		Stream:    ldprecover.StreamConfig{Params: proto.Params(), TargetK: -1},
+		Stream:    stream.Config{Params: proto.Params(), TargetK: -1},
 		QueueLen:  4,
 		Ingesters: 1,
 		MaxBody:   1 << 20,
@@ -186,18 +188,18 @@ func TestServePartialPoolsBodies(t *testing.T) {
 	_, hs := testServer(t, cfg)
 	_, refHS := testServer(t, cfg)
 
-	r := ldprecover.NewRand(5)
+	r := rng.New(5)
 	trueCounts := make([]int64, d)
 	frames := make([][]byte, clients)
 	for c := range frames {
 		for v := range trueCounts {
 			trueCounts[v] = int64(1 + (v+c)%3)
 		}
-		reps, err := ldprecover.PerturbAll(proto, r, trueCounts)
+		reps, err := ldp.PerturbAll(proto, r, trueCounts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		col, err := ldprecover.NewCollector("edge-test", d)
+		col, err := ldp.NewCollector("edge-test", d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +269,7 @@ func TestServeMixedLaneCrashRestartE2E(t *testing.T) {
 	const d, eps = 32, 1.0
 	const quiet, attacked = 6, 6
 	targets := []int{5, 21}
-	proto, err := ldprecover.NewOUE(d, eps)
+	proto, err := ldp.NewOUE(d, eps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"ldprecover"
+	"ldprecover/internal/ldp"
+	"ldprecover/internal/rng"
+	"ldprecover/internal/stream"
 )
 
 // TestRolePresetsDerivedPolicies: each -role preset gets exactly its
@@ -17,11 +19,11 @@ import (
 // standby; report batches and partials bounce with 409 iff it has one;
 // and /v1/stats names the preset.
 func TestRolePresetsDerivedPolicies(t *testing.T) {
-	proto, err := ldprecover.NewGRR(8, 0.5)
+	proto, err := ldp.NewGRR(8, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := proto.Perturb(ldprecover.NewRand(3), 2)
+	rep, err := proto.Perturb(rng.New(3), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +43,7 @@ func TestRolePresetsDerivedPolicies(t *testing.T) {
 	} {
 		t.Run("role="+tc.role, func(t *testing.T) {
 			cfg := tc.cfg
-			cfg.Stream = ldprecover.StreamConfig{Params: proto.Params(), TargetK: 2}
+			cfg.Stream = stream.Config{Params: proto.Params(), TargetK: 2}
 			cfg.QueueLen, cfg.Ingesters, cfg.MaxBody = 4, 1, 1<<20
 			cfg.Role = tc.role
 			srv, hs := testServer(t, cfg)
@@ -72,12 +74,12 @@ func TestRolePresetsDerivedPolicies(t *testing.T) {
 			if mergesOnly {
 				wantIngest = http.StatusConflict
 			}
-			resp := postBatch(t, hs.URL, []ldprecover.Report{rep})
+			resp := postBatch(t, hs.URL, []ldp.Report{rep})
 			resp.Body.Close()
 			if resp.StatusCode != wantIngest {
 				t.Errorf("POST /v1/reports: status %d, want %d", resp.StatusCode, wantIngest)
 			}
-			resp = postPartial(t, hs.URL, 8, 0, []ldprecover.Report{rep})
+			resp = postPartial(t, hs.URL, 8, 0, []ldp.Report{rep})
 			resp.Body.Close()
 			if resp.StatusCode != wantIngest {
 				t.Errorf("POST /v1/partial: status %d, want %d", resp.StatusCode, wantIngest)
@@ -113,11 +115,11 @@ func TestRolePresetsDerivedPolicies(t *testing.T) {
 // delivery state, and an unpromoted standby's tail of the root's
 // snapshots.
 func TestClusterStatsFrontendAndStandby(t *testing.T) {
-	proto, err := ldprecover.NewGRR(8, 0.5)
+	proto, err := ldp.NewGRR(8, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamCfg := ldprecover.StreamConfig{Params: proto.Params(), TargetK: -1}
+	streamCfg := stream.Config{Params: proto.Params(), TargetK: -1}
 	rootDir := t.TempDir()
 	rootSrv, rootHS := testServer(t, streamServerConfig{
 		Stream:    streamCfg,

@@ -10,7 +10,8 @@ import (
 	"strconv"
 	"strings"
 
-	"ldprecover"
+	"ldprecover/internal/core"
+	"ldprecover/internal/experiment"
 )
 
 // runRecover post-processes an existing poisoned frequency vector.
@@ -21,7 +22,7 @@ func runRecover(args []string) error {
 		out     = fs.String("out", "", "output CSV path (default stdout)")
 		protoN  = fs.String("protocol", "oue", "protocol the frequencies came from: grr, oue, olh")
 		eps     = fs.Float64("epsilon", 0.5, "privacy budget used during collection")
-		eta     = fs.Float64("eta", ldprecover.DefaultEta, "assumed malicious/genuine ratio")
+		eta     = fs.Float64("eta", core.DefaultEta, "assumed malicious/genuine ratio")
 		targets = fs.String("targets", "", "comma-separated target items for LDPRecover* (optional)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -35,11 +36,15 @@ func runRecover(args []string) error {
 	if err != nil {
 		return err
 	}
-	proto, err := buildProtocol(*protoN, len(poisoned), *eps)
+	kind, err := experiment.ParseProtocol(*protoN)
 	if err != nil {
 		return err
 	}
-	opts := ldprecover.Options{Eta: *eta}
+	proto, err := kind.Build(len(poisoned), *eps)
+	if err != nil {
+		return err
+	}
+	opts := core.Options{Eta: *eta}
 	if *targets != "" {
 		ts, err := parseTargets(*targets)
 		if err != nil {
@@ -47,7 +52,8 @@ func runRecover(args []string) error {
 		}
 		opts.Targets = ts
 	}
-	res, err := ldprecover.Recover(poisoned, proto.Params(), opts)
+	pr := proto.Params()
+	res, err := core.Recover(poisoned, core.Params{P: pr.P, Q: pr.Q, Domain: pr.Domain}, opts)
 	if err != nil {
 		return err
 	}

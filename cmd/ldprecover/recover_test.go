@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"ldprecover"
 )
 
 func TestParseTargets(t *testing.T) {
@@ -87,44 +85,40 @@ func TestLoadFrequencyCSVErrors(t *testing.T) {
 	}
 }
 
+// TestBuildProtocol: the -protocol flag takes grr, oue and olh in any
+// case, and an unknown name fails with the text the CLI always gave.
 func TestBuildProtocol(t *testing.T) {
-	for _, name := range []string{"grr", "OUE", "olh"} {
-		p, err := buildProtocol(name, 10, 0.5)
-		if err != nil {
+	in := filepath.Join(t.TempDir(), "poisoned.csv")
+	if err := os.WriteFile(in, []byte("0,0.7\n1,0.2\n2,0.1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "recovered.csv")
+	for _, name := range []string{"grr", "OUE", "Olh"} {
+		if err := runRecover([]string{"-in", in, "-out", out, "-protocol", name}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if p.Params().Domain != 10 {
-			t.Fatalf("%s: domain %d", name, p.Params().Domain)
-		}
 	}
-	if _, err := buildProtocol("nope", 10, 0.5); err == nil {
-		t.Fatal("unknown protocol accepted")
-	}
-	if _, err := buildProtocol("grr", 1, 0.5); err == nil {
-		t.Fatal("bad domain accepted")
+	err := runRecover([]string{"-in", in, "-out", out, "-protocol", "nope"})
+	if err == nil || err.Error() != `unknown protocol "nope" (want grr, oue, olh)` {
+		t.Fatalf("unknown protocol: err %v", err)
 	}
 }
 
+// TestBuildAttack: every -attack name runs one demo trial, in any case,
+// and an unknown name is refused.
 func TestBuildAttack(t *testing.T) {
-	r := ldprecover.NewRand(123)
-	for _, name := range []string{"manip", "mga", "aa", "mga-ipa"} {
-		a, targets, err := buildAttack(r, name, 20, 5)
+	for _, name := range []string{"manip", "MGA", "aa", "mga-ipa"} {
+		err := runDemo([]string{
+			"-corpus", "zipf", "-d", "20", "-n", "2000", "-scale", "1",
+			"-protocol", "oue", "-attack", name, "-r", "5",
+		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if a == nil {
-			t.Fatalf("%s: nil attack", name)
-		}
-		targeted := name == "mga" || name == "mga-ipa"
-		if targeted && len(targets) != 5 {
-			t.Fatalf("%s: targets %v", name, targets)
-		}
-		if !targeted && targets != nil {
-			t.Fatalf("%s: unexpected targets %v", name, targets)
-		}
 	}
-	if _, _, err := buildAttack(r, "nope", 20, 5); err == nil {
-		t.Fatal("unknown attack accepted")
+	err := runDemo([]string{"-corpus", "zipf", "-d", "20", "-n", "2000", "-attack", "nope"})
+	if err == nil || err.Error() != `unknown attack "nope" (want manip, mga, aa, mga-ipa)` {
+		t.Fatalf("unknown attack: err %v", err)
 	}
 }
 

@@ -21,7 +21,11 @@ import (
 	"syscall"
 	"time"
 
-	"ldprecover"
+	"ldprecover/internal/core"
+	"ldprecover/internal/experiment"
+	"ldprecover/internal/ldp"
+	"ldprecover/internal/persist"
+	"ldprecover/internal/stream"
 )
 
 // The serve subcommand runs the epoch-streamed recovery service: a
@@ -77,7 +81,7 @@ func runServe(args []string) error {
 		epoch    = fs.Duration("epoch", time.Minute, "epoch length (0: seal only via POST /v1/seal)")
 		window   = fs.Int("window", 4, "sealed epochs per serving estimate")
 		history  = fs.Int("history", 16, "sealed epochs retained (ring + outlier history)")
-		eta      = fs.Float64("eta", ldprecover.DefaultEta, "assumed malicious/genuine ratio")
+		eta      = fs.Float64("eta", core.DefaultEta, "assumed malicious/genuine ratio")
 		targetK  = fs.Int("targets", 0, "max auto-identified targets per epoch (0: min(10, d), negative: disable)")
 		minZ     = fs.Float64("minz", 3, "z-score threshold for flagging a target")
 		stable   = fs.Int("stable", 3, "consecutive epochs before LDPRecover* engages")
@@ -86,7 +90,7 @@ func runServe(args []string) error {
 		maxBody  = fs.Int64("max-body", 8<<20, "largest accepted request body in bytes")
 		dataDir  = fs.String("data-dir", "", "durable state directory: WAL + per-seal snapshots (empty: in-memory only)")
 		fsyncN   = fs.Int("fsync-every", 1, "fsync the WAL every n-th batch (negative: only at epoch seals)")
-		walSeg   = fs.Int64("wal-segment", ldprecover.DefaultWALSegmentBytes, "WAL segment rotation size in bytes")
+		walSeg   = fs.Int64("wal-segment", persist.DefaultSegmentBytes, "WAL segment rotation size in bytes")
 		role     = fs.String("role", "", "cluster role: frontend (ingest + push sealed tallies), root (merge tallies), merger (merge children, push the merged tally upward), or standby (tail the root, promote on failure); empty: single node")
 		rootAddr = fs.String("root-addr", "", "frontend/merger/standby: the parent (root) node's base URL, e.g. http://10.0.0.1:8347")
 		nodeID   = fs.String("node-id", "", "frontend/merger: unique node id (the parent dedupes tallies by it); standby: lease owner name")
@@ -121,12 +125,16 @@ func runServe(args []string) error {
 	if *walSeg < 1 {
 		return fmt.Errorf("-wal-segment %d bytes is below 1", *walSeg)
 	}
-	proto, err := buildProtocol(*protoN, *d, *eps)
+	kind, err := experiment.ParseProtocol(*protoN)
+	if err != nil {
+		return err
+	}
+	proto, err := kind.Build(*d, *eps)
 	if err != nil {
 		return err
 	}
 	srv, err := newStreamServer(streamServerConfig{
-		Stream: ldprecover.StreamConfig{
+		Stream: stream.Config{
 			Params:      proto.Params(),
 			Window:      *window,
 			History:     *history,
@@ -200,7 +208,7 @@ func runServe(args []string) error {
 	if srv.parts.standby {
 		clauses = append(clauses, fmt.Sprintf("tailing %s, watching %s, promoting after %s", *dataDir, *rootAddr, *promoteA))
 	}
-	clauses = append(clauses, "olh-kernel="+ldprecover.OLHKernel())
+	clauses = append(clauses, "olh-kernel="+ldp.OLHKernel())
 	fmt.Println(strings.TrimSpace(fmt.Sprintf("%s serving %s (d=%d, epsilon=%g) on http://%s  %s",
 		who, proto.Name(), *d, *eps, ln.Addr(), strings.Join(clauses, ", "))))
 
@@ -440,7 +448,7 @@ func drainAndClose(srv *streamServer, report bool) error {
 
 // streamServerConfig wires the HTTP layer around an EpochManager.
 type streamServerConfig struct {
-	Stream    ldprecover.StreamConfig
+	Stream    stream.Config
 	QueueLen  int
 	Ingesters int
 	MaxBody   int64
@@ -487,14 +495,14 @@ type streamServerConfig struct {
 // drain workers, and (in durable mode) the persistence store. All
 // handler methods are safe for concurrent use.
 type streamServer struct {
-	mgr   *ldprecover.EpochManager
-	store *ldprecover.DurableStore // nil in memory-only mode
+	mgr   *stream.EpochManager
+	store *persist.Store // nil in memory-only mode
 	// queue carries POST /v1/reports bodies as the views the handler's
 	// validation returned, each over a pooled buffer: the worker folds
 	// the view in place — durable mode appends its bytes to the WAL
 	// verbatim, counting never materializes a []Report — and returns
 	// the buffer to the pool.
-	queue   chan ldprecover.ReportFrame
+	queue   chan ldp.ReportFrame
 	wg      sync.WaitGroup
 	maxBody int64
 
@@ -523,11 +531,11 @@ type streamServer struct {
 	// sealFn is what seal() runs under sealMu — the store's persisting
 	// seal in durable mode, the manager's otherwise. Tests substitute a
 	// failing one to drive the error paths.
-	sealFn func() (*ldprecover.WindowEstimate, error)
+	sealFn func() (*stream.WindowEstimate, error)
 
 	// foldFn is what an ingest worker runs on each dequeued frame:
 	// ingest. Tests wrap it to park the worker.
-	foldFn func(f ldprecover.ReportFrame) error
+	foldFn func(f ldp.ReportFrame) error
 
 	// fatalc carries a handler-observed fatal error (a failed seal) to
 	// serveLoop, so a durable server whose snapshots stop persisting
@@ -616,13 +624,13 @@ func newStreamServer(cfg streamServerConfig) (*streamServer, error) {
 		// with an uplink sees only its subtree's slice of the population.
 		cfg.Stream.TargetK = -1
 	}
-	mgr, err := ldprecover.NewEpochManager(cfg.Stream)
+	mgr, err := stream.NewEpochManager(cfg.Stream)
 	if err != nil {
 		return nil, err
 	}
 	s := &streamServer{
 		mgr:     mgr,
-		queue:   make(chan ldprecover.ReportFrame, cfg.QueueLen),
+		queue:   make(chan ldp.ReportFrame, cfg.QueueLen),
 		maxBody: cfg.MaxBody,
 		fatalc:  make(chan error, 1),
 		parts:   parts,
@@ -657,7 +665,7 @@ func newStreamServer(cfg streamServerConfig) (*streamServer, error) {
 			return nil, err
 		}
 	case cfg.DataDir != "":
-		s.store, err = ldprecover.OpenDurableStore(cfg.DataDir, mgr, ldprecover.DurableOptions{
+		s.store, err = persist.Open(cfg.DataDir, mgr, persist.Options{
 			SegmentBytes: cfg.SegmentBytes,
 			SyncEvery:    cfg.SyncEvery,
 		})
@@ -697,7 +705,7 @@ func newStreamServer(cfg streamServerConfig) (*streamServer, error) {
 // in durable mode, so a batch is never aggregated without being logged.
 // The wire bytes are appended verbatim and counted in place; no
 // []Report ever exists.
-func (s *streamServer) ingest(f ldprecover.ReportFrame) error {
+func (s *streamServer) ingest(f ldp.ReportFrame) error {
 	if s.store != nil {
 		return s.store.AppendBatchFrame(f)
 	}
@@ -722,7 +730,7 @@ func (s *streamServer) handler() http.Handler {
 // serves the promoted root's manager once it took over, the warm tailed
 // one before that (so /v1/estimate answers from the last snapshot even
 // pre-promotion), and every other node its own.
-func (s *streamServer) manager() *ldprecover.EpochManager {
+func (s *streamServer) manager() *stream.EpochManager {
 	if root := s.currentRoot(); root != nil {
 		return root.merger.Manager()
 	}
@@ -745,7 +753,7 @@ func (s *streamServer) reportFatal(err error) {
 
 // seal closes the current epoch under the seal lock (persisting it in
 // durable mode).
-func (s *streamServer) seal() (*ldprecover.WindowEstimate, error) {
+func (s *streamServer) seal() (*stream.WindowEstimate, error) {
 	s.sealMu.Lock()
 	defer s.sealMu.Unlock()
 	return s.sealFn()
@@ -756,7 +764,7 @@ func (s *streamServer) seal() (*ldprecover.WindowEstimate, error) {
 // its children's tallies skips the seal (nil estimate): sealing at
 // shutdown would advance the barrier past tallies still en route,
 // turning their re-sends into stale duplicates.
-func (s *streamServer) drain() (*ldprecover.WindowEstimate, error) {
+func (s *streamServer) drain() (*stream.WindowEstimate, error) {
 	s.drainMu.Lock()
 	if s.draining {
 		s.drainMu.Unlock()
@@ -785,7 +793,7 @@ func (s *streamServer) close() error {
 		if s.leaveOnShutdown {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			from := s.mgr.Stats().Epochs
-			if ar, err := s.pusher.announce(ctx, ldprecover.AnnounceLeave, from); err != nil {
+			if ar, err := s.pusher.announce(ctx, ldp.AnnounceLeave, from); err != nil {
 				// Not fatal to the departing node: the root's straggler
 				// timeout retires it from the barrier eventually.
 				fmt.Printf("frontend %q leave announcement failed (the root keeps expecting it until its straggler timeout): %v\n",
@@ -846,7 +854,7 @@ func (s *streamServer) handleReports(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	frame, err := ldprecover.ValidateReportBatchFrame(body)
+	frame, err := ldp.ValidateReportBatchFrame(body)
 	if err != nil {
 		s.putBuf(body)
 		httpError(w, http.StatusBadRequest, "decoding batch: %v", err)
@@ -926,7 +934,7 @@ func (s *streamServer) handlePartial(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.putBuf(body)
-	p, err := ldprecover.ValidatePartialFrame(body)
+	p, err := ldp.ValidatePartialFrame(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "decoding partial tally: %v", err)
 		return
@@ -955,7 +963,7 @@ func (s *streamServer) handlePartial(w http.ResponseWriter, r *http.Request) {
 	case err == nil:
 		s.partialsAccepted.Add(1)
 		writeJSON(w, http.StatusAccepted, partialResponse{Users: p.Total, EpochHint: p.Epoch})
-	case errors.Is(err, ldprecover.ErrStalePartial):
+	case errors.Is(err, stream.ErrStalePartial):
 		// The sealed-boundary taxonomy of /v1/tally: an ordinary
 		// client-visible conflict, not broken durability.
 		s.partialsStale.Add(1)
@@ -1071,7 +1079,7 @@ func (s *streamServer) handleStats(w http.ResponseWriter, r *http.Request) {
 		PartialsStale:    s.partialsStale.Load(),
 		BufPoolHits:      s.poolGets.Load() - s.poolMisses.Load(),
 		BufPoolMisses:    s.poolMisses.Load(),
-		OLHKernel:        ldprecover.OLHKernel(),
+		OLHKernel:        ldp.OLHKernel(),
 		Cluster:          s.clusterStats(),
 	})
 }

@@ -14,7 +14,11 @@ import (
 	"testing"
 	"time"
 
-	"ldprecover"
+	"ldprecover/internal/attack"
+	"ldprecover/internal/core"
+	"ldprecover/internal/ldp"
+	"ldprecover/internal/rng"
+	"ldprecover/internal/stream"
 )
 
 func testServer(t *testing.T, cfg streamServerConfig) (*streamServer, *httptest.Server) {
@@ -28,9 +32,9 @@ func testServer(t *testing.T, cfg streamServerConfig) (*streamServer, *httptest.
 	return srv, hs
 }
 
-func postBatch(t *testing.T, url string, reps []ldprecover.Report) *http.Response {
+func postBatch(t *testing.T, url string, reps []ldp.Report) *http.Response {
 	t.Helper()
-	frame, err := ldprecover.MarshalReportBatch(reps)
+	frame, err := ldp.MarshalReportBatch(reps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,12 +62,12 @@ func decodeJSON[T any](t *testing.T, resp *http.Response) T {
 // float.
 func TestServeEndToEnd(t *testing.T) {
 	const d, eps = 48, 0.6
-	proto, err := ldprecover.NewOUE(d, eps)
+	proto, err := ldp.NewOUE(d, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv, hs := testServer(t, streamServerConfig{
-		Stream: ldprecover.StreamConfig{
+		Stream: stream.Config{
 			Params:  proto.Params(),
 			Window:  8,
 			TargetK: -1, // deterministic non-knowledge recovery
@@ -74,16 +78,16 @@ func TestServeEndToEnd(t *testing.T) {
 	})
 
 	// A poisoned population: genuine users plus an MGA attacker.
-	r := ldprecover.NewRand(13)
+	r := rng.New(13)
 	trueCounts := make([]int64, d)
 	for v := range trueCounts {
 		trueCounts[v] = int64(60 + 5*v)
 	}
-	genuine, err := ldprecover.PerturbAll(proto, r, trueCounts)
+	genuine, err := ldp.PerturbAll(proto, r, trueCounts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mga, err := ldprecover.NewMGA([]int{7, 31})
+	mga, err := attack.NewMGA([]int{7, 31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +95,11 @@ func TestServeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := append(append([]ldprecover.Report(nil), genuine...), malicious...)
+	all := append(append([]ldp.Report(nil), genuine...), malicious...)
 
 	// Ingest concurrently in small batches — two epochs' worth split by
 	// a mid-stream seal, both inside the serving window.
-	ingest := func(reps []ldprecover.Report) {
+	ingest := func(reps []ldp.Report) {
 		t.Helper()
 		var wg sync.WaitGroup
 		const batch = 256
@@ -105,7 +109,7 @@ func TestServeEndToEnd(t *testing.T) {
 				hi = len(reps)
 			}
 			wg.Add(1)
-			go func(part []ldprecover.Report) {
+			go func(part []ldp.Report) {
 				defer wg.Done()
 				resp := postBatch(t, hs.URL, part)
 				if resp.StatusCode != http.StatusAccepted {
@@ -144,11 +148,12 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := decodeJSON[estimateResponse](t, resp)
-	wantPoisoned, err := ldprecover.EstimateFrequencies(all, proto.Params())
+	wantPoisoned, err := ldp.EstimateFrequencies(all, proto.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRec, err := ldprecover.Recover(wantPoisoned, proto.Params(), ldprecover.Options{})
+	pr := proto.Params()
+	wantRec, err := core.Recover(wantPoisoned, core.Params{P: pr.P, Q: pr.Q, Domain: pr.Domain}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +194,8 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := decodeJSON[map[string]any](t, resp)
-	if k := raw["olh_kernel"]; k != ldprecover.OLHKernel() || (k != "avx512" && k != "generic") {
-		t.Fatalf("stats olh_kernel %v, process folds on %q", k, ldprecover.OLHKernel())
+	if k := raw["olh_kernel"]; k != ldp.OLHKernel() || (k != "avx512" && k != "generic") {
+		t.Fatalf("stats olh_kernel %v, process folds on %q", k, ldp.OLHKernel())
 	}
 
 	// Drain seals the remainder (empty here) and refuses further ingest.
@@ -224,12 +229,12 @@ func waitForIngest(t *testing.T, srv *streamServer, total int64) {
 
 // TestServeBadRequests exercises the HTTP error paths.
 func TestServeBadRequests(t *testing.T) {
-	proto, err := ldprecover.NewGRR(16, 0.5)
+	proto, err := ldp.NewGRR(16, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, hs := testServer(t, streamServerConfig{
-		Stream:    ldprecover.StreamConfig{Params: proto.Params()},
+		Stream:    stream.Config{Params: proto.Params()},
 		QueueLen:  4,
 		Ingesters: 1,
 		MaxBody:   1 << 20,
@@ -298,9 +303,9 @@ func TestServeBadRequests(t *testing.T) {
 	resp.Body.Close()
 }
 
-func mustFrame(t *testing.T, reps []ldprecover.Report) []byte {
+func mustFrame(t *testing.T, reps []ldp.Report) []byte {
 	t.Helper()
-	frame, err := ldprecover.MarshalReportBatch(reps)
+	frame, err := ldp.MarshalReportBatch(reps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,9 +313,9 @@ func mustFrame(t *testing.T, reps []ldprecover.Report) []byte {
 }
 
 // mustView is mustFrame validated into the view the ingest queue holds.
-func mustView(t *testing.T, reps []ldprecover.Report) ldprecover.ReportFrame {
+func mustView(t *testing.T, reps []ldp.Report) ldp.ReportFrame {
 	t.Helper()
-	f, err := ldprecover.ValidateReportBatchFrame(mustFrame(t, reps))
+	f, err := ldp.ValidateReportBatchFrame(mustFrame(t, reps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,12 +355,12 @@ func TestServeFlagValidation(t *testing.T) {
 // queued batch into the manager before returning — an early return here
 // used to strand all three.
 func TestServeLoopSealFailureShutsDown(t *testing.T) {
-	proto, err := ldprecover.NewGRR(8, 0.5)
+	proto, err := ldp.NewGRR(8, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv, err := newStreamServer(streamServerConfig{
-		Stream:    ldprecover.StreamConfig{Params: proto.Params()},
+		Stream:    stream.Config{Params: proto.Params()},
 		QueueLen:  8,
 		Ingesters: 1,
 		MaxBody:   1 << 20,
@@ -367,15 +372,15 @@ func TestServeLoopSealFailureShutsDown(t *testing.T) {
 	// seal fails; the drain on the error path must fold it anyway.
 	block := make(chan struct{})
 	parkFold(srv, block)
-	rep, err := proto.Perturb(ldprecover.NewRand(1), 3)
+	rep, err := proto.Perturb(rng.New(1), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.queue <- mustView(t, []ldprecover.Report{rep})
-	srv.queue <- mustView(t, []ldprecover.Report{rep})
+	srv.queue <- mustView(t, []ldp.Report{rep})
+	srv.queue <- mustView(t, []ldp.Report{rep})
 
 	sealErr := errors.New("synthetic seal failure")
-	srv.sealFn = func() (*ldprecover.WindowEstimate, error) { return nil, sealErr }
+	srv.sealFn = func() (*stream.WindowEstimate, error) { return nil, sealErr }
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -425,12 +430,12 @@ func TestServeLoopSealFailureShutsDown(t *testing.T) {
 // loop shuts the server down instead of letting it accept reports
 // forever with broken durability.
 func TestServeSealEndpointFailureShutsDown(t *testing.T) {
-	proto, err := ldprecover.NewGRR(8, 0.5)
+	proto, err := ldp.NewGRR(8, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv, err := newStreamServer(streamServerConfig{
-		Stream:    ldprecover.StreamConfig{Params: proto.Params()},
+		Stream:    stream.Config{Params: proto.Params()},
 		QueueLen:  8,
 		Ingesters: 1,
 		MaxBody:   1 << 20,
@@ -439,7 +444,7 @@ func TestServeSealEndpointFailureShutsDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	sealErr := errors.New("synthetic seal failure")
-	srv.sealFn = func() (*ldprecover.WindowEstimate, error) { return nil, sealErr }
+	srv.sealFn = func() (*stream.WindowEstimate, error) { return nil, sealErr }
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -479,7 +484,7 @@ func TestServeSealEndpointFailureShutsDown(t *testing.T) {
 // deterministically. Call it before the first frame is queued.
 func parkFold(srv *streamServer, release <-chan struct{}) {
 	fold := srv.foldFn
-	srv.foldFn = func(f ldprecover.ReportFrame) error {
+	srv.foldFn = func(f ldp.ReportFrame) error {
 		<-release
 		return fold(f)
 	}
@@ -488,12 +493,12 @@ func parkFold(srv *streamServer, release <-chan struct{}) {
 // TestServeBackpressure parks the single ingest worker, fills the
 // bounded queue over HTTP, and checks the 429 overload path.
 func TestServeBackpressure(t *testing.T) {
-	proto, err := ldprecover.NewGRR(8, 0.5)
+	proto, err := ldp.NewGRR(8, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv, err := newStreamServer(streamServerConfig{
-		Stream:    ldprecover.StreamConfig{Params: proto.Params()},
+		Stream:    stream.Config{Params: proto.Params()},
 		QueueLen:  2,
 		Ingesters: 1,
 		MaxBody:   1 << 20,
@@ -503,11 +508,11 @@ func TestServeBackpressure(t *testing.T) {
 	}
 	block := make(chan struct{})
 	defer close(block)
-	rep, err := proto.Perturb(ldprecover.NewRand(1), 3)
+	rep, err := proto.Perturb(rng.New(1), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := []ldprecover.Report{rep}
+	batch := []ldp.Report{rep}
 	// Enqueue directly; the worker dequeues the frame and parks before
 	// folding it.
 	parkFold(srv, block)

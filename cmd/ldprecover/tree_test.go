@@ -12,7 +12,10 @@ import (
 	"testing"
 	"time"
 
-	"ldprecover"
+	"ldprecover/internal/attack"
+	"ldprecover/internal/ldp"
+	"ldprecover/internal/rng"
+	"ldprecover/internal/stream"
 )
 
 // restartableServer wraps a streamServer behind a stable URL so a test
@@ -83,14 +86,14 @@ func TestTreeEquivalenceE2E(t *testing.T) {
 		attackAt  = 4 // first attacked epoch; also when the merger dies
 		nFrontend = nMergers * nPerM
 	)
-	proto, err := ldprecover.NewOUE(d, eps)
+	proto, err := ldp.NewOUE(d, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	streamCfg := clusterStreamConfig(proto.Params())
 
 	// The single-node reference pipeline over the union of reports.
-	ref, err := ldprecover.NewEpochManager(streamCfg)
+	ref, err := stream.NewEpochManager(streamCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +173,8 @@ func TestTreeEquivalenceE2E(t *testing.T) {
 		}
 	}
 
-	r := ldprecover.NewRand(29)
-	mga, err := ldprecover.NewMGA([]int{3, 11})
+	r := rng.New(29)
+	mga, err := attack.NewMGA([]int{3, 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +186,7 @@ func TestTreeEquivalenceE2E(t *testing.T) {
 	engagedRef, engagedRoot := -1, -1
 	ingested := make([]int64, nFrontend)
 	for e := 0; e < epochs; e++ {
-		genuine, err := ldprecover.PerturbAll(proto, r, trueCounts)
+		genuine, err := ldp.PerturbAll(proto, r, trueCounts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,9 +196,9 @@ func TestTreeEquivalenceE2E(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			union = append(append([]ldprecover.Report(nil), genuine...), malicious...)
+			union = append(append([]ldp.Report(nil), genuine...), malicious...)
 		}
-		parts := make([][]ldprecover.Report, nFrontend)
+		parts := make([][]ldp.Report, nFrontend)
 		for i, rep := range union {
 			parts[i%nFrontend] = append(parts[i%nFrontend], rep)
 		}
@@ -268,11 +271,11 @@ func TestTreeEquivalenceE2E(t *testing.T) {
 			before := getEstimate(t, rootHS.URL)
 			epochsBefore := rootSrv.mgr.Stats().Epochs
 			mEpochs := mSrv[1].mgr.Epochs()
-			dup := &ldprecover.Tally{
+			dup := &ldp.Tally{
 				NodeID: mergerIDs[1], Epoch: mEpochs[0].Seq,
 				Counts: mEpochs[0].Counts, Total: mEpochs[0].Total,
 			}
-			frame, err := ldprecover.MarshalTally(dup)
+			frame, err := ldp.MarshalTally(dup)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -348,11 +351,11 @@ func TestTreeEquivalenceE2E(t *testing.T) {
 // timeout. Membership changes at the merger level (a child joining, a
 // child leaving) likewise stay local to that merger's barrier.
 func TestMergerStragglerAndMembership(t *testing.T) {
-	proto, err := ldprecover.NewGRR(16, 0.5)
+	proto, err := ldp.NewGRR(16, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamCfg := ldprecover.StreamConfig{Params: proto.Params(), TargetK: -1, History: 8}
+	streamCfg := stream.Config{Params: proto.Params(), TargetK: -1, History: 8}
 	rootSrv, rootHS := testServer(t, streamServerConfig{
 		Stream:    streamCfg,
 		QueueLen:  4,
@@ -375,9 +378,9 @@ func TestMergerStragglerAndMembership(t *testing.T) {
 	})
 	push := func(url, node string, epoch int, val int64) tallyResponse {
 		t.Helper()
-		tl := &ldprecover.Tally{NodeID: node, Epoch: epoch, Counts: make([]int64, 16), Total: val}
+		tl := &ldp.Tally{NodeID: node, Epoch: epoch, Counts: make([]int64, 16), Total: val}
 		tl.Counts[2] = val
-		frame, err := ldprecover.MarshalTally(tl)
+		frame, err := ldp.MarshalTally(tl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,9 +393,9 @@ func TestMergerStragglerAndMembership(t *testing.T) {
 		}
 		return decodeJSON[tallyResponse](t, resp)
 	}
-	announce := func(kind ldprecover.AnnounceKind, node string, epoch int) announceResponse {
+	announce := func(kind ldp.AnnounceKind, node string, epoch int) announceResponse {
 		t.Helper()
-		frame, err := ldprecover.MarshalAnnounce(&ldprecover.Announce{NodeID: node, Kind: kind, Epoch: epoch})
+		frame, err := ldp.MarshalAnnounce(&ldp.Announce{NodeID: node, Kind: kind, Epoch: epoch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,7 +432,7 @@ func TestMergerStragglerAndMembership(t *testing.T) {
 
 	// A child joins at the merger level, effective next epoch: the
 	// barrier now needs a, b, and c.
-	if ar := announce(ldprecover.AnnounceJoin, "c", 0); ar.Effective != 1 {
+	if ar := announce(ldp.AnnounceJoin, "c", 0); ar.Effective != 1 {
 		t.Fatalf("join effective %d, want 1", ar.Effective)
 	}
 	push(mHS.URL, "a", 1, 10)
@@ -445,7 +448,7 @@ func TestMergerStragglerAndMembership(t *testing.T) {
 	}
 
 	// A child leaves from epoch 2: the barrier completes without it.
-	if ar := announce(ldprecover.AnnounceLeave, "b", 2); ar.Effective != 2 {
+	if ar := announce(ldp.AnnounceLeave, "b", 2); ar.Effective != 2 {
 		t.Fatalf("leave effective %d, want 2", ar.Effective)
 	}
 	push(mHS.URL, "a", 2, 5)

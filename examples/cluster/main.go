@@ -123,10 +123,8 @@ func main() {
 		// its tally through the wire codec, at-least-once (fe-0 pushes
 		// twice; the root dedupes the re-send by (node, epoch)).
 		for i, fe := range frontends {
-			sealed := fe.SealEpoch()
-			tally := &ldprecover.Tally{
-				NodeID: nodeIDs[i], Epoch: e, Counts: sealed.Counts(), Total: sealed.Total(),
-			}
+			counts, total := fe.SealEpoch()
+			tally := &ldprecover.Tally{NodeID: nodeIDs[i], Epoch: e, Counts: counts, Total: total}
 			sends := 1
 			if i == 0 {
 				sends = 2

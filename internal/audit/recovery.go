@@ -132,9 +132,10 @@ func (r RecoveryResult) Verdict() string {
 // grid and bounds the violation rate of the recovery guarantees.
 func RunRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 	cfg = cfg.withDefaults()
-	kind, err := protocolKind(cfg.Protocol)
+	// SUE is itemwise-auditable but has no streamed scenario.
+	kind, err := experiment.ParseProtocol(cfg.Protocol)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("audit: no streamed scenario for protocol %q", cfg.Protocol)
 	}
 	ds, err := dataset.Zipf("audit-recovery", cfg.Domain, cfg.N, zipfS)
 	if err != nil {
@@ -222,19 +223,4 @@ func RunRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 	res.RateHi = hi
 	res.Pass = res.RateHi <= maxViolationRate
 	return res, nil
-}
-
-// protocolKind maps an audit protocol name onto the experiment tier's
-// kind. SUE is itemwise-auditable but has no streamed scenario.
-func protocolKind(name string) (experiment.ProtocolKind, error) {
-	switch name {
-	case "GRR":
-		return experiment.GRR, nil
-	case "OUE":
-		return experiment.OUE, nil
-	case "OLH":
-		return experiment.OLH, nil
-	default:
-		return 0, fmt.Errorf("audit: no streamed scenario for protocol %q", name)
-	}
 }

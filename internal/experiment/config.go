@@ -8,6 +8,7 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"ldprecover/internal/attack"
 	"ldprecover/internal/dataset"
@@ -40,6 +41,17 @@ func (k ProtocolKind) String() string {
 	default:
 		return fmt.Sprintf("protocol(%d)", int(k))
 	}
+}
+
+// ParseProtocol maps a protocol name (grr, oue or olh, in any case)
+// onto its kind.
+func ParseProtocol(name string) (ProtocolKind, error) {
+	for _, k := range AllProtocols {
+		if strings.EqualFold(name, k.String()) {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown protocol %q (want grr, oue, olh)", name)
 }
 
 // Build constructs the protocol over domain d with privacy budget eps.

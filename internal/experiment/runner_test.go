@@ -54,6 +54,32 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
+// TestParseProtocol: the CLIs' protocol names parse in any case, and
+// each kind builds over the requested domain.
+func TestParseProtocol(t *testing.T) {
+	for name, want := range map[string]ProtocolKind{"grr": GRR, "OUE": OUE, "olh": OLH, "Grr": GRR} {
+		k, err := ParseProtocol(name)
+		if err != nil || k != want {
+			t.Fatalf("%s: kind %v, err %v", name, k, err)
+		}
+		p, err := k.Build(10, 0.5)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if p.Params().Domain != 10 {
+			t.Fatalf("%s: domain %d", name, p.Params().Domain)
+		}
+	}
+	for _, name := range []string{"nope", "sue", ""} {
+		if _, err := ParseProtocol(name); err == nil || err.Error() != `unknown protocol "`+name+`" (want grr, oue, olh)` {
+			t.Fatalf("%q: err %v", name, err)
+		}
+	}
+	if _, err := GRR.Build(1, 0.5); err == nil {
+		t.Fatal("bad domain accepted")
+	}
+}
+
 func TestMaliciousCount(t *testing.T) {
 	if maliciousCount(1000, 0) != 0 {
 		t.Fatal("beta=0 should give m=0")

@@ -114,11 +114,11 @@ func TestSealEpochConservation(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			ep := sa.SealEpoch()
-			for v, c := range ep.counts {
+			counts, total := sa.SealEpoch()
+			for v, c := range counts {
 				sealedSum[v] += c
 			}
-			sealedTotal += ep.total
+			sealedTotal += total
 		}
 	}()
 	wg.Wait()
@@ -126,11 +126,11 @@ func TestSealEpochConservation(t *testing.T) {
 
 	// Whatever ingest landed after the last mid-flight seal is still
 	// live; one final seal closes it.
-	last := sa.SealEpoch()
-	for v, c := range last.counts {
+	lastCounts, lastTotal := sa.SealEpoch()
+	for v, c := range lastCounts {
 		sealedSum[v] += c
 	}
-	sealedTotal += last.total
+	sealedTotal += lastTotal
 
 	if sealedTotal != want.total {
 		t.Fatalf("sealed total %d, want %d", sealedTotal, want.total)
@@ -199,9 +199,8 @@ func TestShardedReadsAfterMutation(t *testing.T) {
 	}
 	// Sealing empties the live tally; the sealed epoch carries the
 	// pre-seal aggregate.
-	ep := sa.SealEpoch()
-	if ep.Total() != 11 {
-		t.Fatalf("sealed total %d", ep.Total())
+	if _, total := sa.SealEpoch(); total != 11 {
+		t.Fatalf("sealed total %d", total)
 	}
 	if sa.Total() != 0 {
 		t.Fatalf("live total after seal: %d", sa.Total())
@@ -226,7 +225,7 @@ func TestShardedReadsAfterMutation(t *testing.T) {
 
 // TestSealEpochReusesTallies: a seal takes the zeroed tallies the last
 // one swapped out as its replacement set, so in steady state it
-// allocates only the sealed aggregate (the Accumulator and its counts).
+// allocates only the sealed counts.
 // Reuse must never reach a published epoch: each sealed aggregate keeps
 // its counts through later ingest and seals, and concurrent sealers,
 // which race for one spare set, still conserve every count.
@@ -247,7 +246,7 @@ func TestSealEpochReusesTallies(t *testing.T) {
 		}
 		sa.SealEpoch()
 	}); allocs > 2 {
-		t.Fatalf("AddCounts + SealEpoch: %v allocs, want the sealed aggregate's 2", allocs)
+		t.Fatalf("AddCounts + SealEpoch: %v allocs, want at most 2", allocs)
 	}
 
 	var sealed []*Accumulator
@@ -257,7 +256,8 @@ func TestSealEpochReusesTallies(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sealed = append(sealed, sa.SealEpoch())
+		c, total := sa.SealEpoch()
+		sealed = append(sealed, &Accumulator{counts: c, total: total})
 	}
 	for i, ep := range sealed {
 		if ep.total != int64(5*(i+1)) {
@@ -289,18 +289,18 @@ func TestSealEpochReusesTallies(t *testing.T) {
 			}
 			sums[g] = make([]int64, d)
 			for range rounds / 4 {
-				ep := sa.SealEpoch()
-				for v, c := range ep.counts {
-					sums[g][v] += c
+				c, total := sa.SealEpoch()
+				for v, n := range c {
+					sums[g][v] += n
 				}
-				totals[g] += ep.total
+				totals[g] += total
 			}
 		}()
 	}
 	wg.Wait()
-	last := sa.SealEpoch()
+	last, total := sa.SealEpoch()
 	for v := range d {
-		got := last.counts[v]
+		got := last[v]
 		for g := range sealers {
 			got += sums[g][v]
 		}
@@ -308,7 +308,6 @@ func TestSealEpochReusesTallies(t *testing.T) {
 			t.Fatalf("item %d: concurrent seals hold %d, want %d", v, got, rounds*(v+1))
 		}
 	}
-	total := last.total
 	for _, n := range totals {
 		total += n
 	}

@@ -28,7 +28,7 @@ import (
 // Total stays a direct O(shards) sum so monitors can poll it during
 // continuous ingest. SealEpoch closes the current epoch — it atomically
 // swaps every shard's tally out from under concurrent ingest and returns
-// the sealed aggregate, the primitive the stream layer builds epochs
+// the sealed counts and total, the primitive the stream layer builds epochs
 // from; the stream layer reads the live epoch only through SealEpoch,
 // Total and Mutations.
 type ShardedAccumulator struct {
@@ -202,14 +202,15 @@ func (sa *ShardedAccumulator) Snapshot() *Accumulator {
 
 // SealEpoch closes the current epoch: every shard's tally is swapped out
 // for a zeroed one and the swapped tallies merge into the returned sealed
-// aggregate, which no further ingest can touch. Concurrent AddBatch/Add/
-// AddCounts calls are never stopped — each shard is locked only for a
-// slice swap — and every ingest call lands entirely in either the sealed
-// epoch or the next one: an ingest holds one shard lock for its whole
-// mutation, so the seal's swap observes it completely or not at all.
+// counts and total, which the caller owns and no further ingest can
+// touch. Concurrent AddBatch/Add/AddCounts calls are never stopped —
+// each shard is locked only for a slice swap — and every ingest call
+// lands entirely in either the sealed epoch or the next one: an ingest
+// holds one shard lock for its whole mutation, so the seal's swap
+// observes it completely or not at all.
 // Counts are conserved exactly — the sum of sealed epochs plus the live
 // tally always equals everything ingested.
-func (sa *ShardedAccumulator) SealEpoch() *Accumulator {
+func (sa *ShardedAccumulator) SealEpoch() (counts []int64, total int64) {
 	// Take the replacement tallies outside the locks so each shard is
 	// held only for the swap itself. The set is ours alone: Swap hands
 	// it to exactly one seal.
@@ -222,26 +223,26 @@ func (sa *ShardedAccumulator) SealEpoch() *Accumulator {
 		spare = &fresh
 	}
 	tallies := *spare
-	out := &Accumulator{counts: make([]int64, sa.domain)}
+	counts = make([]int64, sa.domain)
 	for i := range sa.shards {
 		sh := &sa.shards[i]
 		sh.mu.Lock()
 		tallies[i], sh.acc.counts = sh.acc.counts, tallies[i]
-		out.total += sh.acc.total
+		total += sh.acc.total
 		sh.acc.total = 0
 		sh.mu.Unlock()
 	}
 	// Merge outside the locks: the swapped slices are exclusively ours.
 	// Zeroed, they become the next seal's replacement set.
-	for _, counts := range tallies {
-		for v, c := range counts {
-			out.counts[v] += c
+	for _, tally := range tallies {
+		for v, c := range tally {
+			counts[v] += c
 		}
-		clear(counts)
+		clear(tally)
 	}
 	sa.spare.Store(spare)
 	sa.gen.Add(1)
-	return out
+	return counts, total
 }
 
 // Reset zeroes all shards.

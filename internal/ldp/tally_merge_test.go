@@ -140,7 +140,7 @@ func TestShardedMutations(t *testing.T) {
 	if sa.Mutations() != g1 {
 		t.Fatal("reads advanced the mutation generation")
 	}
-	_ = sa.SealEpoch()
+	sa.SealEpoch()
 	g2 := sa.Mutations()
 	if g2 == g1 {
 		t.Fatal("SealEpoch did not advance the mutation generation")

@@ -27,37 +27,6 @@ func TestNormalCDFShiftScale(t *testing.T) {
 	}
 }
 
-func TestNormalQuantileRoundTrip(t *testing.T) {
-	for _, p := range []float64{1e-6, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1 - 1e-6} {
-		z := NormalQuantile(p, 0, 1)
-		back := NormalCDF(z, 0, 1)
-		if !almostEq(back, p, 1e-9) {
-			t.Fatalf("quantile round trip p=%v: z=%v back=%v", p, z, back)
-		}
-	}
-}
-
-func TestNormalQuantileKnown(t *testing.T) {
-	if got := NormalQuantile(0.975, 0, 1); !almostEq(got, 1.959963984540054, 1e-8) {
-		t.Fatalf("z_{.975} = %v", got)
-	}
-	if got := NormalQuantile(0.5, 10, 3); !almostEq(got, 10, 1e-9) {
-		t.Fatalf("median of N(10,9) = %v", got)
-	}
-}
-
-func TestNormalQuantileEdges(t *testing.T) {
-	if !math.IsInf(NormalQuantile(0, 0, 1), -1) {
-		t.Fatal("p=0 not -Inf")
-	}
-	if !math.IsInf(NormalQuantile(1, 0, 1), 1) {
-		t.Fatal("p=1 not +Inf")
-	}
-	if !math.IsNaN(NormalQuantile(0.5, 0, -1)) {
-		t.Fatal("negative sigma not NaN")
-	}
-}
-
 func TestBerryEsseenBasics(t *testing.T) {
 	// Bound must be positive and shrink as 1/sqrt(n).
 	b1 := BerryEsseen(1, 1, 100)

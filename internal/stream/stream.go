@@ -342,9 +342,9 @@ func (m *EpochManager) SealCounts(counts []int64, total int64) (*WindowEstimate,
 // Callers hold m.mu.
 func (m *EpochManager) sealLiveLocked() ([]int64, int64) {
 	preGen := m.live.Mutations()
-	sealed := m.live.SealEpoch()
+	counts, total := m.live.SealEpoch()
 	m.liveGen = preGen + 1
-	return sealed.Counts(), sealed.Total()
+	return counts, total
 }
 
 // sealLocked appends the closed epoch to the ring, advances the window,

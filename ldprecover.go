@@ -1,4 +1,4 @@
-// Package ldprecover is the public API of this repository: a Go
+// Package ldprecover is the client API of this repository: a Go
 // implementation of LDPRecover (Sun et al., ICDE 2024), which recovers
 // accurate aggregated frequencies from poisoning attacks against local
 // differential privacy protocols, together with the full stack the paper
@@ -28,21 +28,23 @@
 // upgrade to LDPRecover* once attacked items stabilize — which the
 // `ldprecover serve` subcommand exposes over HTTP.
 //
+// The package serves code outside this module. The commands under cmd/
+// import the internal packages directly, so server plumbing (the WAL,
+// leases, seal logs, standby tailing, membership frames) is not exported
+// here.
+//
 // See README.md for the quick start, package layout and how to run the
 // paper's figure benchmarks; examples/ for runnable end-to-end scenarios;
 // and DESIGN.md for the paper-to-package map.
 package ldprecover
 
 import (
-	"time"
-
 	"ldprecover/internal/attack"
 	"ldprecover/internal/core"
 	"ldprecover/internal/dataset"
 	"ldprecover/internal/detect"
 	"ldprecover/internal/harmony"
 	"ldprecover/internal/ldp"
-	"ldprecover/internal/persist"
 	"ldprecover/internal/rng"
 	"ldprecover/internal/stats"
 	"ldprecover/internal/stream"
@@ -82,8 +84,6 @@ type (
 	Manip = attack.Manip
 	// MGA is the maximal gain attack.
 	MGA = attack.MGA
-	// Adaptive is the paper's adaptive attack.
-	Adaptive = attack.Adaptive
 	// Multi composes several attackers.
 	Multi = attack.Multi
 	// MGAIPA is MGA under the input-poisoning model (§VII-B).
@@ -184,49 +184,12 @@ type (
 // NewEpochManager builds a streaming epoch manager.
 func NewEpochManager(cfg StreamConfig) (*EpochManager, error) { return stream.NewEpochManager(cfg) }
 
-// Durable serving (DESIGN.md §6): a DurableStore makes an EpochManager
-// crash-safe. Ingested report batches are appended to a CRC-framed
-// write-ahead log before they are aggregated, every seal atomically
-// snapshots the manager's cross-epoch state (sealed-epoch ring, sliding
-// window, recovered history, target-tracker hysteresis) and truncates
-// the log, and OpenDurableStore reconstructs the exact pre-crash serving
-// state from snapshot + WAL tail on boot — so a restart never forgets
-// the historical view that drives the LDPRecover* upgrade.
-type (
-	// DurableStore persists one EpochManager under a data directory.
-	DurableStore = persist.Store
-	// DurableOptions are the store's WAL knobs.
-	DurableOptions = persist.Options
-	// RestoreInfo summarizes what OpenDurableStore reconstructed.
-	RestoreInfo = persist.RestoreInfo
-	// ManagerState is the exportable cross-epoch state of an
-	// EpochManager, the unit snapshots carry.
-	ManagerState = stream.ManagerState
-	// TrackerState is the exportable target-tracker hysteresis state.
-	TrackerState = detect.TrackerState
-)
-
-// OpenDurableStore makes a freshly constructed EpochManager durable
-// under dir: it loads the newest valid snapshot, replays the WAL tail in
-// one pass (each record checked once and folded per worker, the totals
-// reaching the manager only once the whole log checks out), and leaves
-// the log open for appending.
-func OpenDurableStore(dir string, mgr *EpochManager, opts DurableOptions) (*DurableStore, error) {
-	return persist.Open(dir, mgr, opts)
-}
-
-// DefaultWALSegmentBytes is the WAL's segment rotation threshold when
-// DurableOptions leaves SegmentBytes zero.
-const DefaultWALSegmentBytes = persist.DefaultSegmentBytes
-
 // Tally-first ingest (DESIGN.md §8): a Collector pre-aggregates user
 // reports at the edge into an exact partial tally — d support counts
 // plus a user count — so the wire and the WAL carry one small frame
-// where report-level ingest carries thousands, and the zero-copy lane
-// folds report batches straight off their wire frames with no
-// per-report decoding. Both lanes are bit-identical to report-level
-// ingest: support counts are integers and addition is exact wherever
-// it happens.
+// where report-level ingest carries thousands. It is bit-identical to
+// report-level ingest: support counts are integers and addition is
+// exact wherever it happens.
 type (
 	// Collector is the client-side pre-aggregation SDK: Add/AddBatch
 	// fold reports locally (through the same fast paths the server
@@ -236,38 +199,11 @@ type (
 	// node id, epoch and total decoded, the counts left as the frame's
 	// bytes. It is valid only while those bytes are.
 	CountFrame = ldp.CountFrame
-	// ReportFrame is a validated view of a report batch frame: the
-	// frame's bytes and its report count. Only ValidateReportBatchFrame
-	// makes one, and it is valid only while those bytes are.
-	ReportFrame = ldp.ReportFrame
 )
-
-// ErrStalePartial rejects a partial tally whose epoch hint predates the
-// server's sealed watermark; serve answers 409 and the collector
-// re-aggregates for the current epoch (partials, unlike sealed tallies,
-// are not idempotent and cannot be deduplicated).
-var ErrStalePartial = stream.ErrStalePartial
 
 // NewCollector returns an empty edge collector over a domain of size d,
 // identified to the server as nodeID.
 func NewCollector(nodeID string, d int) (*Collector, error) { return ldp.NewCollector(nodeID, d) }
-
-// ValidatePartialFrame checks a wire-format partial tally (a Collector's
-// Flush output) in place, CRC included, and returns a view the partial
-// lane folds from the wire bytes, with no []int64 decoded.
-func ValidatePartialFrame(frame []byte) (CountFrame, error) { return ldp.ValidatePartialFrame(frame) }
-
-// ValidateReportBatchFrame structurally validates a report batch frame
-// without decoding it, returning the view the zero-copy ingest lane
-// queues, logs and folds — its one admission check.
-func ValidateReportBatchFrame(frame []byte) (ReportFrame, error) {
-	return ldp.ValidateReportBatchFrame(frame)
-}
-
-// OLHKernel names the kernel OLH reports fold on in this process:
-// "avx512" when the CPU and OS support the AVX-512 sweep, else
-// "generic". Both count bit-identically.
-func OLHKernel() string { return ldp.OLHKernel() }
 
 // Scale-out collection tier (DESIGN.md §7): frontend nodes ingest
 // disjoint user populations, seal epochs on a shared epoch clock, and
@@ -281,13 +217,6 @@ type (
 	Tally = ldp.Tally
 	// SealedMerger is the root's epoch-barrier merge front.
 	SealedMerger = stream.SealedMerger
-	// MergedEpoch is one sealed epoch's partial-epoch accounting
-	// (which expected nodes merged, which were missing).
-	MergedEpoch = stream.MergedEpoch
-	// SubmitResult describes what the merger did with a tally.
-	SubmitResult = stream.SubmitResult
-	// SnapshotStore is the root's WAL-less per-seal durability.
-	SnapshotStore = persist.SnapshotStore
 )
 
 // MarshalTally frames a sealed tally for the node-to-root wire; the
@@ -302,76 +231,6 @@ func ValidateTallyFrame(frame []byte) (CountFrame, error) { return ldp.ValidateT
 // expected frontend nodes.
 func NewSealedMerger(mgr *EpochManager, nodes []string) (*SealedMerger, error) {
 	return stream.NewSealedMerger(mgr, nodes)
-}
-
-// Elastic membership and root failover (DESIGN.md §7): frontends join
-// and leave a running cluster via CRC-framed announcements that take
-// effect only at epoch boundaries, the root journals every membership
-// change and seal into a tiny seal-log beside its snapshots, and a
-// standby node tails both to hold a warm merger it can promote when the
-// root's lease goes stale — with the frontends' at-least-once re-send
-// making the switch lose or double-merge nothing.
-type (
-	// Announce is a join/leave membership announcement frame.
-	Announce = ldp.Announce
-	// AnnounceKind distinguishes joins from leaves.
-	AnnounceKind = ldp.AnnounceKind
-	// MemberChange is one scheduled membership change at an epoch
-	// boundary.
-	MemberChange = stream.MemberChange
-	// SealLog is the root's append-only seal/membership journal.
-	SealLog = persist.SealLog
-	// SealRecord is one seal-log entry.
-	SealRecord = persist.SealRecord
-	// Lease is the root data directory's split-brain guard.
-	Lease = persist.Lease
-	// StandbyTailer keeps a warm copy of the root's merged state.
-	StandbyTailer = persist.StandbyTailer
-)
-
-// Announce kinds.
-const (
-	AnnounceJoin  = ldp.AnnounceJoin
-	AnnounceLeave = ldp.AnnounceLeave
-)
-
-// Seal-log record kinds.
-const (
-	SealRecordSeal   = persist.SealRecordSeal
-	SealRecordMember = persist.SealRecordMember
-)
-
-// MarshalAnnounce frames a membership announcement for the wire.
-func MarshalAnnounce(a *Announce) ([]byte, error) { return ldp.MarshalAnnounce(a) }
-
-// UnmarshalAnnounce parses and checksums a wire-format announcement.
-func UnmarshalAnnounce(data []byte) (*Announce, error) { return ldp.UnmarshalAnnounce(data) }
-
-// OpenSealLog opens (creating if absent) dir's seal-log, truncating any
-// torn tail from a crash mid-append.
-func OpenSealLog(dir string) (*SealLog, error) { return persist.OpenSealLog(dir) }
-
-// AcquireLease takes dir's root lease for owner, refusing while another
-// owner's lease is fresher than staleAfter.
-func AcquireLease(dir, owner string, staleAfter time.Duration) (*Lease, error) {
-	return persist.AcquireLease(dir, owner, staleAfter)
-}
-
-// NewStandbyTailer tails a root data directory, keeping a warm restored
-// manager ready for promotion. newMgr builds an empty manager with the
-// root's stream config.
-func NewStandbyTailer(dir string, newMgr func() (*EpochManager, error)) (*StandbyTailer, error) {
-	return persist.NewStandbyTailer(dir, newMgr)
-}
-
-// AttachSnapshotStore makes a root merger's manager durable under dir
-// via per-seal snapshots (no WAL — frontends re-send tallies the root
-// has not durably sealed). The manager's state is already live: a
-// StandbyTailer restored it, whether a root boots over its own
-// directory or a standby promotes. It refuses a directory holding a
-// report-level WAL.
-func AttachSnapshotStore(dir string, mgr *EpochManager) (*SnapshotStore, error) {
-	return persist.AttachSnapshotStore(dir, mgr)
 }
 
 // coreParams converts protocol params to the recovery core's triple.
@@ -406,12 +265,6 @@ func NewManip(subsetFraction float64, subsetSeed uint64) (*Manip, error) {
 
 // NewMGA constructs the targeted maximal gain attack.
 func NewMGA(targets []int) (*MGA, error) { return attack.NewMGA(targets) }
-
-// NewRandomAdaptive draws a random attacker-designed distribution over a
-// domain of size d.
-func NewRandomAdaptive(r *Rand, d int) (*Adaptive, error) {
-	return attack.NewRandomAdaptive(r, d)
-}
 
 // NewMGAIPA constructs MGA under input poisoning: malicious inputs are
 // target items, but perturbation is honest (§VII-B).
