@@ -30,7 +30,7 @@ func runDemo(args []string) error {
 		protoN  = fs.String("protocol", "oue", "protocol: grr, oue, olh")
 		attackN = fs.String("attack", "mga", "attack: manip, mga, aa, mga-ipa")
 		eps     = fs.Float64("epsilon", 0.5, "privacy budget")
-		beta    = fs.Float64("beta", 0.05, "fraction of malicious users m/(n+m)")
+		beta    = fs.Float64("beta", 0.05, "fraction of malicious users m/(n+m); 0 runs without an attack")
 		eta     = fs.Float64("eta", experiment.DefaultEta, "assumed malicious/genuine ratio")
 		r       = fs.Int("r", 10, "number of target items (targeted attacks)")
 		seed    = fs.Uint64("seed", 1, "random seed")
@@ -68,6 +68,20 @@ func runDemo(args []string) error {
 	atk, ok := demoAttacks[strings.ToLower(*attackN)]
 	if !ok {
 		return fmt.Errorf("unknown attack %q (want manip, mga, aa, mga-ipa)", *attackN)
+	}
+	// The harness reads a zero ε, η or r as "use the paper default", so
+	// the demo refuses them rather than run something it does not print.
+	switch {
+	case !(*eps > 0):
+		return fmt.Errorf("-epsilon %v: the privacy budget must be positive", *eps)
+	case !(*eta > 0):
+		return fmt.Errorf("-eta %v: the assumed malicious/genuine ratio must be positive", *eta)
+	case *r < 1 && (atk == experiment.MGAAttack || atk == experiment.MGAIPAAttack):
+		return fmt.Errorf("-r %d: a targeted attack needs at least one target", *r)
+	}
+	// β = 0 means no malicious users, which the harness calls NoAttack.
+	if *beta == 0 {
+		atk = experiment.NoAttack
 	}
 
 	met, err := experiment.Run(experiment.Scenario{

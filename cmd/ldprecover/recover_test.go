@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -185,4 +187,52 @@ func TestRunDemoSmoke(t *testing.T) {
 	if err := runDemo([]string{"-corpus", "zipf", "-d", "20", "-n", "5000", "-protocol", "nope"}); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
+
+	// -beta 0 runs with no malicious users, whatever -attack names.
+	tiny := []string{"-corpus", "zipf", "-d", "20", "-n", "2000", "-scale", "1"}
+	out, err := demoOutput(append(tiny, "-attack", "mga", "-beta", "0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "beta=0\n") || !strings.Contains(out, "attack none") {
+		t.Fatalf("-beta 0 -attack mga did not run unattacked:\n%s", out)
+	}
+	// A zero the harness would replace by its default is refused, and
+	// the error names the flag.
+	for _, flags := range [][]string{
+		{"-epsilon", "0"},
+		{"-epsilon", "-0.5"},
+		{"-eta", "0"},
+		{"-attack", "mga", "-r", "0"},
+		{"-attack", "mga-ipa", "-r", "-1"},
+	} {
+		flag := flags[len(flags)-2]
+		err := runDemo(append(tiny, flags...))
+		if err == nil || !strings.HasPrefix(err.Error(), flag+" ") {
+			t.Errorf("%v: err %v, want one naming %s", flags, err, flag)
+		}
+	}
+	// -r 0 is fine for an untargeted attack, which takes no targets.
+	if err := runDemo(append(tiny, "-attack", "aa", "-r", "0")); err != nil {
+		t.Fatalf("-attack aa -r 0: %v", err)
+	}
+}
+
+// demoOutput runs the demo with args and returns what it printed.
+func demoOutput(args []string) (string, error) {
+	rd, wr, err := os.Pipe()
+	if err != nil {
+		return "", err
+	}
+	stdout := os.Stdout
+	os.Stdout = wr
+	runErr := runDemo(args)
+	os.Stdout = stdout
+	wr.Close()
+	out, err := io.ReadAll(rd)
+	rd.Close()
+	if runErr != nil {
+		return "", runErr
+	}
+	return string(out), err
 }

@@ -13,7 +13,7 @@ import (
 // validated "LB" report batch view, framecount.go) split their input into
 // runs of one report kind and fold each run through the same
 // type-specialized kernels below. The two walkers differ only in how
-// they pull words, indices, seeds and values out of a run. All scratch
+// they pull words, seeds and values out of a run. All scratch
 // lives on the accumulator and is reused across batches, so
 // steady-state ingest allocates nothing per report:
 //
@@ -22,7 +22,6 @@ import (
 //     planeLevels binary counter planes, which flush into the count
 //     vector at most once per ~64k reports — a handful of word-level ALU
 //     ops per report instead of one count increment per set bit;
-//   - sparse unary runs bump counts directly from the index lists;
 //   - OLH runs premix every seed once and turn its value into the hash
 //     interval it supports (hashx.BucketInterval), then sweep the domain
 //     in item-major blocks so the hot count window stays cache-resident
@@ -82,17 +81,6 @@ func asDense(rep Report) (*Bitset, bool) {
 	return nil, false
 }
 
-// asSparse extracts a sparse unary report in either boxing.
-func asSparse(rep Report) (SparseUnaryReport, bool) {
-	switch r := rep.(type) {
-	case SparseUnaryReport:
-		return r, true
-	case *SparseUnaryReport:
-		return *r, true
-	}
-	return SparseUnaryReport{}, false
-}
-
 // asOLH extracts an OLH report in either boxing.
 func asOLH(rep Report) (OLHReport, bool) {
 	switch r := rep.(type) {
@@ -135,10 +123,6 @@ func (a *Accumulator) addBatch(reps []Report) {
 		rep := reps[i]
 		if b, ok := asDense(rep); ok && littleEndianHost {
 			i = a.addDenseRun(reps, i, len(b.words))
-			continue
-		}
-		if _, ok := asSparse(rep); ok {
-			i = a.addSparseRun(reps, i)
 			continue
 		}
 		if _, ok := asOLH(rep); ok {
@@ -407,23 +391,6 @@ func bump(counts []int64, v uint64) {
 	if v < uint64(len(counts)) {
 		counts[v]++
 	}
-}
-
-// addSparseRun consumes the run of sparse unary reports starting at
-// start: one bounds-checked increment per set position.
-func (a *Accumulator) addSparseRun(reps []Report, start int) int {
-	i := start
-	for ; i < len(reps); i++ {
-		sp, ok := asSparse(reps[i])
-		if !ok {
-			break
-		}
-		for _, v := range sp.Items {
-			bump(a.counts, uint64(v))
-		}
-		a.total++
-	}
-	return i
 }
 
 // addOLHRun consumes the run of OLH reports starting at start: premix

@@ -21,8 +21,9 @@ func (f fallbackReport) AddSupports(counts []int64) {
 }
 
 // mixedReports builds a deterministic grab-bag of every report shape:
-// dense unary (value and pointer boxed), sparse unary, OLH, GRR, and the
-// fallback type, interleaved so addBatch sees many run boundaries.
+// dense unary at ε=0.5 and ε=4.5 (value and pointer boxed), OLH, GRR,
+// and the fallback type, interleaved so addBatch sees many run
+// boundaries.
 func mixedReports(t *testing.T, d int) []Report {
 	t.Helper()
 	r := rng.New(314)
@@ -30,7 +31,7 @@ func mixedReports(t *testing.T, d int) []Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oueSparse, err := NewOUE(d, 4.5)
+	oueHighEps, err := NewOUE(d, 4.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,15 +59,15 @@ func mixedReports(t *testing.T, d int) []Report {
 				reps = append(reps, rep)
 			}
 		case 2:
-			rep, err := oueSparse.Perturb(r, v)
+			rep, err := oueHighEps.Perturb(r, v)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sp := rep.(SparseUnaryReport)
+			o := rep.(OUEReport)
 			if i%2 == 0 {
-				reps = append(reps, &sp)
+				reps = append(reps, &o)
 			} else {
-				reps = append(reps, sp)
+				reps = append(reps, o)
 			}
 		case 3, 4:
 			rep, err := olh.Perturb(r, v)
@@ -195,8 +196,8 @@ func TestAddBatchOverlongReports(t *testing.T) {
 		}
 		reps[i] = rep
 	}
-	// A sparse over-long report too.
-	reps = append(reps, SparseUnaryReport{N: repBits, Items: []int32{5, 99, 100, 191}})
+	// An over-long report whose set bits straddle the domain edge.
+	reps = append(reps, OUEReport{Bits: bitsetOf(repBits, 5, 99, 100, 191)})
 
 	seq, _ := NewAccumulator(d)
 	for _, rep := range reps {
@@ -261,21 +262,6 @@ func TestAddBatchDegenerateOLHReports(t *testing.T) {
 	}
 }
 
-// TestSparseMarshalRoundTripCap: the encoder enforces the decoder's
-// size cap, so everything written can be read back.
-func TestSparseMarshalRoundTripCap(t *testing.T) {
-	if _, err := MarshalReport(SparseUnaryReport{N: 1<<26 + 1, Items: []int32{0}}); err == nil {
-		t.Fatal("oversized sparse report marshaled (decoder would reject it)")
-	}
-	buf, err := MarshalReport(SparseUnaryReport{N: 1 << 26, Items: []int32{0, 1 << 25}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := UnmarshalReport(buf); err != nil {
-		t.Fatalf("max-size sparse report did not round-trip: %v", err)
-	}
-}
-
 // TestPerturbAllIntoBitExact: with the same generator seed,
 // PerturbAllInto must reproduce the exact per-user reports of calling
 // Perturb user by user (compared through their wire encodings, which
@@ -289,8 +275,8 @@ func TestPerturbAllIntoBitExact(t *testing.T) {
 	protos := map[string]func() (Protocol, error){
 		"GRR":        func() (Protocol, error) { return NewGRR(d, 0.5) },
 		"OUE-dense":  func() (Protocol, error) { return NewOUE(d, 0.5) },
-		"OUE-sparse": func() (Protocol, error) { return NewOUE(d, 4.2) },
-		"SUE-sparse": func() (Protocol, error) { return NewSUE(d, 8) },
+		"OUE-eps4.2": func() (Protocol, error) { return NewOUE(d, 4.2) },
+		"SUE-eps8":   func() (Protocol, error) { return NewSUE(d, 8) },
 		"OLH":        func() (Protocol, error) { return NewOLH(d, 0.5) },
 		"BLH":        func() (Protocol, error) { return NewBLH(d, 0.5) },
 	}
@@ -344,7 +330,7 @@ func TestPerturbAllIntoSteadyStateZeroAlloc(t *testing.T) {
 	}
 	for name, mk := range map[string]func() (Protocol, error){
 		"OUE-dense":  func() (Protocol, error) { return NewOUE(d, 0.5) },
-		"OUE-sparse": func() (Protocol, error) { return NewOUE(d, 4.2) },
+		"OUE-eps4.2": func() (Protocol, error) { return NewOUE(d, 4.2) },
 		"OLH":        func() (Protocol, error) { return NewOLH(d, 0.5) },
 		"GRR":        func() (Protocol, error) { return NewGRR(d, 0.5) },
 	} {

@@ -58,3 +58,12 @@ func TestBitsetSetGetProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// bitsetOf returns an n-bit set with the given bits set.
+func bitsetOf(n int, set ...int) *Bitset {
+	b := NewBitset(n)
+	for _, v := range set {
+		b.Set(v)
+	}
+	return b
+}

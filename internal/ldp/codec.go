@@ -11,23 +11,22 @@ import (
 // library can exchange perturbed data. Layout (little endian):
 //
 //	byte 0:   format version (currently 1)
-//	byte 1:   protocol tag (GRR=1, unary=2, sparse unary=4, OLH=5)
+//	byte 1:   protocol tag (GRR=1, unary=2, OLH=5)
 //	payload:  tag-specific fixed-width fields
 //
 //	GRR:    uint32 value
 //	unary:  uint32 bit count, then ceil(n/64) uint64 words
-//	        (OUE and SUE, dense representation)
+//	        (OUE and SUE)
 //	OLH:    uint64 seed, uint32 value, uint32 g
-//	sparse: uint32 bit count, uint32 support count, then that many
-//	        uint32 strictly-increasing set positions (OUE and SUE;
-//	        smaller on the wire whenever supports < n/64)
 //
-// An OLH report's bytes only mean something relative to the hash family
-// that produced its value, so the OLH tag encodes the family: tag 3 is
-// the retired single-stage v1 family and is REJECTED on decode (decoding
-// it as v2 would silently turn every estimate into noise — the true
-// item's support probability collapses from p to ~1/g); tag 5 is the
-// current two-stage (hashx.Premixed) family.
+// Two tags are retired and REJECTED on decode. An OLH report's bytes
+// only mean something relative to the hash family that produced its
+// value, so the OLH tag encodes the family: tag 3 is the retired
+// single-stage v1 family (decoding it as v2 would silently turn every
+// estimate into noise — the true item's support probability collapses
+// from p to ~1/g); tag 5 is the current two-stage (hashx.Premixed)
+// family. Tag 4 was a sparse unary encoding (a sorted support list);
+// unary reports now go only as dense bitsets.
 const (
 	codecVersion = 1
 
@@ -55,8 +54,6 @@ func MarshalReport(rep Report) ([]byte, error) {
 	case *OUEReport:
 		return MarshalReport(*r)
 	case *OLHReport:
-		return MarshalReport(*r)
-	case *SparseUnaryReport:
 		return MarshalReport(*r)
 	}
 	switch r := rep.(type) {
@@ -91,27 +88,6 @@ func MarshalReport(rep Report) ([]byte, error) {
 		binary.LittleEndian.PutUint32(buf[10:], uint32(r.Value))
 		binary.LittleEndian.PutUint32(buf[14:], uint32(r.G))
 		return buf, nil
-	case SparseUnaryReport:
-		// Same cap the decoder enforces, so anything we write can be
-		// read back.
-		if r.N <= 0 || r.N > maxReportBits {
-			return nil, fmt.Errorf("%w: sparse unary bit count %d out of range", ErrCodec, r.N)
-		}
-		prev := int32(-1)
-		for _, v := range r.Items {
-			if v <= prev || int(v) >= r.N {
-				return nil, fmt.Errorf("%w: sparse unary support %d out of order or range", ErrCodec, v)
-			}
-			prev = v
-		}
-		buf := make([]byte, 2+4+4+4*len(r.Items))
-		buf[0], buf[1] = codecVersion, tagSparse
-		binary.LittleEndian.PutUint32(buf[2:], uint32(r.N))
-		binary.LittleEndian.PutUint32(buf[6:], uint32(len(r.Items)))
-		for i, v := range r.Items {
-			binary.LittleEndian.PutUint32(buf[10+4*i:], uint32(v))
-		}
-		return buf, nil
 	default:
 		return nil, fmt.Errorf("%w: unsupported report type %T", ErrCodec, rep)
 	}
@@ -140,17 +116,11 @@ func unmarshalValidReport(data []byte) Report {
 			bits.words[w] = binary.LittleEndian.Uint64(payload[4+8*w:])
 		}
 		return OUEReport{Bits: bits}
-	case tagOLH:
+	default: // tagOLH — validation admits no other tag
 		return OLHReport{
 			Seed:  binary.LittleEndian.Uint64(payload),
 			Value: int(binary.LittleEndian.Uint32(payload[8:])),
 			G:     int(binary.LittleEndian.Uint32(payload[12:])),
 		}
-	default: // tagSparse — validation admits no other tag
-		items := make([]int32, (len(payload)-8)/4)
-		for i := range items {
-			items[i] = int32(binary.LittleEndian.Uint32(payload[8+4*i:]))
-		}
-		return SparseUnaryReport{N: int(binary.LittleEndian.Uint32(payload)), Items: items}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -96,15 +97,21 @@ func reportFrame(version, tag byte, fields ...uint32) []byte {
 
 // TestCodecUnmarshalValidation is the wire-format spec of a single
 // report: one case per rejection rule. Each case must fail
-// UnmarshalReport on its own and, wrapped as a one-report batch, must
-// fail ValidateReportBatchFrame, UnmarshalReportBatch and
-// Accumulator.AddBatchFrame with ErrCodec, leaving the accumulator as it
-// was.
+// UnmarshalReport on its own and, wrapped as a one-report batch and as
+// the second report of a batch behind a valid one, must fail
+// ValidateReportBatchFrame, UnmarshalReportBatch and
+// Accumulator.AddBatchFrame with ErrCodec (and the case's text, if it
+// names one), leaving the accumulator as it was.
 func TestCodecUnmarshalValidation(t *testing.T) {
 	cases := reportRejections(t)
 
 	const d = 8
-	good, err := MarshalReportBatch([]Report{GRRReport(3), SparseUnaryReport{N: d, Items: []int32{1, 6}}})
+	bits := bitsetOf(d, 1, 6)
+	valid, err := MarshalReport(OUEReport{Bits: bits})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := MarshalReportBatch([]Report{GRRReport(3), OUEReport{Bits: bits}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,31 +122,33 @@ func TestCodecUnmarshalValidation(t *testing.T) {
 	wantCounts, wantTotal := acc.Counts(), acc.Total()
 
 	for _, tc := range cases {
-		if _, err := UnmarshalReport(tc.frame); !errors.Is(err, ErrCodec) {
-			t.Errorf("%s: UnmarshalReport error %v, want ErrCodec", tc.name, err)
+		check := func(what string, err error) {
+			t.Helper()
+			if !errors.Is(err, ErrCodec) || !strings.Contains(err.Error(), tc.text) {
+				t.Errorf("%s: %s error %v, want ErrCodec naming %q", tc.name, what, err, tc.text)
+			}
 		}
-		batch := append([]byte{batchMagic[0], batchMagic[1], batchVersion}, 1, 0, 0, 0)
-		batch = binary.LittleEndian.AppendUint32(batch, uint32(len(tc.frame)))
-		batch = append(batch, tc.frame...)
-		if _, err := ValidateReportBatchFrame(batch); !errors.Is(err, ErrCodec) {
-			t.Errorf("%s: ValidateReportBatchFrame error %v, want ErrCodec", tc.name, err)
-		}
-		if _, err := UnmarshalReportBatch(batch); !errors.Is(err, ErrCodec) {
-			t.Errorf("%s: UnmarshalReportBatch error %v, want ErrCodec", tc.name, err)
-		}
-		if err := acc.AddBatchFrame(batch); !errors.Is(err, ErrCodec) {
-			t.Errorf("%s: AddBatchFrame error %v, want ErrCodec", tc.name, err)
-		}
-		if acc.Total() != wantTotal || !reflect.DeepEqual(acc.Counts(), wantCounts) {
-			t.Fatalf("%s: a rejected frame moved the accumulator", tc.name)
+		_, err := UnmarshalReport(tc.frame)
+		check("UnmarshalReport", err)
+		for _, batch := range [][]byte{batchOf([][]byte{tc.frame}), batchOf([][]byte{valid, tc.frame})} {
+			_, err = ValidateReportBatchFrame(batch)
+			check("ValidateReportBatchFrame", err)
+			_, err = UnmarshalReportBatch(batch)
+			check("UnmarshalReportBatch", err)
+			check("AddBatchFrame", acc.AddBatchFrame(batch))
+			if acc.Total() != wantTotal || !reflect.DeepEqual(acc.Counts(), wantCounts) {
+				t.Fatalf("%s: a rejected frame moved the accumulator", tc.name)
+			}
 		}
 	}
 }
 
-// rejection is one malformed single-report frame of the wire-format spec.
+// rejection is one malformed single-report frame of the wire-format
+// spec; text, when set, is what its error must say.
 type rejection struct {
 	name  string
 	frame []byte
+	text  string
 }
 
 // reportRejections returns the single-report spec cases of
@@ -157,29 +166,24 @@ func reportRejections(t testing.TB) []rejection {
 	stray[len(stray)-1] |= 0x80 // set a bit past position 64
 
 	return []rejection{
-		{"empty", nil},
-		{"short", []byte{1}},
-		{"bad version", reportFrame(9, tagGRR, 0)},
-		{"unknown tag", reportFrame(1, 99, 0)},
-		{"short GRR payload", []byte{1, tagGRR, 0, 0}},
-		{"long GRR payload", reportFrame(1, tagGRR, 0, 0)},
-		{"short unary payload", []byte{1, tagUnary, 0, 0}},
-		{"unary zero bit count", reportFrame(1, tagUnary, 0)},
-		{"unary bit count above 2^26", reportFrame(1, tagUnary, maxBits+1)},
-		{"unary payload length mismatch", reportFrame(1, tagUnary, 65, 0, 0)},
-		{"unary stray bits", stray},
-		{"retired OLH v1 tag", reportFrame(1, tagOLHV1, 9, 0, 1, 4)},
-		{"short OLH payload", []byte{1, tagOLH, 0, 0, 0}},
-		{"OLH g<2", reportFrame(1, tagOLH, 9, 0, 0, 1)},
-		{"OLH value>=g", reportFrame(1, tagOLH, 9, 0, 4, 4)},
-		{"sparse short payload", reportFrame(1, tagSparse, 64)},
-		{"sparse zero bit count", reportFrame(1, tagSparse, 0, 0)},
-		{"sparse bit count above 2^26", reportFrame(1, tagSparse, maxBits+1, 0)},
-		{"sparse k>n", reportFrame(1, tagSparse, 2, 3, 0, 1, 1)},
-		{"sparse length mismatch", reportFrame(1, tagSparse, 64, 2, 1)},
-		{"sparse out-of-order support", reportFrame(1, tagSparse, 64, 2, 7, 3)},
-		{"sparse repeated support", reportFrame(1, tagSparse, 64, 2, 5, 5)},
-		{"sparse out-of-range support", reportFrame(1, tagSparse, 64, 1, 64)},
+		{"empty", nil, ""},
+		{"short", []byte{1}, ""},
+		{"bad version", reportFrame(9, tagGRR, 0), ""},
+		{"unknown tag", reportFrame(1, 99, 0), ""},
+		{"short GRR payload", []byte{1, tagGRR, 0, 0}, ""},
+		{"long GRR payload", reportFrame(1, tagGRR, 0, 0), ""},
+		{"short unary payload", []byte{1, tagUnary, 0, 0}, ""},
+		{"unary zero bit count", reportFrame(1, tagUnary, 0), ""},
+		{"unary bit count above 2^26", reportFrame(1, tagUnary, maxBits+1), ""},
+		{"unary payload length mismatch", reportFrame(1, tagUnary, 65, 0, 0), ""},
+		{"unary stray bits", stray, ""},
+		{"retired OLH v1 tag", reportFrame(1, tagOLHV1, 9, 0, 1, 4), "retired v1"},
+		{"short OLH payload", []byte{1, tagOLH, 0, 0, 0}, ""},
+		{"OLH g<2", reportFrame(1, tagOLH, 9, 0, 0, 1), ""},
+		{"OLH value>=g", reportFrame(1, tagOLH, 9, 0, 4, 4), ""},
+		// A well-formed sparse unary frame: 4096 bits, supports 1, 17,
+		// 400 and 4095 (the FuzzUnmarshalReport seed-sparse bytes).
+		{"retired sparse unary tag", reportFrame(1, tagSparse, 4096, 4, 1, 17, 400, 4095), "retired"},
 	}
 }
 
@@ -296,4 +300,36 @@ func FuzzUnmarshalReport(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCodecRejectsLegacyOLHFamily: wire tag 3 carried hash values from
+// the retired v1 family; decoding them under the current two-stage
+// family would silently destroy every estimate, so the codec must
+// refuse them loudly.
+func TestCodecRejectsLegacyOLHFamily(t *testing.T) {
+	legacy := []byte{
+		1, 3, // version 1, legacy OLH tag
+		0, 0, 0, 0, 0, 0, 0, 42, // seed
+		1, 0, 0, 0, // value
+		3, 0, 0, 0, // g
+	}
+	if _, err := UnmarshalReport(legacy); err == nil {
+		t.Fatal("legacy v1-family OLH report decoded without error")
+	}
+	// Current OLH reports round-trip under the v2 tag.
+	rep := OLHReport{Seed: 42, Value: 1, G: 3}
+	buf, err := MarshalReport(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf[1] != 5 {
+		t.Fatalf("OLH marshaled with tag %d, want 5 (v2 family)", buf[1])
+	}
+	back, err := UnmarshalReport(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.(OLHReport) != rep {
+		t.Fatalf("round trip changed report: %+v", back)
+	}
 }

@@ -17,9 +17,9 @@ import (
 // fold take the view, so a frame is judged once where it enters and no
 // later stage can disagree about what was admitted. The fold's run
 // walkers step through the view's sub-frames by their length prefixes
-// (one pass, nothing sliced out first), pull words, indices, seeds and
-// values out of them in place and hand them to the kernels AddBatch
-// uses (addbatch.go). A run of dense unary sub-frames of one length is
+// (one pass, nothing sliced out first), pull words, seeds and values
+// out of them in place and hand them to the kernels AddBatch uses
+// (addbatch.go). A run of dense unary sub-frames of one length is
 // one fixed-size record repeated, so the validator checks a repeated
 // head once and the fold reads the run's words by stride, with no
 // per-report walk. The aggregate is bit-identical to
@@ -203,6 +203,9 @@ func validateReportFrame(data []byte) error {
 	case tagOLHV1:
 		return fmt.Errorf("%w: OLH report uses the retired v1 hash family; "+
 			"its hash values cannot be interpreted by the current two-stage family — re-collect the report", ErrCodec)
+	case tagSparse:
+		return fmt.Errorf("%w: the sparse unary encoding (tag 4) is retired; "+
+			"unary reports go as dense bitsets (tag 2)", ErrCodec)
 	case tagOLH:
 		if len(payload) != 16 {
 			return fmt.Errorf("%w: OLH payload %d bytes, want 16", ErrCodec, len(payload))
@@ -211,26 +214,6 @@ func validateReportFrame(data []byte) error {
 		g := int(binary.LittleEndian.Uint32(payload[12:]))
 		if g < 2 || value < 0 || value >= g {
 			return fmt.Errorf("%w: invalid OLH fields g=%d value=%d", ErrCodec, g, value)
-		}
-	case tagSparse:
-		if len(payload) < 8 {
-			return fmt.Errorf("%w: sparse unary payload too short", ErrCodec)
-		}
-		n := int(binary.LittleEndian.Uint32(payload))
-		if n <= 0 || n > maxReportBits {
-			return fmt.Errorf("%w: sparse unary bit count %d out of range", ErrCodec, n)
-		}
-		k := int(binary.LittleEndian.Uint32(payload[4:]))
-		if k > n || len(payload) != 8+4*k {
-			return fmt.Errorf("%w: sparse unary payload %d bytes for %d supports", ErrCodec, len(payload), k)
-		}
-		prev := int32(-1)
-		for i := 0; i < k; i++ {
-			v := binary.LittleEndian.Uint32(payload[8+4*i:])
-			if int64(v) >= int64(n) || int32(v) <= prev {
-				return fmt.Errorf("%w: sparse unary support %d out of order or range", ErrCodec, v)
-			}
-			prev = int32(v)
 		}
 	default:
 		return fmt.Errorf("%w: unknown tag %d", ErrCodec, data[1])
@@ -259,8 +242,6 @@ func (a *Accumulator) addReportFrame(f ReportFrame) {
 		switch f.frame[off+5] { // the sub-frame's tag
 		case tagUnary:
 			off = a.addDenseFrameRun(f, off)
-		case tagSparse:
-			off = a.addSparseFrameRun(f, off)
 		case tagOLH:
 			off = a.addOLHFrameRun(f, off)
 		default: // tagGRR — validation admits no other tag
@@ -282,24 +263,6 @@ func (a *Accumulator) addDenseFrameRun(f ReportFrame, off int) int {
 	}
 	a.addDenseStrided(f.frame[off:end], stride, (end-off)/stride)
 	return end
-}
-
-// addSparseFrameRun folds the run of sparse unary sub-frames from off:
-// one bounds-checked increment per encoded set position.
-func (a *Accumulator) addSparseFrameRun(f ReportFrame, off int) int {
-	for off < len(f.frame) {
-		sub, next := f.sub(off)
-		if sub[1] != tagSparse {
-			break
-		}
-		k := int(binary.LittleEndian.Uint32(sub[6:]))
-		for j := 0; j < k; j++ {
-			bump(a.counts, uint64(binary.LittleEndian.Uint32(sub[10+4*j:])))
-		}
-		a.total++
-		off = next
-	}
-	return off
 }
 
 // addOLHFrameRun folds the run of OLH sub-frames from off. Validation

@@ -55,7 +55,7 @@ func refValidateBatchFrame(frame []byte) (int, error) {
 }
 
 // refAddReportFrame folds a validated frame through the header-parsing
-// dense walker below and the production sparse, OLH and GRR walkers.
+// dense walker below and the production OLH and GRR walkers.
 func (a *Accumulator) refAddReportFrame(f ReportFrame) {
 	for off := 7; off < len(f.frame); {
 		sub, _ := f.sub(off)
@@ -63,8 +63,6 @@ func (a *Accumulator) refAddReportFrame(f ReportFrame) {
 		case tagUnary:
 			n := int(binary.LittleEndian.Uint32(sub[2:]))
 			off = a.refAddDenseFrameRun(f, off, (n+63)/64)
-		case tagSparse:
-			off = a.addSparseFrameRun(f, off)
 		case tagOLH:
 			off = a.addOLHFrameRun(f, off)
 		default:

@@ -103,7 +103,7 @@ func TestValidateStridedMatchesReference(t *testing.T) {
 			if d%64 != 0 {
 				stray := bytes.Clone(subs[k])
 				stray[len(stray)-1] |= 0x80 // bit 63 of the last word, past bit d-1
-				cases = append(cases, rejection{"same head, stray bit past the bit count", stray})
+				cases = append(cases, rejection{"same head, stray bit past the bit count", stray, ""})
 			}
 			for _, rc := range cases {
 				planted := append([][]byte(nil), subs...)
@@ -146,24 +146,11 @@ func checkSameVerdict(t *testing.T, label string, frame []byte) {
 
 // TestReportFrameStrideFolds: frames whose dense head changes partway —
 // 127-bit then 128-bit reports (same word count), two widths, dense →
-// sparse → dense — and frames of one repeated head must fold exactly as
+// GRR → dense — and frames of one repeated head must fold exactly as
 // the decoded reports do through AddBatch and as the header-parsing
 // reference walker does.
 func TestReportFrameStrideFolds(t *testing.T) {
-	sparseOUE, err := NewOUE(128, 4.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(7)
-	sparse := make([]Report, 3)
-	for i := range sparse {
-		if sparse[i], err = sparseOUE.Perturb(r, i); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := sparse[i].(SparseUnaryReport); !ok {
-			t.Fatalf("report %d is %T, want sparse", i, sparse[i])
-		}
-	}
+	grr := []Report{GRRReport(0), GRRReport(5), GRRReport(127)}
 	cat := func(parts ...[]Report) []Report {
 		var out []Report
 		for _, p := range parts {
@@ -179,8 +166,8 @@ func TestReportFrameStrideFolds(t *testing.T) {
 		{"127 then 128 bits", 128, cat(denseReports(t, 127, 9, 1), denseReports(t, 128, 12, 2))},
 		{"128 then 127 bits", 128, cat(denseReports(t, 128, 16, 3), denseReports(t, 127, 3, 4))},
 		{"64 then 128 bits", 128, cat(denseReports(t, 64, 8, 5), denseReports(t, 128, 21, 6))},
-		{"dense sparse dense", 128, cat(denseReports(t, 128, 10, 7), sparse, denseReports(t, 128, 11, 8))},
-		{"sparse then dense", 128, cat(sparse, denseReports(t, 128, 17, 9))},
+		{"dense GRR dense", 128, cat(denseReports(t, 128, 10, 7), grr, denseReports(t, 128, 11, 8))},
+		{"GRR then dense", 128, cat(grr, denseReports(t, 128, 17, 9))},
 		{"uniform 127 bits", 127, denseReports(t, 127, 8*3+5, 10)},
 		{"uniform 128 bits, 7 reports", 128, denseReports(t, 128, 7, 11)},
 		// Past denseCSAGroups groups, so the strided kernel flushes

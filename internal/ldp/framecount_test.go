@@ -10,7 +10,7 @@ import (
 )
 
 // wireReports builds a deterministic mix of every marshalable report
-// shape — dense unary, sparse unary, OLH, GRR — interleaved so the
+// shape — dense unary at ε=0.5 and ε=4.5, OLH, GRR — interleaved so the
 // frame walkers see many run boundaries.
 func wireReports(t testing.TB, d, n int) []Report {
 	t.Helper()
@@ -19,7 +19,7 @@ func wireReports(t testing.TB, d, n int) []Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oueSparse, err := NewOUE(d, 4.5)
+	oueHighEps, err := NewOUE(d, 4.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func wireReports(t testing.TB, d, n int) []Report {
 		case 0, 1, 2:
 			proto = oue
 		case 3:
-			proto = oueSparse
+			proto = oueHighEps
 		case 4:
 			proto = olh
 		default:
@@ -113,7 +113,7 @@ func TestAddBatchFrameOverlongReports(t *testing.T) {
 	const repBits = 192
 	const d = 100
 	reps := wireReports(t, repBits, 300)
-	reps = append(reps, SparseUnaryReport{N: repBits, Items: []int32{5, 99, 100, 191}})
+	reps = append(reps, OUEReport{Bits: bitsetOf(repBits, 5, 99, 100, 191)})
 	frame, err := MarshalReportBatch(reps)
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +319,7 @@ func TestAddBatchFrameSteadyStateZeroAlloc(t *testing.T) {
 // must equal the decoded length and both in-place folds (AddBatchFrame
 // and AddReportFrame of the view) must equal the decoded fold exactly.
 func FuzzReportBatchFrame(f *testing.F) {
-	seedReps := []Report{GRRReport(3), SparseUnaryReport{N: 64, Items: []int32{1, 7}},
+	seedReps := []Report{GRRReport(3), OUEReport{Bits: bitsetOf(64, 1, 7)},
 		OLHReport{Seed: 9, Value: 1, G: 16}}
 	if frame, err := MarshalReportBatch(seedReps); err == nil {
 		f.Add(frame)

@@ -75,9 +75,7 @@ func (r OUEReport) AddSupports(counts []int64) {
 	}
 }
 
-// Perturb implements Protocol (Eq. 5): one fixed-point compare per bit in
-// the dense regime, geometric skip-sampling of the set bits (returning a
-// SparseUnaryReport) when q is small.
+// Perturb implements Protocol (Eq. 5): one fixed-point compare per bit.
 func (o *OUE) Perturb(r *rng.Rand, v int) (Report, error) {
 	if r == nil {
 		return nil, ErrNilRand
@@ -85,7 +83,7 @@ func (o *OUE) Perturb(r *rng.Rand, v int) (Report, error) {
 	if err := checkItem(v, o.params.Domain); err != nil {
 		return nil, err
 	}
-	return o.sampler.perturb(r, v, nil), nil
+	return o.sampler.perturb(r, v), nil
 }
 
 // CraftSupport implements Protocol: the attacker submits the clean one-hot

@@ -134,8 +134,9 @@ func pathfreqProtocols(t *testing.T, eps float64) []struct {
 }
 
 // TestItemwiseEventFrequencies drives Protocol.Perturb one report at a
-// time. eps=4 pushes the unary protocols into the sparse skip-sampling
-// regime (OUE q = 1/(e^4+1) < 1/32), so both sampler paths are covered.
+// time. eps=4 runs the unary protocols' fixed-point per-bit sampler at a
+// small q (OUE q = 1/(e^4+1) ≈ 0.018, SUE ≈ 0.12), far from the paper's
+// budgets.
 func TestItemwiseEventFrequencies(t *testing.T) {
 	for _, eps := range []float64{1, 4} {
 		for _, tc := range pathfreqProtocols(t, eps) {

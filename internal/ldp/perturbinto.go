@@ -14,9 +14,6 @@ type PerturbScratch struct {
 	reports []Report
 	olh     []OLHReport
 	grr     []GRRReport
-	sparse  []SparseUnaryReport
-	items   []int32
-	offs    []int
 	bitsets []Bitset
 	words   []uint64
 }
@@ -40,13 +37,12 @@ func PerturbAll(p Protocol, r *rng.Rand, trueCounts []int64) ([]Report, error) {
 }
 
 // PerturbAllInto is PerturbAll writing into the scratch's arenas: report
-// payloads (bitset words, sparse support lists, OLH and GRR bodies) live
-// in bulk buffers that are reused call over call, and the interface
-// slice boxes pointers into those arenas (or one-pointer structs), so
-// steady-state perturbation allocates nothing per report. A nil scratch
-// behaves like PerturbAll. The draw stream is identical to calling
-// p.Perturb once per user in the same order, and the equivalence tests
-// pin that bit-exactly.
+// payloads (bitset words, OLH and GRR bodies) live in bulk buffers that
+// are reused call over call, and the interface slice boxes pointers into
+// those arenas (or one-pointer structs), so steady-state perturbation
+// allocates nothing per report. A nil scratch behaves like PerturbAll.
+// The draw stream is identical to calling p.Perturb once per user in the
+// same order, and the equivalence tests pin that bit-exactly.
 func PerturbAllInto(p Protocol, r *rng.Rand, trueCounts []int64, s *PerturbScratch) ([]Report, error) {
 	if r == nil {
 		return nil, ErrNilRand
@@ -107,38 +103,10 @@ func PerturbAllInto(p Protocol, r *rng.Rand, trueCounts []int64, s *PerturbScrat
 	return reports, nil
 }
 
-// perturbUnaryAllInto bulk-perturbs a unary-encoding population. Sparse
-// regime: all support lists share one index arena, sliced up after
-// generation (growth during generation would invalidate live
-// subslices). Dense regime: all bitsets share one word arena.
+// perturbUnaryAllInto bulk-perturbs a unary-encoding population: all
+// bitsets share one word arena.
 func perturbUnaryAllInto(u unarySampler, r *rng.Rand, trueCounts []int64, s *PerturbScratch, reports []Report) {
 	n := len(reports)
-	if u.sparse {
-		if cap(s.offs) < n+1 {
-			s.offs = make([]int, n+1)
-		}
-		s.offs = s.offs[:n+1]
-		s.items = s.items[:0]
-		idx := 0
-		for v, c := range trueCounts {
-			for k := int64(0); k < c; k++ {
-				s.offs[idx] = len(s.items)
-				s.items = u.appendSupport(r, v, s.items)
-				idx++
-			}
-		}
-		s.offs[n] = len(s.items)
-		if cap(s.sparse) < n {
-			s.sparse = make([]SparseUnaryReport, n)
-		}
-		s.sparse = s.sparse[:n]
-		for i := 0; i < n; i++ {
-			lo, hi := s.offs[i], s.offs[i+1]
-			s.sparse[i] = SparseUnaryReport{N: u.d, Items: s.items[lo:hi:hi]}
-			reports[i] = &s.sparse[i]
-		}
-		return
-	}
 	words := (u.d + 63) / 64
 	if cap(s.words) < n*words {
 		s.words = make([]uint64, n*words)

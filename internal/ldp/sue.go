@@ -51,8 +51,7 @@ func (s *SUE) Name() string { return "SUE" }
 func (s *SUE) Params() Params { return s.params }
 
 // Perturb implements Protocol: symmetric per-bit randomized response via
-// the shared unary sampler (fixed-point dense path, or skip-sampled
-// sparse reports when q is small).
+// the shared fixed-point unary sampler.
 func (s *SUE) Perturb(r *rng.Rand, v int) (Report, error) {
 	if r == nil {
 		return nil, ErrNilRand
@@ -60,7 +59,7 @@ func (s *SUE) Perturb(r *rng.Rand, v int) (Report, error) {
 	if err := checkItem(v, s.params.Domain); err != nil {
 		return nil, err
 	}
-	return s.sampler.perturb(r, v, nil), nil
+	return s.sampler.perturb(r, v), nil
 }
 
 // CraftSupport implements Protocol: the clean one-hot vector of v.

@@ -1,50 +1,30 @@
 package ldp
 
 import (
-	"sort"
-
 	"ldprecover/internal/rng"
 )
 
-// unarySparseQ is the regime switch for unary perturbation: below it the
-// expected gap between set bits (1/q) is long enough that geometric
-// skip-sampling — generating only the set bits, O(d·q) expected work —
-// beats drawing d Bernoullis, and the support list is small enough that
-// the sparse report representation also wins on memory and ingest. At or
-// above it (e.g. OUE at the paper's ε=0.5, where q≈0.38) reports stay
-// dense bitsets and perturbation uses the fixed-point per-bit path.
-const unarySparseQ = 1.0 / 32
-
 // unarySampler carries the perturbation constants the unary-encoding
 // protocols (OUE, SUE) precompute once at construction: fixed-point
-// Bernoulli thresholds for the dense path and the hoisted skip constant
-// for the sparse path. Hot loops touch no float math and no struct
-// fields beyond these.
+// Bernoulli thresholds, so the hot loop touches no float math and no
+// struct fields beyond these.
 type unarySampler struct {
-	d        int
-	pFix     uint64  // fixed-point threshold for the true bit
-	qFix     uint64  // fixed-point threshold for every other bit
-	qSkipInv float64 // rng.SkipInv(q), hoisted out of the skip loop
-	sparse   bool    // q < unarySparseQ: skip-sample into a sparse report
+	d    int
+	pFix uint64 // fixed-point threshold for the true bit
+	qFix uint64 // fixed-point threshold for every other bit
 }
 
 func newUnarySampler(d int, p, q float64) unarySampler {
 	return unarySampler{
-		d:        d,
-		pFix:     rng.FixedProb(p),
-		qFix:     rng.FixedProb(q),
-		qSkipInv: rng.SkipInv(q),
-		sparse:   q < unarySparseQ,
+		d:    d,
+		pFix: rng.FixedProb(p),
+		qFix: rng.FixedProb(q),
 	}
 }
 
-// perturb draws one perturbed unary report for true item v, choosing the
-// representation by density regime. items, when non-nil, is a reusable
-// scratch buffer for the sparse path (the returned report aliases it).
-func (u unarySampler) perturb(r *rng.Rand, v int, items []int32) Report {
-	if u.sparse {
-		return SparseUnaryReport{N: u.d, Items: u.appendSupport(r, v, items[:0])}
-	}
+// perturb draws one perturbed unary report for true item v as a dense
+// bitset.
+func (u unarySampler) perturb(r *rng.Rand, v int) Report {
 	bits := NewBitset(u.d)
 	u.fillDense(r, v, bits)
 	return OUEReport{Bits: bits}
@@ -67,81 +47,3 @@ func (u unarySampler) fillDense(r *rng.Rand, v int, bits *Bitset) {
 		}
 	}
 }
-
-// appendSupport generates the report's support set in increasing order by
-// geometric skip-sampling over the d-1 non-true positions (remapped
-// around v) and merging the true bit's independent Bernoulli(p) draw at
-// its ordered position. Expected cost is O(d·q) skips plus one draw.
-func (u unarySampler) appendSupport(r *rng.Rand, v int, items []int32) []int32 {
-	setV := r.BernoulliU64(u.pFix)
-	placed := false
-	// i walks the d-1 virtual positions; position j maps to item j for
-	// j < v and item j+1 for j >= v, so the emitted items stay sorted.
-	for i := int64(0); ; i++ {
-		skip := r.GeometricSkip(u.qSkipInv)
-		if skip >= int64(u.d-1)-i { // compare before adding: skip may saturate
-			break
-		}
-		i += skip
-		pos := int32(i)
-		if pos >= int32(v) {
-			pos++
-		}
-		if setV && !placed && pos > int32(v) {
-			items = append(items, int32(v))
-			placed = true
-		}
-		items = append(items, pos)
-	}
-	if setV && !placed {
-		items = append(items, int32(v))
-	}
-	return items
-}
-
-// SparseUnaryReport is a unary-encoding report stored as its sorted
-// support list instead of a d-bit vector. It is what OUE/SUE Perturb
-// returns in the sparse regime (q < 1/32): at paper scale a 10^6-user
-// population over a 10^5-item domain holds ~d·q indices per report
-// instead of d bits, and aggregation walks only the set positions.
-// SparseUnaryReport and OUEReport are interchangeable everywhere a
-// Report is consumed (aggregation, detection, codec); the package tests
-// pin that equivalence bit-exactly.
-type SparseUnaryReport struct {
-	// N is the domain bit-length (the d of the dense equivalent).
-	N int
-	// Items is the sorted support set.
-	Items []int32
-}
-
-// Supports implements Report via binary search.
-func (r SparseUnaryReport) Supports(v int) bool {
-	if v < 0 || v >= r.N {
-		return false
-	}
-	i := sort.Search(len(r.Items), func(i int) bool { return r.Items[i] >= int32(v) })
-	return i < len(r.Items) && r.Items[i] == int32(v)
-}
-
-// AddSupports implements Report: one increment per set position.
-func (r SparseUnaryReport) AddSupports(counts []int64) {
-	n := int32(len(counts))
-	for _, v := range r.Items {
-		if v >= 0 && v < n {
-			counts[v]++
-		}
-	}
-}
-
-// Dense materializes the equivalent OUEReport bitset.
-func (r SparseUnaryReport) Dense() *Bitset {
-	bits := NewBitset(r.N)
-	for _, v := range r.Items {
-		if v >= 0 && int(v) < r.N {
-			bits.Set(int(v))
-		}
-	}
-	return bits
-}
-
-var _ Report = SparseUnaryReport{}

@@ -67,64 +67,6 @@ func TestBernoulliU64UniformConsumption(t *testing.T) {
 	}
 }
 
-func TestGeometricSkipDistribution(t *testing.T) {
-	r := New(7)
-	for _, q := range []float64{0.02, 0.1, 0.377} {
-		inv := SkipInv(q)
-		const trials = 200000
-		var sum float64
-		for i := 0; i < trials; i++ {
-			k := r.GeometricSkip(inv)
-			if k < 0 {
-				t.Fatalf("q=%v: negative skip %d", q, k)
-			}
-			sum += float64(k)
-		}
-		mean := sum / trials
-		want := (1 - q) / q
-		// Geometric sd is sqrt(1-q)/q; 6-sigma bound on the mean.
-		tol := 6 * math.Sqrt(1-q) / q / math.Sqrt(trials)
-		if math.Abs(mean-want) > tol {
-			t.Fatalf("q=%v: mean skip %v want %v ± %v", q, mean, want, tol)
-		}
-	}
-}
-
-// TestGeometricSkipMatchesBernoulli: skipping k failures then taking a
-// success must reproduce the exact success-position distribution of a
-// sequential Bernoulli(q) scan (chi-square over the first few cells).
-func TestGeometricSkipMatchesBernoulli(t *testing.T) {
-	const q = 0.3
-	const trials = 300000
-	const cells = 10
-	inv := SkipInv(q)
-	r := New(5)
-	got := make([]float64, cells+1)
-	for i := 0; i < trials; i++ {
-		k := r.GeometricSkip(inv)
-		if k >= cells {
-			got[cells]++
-		} else {
-			got[k]++
-		}
-	}
-	var chi2 float64
-	tail := float64(trials)
-	for k := 0; k < cells; k++ {
-		exp := float64(trials) * math.Pow(1-q, float64(k)) * q
-		d := got[k] - exp
-		chi2 += d * d / exp
-		tail -= exp
-	}
-	d := got[cells] - tail
-	chi2 += d * d / tail
-	// cells dof; generous 6-sigma bound.
-	limit := float64(cells) + 6*math.Sqrt(2*float64(cells))
-	if chi2 > limit {
-		t.Fatalf("chi2 %v > %v", chi2, limit)
-	}
-}
-
 func BenchmarkBernoulliFloat(b *testing.B) {
 	r := New(1)
 	n := 0
@@ -146,16 +88,6 @@ func BenchmarkBernoulliU64(b *testing.B) {
 		}
 	}
 	_ = n
-}
-
-func BenchmarkGeometricSkip(b *testing.B) {
-	r := New(1)
-	inv := SkipInv(0.02)
-	var s int64
-	for i := 0; i < b.N; i++ {
-		s += r.GeometricSkip(inv)
-	}
-	_ = s
 }
 
 // TestFixedProbNaN: NaN must clamp to the impossible threshold, not fall
@@ -215,77 +147,6 @@ func TestFixedProbExactThresholds(t *testing.T) {
 		th := FixedProb(p)
 		if d := math.Abs(float64(th) - p*0x1p64); d > 0.5 {
 			t.Fatalf("FixedProb(%v) = %d: |th - p*2^64| = %v > 0.5", p, th, d)
-		}
-	}
-}
-
-// TestGeometricSkipZeroDrawClamped: the u == 0 draw must behave like the
-// smallest positive draw — a large finite skip — not like "no success
-// ever". Pre-fix the zero draw returned MaxInt64 even at q = 1, where
-// every skip must be 0.
-func TestGeometricSkipZeroDrawClamped(t *testing.T) {
-	inv := SkipInv(0.5)
-	got := skipFromUniform(0, inv)
-	want := skipFromUniform(geometricSkipMinU, inv)
-	if got != want {
-		t.Fatalf("zero draw skips %d, smallest positive draw skips %d", got, want)
-	}
-	if got == math.MaxInt64 {
-		t.Fatalf("zero draw at q=0.5 saturated to MaxInt64")
-	}
-	// q -> 1: success is certain, so the skip must be 0 for every draw,
-	// including the clamped zero draw.
-	if s := skipFromUniform(0, SkipInv(1)); s != 0 {
-		t.Fatalf("zero draw at q=1 skipped %d want 0", s)
-	}
-	if s := skipFromUniform(0.999, SkipInv(1)); s != 0 {
-		t.Fatalf("draw 0.999 at q=1 skipped %d want 0", s)
-	}
-}
-
-// TestGeometricSkipSaturates: tiny q (huge SkipInv magnitude) must
-// saturate at MaxInt64 without overflowing the float->int64 conversion,
-// for ordinary, tiny, and zero draws; q = 0 means no success ever.
-func TestGeometricSkipSaturates(t *testing.T) {
-	for _, q := range []float64{1e-300, 1e-30} {
-		inv := SkipInv(q)
-		for _, u := range []float64{0, geometricSkipMinU, 0.5, 0.999999} {
-			s := skipFromUniform(u, inv)
-			if s < 0 {
-				t.Fatalf("q=%g u=%g: negative skip %d (conversion overflow)", q, u, s)
-			}
-			if u <= 0.5 && s != math.MaxInt64 {
-				t.Fatalf("q=%g u=%g: skip %d want MaxInt64 saturation", q, u, s)
-			}
-		}
-	}
-	if s := skipFromUniform(0.5, SkipInv(0)); s != math.MaxInt64 {
-		t.Fatalf("q=0 skip %d want MaxInt64 (no success ever)", s)
-	}
-	// Just inside the representable range: ln(0.5)*1e19 ~ 6.9e18 fits in
-	// int64, so it must come back finite and non-negative, not clamped.
-	if s := skipFromUniform(0.5, SkipInv(1e-19)); s <= 0 || s == math.MaxInt64 {
-		t.Fatalf("q=1e-19 u=0.5: skip %d want large finite", s)
-	}
-}
-
-// TestGeometricSkipUnchangedOnPositiveDraws pins that the clamp did not
-// touch the u > 0 mapping: a seeded GeometricSkip stream must replay
-// bit-identically through the inversion formula on a mirrored generator.
-func TestGeometricSkipUnchangedOnPositiveDraws(t *testing.T) {
-	for _, q := range []float64{0.02, 0.1, 0.377} {
-		inv := SkipInv(q)
-		a, b := New(17), New(17)
-		for i := 0; i < 10000; i++ {
-			got := a.GeometricSkip(inv)
-			u := b.Float64()
-			if u == 0 {
-				continue // the clamped cell, covered above
-			}
-			want := int64(math.Log(u) * inv)
-			if got != want {
-				t.Fatalf("q=%v draw %d: skip %d want %d", q, i, got, want)
-			}
 		}
 	}
 }

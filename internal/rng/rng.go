@@ -154,55 +154,6 @@ func (r *Rand) BernoulliU64(threshold uint64) bool {
 	return r.Uint64() < threshold
 }
 
-// SkipInv precomputes the constant 1/ln(1-q) consumed by GeometricSkip
-// for success probability q in (0, 1). Callers hoist it out of sampling
-// loops (one log at construction instead of two per skip).
-func SkipInv(q float64) float64 {
-	return 1 / math.Log1p(-q)
-}
-
-// GeometricSkip samples the number of consecutive failures before the
-// first success of a Bernoulli(q) sequence — Geometric(q) on {0, 1, ...}
-// — using the inversion floor(ln(U)/ln(1-q)). invLog1q is SkipInv(q),
-// hoisted by the caller. One uniform draw and one log per skip, so
-// generating only the successes of a length-d Bernoulli(q) sequence costs
-// O(d·q) expected work instead of d draws: the geometric skip-sampling
-// behind sparse unary perturbation.
-//
-// A uniform draw of exactly 0 (probability 2^-53 per skip) is clamped to
-// the smallest positive draw before the log: the discrete draw 0 stands
-// for the interval [0, 2^-53), whose inversion image is a large but
-// finite skip, and clamping keeps the q=1 degenerate correct (skip 0)
-// instead of sending math.Log(0) = -Inf through the computation and
-// reporting "no success ever". The result saturates at math.MaxInt64
-// when the skip exceeds the int64 range (tiny q, tiny draw); callers
-// compare against a domain bound anyway.
-func (r *Rand) GeometricSkip(invLog1q float64) int64 {
-	return skipFromUniform(r.Float64(), invLog1q)
-}
-
-// geometricSkipMinU is the smallest positive value Float64 returns; the
-// zero draw clamps here.
-const geometricSkipMinU = 0x1p-53
-
-// skipFromUniform is GeometricSkip's inversion core on an explicit
-// uniform draw, split out so edge-case draws (0, subnormal-adjacent) are
-// testable without steering the generator.
-func skipFromUniform(u, invLog1q float64) int64 {
-	if u < geometricSkipMinU {
-		u = geometricSkipMinU
-	}
-	k := math.Log(u) * invLog1q
-	// The saturating branch also catches NaN and the q=0 degenerate
-	// (SkipInv +Inf times a negative log gives -Inf), where "no success
-	// ever" is the right answer. The comparison constant converts to
-	// 2^63 exactly, so every k it admits converts to int64 in range.
-	if !(k >= 0) || k >= math.MaxInt64 {
-		return math.MaxInt64
-	}
-	return int64(k)
-}
-
 // NormFloat64 returns a standard normal variate using the Marsaglia polar
 // method. The method consumes a variable number of uniforms but is exact,
 // branch-light, and has no lookup tables to validate.

@@ -347,11 +347,6 @@ func PerturbAllInto(p Protocol, r *Rand, trueCounts []int64, s *PerturbScratch) 
 	return ldp.PerturbAllInto(p, r, trueCounts, s)
 }
 
-// SparseUnaryReport is a unary-encoding (OUE/SUE) report stored as its
-// sorted support list; Perturb returns it instead of a dense bitset
-// report when q is small enough that only generating the set bits wins.
-type SparseUnaryReport = ldp.SparseUnaryReport
-
 // GenerateHistory synthesizes historical genuine frequency series for
 // outlier-based target identification.
 func GenerateHistory(d *Dataset, periods int, drift float64, r *Rand) ([][]float64, error) {
