@@ -32,9 +32,9 @@ import (
 //     partial seal), and seals the merged counts into its EpochManager —
 //     so the served window estimates, recovered history, and LDPRecover*
 //     hysteresis run on exactly the union of reports;
-//   - the standby (openStandby) tails a root's snapshots and seal-log,
-//     and when the root's lease goes stale opens a barrier over the warm
-//     state in place.
+//   - the standby (openStandby) tails a root's snapshots, and when the
+//     root's lease goes stale opens a barrier over the warm state in
+//     place.
 //
 // Because tally merging is exact integer addition and epochs seal in
 // clock order, a root's estimates are bit-identical to a single-node
@@ -514,10 +514,10 @@ func (s *streamServer) pushSealed(seq int) {
 // standby promotes: the lease first — a directory another root (or a
 // promoted standby) is heartbeating must not be opened, two writers
 // would fork the snapshot history — then the merger from the newest
-// snapshot and the seal-log's membership (-nodes only while the log is
-// empty: joins and leaves acked before a restart must survive it), then
-// the snapshot store and seal-log every merged seal persists through.
-// tailer is a standby's warm one; nil restores into mgr.
+// snapshot, membership included (-nodes only while no snapshot records
+// one: joins and leaves acked before a restart must survive it), then
+// the snapshot store every merged seal and membership change persists
+// through. tailer is a standby's warm one; nil restores into mgr.
 func openBarrier(cfg streamServerConfig, owner string, mgr *stream.EpochManager,
 	tailer *persist.StandbyTailer, fatal func(error)) (*rootMerge, error) {
 	if cfg.DataDir == "" {
@@ -525,7 +525,7 @@ func openBarrier(cfg streamServerConfig, owner string, mgr *stream.EpochManager,
 		if err != nil {
 			return nil, err
 		}
-		return newRootMerge(merger, nil, nil, cfg.TallyTimeout, fatal), nil
+		return newRootMerge(merger, nil, cfg.TallyTimeout, fatal), nil
 	}
 	dataErr := func(err error) error {
 		return fmt.Errorf("-role=%s with -data-dir %s: %w", cfg.Role, cfg.DataDir, err)
@@ -542,35 +542,27 @@ func openBarrier(cfg streamServerConfig, owner string, mgr *stream.EpochManager,
 		return nil, dataErr(err)
 	}
 	merger, err := tailer.Promote(cfg.Nodes)
-	var (
-		snaps *persist.SnapshotStore
-		slog  *persist.SealLog
-	)
+	var snaps *persist.SnapshotStore
 	if err == nil {
-		snaps, err = persist.AttachSnapshotStore(cfg.DataDir, merger.Manager())
-	}
-	if err == nil {
-		slog, err = persist.OpenSealLog(cfg.DataDir)
+		snaps, err = persist.AttachSnapshotStore(cfg.DataDir, merger)
 	}
 	if err != nil {
 		return nil, dataErr(errors.Join(err, lease.Release()))
 	}
-	rm := newRootMerge(merger, snaps, slog, cfg.TallyTimeout, fatal)
+	rm := newRootMerge(merger, snaps, cfg.TallyTimeout, fatal)
 	rm.startLease(lease, leaseHeartbeat(cfg.PromoteAfter))
 	return rm, nil
 }
 
 // rootMerge is the root's barrier driver around a SealedMerger: it
 // seals complete epochs as they fill, arms the straggler timer while a
-// barrier is partially filled, persists each merged seal (snapshot,
-// then seal-log record) before advancing the advertised watermark,
-// journals membership changes before acking them, heartbeats the data
-// directory's lease, and fail-stops the server when persistence breaks
-// (the PR 4 durability policy).
+// barrier is partially filled, snapshots each merged seal before
+// advancing the advertised watermark and each membership change before
+// acking it, heartbeats the data directory's lease, and fail-stops the
+// server when persistence breaks (the PR 4 durability policy).
 type rootMerge struct {
 	merger  *stream.SealedMerger
 	snaps   *persist.SnapshotStore // nil when the root is in-memory
-	slog    *persist.SealLog       // nil when the root is in-memory
 	timeout time.Duration          // 0: wait for stragglers forever
 	fatal   func(error)
 
@@ -591,8 +583,8 @@ type rootMerge struct {
 }
 
 func newRootMerge(merger *stream.SealedMerger, snaps *persist.SnapshotStore,
-	slog *persist.SealLog, timeout time.Duration, fatal func(error)) *rootMerge {
-	return &rootMerge{merger: merger, snaps: snaps, slog: slog, timeout: timeout, fatal: fatal,
+	timeout time.Duration, fatal func(error)) *rootMerge {
+	return &rootMerge{merger: merger, snaps: snaps, timeout: timeout, fatal: fatal,
 		persisted: merger.SealedThrough()}
 }
 
@@ -651,17 +643,19 @@ func (r *rootMerge) onTally(f ldp.CountFrame) (tallyResponse, error) {
 	return tallyResponse{Duplicate: res.Duplicate, SealedThrough: r.watermark()}, nil
 }
 
-// onAnnounce applies one membership announcement. The resulting
-// membership state is journaled to the seal-log *before* the change is
-// acked — a joiner that got its effective epoch must still be expected
-// after a root restart. A leave that removes the barrier's last
-// straggler seals through it.
+// onAnnounce applies one membership announcement. The snapshot at the
+// current seal count is rewritten with the new membership *before* the
+// change is acked — a joiner that got its effective epoch must still be
+// expected after a root restart. Both happen under r.mu, where no seal
+// runs, so the file's merged state and membership are one instant's. A
+// leave that removes the barrier's last straggler seals through it.
 func (r *rootMerge) onAnnounce(a *ldp.Announce) (announceResponse, error) {
 	var (
 		eff   int
 		ready bool
 		err   error
 	)
+	r.mu.Lock()
 	switch a.Kind {
 	case ldp.AnnounceJoin:
 		eff, err = r.merger.Join(a.NodeID)
@@ -671,29 +665,26 @@ func (r *rootMerge) onAnnounce(a *ldp.Announce) (announceResponse, error) {
 		err = fmt.Errorf("unknown announce kind %v", a.Kind)
 	}
 	if err != nil {
+		r.mu.Unlock()
 		return announceResponse{}, err
 	}
-	if r.slog != nil {
-		members, sched := r.merger.Membership()
-		if err := r.slog.Append(persist.SealRecord{
-			Kind: persist.SealRecordMember, Epoch: eff,
-			Node: a.NodeID, Join: a.Kind == ldp.AnnounceJoin,
-			Members: members, Sched: sched,
-		}); err != nil {
-			err = fmt.Errorf("journaling membership change for %q: %w", a.NodeID, err)
+	if r.snaps != nil {
+		if err := r.snaps.Persist(); err != nil {
+			r.mu.Unlock()
+			err = fmt.Errorf("persisting membership change for %q: %w", a.NodeID, err)
 			r.fatal(err)
 			return announceResponse{}, rootSealError{err}
 		}
 	}
+	if !ready {
+		r.armTimerLocked()
+	}
+	r.mu.Unlock()
 	if ready {
 		if err := r.seal(-1); err != nil {
 			r.fatal(err)
 			return announceResponse{}, rootSealError{err}
 		}
-	} else {
-		r.mu.Lock()
-		r.armTimerLocked()
-		r.mu.Unlock()
 	}
 	fmt.Printf("membership: %s %q effective at epoch %d\n", a.Kind, a.NodeID, eff)
 	return announceResponse{Effective: eff, SealedThrough: r.watermark()}, nil
@@ -706,9 +697,9 @@ func (r *rootMerge) onAnnounce(a *ldp.Announce) (announceResponse, error) {
 // timer (or POST /v1/seal) that fired for epoch N but lost the race to
 // N's completing tally must not force-seal an empty N+1 — that would
 // advance the barrier past tallies still en route and turn an entire
-// epoch's re-sends into stale duplicates. Each merged seal is persisted
-// (snapshot, then seal-log record) before the watermark moves, so
-// frontends never prune a tally the root could forget.
+// epoch's re-sends into stale duplicates. Each merged seal is
+// snapshotted before the watermark moves, so frontends never prune a
+// tally the root could forget.
 func (r *rootMerge) seal(forceEpoch int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -733,16 +724,6 @@ func (r *rootMerge) seal(forceEpoch int) error {
 		if r.snaps != nil {
 			if err := r.snaps.Persist(); err != nil {
 				return fmt.Errorf("persisting merged epoch %d: %w", info.Epoch, err)
-			}
-		}
-		if r.slog != nil {
-			members, sched := r.merger.Membership()
-			if err := r.slog.Append(persist.SealRecord{
-				Kind: persist.SealRecordSeal, Epoch: info.Epoch,
-				Nodes: info.Nodes, Missing: info.Missing,
-				Members: members, Sched: sched,
-			}); err != nil {
-				return fmt.Errorf("journaling merged epoch %d: %w", info.Epoch, err)
 			}
 		}
 		r.persisted = r.merger.SealedThrough()
@@ -822,8 +803,7 @@ func (r *rootMerge) forceSeal() (*stream.WindowEstimate, error) {
 }
 
 // stop disarms the straggler timer, stops the lease heartbeat and
-// releases the lease, and closes the seal-log and snapshot store
-// (shutdown path).
+// releases the lease, and closes the snapshot store (shutdown path).
 func (r *rootMerge) stop() error {
 	var errs []error
 	if r.leaseStop != nil {
@@ -835,9 +815,6 @@ func (r *rootMerge) stop() error {
 	if r.timer != nil {
 		r.timer.Stop()
 		r.timer = nil
-	}
-	if r.slog != nil {
-		errs = append(errs, r.slog.Close())
 	}
 	if r.snaps != nil {
 		errs = append(errs, r.snaps.Close())

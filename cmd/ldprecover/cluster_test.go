@@ -634,7 +634,7 @@ func TestRootForceSealStaleGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm := newRootMerge(merger, nil, nil, 0, func(err error) { t.Errorf("fatal: %v", err) })
+	rm := newRootMerge(merger, nil, 0, func(err error) { t.Errorf("fatal: %v", err) })
 
 	// Nothing pending, nothing sealed: a forced seal is a visible no-op.
 	if _, err := rm.forceSeal(); !errors.Is(err, errNothingToSeal) {

@@ -469,3 +469,109 @@ func TestClusterElasticFailoverE2E(t *testing.T) {
 		t.Fatal("fe-0's pusher never failed over despite the root kill")
 	}
 }
+
+// TestServeRootJoinSurvivesRestart: a durable root acks a join on POST
+// /v1/membership between seals and dies before its next seal. Restarted
+// over its directory with its boot-time -nodes it still expects the
+// joiner at the acked boundary, and so does a standby promoting over the
+// same directory: the ack waited for the snapshot rewrite.
+func TestServeRootJoinSurvivesRestart(t *testing.T) {
+	const d = 8
+	proto, err := ldp.NewGRR(d, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootCfg := streamServerConfig{
+		Stream:       stream.Config{Params: proto.Params(), TargetK: -1},
+		QueueLen:     4,
+		Ingesters:    1,
+		MaxBody:      1 << 20,
+		Role:         roleRoot,
+		Nodes:        []string{"fe-0", "fe-1"},
+		DataDir:      t.TempDir(),
+		PromoteAfter: 200 * time.Millisecond,
+	}
+	postTally := func(url, node string, epoch int) tallyResponse {
+		t.Helper()
+		tl := &ldp.Tally{NodeID: node, Epoch: epoch, Counts: make([]int64, d), Total: 3}
+		tl.Counts[epoch%d] = 3
+		frame, err := ldp.MarshalTally(tl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(url+"/v1/tally", "application/octet-stream", bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			t.Fatalf("tally %s/%d: status %d: %s", node, epoch, resp.StatusCode, body)
+		}
+		return decodeJSON[tallyResponse](t, resp)
+	}
+
+	rootSrv, rootHS := testServer(t, rootCfg)
+	postTally(rootHS.URL, "fe-0", 0)
+	if tr := postTally(rootHS.URL, "fe-1", 0); tr.SealedThrough != 1 {
+		t.Fatalf("epoch 0 did not seal: %+v", tr)
+	}
+	// fe-0's epoch-1 tally waits at the barrier, so fe-2's join lands at
+	// the boundary after it and stays a scheduled change.
+	postTally(rootHS.URL, "fe-0", 1)
+	resp := announceHTTP(t, rootHS.URL, &ldp.Announce{NodeID: "fe-2", Kind: ldp.AnnounceJoin})
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		t.Fatalf("join: status %d: %s", resp.StatusCode, body)
+	}
+	if ar := decodeJSON[announceResponse](t, resp); ar.Effective != 2 {
+		t.Fatalf("join effective at %d, want 2", ar.Effective)
+	}
+	// The root dies before its next seal: listener gone, heartbeat
+	// stopped, lease not released, nothing flushed.
+	rootHS.Close()
+	close(rootSrv.root.leaseStop)
+	rootSrv.root.leaseWG.Wait()
+	rootSrv.root.leaseStop = nil
+
+	wantSched := []stream.MemberChange{{Epoch: 2, Node: "fe-2", Join: true}}
+	checkBarrier := func(who string, rm *rootMerge) {
+		t.Helper()
+		st := rm.merger.SnapshotState()
+		if rm.merger.SealedThrough() != 1 || !reflect.DeepEqual(st.Members, []string{"fe-0", "fe-1"}) || !reflect.DeepEqual(st.Sched, wantSched) {
+			t.Fatalf("%s: watermark %d, members %v, schedule %+v; want 1, [fe-0 fe-1], %+v",
+				who, rm.merger.SealedThrough(), st.Members, st.Sched, wantSched)
+		}
+	}
+	restarted, _ := testServer(t, rootCfg)
+	checkBarrier("restarted root", restarted.root)
+	if err := restarted.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A standby over the same directory, whose fallback must lose to the
+	// snapshot's membership.
+	sbCfg := rootCfg
+	sbCfg.Role, sbCfg.Nodes = roleStandby, []string{"fe-0"}
+	sbCfg.RootAddr, sbCfg.StandbyPoll = "http://127.0.0.1:1", 15*time.Millisecond
+	sbSrv, sbHS := testServer(t, sbCfg)
+	defer sbSrv.close()
+	deadline := time.Now().Add(15 * time.Second)
+	for sbSrv.standby.root.Load() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("standby never promoted")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	promoted := sbSrv.standby.root.Load()
+	checkBarrier("promoted standby", promoted)
+	// The frontends re-send epoch 1; sealing it brings fe-2 in.
+	postTally(sbHS.URL, "fe-0", 1)
+	if tr := postTally(sbHS.URL, "fe-1", 1); tr.SealedThrough != 2 {
+		t.Fatalf("epoch 1 did not seal on the promoted standby: %+v", tr)
+	}
+	if got := promoted.merger.Nodes(); !reflect.DeepEqual(got, []string{"fe-0", "fe-1", "fe-2"}) {
+		t.Fatalf("members after the join boundary: %v", got)
+	}
+}

@@ -94,7 +94,7 @@ func runServe(args []string) error {
 		role     = fs.String("role", "", "cluster role: frontend (ingest + push sealed tallies), root (merge tallies), merger (merge children, push the merged tally upward), or standby (tail the root, promote on failure); empty: single node")
 		rootAddr = fs.String("root-addr", "", "frontend/merger/standby: the parent (root) node's base URL, e.g. http://10.0.0.1:8347")
 		nodeID   = fs.String("node-id", "", "frontend/merger: unique node id (the parent dedupes tallies by it); standby: lease owner name")
-		nodesF   = fs.String("nodes", "", "root/merger: comma-separated expected child node ids (the epoch barrier set); standby: promotion fallback when the seal-log is empty")
+		nodesF   = fs.String("nodes", "", "root/merger: comma-separated expected child node ids (the epoch barrier set); standby: promotion fallback when no snapshot records a membership")
 		tallyTO  = fs.Duration("tally-timeout", 30*time.Second, "root/merger/standby: straggler timeout before a partial epoch seal (0: wait forever)")
 		sbAddr   = fs.String("standby-addr", "", "frontend/merger: the parent's standby base URL; tally delivery fails over to it when the parent stops answering")
 		joinF    = fs.Bool("join", false, "frontend: announce this node to the root at boot and start contributing at the assigned epoch boundary")
@@ -222,7 +222,7 @@ func runServe(args []string) error {
 // and, with -data-dir, the report WAL — plus up to three optional parts:
 //
 //   - barrier: merges children's sealed tallies behind an epoch barrier
-//     (rootMerge: lease, snapshot store, seal-log, straggler timer);
+//     (rootMerge: lease, snapshot store, straggler timer);
 //   - uplink: pushes every sealed epoch to the parent (tallyPusher, its
 //     ring re-send, and the per-seal enqueue);
 //   - standby: tails a root's data directory and, on promotion, opens a
@@ -353,7 +353,7 @@ func validateClusterFlags(role, rootAddr, nodeID, nodesF, standbyAddr, dataDir s
 	}
 	if parts.standby {
 		if dataDir == "" {
-			return nil, fmt.Errorf("-role=%s requires -data-dir (the root's data directory, shared or replicated, to tail snapshots and the seal-log from)", role)
+			return nil, fmt.Errorf("-role=%s requires -data-dir (the root's data directory, shared or replicated, to tail snapshots from)", role)
 		}
 		if promoteAfter <= 0 {
 			return nil, fmt.Errorf("-promote-after %s must be positive: it is both the failover threshold and the lease staleness bound", promoteAfter)
@@ -782,8 +782,8 @@ func (s *streamServer) drain() (*stream.WindowEstimate, error) {
 
 // close releases the parts: the uplink's pusher (after a bounded final
 // flush, then the leave announcement if configured), the standby's
-// watch loop, the barrier's lease, seal-log and snapshot store, and the
-// durable store.
+// watch loop, the barrier's lease and snapshot store, and the durable
+// store.
 func (s *streamServer) close() error {
 	var errs []error
 	if s.pusher != nil {

@@ -70,6 +70,9 @@ func MarshalReport(rep Report) ([]byte, error) {
 			return nil, fmt.Errorf("%w: nil unary bitset", ErrCodec)
 		}
 		n := r.Bits.Len()
+		if n <= 0 || n > maxReportBits {
+			return nil, fmt.Errorf("%w: unary bit count %d out of range", ErrCodec, n)
+		}
 		words := (n + 63) / 64
 		buf := make([]byte, 2+4+8*words)
 		buf[0], buf[1] = codecVersion, tagUnary

@@ -85,6 +85,41 @@ func TestCodecMarshalValidation(t *testing.T) {
 	}
 }
 
+// TestCodecMarshalUnaryBitRange: the encoder refuses a unary bit count
+// the decoder would refuse, at both edges of [1, maxReportBits], for a
+// single report and inside a batch — and accepts both edges' neighbours
+// inside the range, round-tripping them.
+func TestCodecMarshalUnaryBitRange(t *testing.T) {
+	for _, n := range []int{0, maxReportBits + 1} {
+		rep := OUEReport{Bits: NewBitset(n)}
+		if _, err := MarshalReport(rep); !errors.Is(err, ErrCodec) || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("MarshalReport with %d bits: err %v, want an ErrCodec range error", n, err)
+		}
+		if _, err := MarshalReport(&rep); !errors.Is(err, ErrCodec) {
+			t.Errorf("MarshalReport(*OUEReport) with %d bits: err %v, want ErrCodec", n, err)
+		}
+		if _, err := MarshalReportBatch([]Report{GRRReport(1), rep}); !errors.Is(err, ErrCodec) || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("MarshalReportBatch with a %d-bit report: err %v, want an ErrCodec range error", n, err)
+		}
+	}
+	for _, n := range []int{1, maxReportBits} {
+		bits := NewBitset(n)
+		bits.Set(n - 1)
+		frame, err := MarshalReportBatch([]Report{OUEReport{Bits: bits}})
+		if err != nil {
+			t.Fatalf("%d bits: %v", n, err)
+		}
+		reps, err := UnmarshalReportBatch(frame)
+		if err != nil {
+			t.Fatalf("%d bits do not decode: %v", n, err)
+		}
+		got := reps[0].(OUEReport).Bits
+		if got.Len() != n || got.Count() != 1 || !got.Get(n-1) {
+			t.Fatalf("%d bits round-tripped to len %d, %d set", n, got.Len(), got.Count())
+		}
+	}
+}
+
 // reportFrame assembles a single-report wire frame from a version, a
 // tag and little-endian uint32 payload fields.
 func reportFrame(version, tag byte, fields ...uint32) []byte {

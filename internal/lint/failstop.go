@@ -11,9 +11,9 @@ import (
 
 // Failstop enforces the persistence fail-stop convention (DESIGN.md §6,
 // §10): an error returned by a persist API — WAL append/seal, snapshot
-// write, seal-log journal, lease operations — must either propagate to
-// the caller or reach a fail-stop sink (fatalc via reportFatal, panic,
-// log.Fatal). It must never be dropped: a server that keeps accepting
+// write (per seal and per membership change), lease operations — must
+// either propagate to the caller or reach a fail-stop sink (fatalc via
+// reportFatal, panic, log.Fatal). It must never be dropped: a server that keeps accepting
 // reports after its WAL stopped persisting is silently violating the
 // durability contract the crash-restart e2es pin. The PR 4 review
 // hardening ("failed POST /v1/seal fail-stops the server like a failed

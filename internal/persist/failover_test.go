@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -36,148 +35,6 @@ func mergeTally(sm *stream.SealedMerger, t *ldp.Tally) (stream.SubmitResult, err
 		return stream.SubmitResult{}, err
 	}
 	return sm.MergeFrame(f)
-}
-
-func TestSealLogAppendReplayAndTornTail(t *testing.T) {
-	dir := t.TempDir()
-	log, err := OpenSealLog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := log.Membership(); ok {
-		t.Fatal("fresh log claims membership")
-	}
-	recs := []SealRecord{
-		{Kind: SealRecordMember, Epoch: 0, Node: "fe-2", Join: true,
-			Members: []string{"fe-0", "fe-1", "fe-2"}},
-		{Kind: SealRecordSeal, Epoch: 0, Nodes: []string{"fe-0", "fe-1", "fe-2"},
-			Members: []string{"fe-0", "fe-1", "fe-2"}},
-		{Kind: SealRecordMember, Epoch: 2, Node: "fe-0", Join: false,
-			Members: []string{"fe-0", "fe-1", "fe-2"},
-			Sched:   []stream.MemberChange{{Epoch: 2, Node: "fe-0", Join: false}}},
-	}
-	for _, r := range recs {
-		if err := log.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	members, sched, ok := log.Membership()
-	if !ok || !reflect.DeepEqual(members, recs[2].Members) || !reflect.DeepEqual(sched, recs[2].Sched) {
-		t.Fatalf("in-memory membership: %v %v %v", members, sched, ok)
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Read-only scan (the standby's view) agrees.
-	members, sched, ok, err = ReadSealLogMembership(dir)
-	if err != nil || !ok || !reflect.DeepEqual(members, recs[2].Members) || !reflect.DeepEqual(sched, recs[2].Sched) {
-		t.Fatalf("read-only membership: %v %v %v %v", members, sched, ok, err)
-	}
-
-	// A torn tail (crash mid-append) is truncated; the prefix survives.
-	path := filepath.Join(dir, sealLogName)
-	clean, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn := make([]byte, sealLogHeader+3)
-	binary.LittleEndian.PutUint32(torn, 100) // claims 100 payload bytes, has 3
-	if err := os.WriteFile(path, append(append([]byte(nil), clean...), torn...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	log2, err := OpenSealLog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if members, _, ok := log2.Membership(); !ok || !reflect.DeepEqual(members, recs[2].Members) {
-		t.Fatalf("membership after torn tail: %v %v", members, ok)
-	}
-	// Appends after truncation land on the clean prefix.
-	next := SealRecord{Kind: SealRecordSeal, Epoch: 1, Members: []string{"fe-1", "fe-2"}}
-	if err := log2.Append(next); err != nil {
-		t.Fatal(err)
-	}
-	if err := log2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	records, _, err := readSealLog(path)
-	if err != nil || len(records) != len(recs)+1 {
-		t.Fatalf("replay after torn-tail append: %d records, err %v", len(records), err)
-	}
-	if !reflect.DeepEqual(records[len(records)-1], next) {
-		t.Fatalf("last record: %+v", records[len(records)-1])
-	}
-
-	// A corrupted byte mid-log stops replay at the damage, keeping the
-	// prefix — the last *valid* record still wins.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(clean)+4] ^= 0xff // flip inside the appended record's CRC
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	members, _, ok, err = ReadSealLogMembership(dir)
-	if err != nil || !ok || !reflect.DeepEqual(members, recs[2].Members) {
-		t.Fatalf("membership after corruption: %v %v %v", members, ok, err)
-	}
-
-	// An absent log is an empty log, not an error.
-	if _, _, ok, err := ReadSealLogMembership(t.TempDir()); err != nil || ok {
-		t.Fatalf("absent log: ok=%v err=%v", ok, err)
-	}
-}
-
-// TestSealLogFailedWriteStopsAppends is the seal-log's case of
-// TestWALFailedWriteStopsAppends: after a write fails part-way, later
-// appends must fail rather than land behind a torn frame, where reopening
-// would silently end the log before them.
-func TestSealLogFailedWriteStopsAppends(t *testing.T) {
-	dir := t.TempDir()
-	log, err := OpenSealLog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := SealRecord{Kind: SealRecordSeal, Epoch: 0, Members: []string{"fe-0", "fe-1"}}
-	if err := log.Append(first); err != nil {
-		t.Fatal(err)
-	}
-	// The failed append: 7 bytes of its frame reach the file, then the
-	// write fails (a read-only handle on the file refuses it).
-	if _, err := log.f.Write(make([]byte, 7)); err != nil {
-		t.Fatal(err)
-	}
-	live := log.f
-	ro, err := os.Open(filepath.Join(dir, sealLogName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ro.Close()
-	log.f = ro
-	if err := log.Append(SealRecord{Kind: SealRecordSeal, Epoch: 1, Members: first.Members}); err == nil {
-		t.Fatal("append through a read-only seal-log succeeded")
-	}
-	// The fault clears: the file is writable again.
-	log.f = live
-	for epoch := 2; epoch <= 3; epoch++ {
-		join := SealRecord{Kind: SealRecordMember, Epoch: epoch, Node: "fe-2", Join: true,
-			Members: []string{"fe-0", "fe-1", "fe-2"}}
-		if err := log.Append(join); err == nil {
-			t.Fatalf("append at epoch %d after a failed write was acknowledged", epoch)
-		}
-	}
-	if members, _, ok := log.Membership(); !ok || !reflect.DeepEqual(members, first.Members) {
-		t.Fatalf("in-memory membership after failed appends: %v %v", members, ok)
-	}
-	if err := log.Close(); err == nil {
-		t.Fatal("Close after a failed write succeeded")
-	}
-	members, _, ok, err := ReadSealLogMembership(dir)
-	if err != nil || !ok || !reflect.DeepEqual(members, first.Members) {
-		t.Fatalf("membership after reopen: %v %v %v", members, ok, err)
-	}
 }
 
 func TestLeaseAcquireRefuseRefreshRelease(t *testing.T) {
@@ -238,11 +95,11 @@ func TestLeaseAcquireRefuseRefreshRelease(t *testing.T) {
 }
 
 // TestStandbyTailerTracksRootAndPromotes is the persist-level failover
-// story: a root seals epochs, persisting a snapshot per seal and a
-// seal-log; a standby tails both; when the root dies the standby
-// promotes a merger that resumes at the persisted watermark with the
-// logged membership, dedupes every re-sent tally, and merges the
-// in-flight epoch the crash lost.
+// story: a root seals epochs, persisting a snapshot per seal and per
+// membership change; a standby tails them; when the root dies the
+// standby promotes a merger that resumes at the persisted watermark
+// with the snapshot's membership, dedupes every re-sent tally, and
+// merges the in-flight epoch the crash lost.
 func TestStandbyTailerTracksRootAndPromotes(t *testing.T) {
 	const d = 16
 	dir := t.TempDir()
@@ -252,15 +109,11 @@ func TestStandbyTailerTracksRootAndPromotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := AttachSnapshotStore(dir, rootMgr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	merger, err := stream.NewSealedMerger(rootMgr, []string{"fe-0", "fe-1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slog, err := OpenSealLog(dir)
+	snaps, err := AttachSnapshotStore(dir, merger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,17 +146,11 @@ func TestStandbyTailerTracksRootAndPromotes(t *testing.T) {
 			}
 			sent = append(sent, tl)
 		}
-		if est, info, err := merger.TrySeal(); err != nil || est == nil {
+		if est, _, err := merger.TrySeal(); err != nil || est == nil {
 			t.Fatalf("seal %d: est=%v err=%v", e, est, err)
-		} else {
-			if err := snaps.Persist(); err != nil {
-				t.Fatal(err)
-			}
-			members, sched := merger.Membership()
-			if err := slog.Append(SealRecord{Kind: SealRecordSeal, Epoch: info.Epoch,
-				Nodes: info.Nodes, Missing: info.Missing, Members: members, Sched: sched}); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if err := snaps.Persist(); err != nil {
+			t.Fatal(err)
 		}
 	}
 
@@ -327,14 +174,11 @@ func TestStandbyTailerTracksRootAndPromotes(t *testing.T) {
 		t.Fatal("idle poll replaced the warm manager")
 	}
 
-	// Membership changes flow through the seal-log.
-	eff, err := merger.Join("fe-2")
-	if err != nil {
+	// Membership changes flow through the snapshot.
+	if _, err := merger.Join("fe-2"); err != nil {
 		t.Fatal(err)
 	}
-	members, sched := merger.Membership()
-	if err := slog.Append(SealRecord{Kind: SealRecordMember, Epoch: eff, Node: "fe-2", Join: true,
-		Members: members, Sched: sched}); err != nil {
+	if err := snaps.Persist(); err != nil {
 		t.Fatal(err)
 	}
 	sealEpoch(2)
@@ -383,7 +227,7 @@ func TestStandbyTailerTracksRootAndPromotes(t *testing.T) {
 		t.Fatalf("promoted watermark %d, want 3", got)
 	}
 	if got := promoted.Nodes(); !reflect.DeepEqual(got, []string{"fe-0", "fe-1", "fe-2"}) {
-		t.Fatalf("promoted membership %v (fallback must lose to the seal-log)", got)
+		t.Fatalf("promoted membership %v (fallback must lose to the snapshot)", got)
 	}
 	// Frontends re-send everything unacked and then some: every sealed
 	// tally dedupes, the lost in-flight one merges fresh.
@@ -431,8 +275,8 @@ func TestStandbyPromoteEmptyDirFallsBack(t *testing.T) {
 	if promoted.SealedThrough() != 0 || !reflect.DeepEqual(promoted.Nodes(), []string{"fe-0", "fe-1"}) {
 		t.Fatalf("empty-dir promotion: through=%d nodes=%v", promoted.SealedThrough(), promoted.Nodes())
 	}
-	// With neither a seal-log nor fallback nodes there is nothing to
-	// promote onto.
+	// With neither a recorded membership nor fallback nodes there is
+	// nothing to promote onto.
 	if _, err := tailer.Promote(nil); err == nil {
 		t.Fatal("promotion with no membership source accepted")
 	}
@@ -450,7 +294,11 @@ func TestStandbyPollLeavesRootTempFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := AttachSnapshotStore(dir, rootMgr)
+	merger, err := stream.NewSealedMerger(rootMgr, []string{"fe-0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := AttachSnapshotStore(dir, merger)
 	if err != nil {
 		t.Fatal(err)
 	}

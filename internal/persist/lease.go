@@ -137,6 +137,3 @@ func (l *Lease) Release() error {
 	}
 	return err
 }
-
-// Owner returns the id the lease was acquired under.
-func (l *Lease) Owner() string { return l.owner }

@@ -11,14 +11,15 @@ import (
 )
 
 // SnapshotStore is the root merger's durability: per-seal snapshots of
-// the merged EpochManager state, with no write-ahead log. A root does
-// not need one — its inputs are frontends' sealed tallies, delivered
-// at-least-once and retried until the root's *persisted* sealed
-// watermark passes them, so a root crash loses only the pending
-// (unsealed) epoch's tallies, which the frontends re-send on their next
-// push cycle. What must survive is the cross-epoch merged view (sealed
-// ring, recovered history, target-tracker hysteresis), and that is
-// exactly what the snapshot carries.
+// the merged EpochManager state and the barrier membership, with no
+// write-ahead log. A root does not need one — its inputs are frontends'
+// sealed tallies, delivered at-least-once and retried until the root's
+// *persisted* sealed watermark passes them, so a root crash loses only
+// the pending (unsealed) epoch's tallies, which the frontends re-send on
+// their next push cycle. What must survive is the cross-epoch merged
+// view (sealed ring, recovered history, target-tracker hysteresis) and
+// who the next barrier waits for, and that is exactly what the snapshot
+// carries.
 //
 // The report-level WAL is a different contract: its records are report
 // batch frames and partial tallies, replayed in one pass that folds them
@@ -28,22 +29,22 @@ import (
 // into a tally-merging root (or logging tally frames into a report WAL)
 // would silently corrupt the merged state.
 type SnapshotStore struct {
-	mgr *stream.EpochManager
-	dir string
+	merger *stream.SealedMerger
+	dir    string
 
 	mu     sync.Mutex
 	closed bool
 }
 
 // AttachSnapshotStore prepares per-seal snapshot writes under dir for a
-// manager whose state is already live: the one a StandbyTailer restored
+// merger whose state is already live: the one a StandbyTailer restored
 // from the very snapshots this store will keep writing, when a root
 // boots over its own directory or a standby promotes. It restores
 // nothing itself. It retains DefaultKeepSnapshots generations. dir must
 // not hold a report-level WAL.
-func AttachSnapshotStore(dir string, mgr *stream.EpochManager) (*SnapshotStore, error) {
-	if mgr == nil {
-		return nil, errors.New("persist: nil epoch manager")
+func AttachSnapshotStore(dir string, merger *stream.SealedMerger) (*SnapshotStore, error) {
+	if merger == nil {
+		return nil, errors.New("persist: nil merger")
 	}
 	walDir := filepath.Join(dir, "wal")
 	if segs, err := listSegments(walDir); err == nil && len(segs) > 0 {
@@ -56,17 +57,16 @@ func AttachSnapshotStore(dir string, mgr *stream.EpochManager) (*SnapshotStore, 
 	if err := os.MkdirAll(filepath.Join(dir, "snap"), 0o755); err != nil {
 		return nil, err
 	}
-	return &SnapshotStore{mgr: mgr, dir: dir}, nil
+	return &SnapshotStore{merger: merger, dir: dir}, nil
 }
 
-// Manager returns the manager this store persists.
-func (s *SnapshotStore) Manager() *stream.EpochManager { return s.mgr }
-
-// Persist atomically snapshots the manager's current cross-epoch state
-// and prunes old generations. The root calls it after every merged
-// seal, *before* advertising the new sealed watermark to frontends —
-// the watermark is what releases their re-send retention, so it must
-// never run ahead of what a restart would restore.
+// Persist atomically snapshots the merger's current cross-epoch state
+// and membership, and prunes old generations. The root calls it after
+// every merged seal, *before* advertising the new sealed watermark to
+// frontends — the watermark is what releases their re-send retention,
+// so it must never run ahead of what a restart would restore — and
+// after every join or leave, before acking it, rewriting the current
+// seal count's snapshot in place.
 func (s *SnapshotStore) Persist() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -74,7 +74,7 @@ func (s *SnapshotStore) Persist() error {
 		return errors.New("persist: snapshot store is closed")
 	}
 	snapDir := filepath.Join(s.dir, "snap")
-	if _, err := WriteSnapshot(snapDir, 0, s.mgr.SnapshotState()); err != nil {
+	if _, err := WriteSnapshot(snapDir, 0, s.merger.SnapshotState()); err != nil {
 		return err
 	}
 	return pruneSnapshots(snapDir)

@@ -39,7 +39,7 @@ func bootRoot(dir string, mgr *stream.EpochManager) (store *SnapshotStore, resto
 		return nil, 0, err
 	}
 	restored, _ = tailer.SnapshotSeq()
-	store, err = AttachSnapshotStore(dir, merger.Manager())
+	store, err = AttachSnapshotStore(dir, merger)
 	return store, restored, err
 }
 

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -20,8 +21,17 @@ import (
 //	"LDPS" magic, uint16 version,
 //	uint64 WAL position (last LSN whose record the state reflects),
 //	the ManagerState fields in declaration order — ints as uint64,
-//	floats as IEEE-754 bits, slices as uint32 length + elements —
+//	floats as IEEE-754 bits, strings and slices as uint32 length +
+//	elements, a scheduled change as epoch, node, one join byte —
 //	and a trailing uint32 CRC-32C over everything before it.
+//
+// Version 2 added the barrier membership (Members, Sched) after the
+// tracker state: a root's or interior merger's expected children, so a
+// restart or a promotion resumes the barrier the snapshot's watermark
+// ran under. It is two empty lengths on a single node or a frontend. A
+// version 1 file decodes as "no membership recorded". A version this
+// build does not know fails the load instead of being skipped: falling
+// back to an older file would boot an older watermark.
 //
 // Floats are stored as raw bits because the whole point of the snapshot
 // is bit-identical serving after a restart; a decimal round trip would
@@ -30,7 +40,7 @@ import (
 // crash mid-write leaves the previous snapshot untouched and the loader
 // simply picks the newest file that decodes and checksums clean.
 const (
-	snapVersion = 1
+	snapVersion = 2
 
 	snapPrefix = "snap-"
 	snapSuffix = ".snap"
@@ -41,6 +51,10 @@ const (
 )
 
 var snapMagic = [4]byte{'L', 'D', 'P', 'S'}
+
+// errSnapVersion marks a snapshot that checksums clean but carries a
+// version this build cannot read.
+var errSnapVersion = errors.New("persist: unsupported snapshot version")
 
 // encodeSnapshot serializes a manager state and its WAL position.
 func encodeSnapshot(walSeq uint64, st stream.ManagerState) []byte {
@@ -69,6 +83,20 @@ func encodeSnapshot(walSeq uint64, st stream.ManagerState) []byte {
 	b = appendInts(b, st.Tracker.Last)
 	b = binary.LittleEndian.AppendUint32(b, uint32(st.Tracker.Streak))
 	b = appendInts(b, st.Tracker.Stable)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.Members)))
+	for _, m := range st.Members {
+		b = appendString(b, m)
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(st.Sched)))
+	for _, ev := range st.Sched {
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(ev.Epoch)))
+		b = appendString(b, ev.Node)
+		join := byte(0)
+		if ev.Join {
+			join = 1
+		}
+		b = append(b, join)
+	}
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
 }
 
@@ -83,6 +111,13 @@ func snapshotSize(st stream.ManagerState) int {
 		size += 4 + 8*len(row)
 	}
 	size += 8 * (len(st.Tracker.Last) + len(st.Tracker.Stable))
+	size += 4 + 4 + 4*len(st.Members) + (8+4+1)*len(st.Sched)
+	for _, m := range st.Members {
+		size += len(m)
+	}
+	for _, ev := range st.Sched {
+		size += len(ev.Node)
+	}
 	return size
 }
 
@@ -100,6 +135,11 @@ func appendInts(b []byte, vs []int) []byte {
 		b = binary.LittleEndian.AppendUint64(b, uint64(int64(v)))
 	}
 	return b
+}
+
+func appendString(b []byte, v string) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(v)))
+	return append(b, v...)
 }
 
 // snapReader is a bounds-checked little-endian cursor.
@@ -139,17 +179,39 @@ func (r *snapReader) u64() uint64 {
 	return v
 }
 
-func (r *snapReader) length() int {
+func (r *snapReader) u8() byte {
+	if r.err != nil || r.off+1 > len(r.data) {
+		r.fail()
+		return 0
+	}
+	v := r.data[r.off]
+	r.off++
+	return v
+}
+
+// length reads a uint32 element count, bounded by what the rest of the
+// body could hold at elem bytes per element.
+func (r *snapReader) length(elem int) int {
 	n := r.u32()
-	if r.err == nil && (n > snapMaxLen || int64(n)*8 > int64(len(r.data)-r.off)) {
+	if r.err == nil && (n > snapMaxLen || int64(n)*int64(elem) > int64(len(r.data)-r.off)) {
 		r.fail()
 		return 0
 	}
 	return int(n)
 }
 
+func (r *snapReader) str() string {
+	n := r.length(1)
+	if r.err != nil {
+		return ""
+	}
+	v := string(r.data[r.off : r.off+n])
+	r.off += n
+	return v
+}
+
 func (r *snapReader) int64s() []int64 {
-	n := r.length()
+	n := r.length(8)
 	if r.err != nil {
 		return nil
 	}
@@ -161,7 +223,7 @@ func (r *snapReader) int64s() []int64 {
 }
 
 func (r *snapReader) ints() []int {
-	n := r.length()
+	n := r.length(8)
 	if r.err != nil {
 		return nil
 	}
@@ -173,7 +235,7 @@ func (r *snapReader) ints() []int {
 }
 
 func (r *snapReader) floats() []float64 {
-	n := r.length()
+	n := r.length(8)
 	if r.err != nil {
 		return nil
 	}
@@ -200,13 +262,14 @@ func decodeSnapshot(data []byte) (walSeq uint64, st stream.ManagerState, err err
 		return 0, st, fmt.Errorf("persist: snapshot checksum mismatch")
 	}
 	r := &snapReader{data: body, off: 4}
-	if v := r.u16(); v != snapVersion {
-		return 0, st, fmt.Errorf("persist: unsupported snapshot version %d", v)
+	version := r.u16()
+	if version != 1 && version != snapVersion {
+		return 0, st, fmt.Errorf("%w %d (this build reads 1 and %d)", errSnapVersion, version, snapVersion)
 	}
 	walSeq = r.u64()
 	st.Seq = int(int64(r.u64()))
 	st.Sealed = int64(r.u64())
-	ringLen := r.length()
+	ringLen := r.length(8)
 	if r.err == nil {
 		st.Ring = make([]stream.Epoch, ringLen)
 		for i := range st.Ring {
@@ -218,7 +281,7 @@ func decodeSnapshot(data []byte) (walSeq uint64, st stream.ManagerState, err err
 	st.WinCounts = r.int64s()
 	st.WinTotal = int64(r.u64())
 	st.WinEpochs = int(int32(r.u32()))
-	histLen := r.length()
+	histLen := r.length(8)
 	if r.err == nil && histLen > 0 {
 		st.History = make([][]float64, histLen)
 		for i := range st.History {
@@ -228,6 +291,20 @@ func decodeSnapshot(data []byte) (walSeq uint64, st stream.ManagerState, err err
 	st.Tracker = detect.TrackerState{Last: r.ints()}
 	st.Tracker.Streak = int(int32(r.u32()))
 	st.Tracker.Stable = r.ints()
+	if version >= 2 {
+		if n := r.length(4); n > 0 {
+			st.Members = make([]string, n)
+			for i := range st.Members {
+				st.Members[i] = r.str()
+			}
+		}
+		if n := r.length(8 + 4 + 1); n > 0 {
+			st.Sched = make([]stream.MemberChange, n)
+			for i := range st.Sched {
+				st.Sched[i] = stream.MemberChange{Epoch: int(int64(r.u64())), Node: r.str(), Join: r.u8() == 1}
+			}
+		}
+	}
 	if r.err != nil {
 		return 0, stream.ManagerState{}, r.err
 	}
@@ -296,8 +373,9 @@ func listSnapshots(dir string) ([]snapFile, error) {
 }
 
 // LoadLatestSnapshot returns the newest snapshot in dir that decodes and
-// checksums clean, skipping (but keeping) invalid newer ones. found is
-// false when no valid snapshot exists.
+// checksums clean, skipping (but keeping) damaged newer ones. found is
+// false when no valid snapshot exists. A snapshot of a version this
+// build does not know is an error, not damage.
 func LoadLatestSnapshot(dir string) (walSeq uint64, st stream.ManagerState, found bool, err error) {
 	snaps, err := listSnapshots(dir)
 	if err != nil {
@@ -311,6 +389,9 @@ func LoadLatestSnapshot(dir string) (walSeq uint64, st stream.ManagerState, foun
 		walSeq, st, err = decodeSnapshot(data)
 		if err == nil {
 			return walSeq, st, true, nil
+		}
+		if errors.Is(err, errSnapVersion) {
+			return 0, stream.ManagerState{}, false, fmt.Errorf("%s: %w", sf.path, err)
 		}
 	}
 	return 0, stream.ManagerState{}, false, nil

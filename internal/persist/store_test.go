@@ -1,8 +1,6 @@
 package persist
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -62,6 +60,8 @@ func testManagerState(t testing.TB) stream.ManagerState {
 func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 	st := testManagerState(t)
 	st.Tracker = detect.TrackerState{Last: []int{7}, Streak: 1, Stable: []int{3, 9}}
+	st.Members = []string{"fe-0", "fe-1", "mg-ü"}
+	st.Sched = []stream.MemberChange{{Epoch: 6, Node: "fe-2", Join: true}, {Epoch: 7, Node: "fe-0", Join: false}}
 	buf := encodeSnapshot(42, st)
 	walSeq, got, err := decodeSnapshot(buf)
 	if err != nil {
@@ -91,11 +91,7 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 
 	// A well-formed future version (valid CRC) must fail on the version
 	// field, not mis-decode.
-	v2 := encodeSnapshot(42, st)
-	v2[4] = 2
-	v2 = v2[:len(v2)-4]
-	v2 = binary.LittleEndian.AppendUint32(v2, crc32.Checksum(v2, crcTable))
-	if _, _, err := decodeSnapshot(v2); err == nil {
+	if _, _, err := decodeSnapshot(withSnapVersion(encodeSnapshot(42, st), snapVersion+1)); err == nil {
 		t.Error("future snapshot version decoded without error")
 	}
 }

@@ -23,9 +23,9 @@
 // counts, and recovery itself is deterministic.
 //
 // The merging tiers reuse the same blocks without the WAL: roots and
-// interior mergers (-role=merger, DESIGN.md §9) persist per-seal
-// SnapshotStore snapshots plus a SealLog of sealed epochs and
-// membership changes — their inputs are re-sent by the tier below
+// interior mergers (-role=merger, DESIGN.md §9) persist SnapshotStore
+// snapshots, one per seal and one per membership change, each carrying
+// the barrier membership — their inputs are re-sent by the tier below
 // until the persisted watermark covers them, so a log of individual
 // tallies would be redundant.
 package persist

@@ -158,7 +158,7 @@ func TestSealedMergerLeaveCompletesBarrier(t *testing.T) {
 	}
 }
 
-// TestSealedMergerMembershipExportRestore: Membership/SetMembership
+// TestSealedMergerMembershipExportRestore: SnapshotState/SetMembership
 // round-trip the member set and the pending schedule, SetMembership
 // refuses a mid-barrier rewrite, and a merger rebuilt from the exported
 // state behaves identically.
@@ -178,7 +178,8 @@ func TestSealedMergerMembershipExportRestore(t *testing.T) {
 	if eff, err := merger.Join("c"); err != nil || eff != 1 {
 		t.Fatalf("join: eff=%d err=%v", eff, err)
 	}
-	members, sched := merger.Membership()
+	st := merger.SnapshotState()
+	members, sched := st.Members, st.Sched
 	if !reflect.DeepEqual(members, []string{"a", "b"}) {
 		t.Fatalf("exported members: %v", members)
 	}
@@ -199,7 +200,8 @@ func TestSealedMergerMembershipExportRestore(t *testing.T) {
 
 	// A promoted root rebuilds from the exported state and expects the
 	// same nodes at the same boundaries.
-	members, sched = merger.Membership()
+	st = merger.SnapshotState()
+	members, sched = st.Members, st.Sched
 	mgr2, err := NewEpochManager(mergerConfig(d))
 	if err != nil {
 		t.Fatal(err)
@@ -531,10 +533,10 @@ func TestSealedMergerPromotionDedupeIdempotence(t *testing.T) {
 		t.Fatalf("join: eff=%d err=%v", eff, err)
 	}
 
-	// The root dies. The standby holds the last per-seal snapshot of the
-	// manager plus the exported membership.
-	state := mgrA.SnapshotState()
-	members, sched := rootA.Membership()
+	// The root dies. The standby holds the last per-seal snapshot: the
+	// manager's state plus the barrier membership.
+	state := rootA.SnapshotState()
+	members, sched := state.Members, state.Sched
 
 	mgrB, err := NewEpochManager(mergerConfig(d))
 	if err != nil {

@@ -32,9 +32,10 @@ import (
 // epoch boundaries, never mid-barrier — once the barrier epoch has
 // started accumulating tallies its completeness criterion is fixed, and
 // a change lands at the next boundary instead. The schedule of pending
-// changes is part of the merger's exportable state (Membership /
-// SetMembership) so a root restart or a standby promotion resumes with
-// the same barrier expectations.
+// changes is part of the merger's exportable state (SnapshotState
+// carries it into the root's snapshot, SetMembership restores it) so a
+// root restart or a standby promotion resumes with the same barrier
+// expectations.
 //
 // All methods are safe for concurrent use.
 type SealedMerger struct {
@@ -176,20 +177,22 @@ func (sm *SealedMerger) Nodes() []string {
 	return slices.Clone(sm.expected)
 }
 
-// Membership exports the current member set and the schedule of pending
-// changes — the state a root restart or standby promotion needs to
-// resume the barrier with the same expectations. Both slices are
-// copies.
-func (sm *SealedMerger) Membership() (members []string, sched []MemberChange) {
+// SnapshotState exports the manager's cross-epoch state with the
+// barrier membership filled in. The merger's lock is held across both,
+// so no seal and no join or leave lands between them: the membership
+// is the one the exported watermark runs under.
+func (sm *SealedMerger) SnapshotState() ManagerState {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	return slices.Clone(sm.expected), slices.Clone(sm.sched)
+	st := sm.mgr.SnapshotState()
+	st.Members, st.Sched = slices.Clone(sm.expected), slices.Clone(sm.sched)
+	return st
 }
 
 // SetMembership replaces the member set and pending-change schedule,
-// the restore half of Membership. It may only be called while no
-// tallies are pending: membership restore is a boot/promotion-time
-// operation, not a mid-barrier rewrite. Scheduled changes already due
+// the restore half of SnapshotState's Members and Sched. It may only be
+// called while no tallies are pending: membership restore is a
+// boot/promotion-time operation, not a mid-barrier rewrite. Scheduled changes already due
 // at the barrier are applied immediately.
 func (sm *SealedMerger) SetMembership(members []string, sched []MemberChange) error {
 	expected, err := normalizeMembers(members)

@@ -38,6 +38,13 @@ type ManagerState struct {
 	History [][]float64
 	// Tracker is the target-identification hysteresis state.
 	Tracker detect.TrackerState
+	// Members and Sched are the epoch barrier's membership: the member
+	// set and the pending join/leave schedule. SealedMerger.SnapshotState
+	// fills them and SealedMerger.SetMembership restores them; an
+	// EpochManager neither fills nor reads them, so they are empty on a
+	// single node or a frontend.
+	Members []string
+	Sched   []MemberChange
 }
 
 // SnapshotState exports a deep copy of the manager's cross-epoch state.
